@@ -167,21 +167,24 @@ def dorfler_mark(estimates, theta):
 
     Greedily takes elements by descending ``eta2`` (ties by ascending index)
     until the marked set carries at least ``theta`` times the total squared
-    estimator; elements with zero indicator are never marked.
+    estimator; elements with zero indicator are never marked.  Indicators
+    must be finite and non-negative (``ValueError`` otherwise).
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError("bulk parameter theta must be in (0, 1]")
     eta2 = estimates.eta2 if isinstance(estimates, LocalEstimates) \
         else np.asarray(estimates, dtype=float)
+    if not np.all(np.isfinite(eta2)) or np.any(eta2 < 0.0):
+        raise ValueError("indicators must be finite and non-negative")
     total = eta2.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
     order = np.lexsort((np.arange(len(eta2)), -eta2))
     csum = np.cumsum(eta2[order])
+    # the running sum can end below the (pairwise) total, leaving a theta
+    # near 1 out of its reach: then every positive indicator is marked
     k = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12), side="left"))
-    # bulk criterion met, and dropping the smallest marked element breaks it
-    assert csum[k] >= theta * total * (1.0 - 1e-12)
-    assert k == 0 or csum[k - 1] < theta * total
+    k = min(k, np.count_nonzero(eta2) - 1)
     return np.sort(order[:k + 1])
 
 

@@ -49,7 +49,6 @@ class ExperimentSpec:
     out: str = "convergence.csv"
     quad_degree: int = 8
     newton_tol: float = 1e-10
-    seed: Optional[int] = None
     emit_plot: bool = False
 
     def __post_init__(self):
@@ -215,8 +214,6 @@ def _build_parser():
     parser.add_argument("--out", default="convergence.csv")
     parser.add_argument("--quad-degree", type=int, default=8)
     parser.add_argument("--newton-tol", type=float, default=1e-10)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for property-test fixtures only")
     parser.add_argument("--emit-plot", action="store_true",
                         help="write a gnuplot script next to the CSV")
     return parser
@@ -230,7 +227,7 @@ def main(argv=None):
             theta=args.theta, sigma_ip=args.sigma_ip, sigma_dg=args.sigma_dg,
             refine=args.refine, estimator=args.estimator, out=args.out,
             quad_degree=args.quad_degree, newton_tol=args.newton_tol,
-            seed=args.seed, emit_plot=args.emit_plot)
+            emit_plot=args.emit_plot)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

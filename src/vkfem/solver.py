@@ -1,9 +1,15 @@
 """Sparse linear algebra and Newton's method for the coupled plate system.
 
-The Newton matrix couples the two unknowns antisymmetrically (the direction
-of the quadratic coupling flips sign between the two equations), so the
-linearised systems are solved by sparse LU; the symmetric positive definite
-biharmonic operator used for the initial guess and for coercivity checks
+The Newton matrix ``J = [[K + M_v, M_u], [-M_u, K]]`` couples the two
+unknowns antisymmetrically (the direction of the quadratic coupling flips
+sign between the two equations).  Newton steps never factor ``J``: each step
+factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
+by restarted GMRES, preconditioned by the block upper triangle
+``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
+per solve; it is also the block of the zero iterate.  A step whose
+GMRES result fails the acceptance test of :func:`linear_solve`, or whose
+block does not factorise, is solved by sparse LU on ``J`` instead.  The
+symmetric positive definite biharmonic operator used for coercivity checks
 gets a dedicated factorisation helper.
 """
 
@@ -24,6 +30,11 @@ __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
 
 _DENSE_SPD_LIMIT = 1200
+# GMRES on the preconditioned Newton matrix: the relative residual it aims
+# for (the LU path's target), the restart length and the number of restarts
+_GMRES_RTOL = 1e-10
+_GMRES_RESTART = 40
+_GMRES_MAXITER = 2
 
 
 class SolverError(RuntimeError):
@@ -38,14 +49,29 @@ class NewtonReport:
     converged: bool = False
 
 
-def linear_solve(matrix, rhs, context="linear system"):
-    """Solve a sparse square system by LU, verifying the residual.
+def _backward_error(a, x, rhs, anorm, bnorm):
+    """Normwise backward error ``||Ax-b|| / (||A|| ||x|| + ||b||)`` of ``x``;
+    a residual below ``1e-10 ||b||`` always gives at most 1e-10."""
+    res = np.linalg.norm(rhs - a @ x)
+    return res / (anorm * np.linalg.norm(x) + bnorm)
 
-    Iterative refinement drives the residual to ``1e-10 * ||b||`` when the
-    conditioning allows it, and in any case below a normwise backward error
-    of ``1e-10`` (``||Ax-b|| <= 1e-10 (||A|| ||x|| + ||b||)``), the sharpest
-    contract double precision supports for fourth-order stiffness matrices.
-    A singular or badly failing factorisation raises :class:`SolverError`
+
+def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
+    """Solve a sparse square system, verifying the residual.
+
+    With a ``preconditioner`` (an approximate inverse of ``matrix``, as
+    ``gmres`` takes for ``M``) the system is first solved by restarted GMRES
+    aiming at a residual of ``1e-10 * ||b||``.  Its result is accepted when
+    it is finite and passes the acceptance test below.  Otherwise, and
+    always without a preconditioner, the system is solved by sparse LU
+    (COLAMD ordering), whose iterative refinement drives the residual to
+    ``1e-10 * ||b||`` when the conditioning allows it.
+
+    The acceptance test is a normwise backward error of at most ``1e-10``
+    (``||Ax-b|| <= 1e-10 (||A|| ||x|| + ||b||)``), which every residual below
+    ``1e-10 * ||b||`` meets: the sharpest contract double precision supports
+    for fourth-order stiffness matrices.  An LU solution failing it, or a
+    singular or badly failing factorisation, raises :class:`SolverError`
     naming the context.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -55,6 +81,14 @@ def linear_solve(matrix, rhs, context="linear system"):
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
+    anorm = float(abs(a).sum(axis=1).max())  # induced infinity norm
+    if preconditioner is not None:
+        x, _ = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
+                          restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
+                          M=preconditioner)
+        if (np.all(np.isfinite(x))
+                and _backward_error(a, x, rhs, anorm, bnorm) <= 1e-10):
+            return x
     try:
         lu = spla.splu(a)
         x = lu.solve(rhs)
@@ -62,18 +96,26 @@ def linear_solve(matrix, rhs, context="linear system"):
         raise SolverError(f"{context}: factorisation failed ({exc})") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{context}: singular matrix")
-    anorm = float(abs(a).sum(axis=1).max())  # induced infinity norm
     for _ in range(8):
         res = rhs - a @ x
         if np.linalg.norm(res) <= 1e-10 * bnorm:
             return x
         x = x + lu.solve(res)
-    res = rhs - a @ x
-    backward = np.linalg.norm(res) / (anorm * np.linalg.norm(x) + bnorm)
+    backward = _backward_error(a, x, rhs, anorm, bnorm)
     if backward > 1e-10:
         raise SolverError(
             f"{context}: backward error {backward:.3e} exceeds 1e-10")
     return x
+
+
+def _symmetric_lu(matrix):
+    """Sparse LU for a matrix with a symmetric pattern whose diagonal needs
+    no pivoting (``K`` and ``K + M_v``): minimum-degree ordering of
+    ``A^T + A`` and diagonal pivots.  Raises ``RuntimeError`` when a pivot is
+    exactly zero."""
+    return spla.splu(sp.csc_matrix(matrix), diag_pivot_thresh=0.0,
+                     permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
 
 
 def spd_solve(matrix, context="SPD system"):
@@ -97,8 +139,7 @@ def spd_solve(matrix, context="SPD system"):
             raise SolverError(f"{context}: not positive definite") from exc
         return lambda b: scipy.linalg.cho_solve(chol, b)
     try:
-        lu = spla.splu(a, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
+        lu = _symmetric_lu(a)
     except RuntimeError as exc:
         raise SolverError(f"{context}: not positive definite") from exc
     if np.any(lu.U.diagonal() <= 0.0):
@@ -141,18 +182,35 @@ class NewtonSystem:
         return self.block_stiffness + assemble_trilinear_jacobian(psi, self.basis)
 
 
+def _block_triangular_inverse(a_lu, k_lu, coupling):
+    """``P^{-1}`` for ``P = [[A, C], [0, K]]`` from the factors of ``A`` and
+    ``K``: two triangular solves and one product with ``C``."""
+    n = coupling.shape[0]
+
+    def apply(r):
+        y2 = k_lu.solve(r[n:])
+        return np.concatenate([a_lu.solve(r[:n] - coupling @ y2), y2])
+    return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
+
+
 def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
                  tol=1e-10, maxit=50, quad_degree=8):
     """Newton iteration for the discrete clamped-plate system.
 
     The iteration starts from the zero pair, whose first Newton step is
     exactly the decoupled linear biharmonic solve; each further step solves
-    the exact linearisation (biharmonic operator plus twice the cubic
-    coupling at the current iterate).  Convergence means the residual norm
-    falls below ``tol * max(1, ||load||)`` or below the attainable
-    floating-point floor of the residual evaluation, whichever is larger.
-    ``residual_history`` records the norms starting at the zero iterate, so
-    zero loads converge after one iteration.
+    the exact linearisation ``J = [[K + M_v, M_u], [-M_u, K]]`` (biharmonic
+    operator plus twice the cubic coupling at the current iterate).  A step
+    factors only the block ``A = K + M_v`` (at the zero iterate ``A = K``,
+    whose factor is kept for all steps) and passes :func:`linear_solve` the
+    preconditioner ``P = [[A, M_u], [0, K]]``, whose inverse costs two
+    triangular solves and one product with ``M_u``.  When ``A`` does not
+    factorise, or GMRES fails the acceptance test of :func:`linear_solve`,
+    the step is solved by sparse LU on ``J``.  Convergence means the
+    residual norm falls below ``tol * max(1, ||load||)`` or below the
+    attainable floating-point floor of the residual evaluation, whichever is
+    larger.  ``residual_history`` records the norms starting at the zero
+    iterate, so zero loads converge after one iteration.
 
     Returns
     -------
@@ -174,11 +232,25 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
     history = [float(np.linalg.norm(res))]
     converged = False
     iterations = 0
+    try:
+        k_lu = _symmetric_lu(system.stiffness)
+    except RuntimeError:  # then no step is preconditioned
+        k_lu = None
     for it in range(maxit):
-        # at the zero iterate the Jacobian is the bare biharmonic operator,
-        # so the first step is the decoupled linear solve
-        delta = linear_solve(system.jacobian(psi), -res,
-                             context=f"Newton step {it}, {label}")
+        jac = system.jacobian(psi)
+        preconditioner = None
+        if k_lu is not None:
+            top = jac[:n]
+            try:
+                # at the zero iterate the block is K itself
+                a_lu = k_lu if it == 0 else _symmetric_lu(top[:, :n])
+            except RuntimeError:
+                pass
+            else:
+                preconditioner = _block_triangular_inverse(a_lu, k_lu,
+                                                           top[:, n:])
+        delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",
+                             preconditioner=preconditioner)
         psi.u += delta[:n]
         psi.v += delta[n:]
         iterations += 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ def test_dorfler_validation():
     with pytest.raises(ValueError):
         dorfler_mark(np.array([1.0]), 1.5)
     assert dorfler_mark(np.zeros(4), 0.5).size == 0
+    for bad in (np.array([1.0, -0.5]), np.array([1.0, np.nan]),
+                np.array([np.inf, 1.0])):
+        with pytest.raises(ValueError):
+            dorfler_mark(bad, 0.5)
+
+
+def test_dorfler_theta_beyond_the_running_sum():
+    # cumsum stays at 1.0 (each 1e-16 is below half an ulp) while the
+    # pairwise total is 1 + 1e-11: the threshold lies beyond the running sum
+    eta2 = np.r_[1.0, np.full(100_000, 1e-16), 0.0]
+    for theta in (1.0, 0.9999999999999):
+        marked = dorfler_mark(eta2, theta)
+        assert marked[0] == 0 and marked[-1] < 100_001  # zeros never marked
+        assert math.fsum(eta2[marked]) >= theta * math.fsum(eta2) * (1 - 1e-12)
 
 
 def test_adaptive_config_validation():

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vkfem import (DiscreteSolution, SolverError, assemble_biharmonic,
-                   assemble_load, build_dofmap, is_spd, linear_solve,
-                   newton_order, newton_solve, residual, spd_solve,
-                   uniform_refine)
+from vkfem import (DiscreteSolution, PenaltyConfig, SolverError,
+                   assemble_biharmonic, assemble_load, build_dofmap, is_spd,
+                   linear_solve, newton_order, newton_solve, residual,
+                   spd_solve, uniform_refine)
+from vkfem import solver
 from vkfem.femspace import DofMap
-from vkfem.problems import exact_square
+from vkfem.problems import exact_lshape, exact_square
+from vkfem.solver import NewtonSystem
 
 
 def loads_of(exact):
@@ -184,3 +186,122 @@ def test_newton_permutation_invariance(square1):
     scale = max(1.0, np.abs(psi.u).max())
     assert np.abs(back_u - psi.u).max() < 1e-9 * scale
     assert np.abs(back_v - psi.v).max() < 1e-9 * scale
+
+
+def lu_newton(mesh, dm, loads, penalty=None):
+    """Newton's method with every step solved by LU on the full Jacobian,
+    with the stopping rule of ``newton_solve``: the reference for its
+    preconditioned steps."""
+    system = NewtonSystem(mesh, dm, dm.method, penalty, loads)
+    n = dm.n_global
+    abs_stiffness = abs(system.block_stiffness)
+    psi = DiscreteSolution(dm.method, np.zeros(n), np.zeros(n), dm)
+    res = -system.load
+    for it in range(1, 51):
+        delta = linear_solve(system.jacobian(psi), -res)
+        psi.u += delta[:n]
+        psi.v += delta[n:]
+        res = system.residual(psi)
+        x = np.abs(np.concatenate([psi.u, psi.v]))
+        floor = 4.0 * np.finfo(float).eps * (
+            np.linalg.norm(abs_stiffness @ x) + system.load_scale)
+        if np.linalg.norm(res) <= max(1e-10 * system.load_scale, floor):
+            return psi, it
+    raise AssertionError("LU reference Newton did not converge")
+
+
+def assert_same_solution(psi, ref):
+    scale = max(np.abs(ref.u).max(), np.abs(ref.v).max())
+    assert np.abs(psi.u - ref.u).max() <= 1e-9 * scale
+    assert np.abs(psi.v - ref.v).max() <= 1e-9 * scale
+
+
+@pytest.fixture(scope="module")
+def square3(square2):
+    return uniform_refine(square2)
+
+
+@pytest.fixture(scope="module")
+def lshape2(lshape1):
+    return uniform_refine(lshape1)
+
+
+WEAK = PenaltyConfig(sigma_ip=0.5, sigma_dg=0.5)
+NEWTON_CASES = [(mesh, exact, method, None)
+                for mesh, exact in (("square3", exact_square),
+                                    ("lshape2", exact_lshape))
+                for method in ("morley", "c0ip", "dg")]
+# penalties too small for an SPD operator (on the L-shape the undamped
+# Newton iteration does not converge with them, whatever the linear solver)
+NEWTON_CASES += [("square3", exact_square, method, WEAK)
+                 for method in ("c0ip", "dg")]
+
+
+@pytest.mark.parametrize("mesh_name, exact, method, penalty", NEWTON_CASES,
+                         ids=[f"{mesh}-{method}" + ("-weak" if penalty else "")
+                              for mesh, _, method, penalty in NEWTON_CASES])
+def test_preconditioned_newton_matches_lu_newton(request, mesh_name, exact,
+                                                 method, penalty):
+    mesh = request.getfixturevalue(mesh_name)
+    dm = build_dofmap(mesh, method)
+    if penalty is not None:
+        assert not is_spd(assemble_biharmonic(mesh, dm, method, penalty))
+    loads = loads_of(exact())
+    ref, ref_iterations = lu_newton(mesh, dm, loads, penalty)
+    psi, report = newton_solve(mesh, dm, method, penalty, loads)
+    assert report.converged
+    assert report.iterations == ref_iterations
+    assert_same_solution(psi, ref)
+
+
+def test_newton_falls_back_to_lu_when_gmres_fails(square2, monkeypatch):
+    dm = build_dofmap(square2, "c0ip")
+    loads = loads_of(exact_square())
+    ref, report_ref = newton_solve(square2, dm, loads=loads)
+    calls = []
+
+    def nan_gmres(a, b, **kwargs):
+        calls.append(len(b))
+        return np.full_like(b, np.nan), 0
+    monkeypatch.setattr(solver.spla, "gmres", nan_gmres)
+    psi, report = newton_solve(square2, dm, loads=loads)
+    assert len(calls) == report.iterations  # every step tried GMRES first
+    assert report.converged
+    assert report.iterations == report_ref.iterations
+    assert_same_solution(psi, ref)
+
+
+@pytest.mark.parametrize("failing_step", [0, 1])
+def test_newton_falls_back_to_lu_when_the_block_does_not_factorise(
+        square2, monkeypatch, failing_step):
+    # step 0 factors K: when it fails no step is preconditioned; a later
+    # block failing sends only its own step to LU
+    dm = build_dofmap(square2, "dg")
+    loads = loads_of(exact_square())
+    ref, report_ref = newton_solve(square2, dm, loads=loads)
+    real_lu = solver._symmetric_lu
+    calls = []
+
+    def failing_lu(matrix):
+        calls.append(len(calls))
+        if calls[-1] == failing_step:
+            raise RuntimeError("Factor is exactly singular")
+        return real_lu(matrix)
+    monkeypatch.setattr(solver, "_symmetric_lu", failing_lu)
+    psi, report = newton_solve(square2, dm, loads=loads)
+    assert len(calls) == (1 if failing_step == 0 else report.iterations)
+    assert report.converged
+    assert report.iterations == report_ref.iterations
+    assert_same_solution(psi, ref)
+
+
+def test_block_triangular_inverse_inverts_the_upper_block_triangle():
+    rng = np.random.default_rng(15)
+    n = 30
+    a, k, c = (sp.csc_matrix(rng.standard_normal((n, n)) + d * np.eye(n))
+               for d in (20.0, 25.0, 0.0))
+    p = sp.bmat([[a, c], [None, k]]).tocsr()
+    inverse = solver._block_triangular_inverse(
+        solver._symmetric_lu(a), solver._symmetric_lu(k), c.tocsr())
+    x = rng.standard_normal(2 * n)
+    assert np.abs(inverse @ (p @ x) - x).max() < 1e-12 * np.abs(x).max()
