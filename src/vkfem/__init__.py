@@ -14,8 +14,8 @@ from .mesh import (MeshError, Triangulation, build_topology, lshape_mesh,
 from .quadrature import (EdgeRule, TriangleRule, edge_rule, integrate_edge,
                          integrate_triangle, triangle_rule)
 from .femspace import (METHODS, DofMap, EdgeBasis, ElementBasis, build_dofmap,
-                       eval_basis, morley_interpolate, nodal_interpolate,
-                       to_dg_coefficients)
+                       eval_basis, load_values, morley_interpolate,
+                       nodal_interpolate, to_dg_coefficients)
 from .assembly import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
                        assemble_bracket_element, assemble_load,
                        assemble_trilinear_jacobian, assemble_trilinear_vector,
@@ -28,7 +28,7 @@ from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
                        unified_h_norm)
 from .adaptivity import (AdaptiveConfig, LocalEstimates, METHOD_NORM,
                          adaptive_levels, adaptive_loop, dorfler_mark,
-                         estimate, uniform_study)
+                         estimate, solve_level, uniform_study)
 from .problems import (Problem, SingularSolutionParams, exact_lshape,
                        exact_square, lshape_problem, square_problem)
 

@@ -24,14 +24,15 @@ import numpy as np
 
 from .analysis import (ConvergenceRecord, error_norm, oscillation)
 from .assembly import PenaltyConfig, bracket_elements
-from .femspace import EdgeBasis, ElementBasis, build_dofmap, element_hessians
+from .femspace import (EdgeBasis, ElementBasis, build_dofmap,
+                       element_hessians, load_values)
 from .mesh import nvb_refine, uniform_refine
 from .quadrature import edge_rule, triangle_rule
 from .solver import SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
            "dorfler_mark", "adaptive_levels", "adaptive_loop",
-           "uniform_study", "METHOD_NORM"]
+           "uniform_levels", "uniform_study", "solve_level", "METHOD_NORM"]
 
 #: Norm in which each method's error is naturally measured.
 METHOD_NORM = {"morley": "nc", "c0ip": "ip", "dg": "dg"}
@@ -68,12 +69,18 @@ class AdaptiveConfig:
 
 @dataclass
 class LevelState:
-    """Everything produced on one level of a refinement loop."""
+    """Everything produced on one level of a refinement loop.
+
+    ``loads`` holds the values of ``f`` and ``g`` at the rule points of
+    ``mesh``, evaluated once for the level and shared by every solve,
+    estimate and oscillation on it.
+    """
     level: int
     mesh: object
     solution: object
     estimates: LocalEstimates
     record: ConvergenceRecord
+    loads: tuple = field(repr=False)
 
 
 def _edge_field_jumps(eb, coef, nq):
@@ -92,7 +99,9 @@ def _edge_field_jumps(eb, coef, nq):
 def estimate(psi, loads, quad_degree=8):
     """Local residual indicators of a converged solution.
 
-    ``loads`` is the callable pair ``(f, g)``.  Volume terms use triangle
+    ``loads`` is the pair ``(f, g)``: vectorised callables, or their values
+    at the degree-``quad_degree`` rule points of the solution's mesh (see
+    :func:`~vkfem.femspace.load_values`).  Volume terms use triangle
     quadrature of the given degree; edge integrands of P2 fields are
     polynomial and integrated exactly.
     """
@@ -103,12 +112,10 @@ def estimate(psi, loads, quad_degree=8):
     f, g = loads
 
     rule = triangle_rule(quad_degree)
-    pts = basis.physical_points(rule.points[:, 1:])
-    x, y = pts[..., 0], pts[..., 1]
     br_uv = bracket_elements(dofmap, psi.u, psi.v, basis)
     br_uu = bracket_elements(dofmap, psi.u, psi.u, basis)
-    res1 = np.asarray(f(x, y), dtype=float) + br_uv[:, None]
-    res2 = np.asarray(g(x, y), dtype=float) - 0.5 * br_uu[:, None]
+    res1 = load_values(f, mesh, quad_degree) + br_uv[:, None]
+    res2 = load_values(g, mesh, quad_degree) - 0.5 * br_uu[:, None]
     hk4 = mesh.tri_diameter**4
     eta2 = hk4 * np.einsum("t,q,tq->t", basis.area, rule.weights,
                            res1**2 + res2**2)
@@ -180,32 +187,36 @@ def dorfler_mark(estimates, theta):
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
     order = np.lexsort((np.arange(len(eta2)), -eta2))
-    csum = np.cumsum(eta2[order])
-    # the running sum can end below the (pairwise) total, leaving a theta
-    # near 1 out of its reach: then every positive indicator is marked
-    k = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12), side="left"))
-    k = min(k, np.count_nonzero(eta2) - 1)
-    return np.sort(order[:k + 1])
+    # leave unmarked the longest tail of smallest indicators whose sum stays
+    # within the budget: summed from the small end, small indicators are not
+    # lost to rounding next to large ones (zeros always fit)
+    tail = np.cumsum(eta2[order[::-1]])
+    budget = total - theta * total * (1.0 - 1e-12)
+    unmarked = int(np.searchsorted(tail, budget, side="right"))
+    unmarked = min(unmarked, len(eta2) - 1)  # the largest is always marked
+    return np.sort(order[:len(eta2) - unmarked])
 
 
-def _solve(mesh, method, problem, config):
+def _solve(level, mesh, method, config, loads):
     dofmap = build_dofmap(mesh, method)
-    loads = (problem.exact.f, problem.exact.g)
     psi, report = newton_solve(mesh, dofmap, method, config.penalty, loads,
                                tol=config.newton_tol,
                                maxit=config.newton_maxit,
                                quad_degree=config.quad_degree)
-    return psi, report
+    if not report.converged:
+        raise SolverError(f"Newton did not converge at level {level} "
+                          f"({method}, {dofmap.n_global} dofs)")
+    return psi
 
 
-def _record(level, psi, problem, eta_total, config, prev):
+def _record(level, psi, loads, problem, eta_total, config, prev):
     exact = problem.exact
     mesh = psi.dofmap.mesh
     e_u, e_v, e_tot = error_norm(psi, exact, "h", config.quad_degree)
     _, _, e_meth = error_norm(psi, exact, METHOD_NORM[psi.method],
                               config.quad_degree)
-    osc = np.hypot(oscillation(exact.f, mesh, config.quad_degree),
-                   oscillation(exact.g, mesh, config.quad_degree))
+    osc = np.hypot(oscillation(loads[0], mesh, config.quad_degree),
+                   oscillation(loads[1], mesh, config.quad_degree))
     ndof = psi.dofmap.n_global
     rate = float("nan")
     if prev is not None and prev.error_total > 0 and e_tot > 0:
@@ -215,41 +226,57 @@ def _record(level, psi, problem, eta_total, config, prev):
                              eta_total, float(osc), rate)
 
 
+def _level_state(level, mesh, loads, method, problem, config, prev,
+                 estimator=None):
+    """Solve, estimate and record ``method`` on one mesh; the indicators
+    come from a solve of ``estimator`` when that names another method."""
+    psi = _solve(level, mesh, method, config, loads)
+    psi_est = psi if estimator in (None, method) \
+        else _solve(level, mesh, estimator, config, loads)
+    eta = estimate(psi_est, loads, config.quad_degree)
+    record = _record(level, psi, loads, problem, eta.total, config, prev)
+    return LevelState(level, mesh, psi, eta, record, loads)
+
+
+def _level_loads(problem, mesh, config):
+    """``f`` and ``g`` at the rule points of ``mesh``: one call each."""
+    return tuple(load_values(load, mesh, config.quad_degree)
+                 for load in (problem.exact.f, problem.exact.g))
+
+
+def solve_level(state, method, problem, config, prev=None):
+    """The :class:`LevelState` of another method on the mesh of ``state``.
+
+    Solves, estimates and records ``method`` with the load values of
+    ``state``, so the loads are not evaluated again.  ``prev`` is the
+    previous level's record of ``method`` (for the rate).  Raises
+    :class:`SolverError` when Newton does not converge.
+    """
+    return _level_state(state.level, state.mesh, state.loads, method,
+                        problem, config, prev)
+
+
 def adaptive_levels(problem, method, config, estimator=None):
     """Generator driving Solve - Estimate - Mark - Refine.
 
     ``estimator`` names the method whose residual indicator steers the
     marking (default: ``method`` itself); when it differs, that method is
-    solved alongside on every level.  Yields a :class:`LevelState` per level
-    and stops at ``max_levels`` or ``max_ndof``.
+    solved alongside on every level.  The loads are evaluated once per
+    mesh.  Yields a :class:`LevelState` per level and stops at
+    ``max_levels`` or ``max_ndof``.
     """
-    est_method = estimator or method
     mesh = problem.initial_mesh
     prev = None
     for level in range(config.max_levels):
-        psi, report = _solve(mesh, method, problem, config)
-        if not report.converged:
-            raise SolverError(
-                f"Newton did not converge at adaptive level {level} "
-                f"({method}, {psi.dofmap.n_global} dofs)")
-        if est_method == method:
-            psi_est = psi
-        else:
-            psi_est, est_report = _solve(mesh, est_method, problem, config)
-            if not est_report.converged:
-                raise SolverError(
-                    f"Newton did not converge at adaptive level {level} "
-                    f"({est_method} estimator solve)")
-        eta = estimate(psi_est, (problem.exact.f, problem.exact.g),
-                       config.quad_degree)
-        record = _record(level, psi, problem, eta.total, config, prev)
-        prev = record
-        yield LevelState(level, mesh, psi, eta, record)
+        state = _level_state(level, mesh, _level_loads(problem, mesh, config),
+                             method, problem, config, prev, estimator)
+        prev = state.record
+        yield state
         if level + 1 >= config.max_levels:
             break
-        if config.max_ndof is not None and record.ndof >= config.max_ndof:
+        if config.max_ndof is not None and prev.ndof >= config.max_ndof:
             break
-        mesh = nvb_refine(mesh, dorfler_mark(eta, config.theta))
+        mesh = nvb_refine(mesh, dorfler_mark(state.estimates, config.theta))
 
 
 def adaptive_loop(problem, method, config, estimator=None):
@@ -259,20 +286,16 @@ def adaptive_loop(problem, method, config, estimator=None):
 
 
 def uniform_levels(problem, method, levels, config=None):
-    """Generator over a uniform (red) refinement hierarchy."""
+    """Generator over a uniform (red) refinement hierarchy; the loads are
+    evaluated once per mesh."""
     config = config or AdaptiveConfig(max_levels=levels)
     mesh = problem.initial_mesh
     prev = None
     for level in range(levels):
-        psi, report = _solve(mesh, method, problem, config)
-        if not report.converged:
-            raise SolverError(
-                f"Newton did not converge at uniform level {level} ({method})")
-        eta = estimate(psi, (problem.exact.f, problem.exact.g),
-                       config.quad_degree)
-        record = _record(level, psi, problem, eta.total, config, prev)
-        prev = record
-        yield LevelState(level, mesh, psi, eta, record)
+        state = _level_state(level, mesh, _level_loads(problem, mesh, config),
+                             method, problem, config, prev)
+        prev = state.record
+        yield state
         if level + 1 < levels:
             mesh = uniform_refine(mesh)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .femspace import (EdgeBasis, ElementBasis, build_dofmap,
-                       gather_coefficients)
+                       gather_coefficients, load_values)
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
@@ -182,19 +182,26 @@ def error_norm(psi, exact, kind="h", quad_degree=8):
 
 
 def oscillation_local(f, mesh, quad_degree=8):
-    """Per-element oscillation ``h_K^2 || f - mean_K f ||_{L2(K)}``."""
-    basis = ElementBasis(build_dofmap(mesh, "dg"))
+    """Per-element oscillation ``h_K^2 || f - mean_K f ||_{L2(K)}``.
+
+    ``f`` is a vectorised callable or its values at the degree-
+    ``quad_degree`` rule points of ``mesh`` (see
+    :func:`~vkfem.femspace.load_values`).
+    """
     rule = triangle_rule(quad_degree)
-    pts = basis.physical_points(rule.points[:, 1:])
-    vals = np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float)
+    vals = load_values(f, mesh, quad_degree)
     mean = np.einsum("q,tq->t", rule.weights, vals)
-    sq = np.einsum("t,q,tq->t", basis.area, rule.weights,
+    sq = np.einsum("t,q,tq->t", mesh.area, rule.weights,
                    (vals - mean[:, None])**2)
     return mesh.tri_diameter**2 * np.sqrt(np.maximum(sq, 0.0))
 
 
 def oscillation(f, mesh, quad_degree=8):
-    """Data oscillation: rms of the local terms over the triangulation."""
+    """Data oscillation: rms of the local terms over the triangulation.
+
+    ``f`` is a callable or its values at the rule points, as for
+    :func:`oscillation_local`.
+    """
     return float(np.sqrt((oscillation_local(f, mesh, quad_degree)**2).sum()))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .femspace import (DofMap, EdgeBasis, ElementBasis, METHODS,
-                       element_hessians, gather_coefficients)
+                       element_hessians, gather_coefficients, load_values)
 from .quadrature import triangle_rule, edge_rule
 
 __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
@@ -165,18 +165,18 @@ def _edge_terms(mesh, eb, w, method, sigma):
 def assemble_load(f, g, mesh, dofmap, quad_degree=8):
     """Right-hand side block vector ``[(f, phi_i); (g, phi_i)]``.
 
-    ``f`` and ``g`` are vectorised callables ``(x, y) -> array``.
+    ``f`` and ``g`` are vectorised callables ``(x, y) -> array``, or their
+    values at the degree-``quad_degree`` rule points of ``mesh``, shape
+    ``(n_triangles, n_rule_points)`` (see :func:`~vkfem.femspace.load_values`).
     """
     basis = ElementBasis(dofmap)
     rule = triangle_rule(quad_degree)
-    ref = rule.points[:, 1:]
-    pts = basis.physical_points(ref)
-    phi = basis.values(ref)
+    phi = basis.values(rule.points[:, 1:])
     out = np.zeros(2 * dofmap.n_global)
     dofs = dofmap.element_dofs
     keep = dofs >= 0
     for block, load in enumerate((f, g)):
-        vals = np.asarray(load(pts[..., 0], pts[..., 1]), dtype=float)
+        vals = load_values(load, mesh, quad_degree)
         local = np.einsum("t,q,tq,tqi->ti", basis.area, rule.weights, vals, phi)
         np.add.at(out, block * dofmap.n_global + dofs[keep], local[keep])
     return out

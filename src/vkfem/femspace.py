@@ -23,12 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import Triangulation
-from .quadrature import edge_rule
+from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "eval_basis", "morley_interpolate", "nodal_interpolate",
            "p2_values", "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES",
-           "gather_coefficients", "element_hessians", "to_dg_coefficients"]
+           "gather_coefficients", "element_hessians", "to_dg_coefficients",
+           "load_values"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -127,6 +128,42 @@ def build_dofmap(mesh, method):
     return DofMap(mesh, method, n_global, element_dofs, vertex_dof, edge_dof)
 
 
+def _affine_maps(mesh):
+    """Origin ``p0`` and Jacobian of ``x = p0 + jac @ (xi, eta)`` per
+    triangle."""
+    v, t = mesh.vertices, mesh.triangles
+    p0 = v[t[:, 0]]
+    return p0, np.stack([v[t[:, 1]] - p0, v[t[:, 2]] - p0], axis=-1)
+
+
+def _map_points(p0, jac, ref_points):
+    ref = np.asarray(ref_points, dtype=float)
+    return p0[:, None, :] + np.einsum("tab,mb->tma", jac, ref)
+
+
+def load_values(load, mesh, quad_degree=8):
+    """A load at the points of the degree-``quad_degree`` triangle rule.
+
+    ``load`` is a vectorised callable ``(x, y) -> array``, which is called at
+    the physical rule points of every triangle, or its values there: an
+    array of shape ``(n_triangles, n_rule_points)``, returned as floats.
+    Any other shape raises ``ValueError``.  The points depend only on the
+    mesh and the degree, so values computed once serve every consumer on
+    the same mesh (assembly, estimator, oscillation) bit for bit.
+    """
+    rule = triangle_rule(quad_degree)
+    if callable(load):
+        pts = _map_points(*_affine_maps(mesh), rule.points[:, 1:])
+        return np.asarray(load(pts[..., 0], pts[..., 1]), dtype=float)
+    values = np.asarray(load, dtype=float)
+    expected = (mesh.n_triangles, len(rule.points))
+    if values.shape != expected:
+        raise ValueError(
+            f"load values have shape {values.shape}, expected {expected} "
+            f"(triangles, points of the degree-{quad_degree} rule)")
+    return values
+
+
 class ElementBasis:
     """Per-element shape data of a dof map, in physical coordinates.
 
@@ -151,9 +188,7 @@ class ElementBasis:
     def __init__(self, dofmap):
         mesh = dofmap.mesh
         self.dofmap = dofmap
-        v, t = mesh.vertices, mesh.triangles
-        p0 = v[t[:, 0]]
-        jac = np.stack([v[t[:, 1]] - p0, v[t[:, 2]] - p0], axis=-1)
+        p0, jac = _affine_maps(mesh)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         jac_inv = np.empty_like(jac)
         jac_inv[:, 0, 0] = jac[:, 1, 1] / det
@@ -199,8 +234,7 @@ class ElementBasis:
 
     def physical_points(self, ref_points):
         """Map reference points to physical ones, shape (nt, m, 2)."""
-        ref = np.asarray(ref_points, dtype=float)
-        return self.p0[:, None, :] + np.einsum("tab,mb->tma", self.jac, ref)
+        return _map_points(self.p0, self.jac, ref_points)
 
     def values(self, ref_points):
         """Shape values at reference points, shape (nt, m, 6)."""

@@ -6,7 +6,9 @@ singular corner function ``r^(1+alpha) * g(theta)`` times a polynomial
 cutoff; its loads need two derivative orders beyond the analytic Hessian and
 are computed by fourth-order central differences of the Hessian trace in
 polar coordinates (step ``1e-4 * r`` radially, ``1e-4`` in the angle), which
-keeps the data error far below the discretisation error.
+keeps the data error far below the discretisation error.  Each load call
+evaluates the Hessian at nine points per quadrature point (the centre and
+eight stencil neighbours).
 
 Polar frame of the L-shape: the domain is (-1,1)^2 minus the closed quadrant
 [0,1) x (-1,0]; the angle is measured from the positive x-axis edge of the
@@ -211,11 +213,11 @@ def _laplacian_trace(r, theta):
     return hess[..., 0] + hess[..., 1]
 
 
-def _bilaplacian_polar(r, theta):
-    """Fourth-order FD Laplacian (in polar form) of the Hessian trace."""
+def _bilaplacian_polar(r, theta, l0):
+    """Fourth-order FD Laplacian (in polar form) of the Hessian trace, given
+    the trace ``l0`` at the centre points."""
     hr = 1e-4 * r
     lt = _laplacian_trace
-    l0 = lt(r, theta)
     lp1, lp2 = lt(r + hr, theta), lt(r + 2.0 * hr, theta)
     lm1, lm2 = lt(r - hr, theta), lt(r - 2.0 * hr, theta)
     l_rr = (-lp2 + 16.0 * lp1 - 30.0 * l0 + 16.0 * lm1 - lm2) / (12.0 * hr**2)
@@ -245,12 +247,14 @@ def exact_lshape():
     def f(x, y):
         r, t = _polar_of(x, y)
         h = _fields_polar(r, t)[2]
-        return _bilaplacian_polar(r, t) - _bracket_of(h, h)
+        return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
+            - _bracket_of(h, h)
 
     def g(x, y):
         r, t = _polar_of(x, y)
         h = _fields_polar(r, t)[2]
-        return _bilaplacian_polar(r, t) + 0.5 * _bracket_of(h, h)
+        return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
+            + 0.5 * _bracket_of(h, h)
 
     return ExactSolutionPair(value, grad, hess, value, grad, hess, f, g)
 

@@ -157,7 +157,11 @@ def is_spd(matrix):
 
 
 class NewtonSystem:
-    """Assembled operators of one discrete problem, reused across iterates."""
+    """Assembled operators of one discrete problem, reused across iterates.
+
+    ``loads`` is the pair ``(f, g)`` as :func:`~vkfem.assembly.assemble_load`
+    takes it: callables or their values at the rule points.
+    """
 
     def __init__(self, mesh, dofmap, method=None, penalty=None, loads=None,
                  quad_degree=8):
@@ -197,6 +201,10 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
                  tol=1e-10, maxit=50, quad_degree=8):
     """Newton iteration for the discrete clamped-plate system.
 
+    ``loads`` is the pair ``(f, g)``: vectorised callables, or their values
+    at the degree-``quad_degree`` rule points of ``mesh`` (see
+    :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
+    loads once on a mesh can reuse them.
     The iteration starts from the zero pair, whose first Newton step is
     exactly the decoupled linear biharmonic solve; each further step solves
     the exact linearisation ``J = [[K + M_v, M_u], [-M_u, K]]`` (biharmonic
@@ -266,7 +274,9 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
 
 
 def residual(psi, loads, penalty=None, quad_degree=8):
-    """Nonlinear residual vector of a coefficient pair, one entry per dof."""
+    """Nonlinear residual vector of a coefficient pair, one entry per dof.
+
+    ``loads`` is taken as by :func:`newton_solve`."""
     system = NewtonSystem(psi.dofmap.mesh, psi.dofmap, psi.method, penalty,
                           loads, quad_degree)
     return system.residual(psi)

@@ -20,7 +20,7 @@ from vkfem import (AdaptiveConfig, DiscreteSolution, assemble_biharmonic,
                    newton_solve, nvb_refine, shape_regularity,
                    two_triangle_square, uniform_refine, uniform_study,
                    unified_h_norm, unit_square_mesh)
-from vkfem.adaptivity import adaptive_levels, _record
+from vkfem.adaptivity import adaptive_levels, solve_level
 from vkfem.analysis import discrete_norm
 from vkfem.femspace import EdgeBasis, ElementBasis, element_hessians
 from vkfem.problems import exact_square, lshape_problem, square_problem
@@ -70,16 +70,9 @@ def adaptive_studies():
         for state in adaptive_levels(problem, driver, config):
             meshes.append(state.mesh)
             for method in METHODS:
-                if method == driver:
-                    record = state.record
-                else:
-                    dm = build_dofmap(state.mesh, method)
-                    psi, rep = newton_solve(
-                        state.mesh, dm, method,
-                        loads=(problem.exact.f, problem.exact.g))
-                    assert rep.converged
-                    record = _record(state.level, psi, problem, 0.0, config,
-                                     prev[method])
+                # solve_level raises SolverError when Newton does not converge
+                record = state.record if method == driver else solve_level(
+                    state, method, problem, config, prev[method]).record
                 prev[method] = record
                 errors[method].append(record.error_total)
                 ndofs[method].append(record.ndof)

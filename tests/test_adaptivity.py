@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from vkfem import (AdaptiveConfig, DiscreteSolution, LocalEstimates,
                    adaptive_loop, build_dofmap, dorfler_mark, estimate,
                    edge_rule, integrate_edge, nodal_interpolate,
                    uniform_refine, uniform_study)
-from vkfem.adaptivity import adaptive_levels
+from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
 from vkfem.problems import square_problem
 
 
@@ -119,7 +120,12 @@ def test_dorfler_theta_beyond_the_running_sum():
     for theta in (1.0, 0.9999999999999):
         marked = dorfler_mark(eta2, theta)
         assert marked[0] == 0 and marked[-1] < 100_001  # zeros never marked
-        assert math.fsum(eta2[marked]) >= theta * math.fsum(eta2) * (1 - 1e-12)
+        threshold = theta * math.fsum(eta2) * (1 - 1e-12)
+        kept = sorted(eta2[marked].tolist())
+        # exact differences: each 1e-16 is below the resolution of the sums
+        assert math.fsum(kept + [-threshold]) >= 0.0
+        # minimal: without its smallest indicator the set falls short
+        assert math.fsum(kept[1:] + [-threshold]) < 0.0
 
 
 def test_adaptive_config_validation():
@@ -186,3 +192,53 @@ def test_adaptive_cross_estimator(square0):
     records = adaptive_loop(prob, "morley", config, estimator="dg")
     assert len(records) == 2
     assert records[0].estimator_total > 0
+
+
+def _counting_problem():
+    """The square problem with loads that count their calls."""
+    base = square_problem()
+    calls = {"f": 0, "g": 0}
+
+    def counted(name, load):
+        def wrapper(x, y):
+            calls[name] += 1
+            return load(x, y)
+        return wrapper
+
+    exact = dataclasses.replace(base.exact, f=counted("f", base.exact.f),
+                                g=counted("g", base.exact.g))
+    return dataclasses.replace(base, exact=exact), calls
+
+
+def test_loads_are_evaluated_once_per_level():
+    problem, calls = _counting_problem()
+    config = AdaptiveConfig(theta=0.5, max_levels=3)
+    assert len(list(adaptive_levels(problem, "c0ip", config))) == 3
+    assert calls == {"f": 3, "g": 3}
+
+    problem, calls = _counting_problem()
+    assert len(list(uniform_levels(problem, "dg", 2))) == 2
+    assert calls == {"f": 2, "g": 2}
+
+    # a cross estimator and the other methods reuse the level's values
+    problem, calls = _counting_problem()
+    config = AdaptiveConfig(theta=0.5, max_levels=2)
+    for state in adaptive_levels(problem, "morley", config, estimator="dg"):
+        solve_level(state, "c0ip", problem, config)
+    assert calls == {"f": 2, "g": 2}
+
+
+def test_solve_level_matches_the_methods_own_loop():
+    problem = square_problem()
+    config = AdaptiveConfig(max_levels=2)
+    own = uniform_study(problem, "c0ip", 2, config)
+    prev = None
+    for state, expected in zip(uniform_levels(problem, "morley", 2, config),
+                               own):
+        other = solve_level(state, "c0ip", problem, config, prev)
+        assert other.mesh is state.mesh and other.loads is state.loads
+        assert other.solution.method == "c0ip"
+        # field by field, with the NaN rate of the first level equal to itself
+        np.testing.assert_array_equal(dataclasses.astuple(other.record),
+                                      dataclasses.astuple(expected))
+        prev = other.record

@@ -143,3 +143,23 @@ def test_lshape_corner_values():
     assert ex.u(np.array([0.0]), np.array([0.0]))[0] == 0.0
     assert np.abs(ex.u_grad(np.array([0.0]), np.array([0.0]))).max() == 0.0
     assert np.isnan(ex.u_hess(np.array([0.0]), np.array([0.0]))).all()
+
+
+def test_lshape_load_evaluates_the_hessian_nine_times(monkeypatch):
+    # the centre point of the finite-difference stencil is shared with the
+    # bracket term: one call of f evaluates the fields at nine point sets
+    import vkfem.problems as problems
+    calls = {"n": 0}
+    real = problems._fields_polar
+
+    def counted(r, theta):
+        calls["n"] += 1
+        return real(r, theta)
+
+    monkeypatch.setattr(problems, "_fields_polar", counted)
+    ex = exact_lshape()
+    x, y = np.array([-0.5, 0.3]), np.array([0.4, 0.6])
+    for load in (ex.f, ex.g):
+        calls["n"] = 0
+        load(x, y)
+        assert calls["n"] == 9
