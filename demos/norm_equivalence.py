@@ -12,7 +12,7 @@ import numpy as np
 from vkfem import (build_dofmap, discrete_norm, error_norm,
                    morley_interpolate, newton_solve, uniform_refine,
                    unified_h_norm, unit_square_mesh)
-from vkfem.femspace import ElementBasis, element_hessians
+from vkfem.femspace import element_hessians
 from vkfem.problems import exact_square
 from vkfem.quadrature import triangle_rule
 
@@ -31,7 +31,7 @@ print("               ||.||_nc =", f"{discrete_norm(dm, coef, 'nc'):.12e}")
 # 2. The Morley interpolant realises the best broken-Hessian approximation:
 #    its piecewise Hessian is the element-wise mean of the exact Hessian.
 coef_u = morley_interpolate(exact.u, exact.u_grad, mesh, dm)
-basis = ElementBasis(dm)
+basis = dm.basis
 hess = element_hessians(basis, coef_u)
 rule = triangle_rule(8)
 pts = basis.physical_points(rule.points[:, 1:])

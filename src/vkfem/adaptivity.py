@@ -24,10 +24,10 @@ import numpy as np
 
 from .analysis import (ConvergenceRecord, error_norm, oscillation)
 from .assembly import PenaltyConfig, bracket_elements
-from .femspace import (EdgeBasis, ElementBasis, build_dofmap,
-                       element_hessians, load_values)
+from .femspace import (EDGE_RULE, build_dofmap, edge_jumps, element_hessians,
+                       load_values)
 from .mesh import nvb_refine, uniform_refine
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import triangle_rule
 from .solver import SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
@@ -83,19 +83,6 @@ class LevelState:
     loads: tuple = field(repr=False)
 
 
-def _edge_field_jumps(eb, coef, nq):
-    """Value and gradient jumps of a field at the first ``nq`` edge points."""
-    vj = 0.0
-    gj = 0.0
-    coef = np.asarray(coef)
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        dofs = eb.dofs[side]
-        local = np.where(dofs >= 0, coef[np.where(dofs >= 0, dofs, 0)], 0.0)
-        vj = vj + sign * np.einsum("eqj,ej->eq", eb.values[side], local)
-        gj = gj + sign * np.einsum("eqja,ej->eqa", eb.gradients[side], local)
-    return vj[:, :nq], gj[:, :nq]
-
-
 def estimate(psi, loads, quad_degree=8):
     """Local residual indicators of a converged solution.
 
@@ -108,16 +95,15 @@ def estimate(psi, loads, quad_degree=8):
     dofmap = psi.dofmap
     mesh = dofmap.mesh
     method = psi.method
-    basis = ElementBasis(dofmap)
     f, g = loads
 
     rule = triangle_rule(quad_degree)
-    br_uv = bracket_elements(dofmap, psi.u, psi.v, basis)
-    br_uu = bracket_elements(dofmap, psi.u, psi.u, basis)
+    br_uv = bracket_elements(dofmap, psi.u, psi.v)
+    br_uu = bracket_elements(dofmap, psi.u, psi.u)
     res1 = load_values(f, mesh, quad_degree) + br_uv[:, None]
     res2 = load_values(g, mesh, quad_degree) - 0.5 * br_uu[:, None]
     hk4 = mesh.tri_diameter**4
-    eta2 = hk4 * np.einsum("t,q,tq->t", basis.area, rule.weights,
+    eta2 = hk4 * np.einsum("t,q,tq->t", mesh.area, rule.weights,
                            res1**2 + res2**2)
 
     h = mesh.edge_length
@@ -133,7 +119,7 @@ def estimate(psi, loads, quad_degree=8):
         # Hessian jumps are interior-only and constant along each edge
         hess_jumps = []
         for coef in (psi.u, psi.v):
-            he = element_hessians(basis, coef)
+            he = element_hessians(dofmap.basis, coef)
             jump = he[tri0] - he[np.where(tri1 >= 0, tri1, 0)]
             jump[~interior] = 0.0
             hess_jumps.append(jump)
@@ -154,16 +140,15 @@ def estimate(psi, loads, quad_degree=8):
         attribute(term)
 
     if method in ("c0ip", "dg"):
-        erule = edge_rule(5)
-        eb = EdgeBasis(basis, erule.points)
-        nq = len(erule.points)
+        w = EDGE_RULE.weights
+        nq = len(w)
         term = np.zeros(mesh.n_edges)
         for coef in (psi.u, psi.v):
-            vj, gj = _edge_field_jumps(eb, coef, nq)
-            grad2 = np.einsum("q,eqa->e", erule.weights, gj**2)
+            vj, gj = edge_jumps(dofmap.edge_basis, coef)
+            grad2 = np.einsum("q,eqa->e", w, gj[:, :nq]**2)
             term += grad2  # h^-1 * h * sum(w |jump|^2)
             if method == "dg":
-                term += np.einsum("q,eq->e", erule.weights, vj**2) / h**2
+                term += np.einsum("q,eq->e", w, vj[:, :nq]**2) / h**2
         attribute(term)
 
     return LocalEstimates(np.maximum(eta2, 0.0), method)
@@ -238,12 +223,6 @@ def _level_state(level, mesh, loads, method, problem, config, prev,
     return LevelState(level, mesh, psi, eta, record, loads)
 
 
-def _level_loads(problem, mesh, config):
-    """``f`` and ``g`` at the rule points of ``mesh``: one call each."""
-    return tuple(load_values(load, mesh, config.quad_degree)
-                 for load in (problem.exact.f, problem.exact.g))
-
-
 def solve_level(state, method, problem, config, prev=None):
     """The :class:`LevelState` of another method on the mesh of ``state``.
 
@@ -256,6 +235,23 @@ def solve_level(state, method, problem, config, prev=None):
                         problem, config, prev)
 
 
+def _levels(problem, method, config, levels, refine, estimator=None):
+    """Generator over at most ``levels`` meshes: on each, the loads are
+    evaluated once and ``method`` is solved, estimated and recorded.
+    ``refine(state)`` makes the next mesh, or returns ``None`` to stop."""
+    state = None
+    for level in range(levels):
+        mesh = problem.initial_mesh if state is None else refine(state)
+        if mesh is None:
+            return
+        loads = tuple(load_values(load, mesh, config.quad_degree)
+                      for load in (problem.exact.f, problem.exact.g))
+        prev = None if state is None else state.record
+        state = _level_state(level, mesh, loads, method, problem, config,
+                             prev, estimator)
+        yield state
+
+
 def adaptive_levels(problem, method, config, estimator=None):
     """Generator driving Solve - Estimate - Mark - Refine.
 
@@ -265,18 +261,14 @@ def adaptive_levels(problem, method, config, estimator=None):
     mesh.  Yields a :class:`LevelState` per level and stops at
     ``max_levels`` or ``max_ndof``.
     """
-    mesh = problem.initial_mesh
-    prev = None
-    for level in range(config.max_levels):
-        state = _level_state(level, mesh, _level_loads(problem, mesh, config),
-                             method, problem, config, prev, estimator)
-        prev = state.record
-        yield state
-        if level + 1 >= config.max_levels:
-            break
-        if config.max_ndof is not None and prev.ndof >= config.max_ndof:
-            break
-        mesh = nvb_refine(mesh, dorfler_mark(state.estimates, config.theta))
+    def refine(state):
+        cap = config.max_ndof
+        if cap is not None and state.record.ndof >= cap:
+            return None
+        return nvb_refine(state.mesh,
+                          dorfler_mark(state.estimates, config.theta))
+    yield from _levels(problem, method, config, config.max_levels, refine,
+                       estimator)
 
 
 def adaptive_loop(problem, method, config, estimator=None):
@@ -289,15 +281,8 @@ def uniform_levels(problem, method, levels, config=None):
     """Generator over a uniform (red) refinement hierarchy; the loads are
     evaluated once per mesh."""
     config = config or AdaptiveConfig(max_levels=levels)
-    mesh = problem.initial_mesh
-    prev = None
-    for level in range(levels):
-        state = _level_state(level, mesh, _level_loads(problem, mesh, config),
-                             method, problem, config, prev)
-        prev = state.record
-        yield state
-        if level + 1 < levels:
-            mesh = uniform_refine(mesh)
+    yield from _levels(problem, method, config, levels,
+                       lambda state: uniform_refine(state.mesh))
 
 
 def uniform_study(problem, method, levels, config=None):

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femspace import (EdgeBasis, ElementBasis, build_dofmap,
-                       gather_coefficients, load_values)
-from .quadrature import edge_rule, triangle_rule
+from .femspace import EDGE_RULE, edge_jumps, element_hessians, load_values
+from .quadrature import triangle_rule
 
 __all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
            "error_norm", "discrete_norm", "unified_h_norm", "oscillation",
@@ -69,51 +68,32 @@ class ConvergenceRecord:
     rate_vs_ndof: float
 
 
-def _edge_tables(dofmap, basis=None, npoints_degree=5):
-    rule = edge_rule(npoints_degree)
-    # append the endpoints for vertex-value jumps of the unified norm
-    tpts = np.concatenate([rule.points, [0.0, 1.0]])
-    eb = EdgeBasis(basis or ElementBasis(dofmap), tpts)
-    return eb, rule.weights, len(rule.points)
-
-
-def _field_edge_jumps(eb, coef, nq, exact=None):
-    """Jumps of value, normal derivative across each edge at the rule points
-    plus both endpoints; returns (val_jump, dn_jump, end_jump).
+def _jump_terms(dofmap, coef, kind, exact=None):
+    """Squared jump contributions of a discrete field for one norm kind.
 
     With ``exact = (value, gradient)`` the jumps are those of the error
     ``exact - field``: on interior edges the smooth exact part cancels, on
     boundary edges its trace is subtracted (trace convention).
     """
-    vj, dj = 0.0, 0.0
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        local = np.where(eb.dofs[side] >= 0,
-                         np.asarray(coef)[np.where(eb.dofs[side] >= 0,
-                                                   eb.dofs[side], 0)], 0.0)
-        vals = np.einsum("eqj,ej->eq", eb.values[side], local)
-        dns = np.einsum("eqj,ej->eq", eb.normal_derivatives(side), local)
-        vj = vj + sign * vals
-        dj = dj + sign * dns
-    if exact is not None:
-        bdry = eb.mesh.edge_on_boundary
-        x, y = eb.points[..., 0], eb.points[..., 1]
-        exact_v = np.asarray(exact[0](x, y), dtype=float)
-        exact_dn = np.einsum("eqa,ea->eq", np.asarray(exact[1](x, y)),
-                             eb.mesh.edge_normal)
-        # boundary: [error] = exact trace - field trace (= exact - vj there)
-        vj = np.where(bdry[:, None], exact_v - vj, vj)
-        dj = np.where(bdry[:, None], exact_dn - dj, dj)
-    return vj[:, :nq], dj[:, :nq], vj[:, nq:]
-
-
-def _jump_terms(dofmap, coef, kind, eb=None, w=None, nq=None, exact=None):
-    """Squared jump contributions of a discrete field for one norm kind."""
     if kind == "nc":
         return 0.0
     mesh = dofmap.mesh
-    if eb is None:
-        eb, w, nq = _edge_tables(dofmap)
-    vj, dj, ends = _field_edge_jumps(eb, coef, nq, exact)
+    eb = dofmap.edge_basis
+    vj, gj = edge_jumps(eb, coef)
+    dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
+    if exact is not None:
+        bdry = mesh.edge_on_boundary[:, None]
+        x, y = eb.points[..., 0], eb.points[..., 1]
+        exact_v = np.asarray(exact[0](x, y), dtype=float)
+        exact_dn = np.einsum("eqa,ea->eq", np.asarray(exact[1](x, y)),
+                             mesh.edge_normal)
+        # boundary: [error] = exact trace - field trace (= exact - vj there)
+        vj = np.where(bdry, exact_v - vj, vj)
+        dj = np.where(bdry, exact_dn - dj, dj)
+    w = EDGE_RULE.weights
+    nq = len(w)
+    # the table's points past the rule's are the edge endpoints
+    vj, dj, ends = vj[:, :nq], dj[:, :nq], vj[:, nq:]
     h = mesh.edge_length
     if kind == "h":
         mean_dn = np.einsum("q,eq->e", w, dj)
@@ -129,21 +109,19 @@ def _jump_terms(dofmap, coef, kind, eb=None, w=None, nq=None, exact=None):
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def discrete_norm(dofmap, coef, kind="h", basis=None):
+def discrete_norm(dofmap, coef, kind="h"):
     """Norm of a discrete scalar field given by its coefficients."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected {NORM_KINDS}")
-    if basis is None:
-        basis = ElementBasis(dofmap)
-    local = gather_coefficients(dofmap, coef)
-    hess = np.einsum("tj,tjc->tc", local, basis.hessians)
+    basis = dofmap.basis
+    hess = element_hessians(basis, coef)
     nc2 = float(np.einsum("t,tc,c->", basis.area, hess**2, _FROB))
     return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, kind)))
 
 
-def unified_h_norm(dofmap, coef, basis=None):
+def unified_h_norm(dofmap, coef):
     """The unified norm of a discrete field (equals ``nc`` on Morley data)."""
-    return discrete_norm(dofmap, coef, "h", basis)
+    return discrete_norm(dofmap, coef, "h")
 
 
 def error_norm(psi, exact, kind="h", quad_degree=8):
@@ -157,25 +135,19 @@ def error_norm(psi, exact, kind="h", quad_degree=8):
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected {NORM_KINDS}")
     dofmap = psi.dofmap
-    basis = ElementBasis(dofmap)
+    basis = dofmap.basis
     rule = triangle_rule(quad_degree)
     pts = basis.physical_points(rule.points[:, 1:])
     x, y = pts[..., 0], pts[..., 1]
-    eb = w = nq = None
-    if kind != "nc":
-        eb, w, nq = _edge_tables(dofmap, basis)
     errors = []
     for coef, value_fn, grad_fn, hess_fn in (
             (psi.u, exact.u, exact.u_grad, exact.u_hess),
             (psi.v, exact.v, exact.v_grad, exact.v_hess)):
-        local = gather_coefficients(dofmap, coef)
-        hfield = np.einsum("tj,tjc->tc", local, basis.hessians)
+        hfield = element_hessians(basis, coef)
         diff = np.asarray(hess_fn(x, y)) - hfield[:, None, :]
         e2 = float(np.einsum("t,q,tqc,c->", basis.area, rule.weights,
                              diff**2, _FROB))
-        if kind != "nc":
-            e2 += _jump_terms(dofmap, coef, kind, eb, w, nq,
-                              exact=(value_fn, grad_fn))
+        e2 += _jump_terms(dofmap, coef, kind, exact=(value_fn, grad_fn))
         errors.append(np.sqrt(e2))
     e_u, e_v = errors
     return float(e_u), float(e_v), float(np.hypot(e_u, e_v))
@@ -212,16 +184,14 @@ def best_approx_term(exact, mesh, quad_degree=8):
     components; this is the best-approximation quantity the three methods'
     errors are equivalent to.
     """
-    basis = ElementBasis(build_dofmap(mesh, "dg"))
     rule = triangle_rule(quad_degree)
-    pts = basis.physical_points(rule.points[:, 1:])
-    x, y = pts[..., 0], pts[..., 1]
     total = 0.0
     for hess_fn in (exact.u_hess, exact.v_hess):
-        h = np.asarray(hess_fn(x, y), dtype=float)
+        # at the rule points, the same ones the loads are evaluated at
+        h = load_values(hess_fn, mesh, quad_degree)
         mean = np.einsum("q,tqc->tc", rule.weights, h)
-        full = np.einsum("t,q,tqc,c->t", basis.area, rule.weights, h**2, _FROB)
-        const = basis.area * np.einsum("tc,c->t", mean**2, _FROB)
+        full = np.einsum("t,q,tqc,c->t", mesh.area, rule.weights, h**2, _FROB)
+        const = mesh.area * np.einsum("tc,c->t", mean**2, _FROB)
         total += float(np.maximum(full - const, 0.0).sum())
     return float(np.sqrt(total))
 

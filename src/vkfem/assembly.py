@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .femspace import (DofMap, EdgeBasis, ElementBasis, METHODS,
-                       element_hessians, gather_coefficients, load_values)
-from .quadrature import triangle_rule, edge_rule
+from .femspace import (DofMap, EDGE_RULE, METHODS, bracket,
+                       element_hessians, load_values)
+from .quadrature import triangle_rule
 
 __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
            "assemble_load", "bracket_elements", "assemble_bracket_element",
            "assemble_trilinear_vector", "assemble_trilinear_jacobian"]
-
-_EDGE_QUAD_DEGREE = 5  # exact for products of two quadratic edge traces
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,8 @@ class PenaltyConfig:
     sigma_dg: float = 20.0
 
     def __post_init__(self):
-        if self.sigma_ip <= 0.0 or self.sigma_dg <= 0.0:
-            raise ValueError("penalty parameters must be positive")
+        if not (0.0 < self.sigma_ip < np.inf and 0.0 < self.sigma_dg < np.inf):
+            raise ValueError("penalty parameters must be positive and finite")
 
 
 @dataclass
@@ -108,7 +106,7 @@ def assemble_biharmonic(mesh, dofmap, method=None, penalty=None):
     """
     method = _check_method(dofmap, method)
     penalty = penalty or PenaltyConfig()
-    basis = ElementBasis(dofmap)
+    basis = dofmap.basis
     n = dofmap.n_global
 
     frob = np.array([1.0, 1.0, 2.0])
@@ -117,23 +115,26 @@ def assemble_biharmonic(mesh, dofmap, method=None, penalty=None):
     mat = _scatter_local(n, dofmap.element_dofs, dofmap.element_dofs, local)
 
     if method in ("c0ip", "dg"):
-        rule = edge_rule(_EDGE_QUAD_DEGREE)
-        eb = EdgeBasis(basis, rule.points)
         sigma = penalty.sigma_ip if method == "c0ip" else penalty.sigma_dg
-        mat += _edge_terms(mesh, eb, rule.weights, method, sigma)
+        mat += _edge_terms(dofmap, method, sigma)
 
     return mat.tocsr()
 
 
-def _edge_terms(mesh, eb, w, method, sigma):
+def _edge_terms(dofmap, method, sigma):
+    mesh, eb = dofmap.mesh, dofmap.edge_basis
+    w = EDGE_RULE.weights
+    nq = len(w)
     normal = mesh.edge_normal
     h = mesh.edge_length
     avg_factor = np.where(mesh.edge_on_boundary, 1.0, 0.5)
     dofs12 = np.concatenate(eb.dofs, axis=1)
 
-    # jump tables: side-0 shapes enter with +, side-1 shapes with -
-    dn = np.concatenate([eb.normal_derivatives(0), -eb.normal_derivatives(1)],
-                        axis=2)
+    def jump(sides):
+        # at the rule points: side-0 shapes enter with +, side-1 shapes with -
+        return np.concatenate([sides[0][:, :nq], -sides[1][:, :nq]], axis=2)
+
+    dn = jump([eb.normal_derivatives(0), eb.normal_derivatives(1)])
     jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
 
     if method == "c0ip":
@@ -148,18 +149,17 @@ def _edge_terms(mesh, eb, w, method, sigma):
         hn = np.concatenate([_hessian_normal_vector(eb.hessians[0], normal),
                              _hessian_normal_vector(eb.hessians[1], normal)],
                             axis=1) * avg_factor[:, None, None]
-        gj = np.concatenate([eb.gradients[0], -eb.gradients[1]], axis=2)
+        gj = jump(eb.gradients)
         gj_int = h[:, None, None] * np.einsum("q,eqja->eja", w, gj)
         cons = -(np.einsum("eia,eja->eij", hn, gj_int)
                  + np.einsum("eja,eia->eij", hn, gj_int))
-        vj = np.concatenate([eb.values[0], -eb.values[1]], axis=2)
+        vj = jump(eb.values)
         pen = (sigma / h**2)[:, None, None] * np.einsum(
             "q,eqi,eqj->eij", w, vj, vj)
         pen += sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
         local = cons + pen
 
-    n = eb.dofmap.n_global
-    return _scatter_local(n, dofs12, dofs12, local)
+    return _scatter_local(dofmap.n_global, dofs12, dofs12, local)
 
 
 def assemble_load(f, g, mesh, dofmap, quad_degree=8):
@@ -169,7 +169,7 @@ def assemble_load(f, g, mesh, dofmap, quad_degree=8):
     values at the degree-``quad_degree`` rule points of ``mesh``, shape
     ``(n_triangles, n_rule_points)`` (see :func:`~vkfem.femspace.load_values`).
     """
-    basis = ElementBasis(dofmap)
+    basis = dofmap.basis
     rule = triangle_rule(quad_degree)
     phi = basis.values(rule.points[:, 1:])
     out = np.zeros(2 * dofmap.n_global)
@@ -182,17 +182,10 @@ def assemble_load(f, g, mesh, dofmap, quad_degree=8):
     return out
 
 
-def _bracket_product(ha, hb):
-    return ha[..., 0] * hb[..., 1] + ha[..., 1] * hb[..., 0] \
-        - 2.0 * ha[..., 2] * hb[..., 2]
-
-
-def bracket_elements(dofmap, coef_a, coef_b, basis=None):
+def bracket_elements(dofmap, coef_a, coef_b):
     """Element-wise constants ``[a, b]|_K`` of two P2 fields, shape (nt,)."""
-    if basis is None:
-        basis = ElementBasis(dofmap)
-    return _bracket_product(element_hessians(basis, coef_a),
-                            element_hessians(basis, coef_b))
+    return bracket(element_hessians(dofmap.basis, coef_a),
+                   element_hessians(dofmap.basis, coef_b))
 
 
 def assemble_bracket_element(dofmap, coef_a, coef_b, triangle_index):
@@ -205,7 +198,7 @@ def _cubic_form_scalar(basis, bracket_const):
     return -0.5 * bracket_const[:, None] * basis.int_phi
 
 
-def assemble_trilinear_vector(xi, theta, basis=None):
+def assemble_trilinear_vector(xi, theta):
     """Cubic coupling tested against every dof: a block vector.
 
     For pairs ``xi = (xi1, xi2)`` and ``theta = (theta1, theta2)`` the first
@@ -216,11 +209,10 @@ def assemble_trilinear_vector(xi, theta, basis=None):
     if xi.dofmap is not theta.dofmap:
         raise ValueError("operands must share one dof map")
     dofmap = xi.dofmap
-    if basis is None:
-        basis = ElementBasis(dofmap)
-    br_12 = bracket_elements(dofmap, xi.u, theta.v, basis)
-    br_21 = bracket_elements(dofmap, xi.v, theta.u, basis)
-    br_11 = bracket_elements(dofmap, xi.u, theta.u, basis)
+    basis = dofmap.basis
+    br_12 = bracket_elements(dofmap, xi.u, theta.v)
+    br_21 = bracket_elements(dofmap, xi.v, theta.u)
+    br_11 = bracket_elements(dofmap, xi.u, theta.u)
     local1 = _cubic_form_scalar(basis, br_12 + br_21)
     local2 = -_cubic_form_scalar(basis, br_11)
     out = np.zeros(2 * dofmap.n_global)
@@ -231,7 +223,7 @@ def assemble_trilinear_vector(xi, theta, basis=None):
     return out
 
 
-def assemble_trilinear_jacobian(psi, basis=None):
+def assemble_trilinear_jacobian(psi):
     """Derivative of the cubic terms at ``psi`` as a sparse 2x2 block matrix.
 
     The returned operator maps a direction ``theta`` to twice the cubic form
@@ -240,15 +232,14 @@ def assemble_trilinear_jacobian(psi, basis=None):
     int_K phi_i`` the blocks are ``[[M_v, M_u], [-M_u, 0]]``.
     """
     dofmap = psi.dofmap
-    if basis is None:
-        basis = ElementBasis(dofmap)
+    basis = dofmap.basis
     n = dofmap.n_global
     hess = basis.hessians
     hu = element_hessians(basis, psi.u)
     hv = element_hessians(basis, psi.v)
 
     def m_of(field_hess):
-        col = _bracket_product(field_hess[:, None, :], hess)
+        col = bracket(field_hess[:, None, :], hess)
         return -col[:, None, :] * basis.int_phi[:, :, None]
 
     m_u = m_of(hu)

@@ -26,6 +26,7 @@ from .analysis import fit_rate
 from .assembly import PenaltyConfig
 from .femspace import METHODS
 from .problems import lshape_problem, square_problem
+from .quadrature import triangle_rule
 from .solver import SolverError
 
 __all__ = ["ExperimentSpec", "run_experiment", "main", "CSV_COLUMNS"]
@@ -64,6 +65,11 @@ class ExperimentSpec:
             raise ValueError("theta must be in (0, 1]")
         if self.estimator is not None and self.estimator not in METHODS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if not self.newton_tol > 0.0:
+            raise ValueError("newton_tol must be positive")
+        # each raises ValueError on invalid values, before any output exists
+        triangle_rule(self.quad_degree)
+        PenaltyConfig(self.sigma_ip, self.sigma_dg)
 
 
 def _methods_of(spec):

@@ -28,7 +28,8 @@ from .quadrature import edge_rule, triangle_rule
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "eval_basis", "morley_interpolate", "nodal_interpolate",
            "p2_values", "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES",
-           "gather_coefficients", "element_hessians", "to_dg_coefficients",
+           "EDGE_RULE", "EDGE_POINTS", "gather_coefficients",
+           "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
            "load_values"]
 
 METHODS = ("morley", "c0ip", "dg")
@@ -48,6 +49,13 @@ P2_REF_HESSIANS = np.array([
 ])
 
 _EDGE_MIDPOINTS_REF = REF_NODES[3:]
+
+#: Gauss rule of every edge integral: exact for two quadratic traces.
+EDGE_RULE = edge_rule(5)
+#: Edge parameters of every dof map's :class:`EdgeBasis`: the points of
+#: :data:`EDGE_RULE`, then both endpoints (for vertex-value jumps).
+EDGE_POINTS = np.concatenate([EDGE_RULE.points, [0.0, 1.0]])
+EDGE_POINTS.setflags(write=False)
 
 
 def p2_values(points):
@@ -95,6 +103,9 @@ class DofMap:
     boundary conditions.  Numbering is deterministic: interior vertices in
     vertex order, then interior edges in edge order (``dg``: six consecutive
     dofs per triangle).
+
+    It is the context of its mesh and method: assembly, estimates and norms
+    read its read-only ``basis`` and ``edge_basis``, each built on first use.
     """
     mesh: Triangulation
     method: str
@@ -102,9 +113,27 @@ class DofMap:
     element_dofs: np.ndarray
     vertex_dof: np.ndarray | None = field(default=None, repr=False)
     edge_dof: np.ndarray | None = field(default=None, repr=False)
+    _basis: ElementBasis | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+    _edge_basis: EdgeBasis | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         self.element_dofs.setflags(write=False)
+
+    @property
+    def basis(self):
+        """The :class:`ElementBasis` of this dof map."""
+        if self._basis is None:
+            self._basis = ElementBasis(self)
+        return self._basis
+
+    @property
+    def edge_basis(self):
+        """The :class:`EdgeBasis` of this dof map at :data:`EDGE_POINTS`."""
+        if self._edge_basis is None:
+            self._edge_basis = EdgeBasis(self.basis, EDGE_POINTS)
+        return self._edge_basis
 
 
 def build_dofmap(mesh, method):
@@ -172,6 +201,8 @@ class ElementBasis:
     transform obtained by inverting the 6x6 dual-pairing matrix (point values
     at the vertices, mean normal derivatives over the edges).
 
+    It keeps ``mesh`` and ``element_dofs``, not the dof map that holds it.
+
     Attributes
     ----------
     area : ndarray (nt,)
@@ -187,7 +218,7 @@ class ElementBasis:
 
     def __init__(self, dofmap):
         mesh = dofmap.mesh
-        self.dofmap = dofmap
+        self.mesh, self.element_dofs = mesh, dofmap.element_dofs
         p0, jac = _affine_maps(mesh)
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         jac_inv = np.empty_like(jac)
@@ -213,10 +244,13 @@ class ElementBasis:
             self.transform = self._morley_transform(mesh, lag_hess)
             self.hessians = np.einsum("tjk,tkc->tjc", self.transform, lag_hess)
             self.int_phi = np.einsum("tjk,tk->tj", self.transform, lag_int)
+            self.transform.setflags(write=False)
         else:
             self.transform = None
             self.hessians = lag_hess
             self.int_phi = lag_int
+        for arr in (p0, jac, jac_inv, self.hessians, self.int_phi):
+            arr.setflags(write=False)
 
     def _morley_transform(self, mesh, lag_hess):
         # Dual pairing C[i, j] = functional_i(lagrange_j): rows 0..2 are
@@ -263,44 +297,41 @@ class EdgeBasis:
     """
 
     def __init__(self, basis, tpoints):
-        dofmap = basis.dofmap
-        mesh = dofmap.mesh
-        self.mesh, self.dofmap = mesh, dofmap
+        mesh = basis.mesh
+        self.mesh = mesh
         t = np.asarray(tpoints, dtype=float)
-        self.tpoints = t
         a = mesh.vertices[mesh.edges[:, 0]]
         b = mesh.vertices[mesh.edges[:, 1]]
         points = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        points.setflags(write=False)
         self.points = points
 
-        self.tri = mesh.edge_tris
-        self.values = []
-        self.gradients = []
-        self.hessians = []
-        self.dofs = []
-        for side in (0, 1):
-            tri = self.tri[:, side]
-            valid = tri >= 0
-            tt = np.where(valid, tri, 0)
-            ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
-                            points - basis.p0[tt][:, None, :])
-            vals = p2_values(ref)
-            grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
-                              p2_ref_gradients(ref))
-            if basis.transform is not None:
-                w = basis.transform[tt]
-                vals = np.einsum("ejk,eqk->eqj", w, vals)
-                grads = np.einsum("ejk,eqka->eqja", w, grads)
-            hess = basis.hessians[tt].copy()
-            dofs = dofmap.element_dofs[tt].copy()
-            vals[~valid] = 0.0
-            grads[~valid] = 0.0
-            hess[~valid] = 0.0
-            dofs[~valid] = -1
-            self.values.append(vals)
-            self.gradients.append(grads)
-            self.hessians.append(hess)
-            self.dofs.append(dofs)
+        self.values, self.gradients, self.hessians, self.dofs = zip(
+            *(self._side(basis, mesh.edge_tris[:, side]) for side in (0, 1)))
+
+    def _side(self, basis, tri):
+        """Read-only values, gradients, Hessians and dofs of the shapes of
+        the triangles ``tri`` (``-1``: none, all zero) at the edge points."""
+        valid = tri >= 0
+        tt = np.where(valid, tri, 0)
+        ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
+                        self.points - basis.p0[tt][:, None, :])
+        vals = p2_values(ref)
+        grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
+                          p2_ref_gradients(ref))
+        if basis.transform is not None:
+            w = basis.transform[tt]
+            vals = np.einsum("ejk,eqk->eqj", w, vals)
+            grads = np.einsum("ejk,eqka->eqja", w, grads)
+        hess = basis.hessians[tt]
+        dofs = basis.element_dofs[tt]
+        vals[~valid] = 0.0
+        grads[~valid] = 0.0
+        hess[~valid] = 0.0
+        dofs[~valid] = -1
+        for arr in (vals, grads, hess, dofs):
+            arr.setflags(write=False)
+        return vals, grads, hess, dofs
 
     def normal_derivatives(self, side):
         """d(shape)/d(nu) along the edge, shape (ne, m, 6)."""
@@ -308,31 +339,54 @@ class EdgeBasis:
                          self.mesh.edge_normal)
 
 
-def eval_basis(dofmap, triangle_index, ref_points, basis=None):
+def eval_basis(dofmap, triangle_index, ref_points):
     """Evaluate the six shapes of one triangle at reference points.
 
     Returns ``(values, gradients, hessians)`` with shapes ``(m, 6)``,
     ``(m, 6, 2)`` and ``(6, 3)``; gradients and Hessians are physical.
     """
-    if basis is None:
-        basis = ElementBasis(dofmap)
+    basis = dofmap.basis
     k = int(triangle_index)
     vals = basis.values(np.atleast_2d(ref_points))[k]
     grads = basis.gradients(np.atleast_2d(ref_points))[k]
     return vals, grads, basis.hessians[k]
 
 
-def gather_coefficients(dofmap, coefficients):
-    """Element-local coefficients with constrained dofs as zero, (nt, 6)."""
+def gather_coefficients(dofs, coefficients):
+    """The coefficients of an array of global dofs, such as a dof map's
+    ``element_dofs``, with constrained dofs (``-1``) as zero."""
     coefficients = np.asarray(coefficients, dtype=float)
-    ed = dofmap.element_dofs
-    return np.where(ed >= 0, coefficients[np.where(ed >= 0, ed, 0)], 0.0)
+    return np.where(dofs >= 0, coefficients[np.where(dofs >= 0, dofs, 0)],
+                    0.0)
 
 
 def element_hessians(basis, coefficients):
     """Constant Hessian (xx, yy, xy) of a discrete field per element."""
-    local = gather_coefficients(basis.dofmap, coefficients)
+    local = gather_coefficients(basis.element_dofs, coefficients)
     return np.einsum("tj,tjc->tc", local, basis.hessians)
+
+
+def edge_jumps(edge_basis, coefficients):
+    """Jumps ``side 0 - side 1`` of a discrete field's value and gradient at
+    every point of an edge table, shapes ``(ne, m)`` and ``(ne, m, 2)``.
+
+    On a boundary edge the jump is the side-0 trace.
+    """
+    vj, gj = 0.0, 0.0
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        local = gather_coefficients(edge_basis.dofs[side], coefficients)
+        vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
+                                   local)
+        gj = gj + sign * np.einsum("eqja,ej->eqa", edge_basis.gradients[side],
+                                   local)
+    return vj, gj
+
+
+def bracket(hess_a, hess_b):
+    """The bracket ``a_xx b_yy + a_yy b_xx - 2 a_xy b_xy`` of two Hessians
+    given as (xx, yy, xy) triplets."""
+    return hess_a[..., 0] * hess_b[..., 1] + hess_a[..., 1] * hess_b[..., 0] \
+        - 2.0 * hess_a[..., 2] * hess_b[..., 2]
 
 
 def morley_interpolate(value, gradient, mesh, dofmap, degree=10):
@@ -376,9 +430,8 @@ def to_dg_coefficients(dofmap, coefficients):
     exact for P2 fields of any of the three methods; useful for comparing
     solutions across methods in one norm.
     """
-    basis = ElementBasis(dofmap)
-    local = gather_coefficients(dofmap, coefficients)
-    node_vals = basis.values(REF_NODES)
+    local = gather_coefficients(dofmap.element_dofs, coefficients)
+    node_vals = dofmap.basis.values(REF_NODES)
     return np.einsum("tqj,tj->tq", node_vals, local).ravel()
 
 
@@ -389,10 +442,8 @@ def nodal_interpolate(value, dofmap):
     mesh = dofmap.mesh
     coef = np.zeros(dofmap.n_global)
     if dofmap.method == "dg":
-        basis = ElementBasis(dofmap)
-        nodes = basis.physical_points(REF_NODES)
-        coef = value(nodes[..., 0], nodes[..., 1]).ravel()
-        return coef
+        nodes = dofmap.basis.physical_points(REF_NODES)
+        return value(nodes[..., 0], nodes[..., 1]).ravel()
     free_v = np.where(dofmap.vertex_dof >= 0)[0]
     coef[dofmap.vertex_dof[free_v]] = value(mesh.vertices[free_v, 0],
                                             mesh.vertices[free_v, 1])

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import ExactSolutionPair
+from .femspace import bracket
 from .mesh import Triangulation, lshape_mesh, unit_square_mesh
 
 __all__ = ["Problem", "SingularSolutionParams", "exact_square",
@@ -81,11 +82,6 @@ def _p2(t):
     return 2.0 * (6.0 * t**2 - 6.0 * t + 1.0)
 
 
-def _bracket_of(hess_a, hess_b):
-    return (hess_a[..., 0] * hess_b[..., 1] + hess_a[..., 1] * hess_b[..., 0]
-            - 2.0 * hess_a[..., 2] * hess_b[..., 2])
-
-
 def exact_square():
     """The smooth benchmark pair on the unit square with its loads."""
 
@@ -116,11 +112,11 @@ def exact_square():
         return 24.0 * _p(y) + 2.0 * _p2(x) * _p2(y) + 24.0 * _p(x)
 
     def f(x, y):
-        return bilap_u(x, y) - _bracket_of(u_hess(x, y), v_hess(x, y))
+        return bilap_u(x, y) - bracket(u_hess(x, y), v_hess(x, y))
 
     def g(x, y):
         hu = u_hess(x, y)
-        return bilap_v(x, y) + 0.5 * _bracket_of(hu, hu)
+        return bilap_v(x, y) + 0.5 * bracket(hu, hu)
 
     return ExactSolutionPair(u, u_grad, u_hess, v, v_grad, v_hess, f, g)
 
@@ -248,13 +244,13 @@ def exact_lshape():
         r, t = _polar_of(x, y)
         h = _fields_polar(r, t)[2]
         return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
-            - _bracket_of(h, h)
+            - bracket(h, h)
 
     def g(x, y):
         r, t = _polar_of(x, y)
         h = _fields_polar(r, t)[2]
         return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
-            + 0.5 * _bracket_of(h, h)
+            + 0.5 * bracket(h, h)
 
     return ExactSolutionPair(value, grad, hess, value, grad, hess, f, g)
 

@@ -24,7 +24,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (DiscreteSolution, assemble_biharmonic, assemble_load,
                        assemble_trilinear_jacobian, assemble_trilinear_vector)
-from .femspace import ElementBasis
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
@@ -170,7 +169,6 @@ class NewtonSystem:
         f, g = loads
         self.dofmap = dofmap
         self.method = dofmap.method if method is None else method
-        self.basis = ElementBasis(dofmap)
         self.stiffness = assemble_biharmonic(mesh, dofmap, method, penalty)
         self.block_stiffness = sp.block_diag(
             (self.stiffness, self.stiffness), format="csr")
@@ -180,10 +178,10 @@ class NewtonSystem:
     def residual(self, psi):
         x = np.concatenate([psi.u, psi.v])
         return (self.block_stiffness @ x
-                + assemble_trilinear_vector(psi, psi, self.basis) - self.load)
+                + assemble_trilinear_vector(psi, psi) - self.load)
 
     def jacobian(self, psi):
-        return self.block_stiffness + assemble_trilinear_jacobian(psi, self.basis)
+        return self.block_stiffness + assemble_trilinear_jacobian(psi)
 
 
 def _block_triangular_inverse(a_lu, k_lu, coupling):

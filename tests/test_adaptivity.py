@@ -228,6 +228,38 @@ def test_loads_are_evaluated_once_per_level():
     assert calls == {"f": 2, "g": 2}
 
 
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_each_dofmap_builds_its_bases_once(monkeypatch, method):
+    from vkfem.femspace import EdgeBasis, ElementBasis
+    element, edge = [], []
+    init_element, init_edge = ElementBasis.__init__, EdgeBasis.__init__
+
+    def count_element(self, dofmap):
+        element.append(dofmap)
+        init_element(self, dofmap)
+
+    def count_edge(self, basis, tpoints):
+        edge.append(basis)
+        init_edge(self, basis, tpoints)
+
+    monkeypatch.setattr(ElementBasis, "__init__", count_element)
+    monkeypatch.setattr(EdgeBasis, "__init__", count_edge)
+    problem = square_problem()
+    config = AdaptiveConfig(theta=0.5, max_levels=2)
+    for levels in (uniform_levels(problem, method, 2, config),
+                   adaptive_levels(problem, method, config)):
+        element.clear()
+        edge.clear()
+        dofmaps = [state.solution.dofmap for state in levels]
+        assert len(dofmaps) == 2
+        # one element basis per dof map, built by nothing else
+        assert len(element) == 2
+        assert all(a is b for a, b in zip(element, dofmaps))
+        # at most one edge table per dof map, from the dof map's basis
+        assert len({id(b) for b in edge}) == len(edge) <= 2
+        assert all(any(b is d.basis for d in dofmaps) for b in edge)
+
+
 def test_solve_level_matches_the_methods_own_loop():
     problem = square_problem()
     config = AdaptiveConfig(max_levels=2)

@@ -303,6 +303,10 @@ def test_penalty_validation():
         PenaltyConfig(sigma_ip=0.0)
     with pytest.raises(ValueError):
         PenaltyConfig(sigma_dg=-1.0)
+    with pytest.raises(ValueError):
+        PenaltyConfig(sigma_ip=float("nan"))
+    with pytest.raises(ValueError):
+        PenaltyConfig(sigma_dg=float("inf"))
 
 
 def test_method_mismatch(square1):

@@ -96,6 +96,16 @@ def test_main_exit_codes(tmp_path):
     code = main(["--example", "square_analytic", "--levels", "0",
                  "--out", str(out)])
     assert code == 2
+    # invalid input is rejected before the run, so a previous --out file
+    # survives
+    written = out.read_bytes()
+    for bad in (["--quad-degree", "0"], ["--quad-degree", "11"],
+                ["--sigma-ip", "-1"], ["--sigma-dg", "0"],
+                ["--newton-tol", "0"]):
+        code = main(["--example", "square_analytic", "--method", "morley",
+                     "--levels", "2", "--out", str(out)] + bad)
+        assert code == 2, bad
+        assert out.read_bytes() == written, bad
 
 
 def test_solver_failure_keeps_partial_csv(tmp_path, monkeypatch):
@@ -122,6 +132,12 @@ def test_solver_failure_keeps_partial_csv(tmp_path, monkeypatch):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(example="square_analytic", theta=0.0)
+    for bad in ({"quad_degree": 0}, {"quad_degree": 11}, {"sigma_ip": -1.0},
+                {"sigma_dg": 0.0}, {"sigma_ip": float("nan")},
+                {"sigma_dg": float("inf")}, {"newton_tol": 0.0},
+                {"newton_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            ExperimentSpec(example="square_analytic", **bad)
     with pytest.raises(ValueError):
         ExperimentSpec(example="square_analytic", method="p17")
     with pytest.raises(ValueError):

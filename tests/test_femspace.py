@@ -3,8 +3,8 @@ import pytest
 
 from vkfem import (build_dofmap, edge_rule, eval_basis,
                    morley_interpolate, nodal_interpolate, uniform_refine)
-from vkfem.femspace import (REF_NODES, EdgeBasis, ElementBasis,
-                            element_hessians, p2_values)
+from vkfem.femspace import (EDGE_POINTS, METHODS, REF_NODES, EdgeBasis,
+                            ElementBasis, element_hessians, p2_values)
 from vkfem.problems import exact_square
 from vkfem.quadrature import triangle_rule
 
@@ -57,6 +57,43 @@ def test_eval_basis_vertex_values(two_tri):
     assert np.abs(vals - np.eye(6)[:3]).max() < 1e-14
     assert grads.shape == (3, 6, 2)
     assert hess.shape == (6, 3)
+
+
+def test_dofmap_bases_are_cached_and_read_only(square1):
+    for method in METHODS:
+        dm = build_dofmap(square1, method)
+        basis, eb = dm.basis, dm.edge_basis
+        assert dm.basis is basis and dm.edge_basis is eb
+        assert eb.points.shape == (square1.n_edges, len(EDGE_POINTS), 2)
+        arrays = [EDGE_POINTS, basis.p0, basis.jac, basis.jac_inv,
+                  basis.area, basis.hessians, basis.int_phi, eb.points,
+                  *eb.values, *eb.gradients, *eb.hessians, *eb.dofs]
+        if basis.transform is not None:
+            arrays.append(basis.transform)
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        with pytest.raises(AttributeError):
+            dm.basis = basis
+        with pytest.raises(AttributeError):
+            dm.edge_basis = eb
+
+
+def test_dofmap_with_bases_is_freed_by_reference_counting(square1):
+    # the bases hold no reference to their dof map: a cycle would keep every
+    # level's dof map, bases and mesh alive until a full collection
+    import gc
+    import weakref
+    for method in METHODS:
+        dm = build_dofmap(square1, method)
+        dm.edge_basis
+        ref = weakref.ref(dm)
+        gc.disable()
+        try:
+            del dm
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def random_triangle_mesh(seed):
