@@ -29,7 +29,7 @@ from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
 from .adaptivity import (AdaptiveConfig, LocalEstimates, METHOD_NORM,
                          adaptive_levels, adaptive_loop, dorfler_mark,
                          estimate, solve_level, uniform_study)
-from .problems import (Problem, SingularSolutionParams, exact_lshape,
-                       exact_square, lshape_problem, square_problem)
+from .problems import (Problem, exact_lshape, exact_square, lshape_problem,
+                       square_problem)
 
 __version__ = "0.1.0"

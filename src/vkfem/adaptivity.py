@@ -197,9 +197,8 @@ def _solve(level, mesh, method, config, loads):
 def _record(level, psi, loads, problem, eta_total, config, prev):
     exact = problem.exact
     mesh = psi.dofmap.mesh
-    e_u, e_v, e_tot = error_norm(psi, exact, "h", config.quad_degree)
-    _, _, e_meth = error_norm(psi, exact, METHOD_NORM[psi.method],
-                              config.quad_degree)
+    (e_u, e_v, e_tot), (_, _, e_meth) = error_norm(
+        psi, exact, ("h", METHOD_NORM[psi.method]), config.quad_degree)
     osc = np.hypot(oscillation(loads[0], mesh, config.quad_degree),
                    oscillation(loads[1], mesh, config.quad_degree))
     ndof = psi.dofmap.n_global

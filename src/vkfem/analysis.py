@@ -68,45 +68,50 @@ class ConvergenceRecord:
     rate_vs_ndof: float
 
 
-def _jump_terms(dofmap, coef, kind, exact=None):
-    """Squared jump contributions of a discrete field for one norm kind.
+def _jump_terms(dofmap, coef, kinds, exact=None):
+    """Squared jump contributions of a discrete field, one per norm kind.
 
-    With ``exact = (value, gradient)`` the jumps are those of the error
-    ``exact - field``: on interior edges the smooth exact part cancels, on
-    boundary edges its trace is subtracted (trace convention).
+    With ``exact = (values, gradients)`` at the edge table's points and its
+    rule points, the jumps are those of the error ``exact - field``: on
+    interior edges the smooth exact part cancels, on boundary edges its
+    trace is subtracted (trace convention).
     """
-    if kind == "nc":
-        return 0.0
+    if all(kind == "nc" for kind in kinds):
+        return [0.0] * len(kinds)
     mesh = dofmap.mesh
-    eb = dofmap.edge_basis
-    vj, gj = edge_jumps(eb, coef)
-    dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
-    if exact is not None:
-        bdry = mesh.edge_on_boundary[:, None]
-        x, y = eb.points[..., 0], eb.points[..., 1]
-        exact_v = np.asarray(exact[0](x, y), dtype=float)
-        exact_dn = np.einsum("eqa,ea->eq", np.asarray(exact[1](x, y)),
-                             mesh.edge_normal)
-        # boundary: [error] = exact trace - field trace (= exact - vj there)
-        vj = np.where(bdry, exact_v - vj, vj)
-        dj = np.where(bdry, exact_dn - dj, dj)
     w = EDGE_RULE.weights
     nq = len(w)
-    # the table's points past the rule's are the edge endpoints
-    vj, dj, ends = vj[:, :nq], dj[:, :nq], vj[:, nq:]
+    vj, gj = edge_jumps(dofmap.edge_basis, coef)
+    # the table's points past the rule's are the endpoints: vertex jumps only
+    dj = np.einsum("eqa,ea->eq", gj[:, :nq], mesh.edge_normal)
+    if exact is not None:
+        bdry = mesh.edge_on_boundary[:, None]
+        exact_dn = np.einsum("eqa,ea->eq", exact[1], mesh.edge_normal)
+        # boundary: [error] = exact trace - field trace (= exact - vj there)
+        vj = np.where(bdry, exact[0] - vj, vj)
+        dj = np.where(bdry, exact_dn - dj, dj)
+    vj, ends = vj[:, :nq], vj[:, nq:]
     h = mesh.edge_length
-    if kind == "h":
-        mean_dn = np.einsum("q,eq->e", w, dj)
-        vertex = (ends**2).sum(axis=1)
-        return float((mean_dn**2).sum() + (vertex / h**2).sum())
-    # h^-1 ||[dv/dnu]||^2 over an edge is h^-1 * h * sum(w * jump^2)
-    dn_total = float(np.einsum("q,eq->e", w, dj**2).sum())
-    if kind == "ip":
-        return dn_total
-    if kind == "dg":
-        val = float((np.einsum("q,eq->e", w, vj**2) / h**2).sum())
-        return dn_total + val
-    raise ValueError(f"unknown norm kind {kind!r}")
+    out = [0.0] * len(kinds)
+    for i, kind in enumerate(kinds):
+        if kind == "h":
+            mean_dn = np.einsum("q,eq->e", w, dj)
+            vertex = (ends**2).sum(axis=1)
+            out[i] = float((mean_dn**2).sum() + (vertex / h**2).sum())
+        elif kind != "nc":
+            # h^-1 ||[dv/dnu]||^2 over an edge is h^-1 * h * sum(w * jump^2)
+            out[i] = float(np.einsum("q,eq->e", w, dj**2).sum())
+            if kind == "dg":
+                out[i] += float((np.einsum("q,eq->e", w, vj**2) / h**2).sum())
+    return out
+
+
+def _evaluate(points, *fns):
+    """Each callable at ``points``, once however often it occurs."""
+    x, y = points[..., 0], points[..., 1]
+    values = {fn: np.asarray(fn(x, y), dtype=float)
+              for fn in dict.fromkeys(fns)}
+    return [values[fn] for fn in fns]
 
 
 def discrete_norm(dofmap, coef, kind="h"):
@@ -116,7 +121,7 @@ def discrete_norm(dofmap, coef, kind="h"):
     basis = dofmap.basis
     hess = element_hessians(basis, coef)
     nc2 = float(np.einsum("t,tc,c->", basis.area, hess**2, _FROB))
-    return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, kind)))
+    return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, [kind])[0]))
 
 
 def unified_h_norm(dofmap, coef):
@@ -125,32 +130,40 @@ def unified_h_norm(dofmap, coef):
 
 
 def error_norm(psi, exact, kind="h", quad_degree=8):
-    """Error of a discrete pair against an exact pair in one norm.
+    """Error of a discrete pair against an exact pair in one or more norms.
 
-    Returns ``(e_u, e_v, sqrt(e_u^2 + e_v^2))``.  Volume terms use
+    Returns ``(e_u, e_v, sqrt(e_u^2 + e_v^2))`` for one norm ``kind``, and a
+    list of such triples for a sequence of kinds, which share one evaluation
+    of each distinct exact callable per point set.  Volume terms use
     quadrature of the given degree; interior jump terms reduce to the
     discrete field's jumps (the exact pair is smooth across edges), while on
     boundary edges the exact traces are subtracted.
     """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}, expected {NORM_KINDS}")
+    kinds = [kind] if isinstance(kind, str) else list(kind)
+    for k in kinds:
+        if k not in NORM_KINDS:
+            raise ValueError(f"unknown norm kind {k!r}, expected {NORM_KINDS}")
     dofmap = psi.dofmap
     basis = dofmap.basis
     rule = triangle_rule(quad_degree)
     pts = basis.physical_points(rule.points[:, 1:])
-    x, y = pts[..., 0], pts[..., 1]
+    hessians = _evaluate(pts, exact.u_hess, exact.v_hess)
+    traces = [None, None]
+    if any(k != "nc" for k in kinds):
+        edge_pts = dofmap.edge_basis.points
+        traces = zip(_evaluate(edge_pts, exact.u, exact.v),
+                     _evaluate(edge_pts[:, :len(EDGE_RULE.weights)],
+                               exact.u_grad, exact.v_grad))
     errors = []
-    for coef, value_fn, grad_fn, hess_fn in (
-            (psi.u, exact.u, exact.u_grad, exact.u_hess),
-            (psi.v, exact.v, exact.v_grad, exact.v_hess)):
-        hfield = element_hessians(basis, coef)
-        diff = np.asarray(hess_fn(x, y)) - hfield[:, None, :]
+    for coef, hess, trace in zip((psi.u, psi.v), hessians, traces):
+        diff = hess - element_hessians(basis, coef)[:, None, :]
         e2 = float(np.einsum("t,q,tqc,c->", basis.area, rule.weights,
                              diff**2, _FROB))
-        e2 += _jump_terms(dofmap, coef, kind, exact=(value_fn, grad_fn))
-        errors.append(np.sqrt(e2))
-    e_u, e_v = errors
-    return float(e_u), float(e_v), float(np.hypot(e_u, e_v))
+        errors.append([np.sqrt(e2 + jump)
+                       for jump in _jump_terms(dofmap, coef, kinds, trace)])
+    out = [(float(e_u), float(e_v), float(np.hypot(e_u, e_v)))
+           for e_u, e_v in zip(*errors)]
+    return out[0] if isinstance(kind, str) else out
 
 
 def oscillation_local(f, mesh, quad_degree=8):

@@ -134,7 +134,8 @@ def _edge_terms(dofmap, method, sigma):
         # at the rule points: side-0 shapes enter with +, side-1 shapes with -
         return np.concatenate([sides[0][:, :nq], -sides[1][:, :nq]], axis=2)
 
-    dn = jump([eb.normal_derivatives(0), eb.normal_derivatives(1)])
+    dn = jump([np.einsum("eqja,ea->eqj", grads[:, :nq], normal)
+               for grads in eb.gradients])
     jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
 
     if method == "c0ip":

@@ -333,11 +333,6 @@ class EdgeBasis:
             arr.setflags(write=False)
         return vals, grads, hess, dofs
 
-    def normal_derivatives(self, side):
-        """d(shape)/d(nu) along the edge, shape (ne, m, 6)."""
-        return np.einsum("eqja,ea->eqj", self.gradients[side],
-                         self.mesh.edge_normal)
-
 
 def eval_basis(dofmap, triangle_index, ref_points):
     """Evaluate the six shapes of one triangle at reference points.

@@ -224,20 +224,34 @@ class Triangulation:
     def _audit_hanging_vertices(self):
         # A hanging vertex shows up as a vertex strictly inside a
         # topological-boundary edge, so the scan can stay boundary-sized.
+        # Each edge is tested only against the boundary vertices in its slab
+        # along its longer coordinate (a binary search in sorted coordinates).
         bidx = np.where(self.edge_on_boundary)[0]
         cand = np.where(self.vertex_on_boundary)[0]
         if len(bidx) == 0 or len(cand) == 0:
             return
-        a = self.vertices[self.edges[bidx, 0]]
-        d = self.vertices[self.edges[bidx, 1]] - a
+        ends = self.vertices[self.edges[bidx]]
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
         length = self.edge_length[bidx]
-        rel = self.vertices[cand][None, :, :] - a[:, None, :]
-        tpar = (rel * d[:, None, :]).sum(-1) / (length**2)[:, None]
-        perp = rel[..., 0] * d[:, None, 1] - rel[..., 1] * d[:, None, 0]
-        dist = np.abs(perp) / length[:, None]
-        inside = (tpar > 1e-10) & (tpar < 1.0 - 1e-10) & (dist < 1e-10 * length[:, None])
+        rows = np.arange(len(bidx))
+        axis = (np.abs(d[:, 1]) > np.abs(d[:, 0])).astype(np.int64)
+        pad = 1e-6 * length  # far wider than the 1e-10 tolerance below
+        slab = (np.sort(ends[rows, :, axis]) + np.stack([-pad, pad], 1)).T
+        order = np.argsort(self.vertices[cand], axis=0)
+        coord = np.take_along_axis(self.vertices[cand], order, axis=0)
+        lo, hi = np.where(axis == 1, np.searchsorted(coord[:, 1], slab),
+                          np.searchsorted(coord[:, 0], slab))
+        counts = hi - lo
+        e = np.repeat(rows, counts)  # pair i: sorted row lo[e] + i - start[e]
+        c = order[np.arange(len(e))
+                  - np.repeat(np.cumsum(counts) - counts - lo, counts), axis[e]]
+        rel = self.vertices[cand[c]] - a[e]
+        tpar = (rel * d[e]).sum(-1) / length[e]**2
+        perp = rel[:, 0] * d[e, 1] - rel[:, 1] * d[e, 0]
+        dist = np.abs(perp) / length[e]
+        inside = (tpar > 1e-10) & (tpar < 1.0 - 1e-10) & (dist < 1e-10 * length[e])
         if inside.any():
-            e, c = np.argwhere(inside)[0]
+            e, c = min(zip(e[inside], c[inside]))
             raise MeshError(
                 f"hanging vertex {cand[c]} on edge {tuple(self.edges[bidx[e]])}"
             )

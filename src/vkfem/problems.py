@@ -1,14 +1,12 @@
 """Manufactured clamped-plate problems on the square and the L-shape.
 
-Both benchmark pairs satisfy homogeneous clamped boundary conditions.  The
-square pair is smooth with closed-form loads.  The L-shape pair is the
-singular corner function ``r^(1+alpha) * g(theta)`` times a polynomial
-cutoff; its loads need two derivative orders beyond the analytic Hessian and
-are computed by fourth-order central differences of the Hessian trace in
-polar coordinates (step ``1e-4 * r`` radially, ``1e-4`` in the angle), which
-keeps the data error far below the discretisation error.  Each load call
-evaluates the Hessian at nine points per quadrature point (the centre and
-eight stencil neighbours).
+Both benchmark pairs satisfy homogeneous clamped boundary conditions and
+have closed-form loads.  The square pair is smooth.  The L-shape pair is the
+singular corner function ``w = r^(1+alpha) * g(theta)`` times a polynomial
+cutoff ``c``; ``w`` is biharmonic, so the bilaplacian of ``c w`` needs only
+derivatives of ``c`` up to fourth order and of ``w`` up to third, and one
+evaluation of the fields gives a load at every point, exact up to rounding
+right up to the re-entrant corner.
 
 Polar frame of the L-shape: the domain is (-1,1)^2 minus the closed quadrant
 [0,1) x (-1,0]; the angle is measured from the positive x-axis edge of the
@@ -25,8 +23,8 @@ from .analysis import ExactSolutionPair
 from .femspace import bracket
 from .mesh import Triangulation, lshape_mesh, unit_square_mesh
 
-__all__ = ["Problem", "SingularSolutionParams", "exact_square",
-           "exact_lshape", "square_problem", "lshape_problem"]
+__all__ = ["Problem", "exact_square", "exact_lshape", "square_problem",
+           "lshape_problem"]
 
 #: Non-characteristic root of sin^2(alpha*omega) = alpha^2 sin^2(omega).
 ALPHA = 0.5444837367
@@ -39,17 +37,6 @@ class Problem:
     name: str
     initial_mesh: Triangulation
     exact: ExactSolutionPair
-
-
-@dataclass(frozen=True)
-class SingularSolutionParams:
-    """Corner-singularity exponent and opening angle of the L-shape."""
-    alpha: float = ALPHA
-    omega: float = OMEGA
-
-    def characteristic_residual(self):
-        return abs(np.sin(self.alpha * self.omega)**2
-                   - self.alpha**2 * np.sin(self.omega)**2)
 
 
 # -- square: u = sin^2(pi x) sin^2(pi y), v = x^2 y^2 (1-x)^2 (1-y)^2 --------
@@ -130,37 +117,38 @@ _GC = np.cos(_AM1 * OMEGA) - np.cos(_AP1 * OMEGA)
 
 
 def _g_theta(theta):
-    b = np.sin(_AM1 * theta) / _AM1 - np.sin(_AP1 * theta) / _AP1
-    b1 = np.cos(_AM1 * theta) - np.cos(_AP1 * theta)
-    b2 = -_AM1 * np.sin(_AM1 * theta) + _AP1 * np.sin(_AP1 * theta)
-    b3 = -_AM1**2 * np.cos(_AM1 * theta) + _AP1**2 * np.cos(_AP1 * theta)
+    """The angular factor and its first three derivatives."""
+    sm, cm = np.sin(_AM1 * theta), np.cos(_AM1 * theta)
+    sp, cp = np.sin(_AP1 * theta), np.cos(_AP1 * theta)
+    b = sm / _AM1 - sp / _AP1
+    b1 = cm - cp
+    b2 = -_AM1 * sm + _AP1 * sp
+    b3 = -_AM1**2 * cm + _AP1**2 * cp
+    b4 = _AM1**3 * sm - _AP1**3 * sp
     return (_GA * b1 - b * _GC,
             _GA * b2 - b1 * _GC,
-            _GA * b3 - b2 * _GC)
+            _GA * b3 - b2 * _GC,
+            _GA * b4 - b3 * _GC)
 
 
-def _cutoff(x, y):
-    qx, qy = 1.0 - x**2, 1.0 - y**2
-    c = qx**2 * qy**2
-    cx = -4.0 * x * qx * qy**2
-    cy = -4.0 * y * qy * qx**2
-    cxx = (12.0 * x**2 - 4.0) * qy**2
-    cyy = (12.0 * y**2 - 4.0) * qx**2
-    cxy = 16.0 * x * y * qx * qy
-    return c, cx, cy, cxx, cyy, cxy
+def _cutoff_factor(t):
+    """``p = (1-t^2)^2``, ``p'`` and ``p''``: the cutoff is ``p(x) p(y)``."""
+    q = 1.0 - t**2
+    return q**2, -4.0 * t * q, 12.0 * t**2 - 4.0
 
 
-def _fields_polar(r, theta):
-    """Value, gradient and Hessian of the singular pair at polar points.
+def _fields_polar(r, theta, bilaplacian=False):
+    """Value, gradient and Hessian of the singular pair at polar points,
+    and with ``bilaplacian`` its bilaplacian as a fourth entry.
 
     Valid for any real ``theta`` (the formula continues analytically across
-    the slit), which the load's finite-difference stencils rely on.
+    the slit).  At the corner the Hessian and the bilaplacian are NaN.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
     x, y = r * ct, r * st
-    g, g1, g2 = _g_theta(theta)
+    g, g1, g2, g3 = _g_theta(theta)
 
     safe = np.where(r > 0.0, r, 1.0)
     ra = safe**ALPHA
@@ -181,21 +169,39 @@ def _fields_polar(r, theta):
            - st * ct * wr / safe - (ct**2 - st**2) * wt / safe**2
            - st * ct * wtt / safe**2)
 
-    c, cx, cy, cxx, cyy, cxy = _cutoff(x, y)
-    value = c * w
-    grad = np.stack([c * wx + cx * w, c * wy + cy * w], axis=-1)
-    hess = np.stack([
-        c * wxx + 2.0 * cx * wx + cxx * w,
-        c * wyy + 2.0 * cy * wy + cyy * w,
-        c * wxy + cx * wy + cy * wx + cxy * w,
-    ], axis=-1)
+    px, p1x, p2x = _cutoff_factor(x)
+    py, p1y, p2y = _cutoff_factor(y)
+    c, cx, cy = px * py, p1x * py, px * p1y
+    cxx, cyy, cxy = p2x * py, px * p2y, p1x * p1y
+    fields = [c * w,
+              np.stack([c * wx + cx * w, c * wy + cy * w], axis=-1),
+              np.stack([c * wxx + 2.0 * cx * wx + cxx * w,
+                        c * wyy + 2.0 * cy * wy + cyy * w,
+                        c * wxy + cx * wy + cy * wx + cxy * w], axis=-1)]
+    if bilaplacian:
+        # bilap(c w) = w bilap(c) + 2 lap(c) lap(w) + 4 grad(lap c).grad(w)
+        #   + 4 grad(c).grad(lap w) + 4 D2c : D2w, as bilap(w) = 0, with
+        #   lap(w) = r^(alpha-1) ((1+alpha)^2 g + g''), p''' = 24 t, p'''' = 24
+        lap_w = ra / safe * (_AP1**2 * g + g2)
+        lap_wr = _AM1 * lap_w / safe
+        lap_wt = ra / safe**2 * (_AP1**2 * g1 + g3)  # (1/r) d/dtheta
+        fields.append(
+            w * (24.0 * (px + py) + 2.0 * p2x * p2y)
+            + 2.0 * (cxx + cyy) * lap_w
+            + 4.0 * ((24.0 * x * py + p1x * p2y) * wx
+                     + (p2x * p1y + 24.0 * y * px) * wy)
+            + 4.0 * (cx * (ct * lap_wr - st * lap_wt)
+                     + cy * (st * lap_wr + ct * lap_wt))
+            + 4.0 * (cxx * wxx + cyy * wyy + 2.0 * cxy * wxy))
 
     at_corner = r == 0.0
     if np.any(at_corner):
-        value = np.where(at_corner, 0.0, value)
-        grad = np.where(at_corner[..., None], 0.0, grad)
-        hess = np.where(at_corner[..., None], np.nan, hess)
-    return value, grad, hess
+        fields[0] = np.where(at_corner, 0.0, fields[0])
+        fields[1] = np.where(at_corner[..., None], 0.0, fields[1])
+        fields[2] = np.where(at_corner[..., None], np.nan, fields[2])
+        if bilaplacian:
+            fields[3] = np.where(at_corner, np.nan, fields[3])
+    return tuple(fields)
 
 
 def _polar_of(x, y):
@@ -204,53 +210,25 @@ def _polar_of(x, y):
     return r, np.where(t >= 0.0, t, t + 2.0 * np.pi)
 
 
-def _laplacian_trace(r, theta):
-    hess = _fields_polar(r, theta)[2]
-    return hess[..., 0] + hess[..., 1]
-
-
-def _bilaplacian_polar(r, theta, l0):
-    """Fourth-order FD Laplacian (in polar form) of the Hessian trace, given
-    the trace ``l0`` at the centre points."""
-    hr = 1e-4 * r
-    lt = _laplacian_trace
-    lp1, lp2 = lt(r + hr, theta), lt(r + 2.0 * hr, theta)
-    lm1, lm2 = lt(r - hr, theta), lt(r - 2.0 * hr, theta)
-    l_rr = (-lp2 + 16.0 * lp1 - 30.0 * l0 + 16.0 * lm1 - lm2) / (12.0 * hr**2)
-    l_r = (-lp2 + 8.0 * lp1 - 8.0 * lm1 + lm2) / (12.0 * hr)
-    ht = 1e-4
-    tp1, tp2 = lt(r, theta + ht), lt(r, theta + 2.0 * ht)
-    tm1, tm2 = lt(r, theta - ht), lt(r, theta - 2.0 * ht)
-    l_tt = (-tp2 + 16.0 * tp1 - 30.0 * l0 + 16.0 * tm1 - tm2) / (12.0 * ht**2)
-    return l_rr + l_r / r + l_tt / r**2
-
-
 def exact_lshape():
     """The singular benchmark pair (u = v) on the L-shaped domain."""
 
     def value(x, y):
-        r, t = _polar_of(x, y)
-        return _fields_polar(r, t)[0]
+        return _fields_polar(*_polar_of(x, y))[0]
 
     def grad(x, y):
-        r, t = _polar_of(x, y)
-        return _fields_polar(r, t)[1]
+        return _fields_polar(*_polar_of(x, y))[1]
 
     def hess(x, y):
-        r, t = _polar_of(x, y)
-        return _fields_polar(r, t)[2]
+        return _fields_polar(*_polar_of(x, y))[2]
 
     def f(x, y):
-        r, t = _polar_of(x, y)
-        h = _fields_polar(r, t)[2]
-        return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
-            - bracket(h, h)
+        _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+        return bilap - bracket(h, h)
 
     def g(x, y):
-        r, t = _polar_of(x, y)
-        h = _fields_polar(r, t)[2]
-        return _bilaplacian_polar(r, t, h[..., 0] + h[..., 1]) \
-            + 0.5 * bracket(h, h)
+        _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+        return bilap + 0.5 * bracket(h, h)
 
     return ExactSolutionPair(value, grad, hess, value, grad, hess, f, g)
 

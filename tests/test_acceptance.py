@@ -208,8 +208,8 @@ def best_approx_qp(mesh, value, grad, hess, quad_degree=10):
     tp = np.concatenate([erule.points, [0.0, 1.0]])
     eb = EdgeBasis(basis, tp)
     nq = len(erule.points)
-    dn = np.concatenate([eb.normal_derivatives(0), -eb.normal_derivatives(1)],
-                        axis=2)
+    dn = np.concatenate([np.einsum("eqja,ea->eqj", g, mesh.edge_normal)
+                         for g in (eb.gradients[0], -eb.gradients[1])], axis=2)
     mean_dn = np.einsum("q,eqj->ej", erule.weights, dn[:, :nq, :])
     vals = np.concatenate([eb.values[0], -eb.values[1]], axis=2)
     ends = vals[:, nq:, :]

@@ -274,3 +274,30 @@ def test_solve_level_matches_the_methods_own_loop():
         np.testing.assert_array_equal(dataclasses.astuple(other.record),
                                       dataclasses.astuple(expected))
         prev = other.record
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_record_evaluates_the_exact_fields_three_times(monkeypatch, method):
+    # one record computes the "h" norm and the method's norm in one
+    # error_norm call: on the L-shape u = v, so the Hessian at the volume
+    # points, the values and the gradients at the edge points are evaluated
+    # once each (the loads are passed as values)
+    import vkfem.problems as problems
+    from vkfem.adaptivity import _record
+    from vkfem.problems import lshape_problem
+    problem = lshape_problem()
+    config = AdaptiveConfig(max_levels=1)
+    state = next(uniform_levels(problem, method, 1, config))
+    calls = {"n": 0}
+    real = problems._fields_polar
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "_fields_polar", counted)
+    record = _record(0, state.solution, state.loads, problem,
+                     state.estimates.total, config, None)
+    assert calls["n"] == 3
+    np.testing.assert_array_equal(dataclasses.astuple(record),
+                                  dataclasses.astuple(state.record))

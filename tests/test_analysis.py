@@ -29,6 +29,38 @@ def test_error_norms_vanish_for_exact_p2(square1):
         assert error_norm(psi, exact, kind)[2] <= 1e-12
 
 
+def test_error_norm_kinds_share_one_evaluation(square1):
+    # a sequence of kinds gives the triples of separate calls bit for bit,
+    # and evaluates each distinct exact callable once per point set
+    q, qg, qh = quadratic_pair()
+    calls = []
+
+    def counted(fn):
+        def wrapper(x, y):
+            calls.append(fn)
+            return fn(x, y)
+        return wrapper
+
+    u, ug, uh = counted(q), counted(qg), counted(qh)
+    exact = ExactSolutionPair(u, ug, uh, u, ug, uh, None, None)
+    rng = np.random.default_rng(9)
+    for method in ("morley", "c0ip", "dg"):
+        dm = build_dofmap(square1, method)
+        psi = DiscreteSolution(method, rng.standard_normal(dm.n_global),
+                               rng.standard_normal(dm.n_global), dm)
+        calls.clear()
+        together = error_norm(psi, exact, ("h", "nc", "ip", "dg"))
+        assert sorted(map(id, calls)) == sorted(map(id, (q, qg, qh)))
+        separate = [error_norm(psi, exact, kind)
+                    for kind in ("h", "nc", "ip", "dg")]
+        assert together == separate
+        calls.clear()
+        error_norm(psi, exact, ["nc"])
+        assert calls == [qh]
+    with pytest.raises(ValueError, match="unknown norm kind"):
+        error_norm(psi, exact, ("h", "l2"))
+
+
 def test_unified_equals_nc_on_morley(square1):
     dm = build_dofmap(square1, "morley")
     rng = np.random.default_rng(15)

@@ -133,7 +133,8 @@ def test_dg_on_morley_field_is_nc_plus_penalties(square1):
         dofs = eb.dofs[side]
         loc = np.where(dofs >= 0, cd[np.where(dofs >= 0, dofs, 0)], 0.0)
         vj = vj + sign * np.einsum("eqj,ej->eq", eb.values[side], loc)
-        dj = dj + sign * np.einsum("eqj,ej->eq", eb.normal_derivatives(side), loc)
+        dj = dj + sign * np.einsum("eqja,ea,ej->eq", eb.gradients[side],
+                                    mesh.edge_normal, loc)
     h = mesh.edge_length
     pen = sigma * float((np.einsum("q,eq->e", rule.weights, vj**2) / h**2).sum())
     pen += sigma * float(np.einsum("q,eq->e", rule.weights, dj**2).sum())

@@ -242,7 +242,8 @@ def test_morley_interpolant_edge_mean_conforming(square1):
     for side in (0, 1):
         dofs = eb.dofs[side]
         local = np.where(dofs >= 0, coef[np.where(dofs >= 0, dofs, 0)], 0.0)
-        dn = np.einsum("eqj,ej->eq", eb.normal_derivatives(side), local)
+        dn = np.einsum("eqja,ea,ej->eq", eb.gradients[side],
+                       square1.edge_normal, local)
         means.append(np.einsum("q,eq->e", rule.weights, dn))
     interior = ~square1.edge_on_boundary
     assert np.abs(means[0][interior] - means[1][interior]).max() < 1e-12

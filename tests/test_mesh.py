@@ -207,3 +207,77 @@ def test_read_mesh_truncated(tmp_path):
 def test_mesh_arrays_read_only(square0):
     with pytest.raises(ValueError):
         square0.triangles[0, 0] = 5
+
+
+def _strip(n, hanging=()):
+    """A 1 x n strip of 2n triangles with 2n + 2 boundary edges.  For each
+    column k in ``hanging`` the bottom edge is split at a new midpoint
+    vertex above, while a new triangle below keeps it whole."""
+    xs = np.arange(n + 1, dtype=float)
+    vertices = [np.stack([xs, 0.0 * xs], axis=1),
+                np.stack([xs, 1.0 + 0.0 * xs], axis=1)]
+    b = np.arange(n)
+    t = b + n + 1
+    tris = [np.stack([b, b + 1, t + 1], axis=1)[np.isin(b, hanging, invert=True)],
+            np.stack([b, t + 1, t], axis=1)]
+    for i, k in enumerate(hanging):
+        m, s = 2 * n + 2 + 2 * i, 2 * n + 3 + 2 * i
+        vertices.append([(k + 0.5, 0.0), (k + 0.5, -1.0)])
+        tris.append([(k, m, k + n + 2), (m, k + 1, k + n + 2), (k, s, k + 1)])
+    return np.concatenate(vertices), np.concatenate(tris)
+
+
+def _dense_audit(mesh):
+    """The first (boundary edge, vertex) hit of the boundary-edges x
+    boundary-vertices scan, as the audit's message names it."""
+    bidx = np.where(mesh.edge_on_boundary)[0]
+    cand = np.where(mesh.vertex_on_boundary)[0]
+    a = mesh.vertices[mesh.edges[bidx, 0]]
+    d = mesh.vertices[mesh.edges[bidx, 1]] - a
+    length = mesh.edge_length[bidx]
+    rel = mesh.vertices[cand][None, :, :] - a[:, None, :]
+    tpar = (rel * d[:, None, :]).sum(-1) / (length**2)[:, None]
+    perp = rel[..., 0] * d[:, None, 1] - rel[..., 1] * d[:, None, 0]
+    dist = np.abs(perp) / length[:, None]
+    inside = (tpar > 1e-10) & (tpar < 1.0 - 1e-10) \
+        & (dist < 1e-10 * length[:, None])
+    e, c = np.argwhere(inside)[0]
+    return f"hanging vertex {cand[c]} on edge {tuple(mesh.edges[bidx[e]])}"
+
+
+def test_hanging_vertex_audit_memory_stays_boundary_linear():
+    # the audit used to build boundary-edges x boundary-vertices arrays
+    # (108 MB for this strip); it now keeps a few candidate pairs per edge
+    import tracemalloc
+    mesh = build_topology(*_strip(750))
+    assert int(mesh.edge_on_boundary.sum()) == 1502
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        mesh._audit_hanging_vertices()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("k", [0, 377, 749])
+def test_rejects_hanging_vertex_on_a_long_boundary(k):
+    import re
+    edge = tuple(np.array([k, k + 1]))  # formatted as the mesh formats it
+    message = f"hanging vertex {2 * 750 + 2} on edge {edge}"
+    with pytest.raises(MeshError, match=re.escape(message)):
+        build_topology(*_strip(750, hanging=[k]))
+
+
+@pytest.mark.parametrize("hanging", [(12, 5, 30), (39, 0), (7, 8, 9)])
+def test_hanging_vertex_audit_names_the_dense_scans_first_hit(monkeypatch,
+                                                              hanging):
+    import re
+    from vkfem.mesh import Triangulation
+    monkeypatch.setattr(Triangulation, "_audit_hanging_vertices",
+                        lambda self: None)
+    mesh = build_topology(*_strip(40, hanging=hanging))
+    monkeypatch.undo()
+    with pytest.raises(MeshError, match=re.escape(_dense_audit(mesh))):
+        mesh._audit_hanging_vertices()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from vkfem import SingularSolutionParams, exact_lshape, exact_square
+import warnings
+
+from vkfem import exact_lshape, exact_square
 from vkfem.problems import ALPHA, OMEGA, _polar_of
 
 
@@ -63,7 +65,8 @@ def test_square_loads_match_fd_bilaplacian():
 
 
 def test_singular_params_characteristic_equation():
-    assert SingularSolutionParams().characteristic_residual() <= 1e-8
+    residual = np.sin(ALPHA * OMEGA)**2 - ALPHA**2 * np.sin(OMEGA)**2
+    assert abs(residual) <= 1e-8
 
 
 def test_lshape_angle_branch():
@@ -145,16 +148,15 @@ def test_lshape_corner_values():
     assert np.isnan(ex.u_hess(np.array([0.0]), np.array([0.0]))).all()
 
 
-def test_lshape_load_evaluates_the_hessian_nine_times(monkeypatch):
-    # the centre point of the finite-difference stencil is shared with the
-    # bracket term: one call of f evaluates the fields at nine point sets
+def test_lshape_load_evaluates_the_fields_once(monkeypatch):
+    # the closed form needs one evaluation of the fields per load call
     import vkfem.problems as problems
     calls = {"n": 0}
     real = problems._fields_polar
 
-    def counted(r, theta):
+    def counted(*args, **kwargs):
         calls["n"] += 1
-        return real(r, theta)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(problems, "_fields_polar", counted)
     ex = exact_lshape()
@@ -162,4 +164,59 @@ def test_lshape_load_evaluates_the_hessian_nine_times(monkeypatch):
     for load in (ex.f, ex.g):
         calls["n"] = 0
         load(x, y)
-        assert calls["n"] == 9
+        assert calls["n"] == 1
+
+
+def test_lshape_load_matches_polar_fd_bilaplacian():
+    # fourth-order central differences of the Hessian trace in polar
+    # coordinates, at radii where their rounding error stays small
+    ex = exact_lshape()
+    rng = np.random.default_rng(6)
+    r = rng.uniform(0.1, 0.9, 40)
+    t = rng.uniform(0.05, OMEGA - 0.05, 40)
+
+    def lap(rr, tt):
+        h = ex.u_hess(rr * np.cos(tt), rr * np.sin(tt))
+        return h[..., 0] + h[..., 1]
+
+    def second(fn, step):
+        return (-fn(2 * step) + 16 * fn(step) - 30 * fn(0.0)
+                + 16 * fn(-step) - fn(-2 * step)) / (12 * step**2)
+
+    def first(fn, step):
+        return (-fn(2 * step) + 8 * fn(step) - 8 * fn(-step)
+                + fn(-2 * step)) / (12 * step)
+
+    hr, ht = 1e-3 * r, 1e-3
+    radial = lambda s: lap(r + s, t)
+    bilap = (second(radial, hr) + first(radial, hr) / r
+             + second(lambda s: lap(r, t + s), ht) / r**2)
+    x, y = r * np.cos(t), r * np.sin(t)
+    h = ex.u_hess(x, y)
+    br = 2 * (h[..., 0] * h[..., 1] - h[..., 2]**2)
+    np.testing.assert_allclose(ex.f(x, y), bilap - br, rtol=1e-6)
+    np.testing.assert_allclose(ex.g(x, y), bilap + 0.5 * br, rtol=1e-6)
+
+
+def test_lshape_g_third_derivative():
+    from vkfem.problems import _g_theta
+    theta = np.linspace(0.0, OMEGA, 31)
+    step = 1e-5
+    fd = (_g_theta(theta + step)[2] - _g_theta(theta - step)[2]) / (2 * step)
+    g3 = _g_theta(theta)[3]
+    assert np.abs(fd - g3).max() <= 1e-7 * np.abs(g3).max()
+
+
+def test_lshape_loads_are_nan_at_the_corner():
+    ex = exact_lshape()
+    x = np.array([0.0, -0.5])
+    y = np.array([0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, g = ex.f(x, y), ex.g(x, y)
+    assert np.isnan(f[0]) and np.isnan(g[0])
+    assert np.isfinite(f[1]) and np.isfinite(g[1])
+    from vkfem.problems import _fields_polar
+    bilap = _fields_polar(np.array([0.0, 0.3]), np.array([0.0, 1.0]),
+                          bilaplacian=True)[3]
+    assert np.isnan(bilap[0]) and np.isfinite(bilap[1])
