@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femspace import EDGE_RULE, edge_jumps, element_hessians, load_values
+from .femspace import (EDGE_RULE, edge_jumps, element_hessians, load_values,
+                       rule_points)
 from .quadrature import triangle_rule
 
 __all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
@@ -199,9 +200,9 @@ def best_approx_term(exact, mesh, quad_degree=8):
     """
     rule = triangle_rule(quad_degree)
     total = 0.0
-    for hess_fn in (exact.u_hess, exact.v_hess):
-        # at the rule points, the same ones the loads are evaluated at
-        h = load_values(hess_fn, mesh, quad_degree)
+    # at the rule points, the same ones the loads are evaluated at
+    for h in _evaluate(rule_points(mesh, quad_degree), exact.u_hess,
+                       exact.v_hess):
         mean = np.einsum("q,tqc->tc", rule.weights, h)
         full = np.einsum("t,q,tqc,c->t", mesh.area, rule.weights, h**2, _FROB)
         const = mesh.area * np.einsum("tc,c->t", mean**2, _FROB)

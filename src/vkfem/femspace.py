@@ -7,7 +7,8 @@ Three P2 families share one machinery:
   edge means are constrained to zero,
 * ``c0ip`` -- continuous Lagrange P2 with all boundary nodes constrained
   (values in H^1_0),
-* ``dg`` -- fully discontinuous Lagrange P2, six dofs per triangle.
+* ``dg`` -- fully discontinuous Lagrange P2, six consecutive dofs per
+  triangle, triangles in nested-dissection order.
 
 Constrained local dofs map to the sentinel ``-1`` and are skipped during
 assembly.  Local dof order is always three vertex functions followed by the
@@ -30,7 +31,7 @@ __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "p2_values", "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES",
            "EDGE_RULE", "EDGE_POINTS", "gather_coefficients",
            "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
-           "load_values"]
+           "load_values", "rule_points"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -102,7 +103,8 @@ class DofMap:
     triangle ``t``, or ``-1`` when that dof is constrained to zero by the
     boundary conditions.  Numbering is deterministic: interior vertices in
     vertex order, then interior edges in edge order (``dg``: six consecutive
-    dofs per triangle).
+    dofs per triangle, triangles in nested-dissection order, so the numbering
+    itself is a fill-reducing order of the ``dg`` matrices).
 
     It is the context of its mesh and method: assembly, estimates and norms
     read its read-only ``basis`` and ``edge_basis``, each built on first use.
@@ -120,6 +122,13 @@ class DofMap:
 
     def __post_init__(self):
         self.element_dofs.setflags(write=False)
+
+    @property
+    def column_order(self):
+        """SuperLU column order (``permc_spec``) of this method's systems:
+        ``NATURAL`` for ``dg``, whose numbering already reduces fill, minimum
+        degree on ``A^T + A`` for the others."""
+        return "NATURAL" if self.method == "dg" else "MMD_AT_PLUS_A"
 
     @property
     def basis(self):
@@ -142,7 +151,9 @@ def build_dofmap(mesh, method):
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     nt = mesh.n_triangles
     if method == "dg":
-        element_dofs = np.arange(6 * nt, dtype=np.int64).reshape(nt, 6)
+        rank = np.empty(nt, dtype=np.int64)
+        rank[_nested_dissection(mesh)] = np.arange(nt)
+        element_dofs = 6 * rank[:, None] + np.arange(6)
         return DofMap(mesh, method, 6 * nt, element_dofs)
     vertex_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
     interior_v = ~mesh.vertex_on_boundary
@@ -155,6 +166,43 @@ def build_dofmap(mesh, method):
     element_dofs[:, 3:] = edge_dof[mesh.tri_edges]
     n_global = int(interior_v.sum() + interior_e.sum())
     return DofMap(mesh, method, n_global, element_dofs, vertex_dof, edge_dof)
+
+
+def _nested_dissection(mesh):
+    """The triangles in nested-dissection order of their edge adjacency.
+
+    Recursive coordinate bisection of the centroids: a part splits at the
+    median of its longer extent (stable sort).  The triangles of one half
+    that share an edge with the other half, taken from the half with fewer
+    of them, form its separator, numbered after both halves.  Parts of at
+    most 8 triangles keep mesh order.
+    """
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    label = np.zeros(mesh.n_triangles, dtype=np.int8)  # 0 lower, 1 upper, 2 sep
+    order = []
+
+    def dissect(tris, pairs):
+        if len(tris) <= 8:
+            order.append(np.sort(tris))
+            return
+        pts = centroids[tris]
+        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
+        tris = tris[np.argsort(pts[:, axis], kind="stable")]
+        lower, upper = np.array_split(tris, [len(tris) // 2])
+        label[lower], label[upper] = 0, 1
+        side = label[pairs]
+        cross = side[:, 0] != side[:, 1]
+        sep = min((np.unique(pairs[cross][side[cross] == h]) for h in (0, 1)),
+                  key=len)
+        label[sep] = 2
+        side = label[pairs]
+        dissect(lower[label[lower] == 0], pairs[(side == 0).all(axis=1)])
+        dissect(upper[label[upper] == 1], pairs[(side == 1).all(axis=1)])
+        order.append(sep)
+
+    dissect(np.arange(mesh.n_triangles),
+            mesh.edge_tris[mesh.edge_tris[:, 1] >= 0])
+    return np.concatenate(order)
 
 
 def _affine_maps(mesh):
@@ -170,6 +218,13 @@ def _map_points(p0, jac, ref_points):
     return p0[:, None, :] + np.einsum("tab,mb->tma", jac, ref)
 
 
+def rule_points(mesh, quad_degree=8):
+    """Physical points of the degree-``quad_degree`` triangle rule on every
+    triangle of ``mesh``, shape ``(n_triangles, n_rule_points, 2)``."""
+    rule = triangle_rule(quad_degree)
+    return _map_points(*_affine_maps(mesh), rule.points[:, 1:])
+
+
 def load_values(load, mesh, quad_degree=8):
     """A load at the points of the degree-``quad_degree`` triangle rule.
 
@@ -180,12 +235,11 @@ def load_values(load, mesh, quad_degree=8):
     mesh and the degree, so values computed once serve every consumer on
     the same mesh (assembly, estimator, oscillation) bit for bit.
     """
-    rule = triangle_rule(quad_degree)
     if callable(load):
-        pts = _map_points(*_affine_maps(mesh), rule.points[:, 1:])
+        pts = rule_points(mesh, quad_degree)
         return np.asarray(load(pts[..., 0], pts[..., 1]), dtype=float)
     values = np.asarray(load, dtype=float)
-    expected = (mesh.n_triangles, len(rule.points))
+    expected = (mesh.n_triangles, len(triangle_rule(quad_degree).points))
     if values.shape != expected:
         raise ValueError(
             f"load values have shape {values.shape}, expected {expected} "
@@ -423,11 +477,15 @@ def to_dg_coefficients(dofmap, coefficients):
 
     Evaluates the field at the six Lagrange nodes of every element, which is
     exact for P2 fields of any of the three methods; useful for comparing
-    solutions across methods in one norm.
+    solutions across methods in one norm.  The result is numbered as
+    ``build_dofmap(dofmap.mesh, "dg")`` numbers its dofs.
     """
     local = gather_coefficients(dofmap.element_dofs, coefficients)
     node_vals = dofmap.basis.values(REF_NODES)
-    return np.einsum("tqj,tj->tq", node_vals, local).ravel()
+    dg = build_dofmap(dofmap.mesh, "dg")
+    coef = np.empty(dg.n_global)
+    coef[dg.element_dofs] = np.einsum("tqj,tj->tq", node_vals, local)
+    return coef
 
 
 def nodal_interpolate(value, dofmap):
@@ -438,7 +496,8 @@ def nodal_interpolate(value, dofmap):
     coef = np.zeros(dofmap.n_global)
     if dofmap.method == "dg":
         nodes = dofmap.basis.physical_points(REF_NODES)
-        return value(nodes[..., 0], nodes[..., 1]).ravel()
+        coef[dofmap.element_dofs] = value(nodes[..., 0], nodes[..., 1])
+        return coef
     free_v = np.where(dofmap.vertex_dof >= 0)[0]
     coef[dofmap.vertex_dof[free_v]] = value(mesh.vertices[free_v, 0],
                                             mesh.vertices[free_v, 1])

@@ -128,8 +128,8 @@ class Triangulation:
         if counts.max() > 2:
             bad = int(np.argmax(counts > 2))
             raise MeshError(
-                f"non-conforming mesh: edge {tuple(edges[bad])} shared by "
-                f"{counts[bad]} triangles"
+                f"non-conforming mesh: edge {tuple(edges[bad].tolist())} "
+                f"shared by {counts[bad]} triangles"
             )
         # Adjacency with the lower triangle index first (stable sort keeps
         # the original triangle order within each edge group).
@@ -253,7 +253,8 @@ class Triangulation:
         if inside.any():
             e, c = min(zip(e[inside], c[inside]))
             raise MeshError(
-                f"hanging vertex {cand[c]} on edge {tuple(self.edges[bidx[e]])}"
+                f"hanging vertex {cand[c]} on edge "
+                f"{tuple(self.edges[bidx[e]].tolist())}"
             )
 
 

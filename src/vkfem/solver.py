@@ -6,11 +6,14 @@ sign between the two equations).  Newton steps never factor ``J``: each step
 factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
 by restarted GMRES, preconditioned by the block upper triangle
 ``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
-per solve; it is also the block of the zero iterate.  A step whose
-GMRES result fails the acceptance test of :func:`linear_solve`, or whose
-block does not factorise, is solved by sparse LU on ``J`` instead.  The
-symmetric positive definite biharmonic operator used for coercivity checks
-gets a dedicated factorisation helper.
+per solve; it is also the block of the zero iterate.  Both blocks are
+factored in the column order of the dof map: ``dg`` numbers its triangles in
+nested-dissection order and factors in that order as it stands, Morley and
+C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
+fails the acceptance test of :func:`linear_solve`, or whose block does not
+factorise, is solved by sparse LU on ``J`` instead.  The symmetric positive
+definite biharmonic operator used for coercivity checks gets a dedicated
+factorisation helper.
 """
 
 from __future__ import annotations
@@ -107,13 +110,16 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
     return x
 
 
-def _symmetric_lu(matrix):
+def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
     """Sparse LU for a matrix with a symmetric pattern whose diagonal needs
-    no pivoting (``K`` and ``K + M_v``): minimum-degree ordering of
-    ``A^T + A`` and diagonal pivots.  Raises ``RuntimeError`` when a pivot is
-    exactly zero."""
+    no pivoting (``K`` and ``K + M_v``): diagonal pivots and the column order
+    ``column_order`` (SuperLU's ``permc_spec``), by default minimum degree on
+    ``A^T + A``; Newton solves pass their dof map's
+    :attr:`~vkfem.femspace.DofMap.column_order`, which is ``NATURAL`` for the
+    nested-dissection numbering of ``dg``.  Raises ``RuntimeError`` when a
+    pivot is exactly zero."""
     return spla.splu(sp.csc_matrix(matrix), diag_pivot_thresh=0.0,
-                     permc_spec="MMD_AT_PLUS_A",
+                     permc_spec=column_order,
                      options={"SymmetricMode": True})
 
 
@@ -238,8 +244,9 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
     history = [float(np.linalg.norm(res))]
     converged = False
     iterations = 0
+    order = dofmap.column_order
     try:
-        k_lu = _symmetric_lu(system.stiffness)
+        k_lu = _symmetric_lu(system.stiffness, order)
     except RuntimeError:  # then no step is preconditioned
         k_lu = None
     for it in range(maxit):
@@ -249,7 +256,7 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
             top = jac[:n]
             try:
                 # at the zero iterate the block is K itself
-                a_lu = k_lu if it == 0 else _symmetric_lu(top[:, :n])
+                a_lu = k_lu if it == 0 else _symmetric_lu(top[:, :n], order)
             except RuntimeError:
                 pass
             else:

@@ -39,3 +39,22 @@ def skewed_triangle():
     """One-element mesh with an irregular but well-shaped triangle."""
     from vkfem import build_topology
     return build_topology([(0.1, -0.05), (1.3, 0.2), (0.4, 0.9)], [(0, 1, 2)])
+
+
+@pytest.fixture(scope="session")
+def lshape_graded(lshape1):
+    """L-shape mesh graded towards the re-entrant corner by newest-vertex
+    bisection: triangles of diameter above ``r**(2/3) / 4`` (``r``: distance
+    of the centroid from the corner) are refined until none is left, which
+    gives 750 triangles of diameter 1/4 down to 1/256."""
+    import numpy as np
+
+    from vkfem import nvb_refine
+    mesh = lshape1
+    while True:
+        r = np.hypot(*mesh.vertices[mesh.triangles].mean(axis=1).T)
+        marked = np.where(mesh.tri_diameter
+                          > 0.25 * np.maximum(r, 1e-3)**(2.0 / 3.0))[0]
+        if len(marked) == 0:
+            return mesh
+        mesh = nvb_refine(mesh, marked)

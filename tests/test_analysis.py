@@ -178,6 +178,35 @@ def test_best_approx_decreases_under_refinement(square0):
     assert all(values[k + 1] < values[k] for k in range(3))
 
 
+def test_best_approx_evaluates_a_shared_hessian_once(lshape1, square2,
+                                                     monkeypatch):
+    from vkfem import problems
+    from vkfem.femspace import load_values
+    from vkfem.problems import exact_lshape
+    calls = []
+    fields_polar = problems._fields_polar
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fields_polar(*args, **kwargs)
+    monkeypatch.setattr(problems, "_fields_polar", counting)
+    best_approx_term(exact_lshape(), lshape1)
+    assert len(calls) == 1  # u_hess is v_hess on the L-shape
+
+    # the square's distinct Hessians give what one evaluation each gave
+    exact, rule = exact_square(), triangle_rule(8)
+    total = 0.0
+    for hess_fn in (exact.u_hess, exact.v_hess):
+        h = load_values(hess_fn, square2)
+        mean = np.einsum("q,tqc->tc", rule.weights, h)
+        full = np.einsum("t,q,tqc,c->t", square2.area, rule.weights, h**2,
+                         np.array([1.0, 1.0, 2.0]))
+        const = square2.area * np.einsum("tc,c->t", mean**2,
+                                         np.array([1.0, 1.0, 2.0]))
+        total += float(np.maximum(full - const, 0.0).sum())
+    assert best_approx_term(exact, square2) == float(np.sqrt(total))
+
+
 def test_best_approx_equals_morley_distance(square2):
     # the interpolant attains the best broken-Hessian approximation
     exact = exact_square()

@@ -6,8 +6,8 @@ from vkfem import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
                    assemble_bracket_element, assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
                    bracket_elements, build_dofmap, build_topology, edge_rule,
-                   integrate_edge, is_spd, nodal_interpolate, triangle_rule,
-                   uniform_refine)
+                   integrate_edge, is_spd, nodal_interpolate,
+                   to_dg_coefficients, triangle_rule, uniform_refine)
 from vkfem.femspace import EdgeBasis, ElementBasis
 from vkfem.analysis import discrete_norm
 
@@ -111,15 +111,8 @@ def test_dg_on_morley_field_is_nc_plus_penalties(square1):
     coef_m = rng.standard_normal(dm_m.n_global)
 
     # embed into the discontinuous space by evaluating at the Lagrange nodes
-    from vkfem.femspace import REF_NODES
-    basis_m = ElementBasis(dm_m)
-    node_vals = basis_m.values(REF_NODES)  # (nt, 6, 6)
-    local = np.where(dm_m.element_dofs >= 0,
-                     coef_m[np.where(dm_m.element_dofs >= 0,
-                                     dm_m.element_dofs, 0)], 0.0)
-    coef_dg = np.einsum("tqj,tj->tq", node_vals, local).ravel()
-
     dm_dg = build_dofmap(mesh, "dg")
+    coef_dg = to_dg_coefficients(dm_m, coef_m)
     a_dg = assemble_biharmonic(mesh, dm_dg)
     quad_form = float(coef_dg @ (a_dg @ coef_dg))
 

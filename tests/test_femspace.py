@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vkfem import (build_dofmap, edge_rule, eval_basis,
+from vkfem import (build_dofmap, build_topology, edge_rule, eval_basis,
                    morley_interpolate, nodal_interpolate, uniform_refine)
 from vkfem.femspace import (EDGE_POINTS, METHODS, REF_NODES, EdgeBasis,
                             ElementBasis, element_hessians, p2_values)
@@ -13,6 +13,22 @@ from vkfem.quadrature import triangle_rule
                                              ("dg", 12)])
 def test_dof_counts_two_triangles(two_tri, method, expected):
     assert build_dofmap(two_tri, method).n_global == expected
+
+
+@pytest.mark.parametrize("mesh_name", ["two_tri", "skewed_triangle",
+                                       "square2", "lshape_graded"])
+def test_dg_numbering_is_a_deterministic_permutation_of_blocks(request,
+                                                               mesh_name):
+    # six consecutive dofs per triangle, triangles in nested-dissection
+    # order; rebuilding the mesh from its arrays gives the same numbering
+    mesh = request.getfixturevalue(mesh_name)
+    dofs = build_dofmap(mesh, "dg").element_dofs
+    nt = mesh.n_triangles
+    assert np.array_equal(np.sort(dofs.ravel()), np.arange(6 * nt))
+    assert np.all(dofs[:, 0] % 6 == 0)
+    assert np.array_equal(dofs, dofs[:, :1] + np.arange(6))
+    again = build_topology(mesh.vertices.copy(), mesh.triangles.copy())
+    assert np.array_equal(build_dofmap(again, "dg").element_dofs, dofs)
 
 
 @pytest.mark.parametrize("method,expected", [("morley", 9), ("c0ip", 9),
@@ -256,8 +272,7 @@ def test_nodal_interpolate_reproduces_quadratic(square1):
     basis = ElementBasis(dm)
     rng = np.random.default_rng(5)
     pts = rng.random((4, 2)) * 0.4
-    vals = np.einsum("tqj,tj->tq", basis.values(pts),
-                     coef.reshape(square1.n_triangles, 6))
+    vals = np.einsum("tqj,tj->tq", basis.values(pts), coef[dm.element_dofs])
     phys = basis.physical_points(pts)
     assert np.abs(vals - q(phys[..., 0], phys[..., 1])).max() < 1e-12
 

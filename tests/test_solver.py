@@ -282,11 +282,11 @@ def test_newton_falls_back_to_lu_when_the_block_does_not_factorise(
     real_lu = solver._symmetric_lu
     calls = []
 
-    def failing_lu(matrix):
+    def failing_lu(matrix, column_order):
         calls.append(len(calls))
         if calls[-1] == failing_step:
             raise RuntimeError("Factor is exactly singular")
-        return real_lu(matrix)
+        return real_lu(matrix, column_order)
     monkeypatch.setattr(solver, "_symmetric_lu", failing_lu)
     psi, report = newton_solve(square2, dm, loads=loads)
     assert len(calls) == (1 if failing_step == 0 else report.iterations)
@@ -305,3 +305,42 @@ def test_block_triangular_inverse_inverts_the_upper_block_triangle():
         solver._symmetric_lu(a), solver._symmetric_lu(k), c.tocsr())
     x = rng.standard_normal(2 * n)
     assert np.abs(inverse @ (p @ x) - x).max() < 1e-12 * np.abs(x).max()
+
+
+@pytest.fixture(scope="module")
+def square4(square3):
+    return uniform_refine(square3)
+
+
+@pytest.mark.parametrize("mesh_name", ["square4", "lshape_graded"])
+def test_dg_numbering_factors_with_minimum_degree_fill(request, mesh_name):
+    # the nested-dissection numbering factored as it stands fills about as
+    # much as minimum degree (mesh order on square4: 2.25x), and its
+    # diagonal pivots certify K positive definite, as criterion 8 does
+    mesh = request.getfixturevalue(mesh_name)
+    dm = build_dofmap(mesh, "dg")
+    assert dm.column_order == "NATURAL"
+    k = assemble_biharmonic(mesh, dm)
+    natural = solver._symmetric_lu(k, "NATURAL")
+    mmd = solver._symmetric_lu(k, "MMD_AT_PLUS_A")
+    fill = natural.L.nnz + natural.U.nnz
+    assert fill <= 1.25 * (mmd.L.nnz + mmd.U.nnz)
+    assert np.array_equal(natural.perm_r, np.arange(dm.n_global))
+    assert np.array_equal(natural.perm_c, np.arange(dm.n_global))
+    assert np.all(natural.U.diagonal() > 0.0)
+
+
+@pytest.mark.parametrize("mesh_name, exact", [("square3", exact_square),
+                                              ("lshape2", exact_lshape)])
+def test_dg_newton_matches_minimum_degree_factors(request, monkeypatch,
+                                                  mesh_name, exact):
+    mesh = request.getfixturevalue(mesh_name)
+    dm = build_dofmap(mesh, "dg")
+    loads = loads_of(exact())
+    psi, report = newton_solve(mesh, dm, loads=loads)
+    monkeypatch.setattr(DofMap, "column_order",
+                        property(lambda self: "MMD_AT_PLUS_A"))
+    ref, report_ref = newton_solve(mesh, dm, loads=loads)
+    assert report.converged and report_ref.converged
+    assert report.iterations == report_ref.iterations
+    assert_same_solution(psi, ref)
