@@ -84,7 +84,7 @@ def _jump_terms(dofmap, coef, kinds, exact=None):
     nq = len(w)
     vj, gj = edge_jumps(dofmap.edge_basis, coef)
     # the table's points past the rule's are the endpoints: vertex jumps only
-    dj = np.einsum("eqa,ea->eq", gj[:, :nq], mesh.edge_normal)
+    dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
     if exact is not None:
         bdry = mesh.edge_on_boundary[:, None]
         exact_dn = np.einsum("eqa,ea->eq", exact[1], mesh.edge_normal)

@@ -66,17 +66,58 @@ def _check_method(dofmap, method):
     return method
 
 
-def _scatter(n_rows, n_cols, rows, cols, values):
-    rows, cols, values = rows.ravel(), cols.ravel(), values.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    return sp.coo_matrix((values[keep], (rows[keep], cols[keep])),
-                         shape=(n_rows, n_cols))
+def _keys(n, rows, cols):
+    """Column-major keys ``col * n + row`` of the entries of local blocks
+    with row dofs ``rows`` and column dofs ``cols``, ``-1`` where either is
+    constrained."""
+    return np.where((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0),
+                    cols[:, None, :] * n + rows[:, :, None], -1)
 
 
-def _scatter_local(n, dofs_row, dofs_col, local):
-    rows = np.repeat(dofs_row[:, :, None], dofs_col.shape[1], axis=2)
-    cols = np.repeat(dofs_col[:, None, :], dofs_row.shape[1], axis=1)
-    return _scatter(n, n, rows, cols, local)
+def _structure(n, blocks):
+    """CSC structure of a sum of local blocks on ``n`` dofs.
+
+    ``blocks`` holds pairs ``(rows, cols)`` of arrays of shapes ``(m, k)``
+    and ``(m, l)``: the global row and column dofs (``-1``: constrained) of
+    ``m`` local ``k x l`` blocks.  Returns ``indptr`` and ``indices``
+    (int32) and, per pair, the data slot of every local entry ``(t, i, j)``,
+    shape ``(m, k, l)``, with ``nnz`` for constrained entries, so that
+    :func:`_sum_into` sums local blocks into the structure.  Every entry of
+    a local block has a slot, also where the sum cancels to exactly zero.
+    """
+    keys = [_keys(n, rows, cols).ravel() for rows, cols in blocks]
+    ends = np.cumsum([len(k) for k in keys])
+    keys = np.concatenate(keys)
+    kept = keys >= 0
+    unique, inverse = np.unique(keys[kept], return_inverse=True)
+    slots = np.full(len(keys), len(unique), dtype=np.int64)
+    slots[kept] = inverse
+    cols = unique // n
+    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+    indices = (unique - cols * n).astype(np.int32)
+    # copies, so that keeping one part does not keep the others
+    return indptr, indices, [
+        part.reshape(rows.shape + cols.shape[1:]).copy()
+        for part, (rows, cols) in zip(np.split(slots, ends[:-1]), blocks)]
+
+
+def _sum_into(slots, local, nnz):
+    """Data of a structure with ``nnz`` entries: the local entries summed
+    into their slots (constrained entries, at slot ``nnz``, dropped)."""
+    return np.bincount(slots.ravel(), weights=local.ravel(),
+                       minlength=nnz + 1)[:nnz]
+
+
+def _sub_structure(indptr, indices, slots):
+    """The part of a CSC structure that ``slots`` reach: its ``indptr``,
+    ``indices`` and the slots in it (the structure's ``nnz`` goes to the
+    part's)."""
+    nnz = len(indices)
+    reached = np.zeros(nnz + 1, dtype=bool)
+    reached[slots] = True
+    before = np.concatenate([[0], np.cumsum(reached[:nnz])])
+    return (before[indptr].astype(np.int32), indices[reached[:nnz]],
+            before[slots])
 
 
 def _hessian_normal_scalar(hess, normal):
@@ -98,37 +139,74 @@ def _hessian_normal_vector(hess, normal):
 def assemble_biharmonic(mesh, dofmap, method=None, penalty=None):
     """Assemble the scalar fourth-order operator of one method.
 
-    Returns the sparse symmetric matrix of the broken Hessian product plus,
-    for ``c0ip``/``dg``, the symmetrised consistency terms and the jump
+    Returns the sparse symmetric matrix (CSC) of the broken Hessian product
+    plus, for ``c0ip``/``dg``, the symmetrised consistency terms and the jump
     penalties (normal-derivative jumps at ``sigma/h``; additionally value
-    jumps at ``sigma/h^3`` for ``dg``).  The block operator on the pair
-    (u, v) is this matrix twice on the diagonal.
+    jumps at ``sigma/h^3`` for ``dg``).  Its structure holds every pair of
+    dofs that share a triangle or an edge, also where the entries cancel to
+    exactly zero, so element matrices can be summed into its data slots.
+    The block operator on the pair (u, v) is this matrix twice on the
+    diagonal.
     """
-    method = _check_method(dofmap, method)
+    _check_method(dofmap, method)
     penalty = penalty or PenaltyConfig()
     basis = dofmap.basis
     n = dofmap.n_global
-
+    dofs = dofmap.element_dofs
     frob = np.array([1.0, 1.0, 2.0])
     local = np.einsum("t,tic,tjc,c->tij", basis.area, basis.hessians,
                       basis.hessians, frob)
-    mat = _scatter_local(n, dofmap.element_dofs, dofmap.element_dofs, local)
+    if dofmap.method == "morley":
+        indptr, indices, (slots,) = _structure(n, [(dofs, dofs)])
+        data = _sum_into(slots, local, len(indices))
+        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    if method in ("c0ip", "dg"):
-        sigma = penalty.sigma_ip if method == "c0ip" else penalty.sigma_dg
-        mat += _edge_terms(dofmap, method, sigma)
+    sigma = (penalty.sigma_ip if dofmap.method == "c0ip"
+             else penalty.sigma_dg)
+    edge_local = _edge_terms(dofmap, sigma)
+    side0, side1 = dofmap.edge_basis.dofs
+    indptr, indices, (slots, cross01, cross10) = _structure(
+        n, [(dofs, dofs), (side0, side1), (side1, side0)])
+    nnz = len(indices)
+    # the blocks of one side of an edge matrix are entries of that side's
+    # element, in its local order
+    t0, t1 = dofmap.mesh.edge_tris.T
+    edge_slots = np.empty(edge_local.shape, dtype=np.int64)
+    edge_slots[:, :6, :6] = slots[t0]
+    edge_slots[:, 6:, 6:] = np.where((t1 >= 0)[:, None, None], slots[t1], nnz)
+    edge_slots[:, :6, 6:] = cross01
+    edge_slots[:, 6:, :6] = cross10
+    data = _sum_into(slots, local, nnz) + _sum_into(edge_slots, edge_local,
+                                                    nnz)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
-    return mat.tocsr()
+
+def _element_slots(matrix, dofmap):
+    """Data slot of every element-local entry ``(t, i, j)`` in the CSC
+    structure of ``matrix``, shape ``(nt, 6, 6)``, with ``nnz`` where the
+    entry is constrained, for :func:`_sum_into`.
+
+    The structure must hold every pair of dofs that share a triangle, as
+    :func:`assemble_biharmonic` keeps it: where a pair is missing, the
+    search returns the slot of another entry.
+    """
+    n = matrix.shape[0]
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    query = _keys(n, dofmap.element_dofs, dofmap.element_dofs)
+    return np.where(query >= 0,
+                    np.searchsorted(cols * n + matrix.indices, query),
+                    matrix.nnz)
 
 
-def _edge_terms(dofmap, method, sigma):
+def _edge_terms(dofmap, sigma):
+    """Local matrices of the edge terms of ``c0ip``/``dg``, shape ``(ne, 12,
+    12)``: side-0 shapes, then side-1 shapes (``dofmap.edge_basis.dofs``)."""
     mesh, eb = dofmap.mesh, dofmap.edge_basis
     w = EDGE_RULE.weights
     nq = len(w)
     normal = mesh.edge_normal
     h = mesh.edge_length
     avg_factor = np.where(mesh.edge_on_boundary, 1.0, 0.5)
-    dofs12 = np.concatenate(eb.dofs, axis=1)
 
     def jump(sides):
         # at the rule points: side-0 shapes enter with +, side-1 shapes with -
@@ -138,7 +216,7 @@ def _edge_terms(dofmap, method, sigma):
                for grads in eb.gradients])
     jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
 
-    if method == "c0ip":
+    if dofmap.method == "c0ip":
         hnn = np.concatenate([_hessian_normal_scalar(eb.hessians[0], normal),
                               _hessian_normal_scalar(eb.hessians[1], normal)],
                              axis=1) * avg_factor[:, None]
@@ -160,7 +238,7 @@ def _edge_terms(dofmap, method, sigma):
         pen += sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
         local = cons + pen
 
-    return _scatter_local(dofmap.n_global, dofs12, dofs12, local)
+    return local
 
 
 def assemble_load(f, g, mesh, dofmap, quad_degree=8):
@@ -224,36 +302,37 @@ def assemble_trilinear_vector(xi, theta):
     return out
 
 
+def _coupling_matrices(psi):
+    """Element matrices of the cubic coupling's derivative at ``psi``.
+
+    Returns ``(m_u, m_v)``, each of shape ``(nt, 6, 6)``, with ``m_w[t, i,
+    j] = -[w, phi_j]_K int_K phi_i`` for the local shapes of triangle ``t``:
+    the element matrices of the blocks ``M_u`` and ``M_v`` of
+    :func:`assemble_trilinear_jacobian`.
+    """
+    basis = psi.dofmap.basis
+
+    def m_of(coef):
+        col = bracket(element_hessians(basis, coef)[:, None, :],
+                      basis.hessians)
+        return -col[:, None, :] * basis.int_phi[:, :, None]
+    return m_of(psi.u), m_of(psi.v)
+
+
 def assemble_trilinear_jacobian(psi):
     """Derivative of the cubic terms at ``psi`` as a sparse 2x2 block matrix.
 
     The returned operator maps a direction ``theta`` to twice the cubic form
     ``B(psi, theta, .)``; adding the block-diagonal biharmonic operator
     yields the full Newton matrix.  With ``M_w[i, j] = -sum_K [w, phi_j]
-    int_K phi_i`` the blocks are ``[[M_v, M_u], [-M_u, 0]]``.
+    int_K phi_i`` the blocks are ``[[M_v, M_u], [-M_u, 0]]``, each on the
+    structure of the pairs of dofs that share a triangle.
     """
     dofmap = psi.dofmap
-    basis = dofmap.basis
     n = dofmap.n_global
-    hess = basis.hessians
-    hu = element_hessians(basis, psi.u)
-    hv = element_hessians(basis, psi.v)
-
-    def m_of(field_hess):
-        col = bracket(field_hess[:, None, :], hess)
-        return -col[:, None, :] * basis.int_phi[:, :, None]
-
-    m_u = m_of(hu)
-    m_v = m_of(hv)
     dofs = dofmap.element_dofs
-    blocks = [
-        (0, 0, m_v),
-        (0, n, m_u),
-        (n, 0, -m_u),
-    ]
-    parts = []
-    for roff, coff, local in blocks:
-        rows = np.repeat(np.where(dofs >= 0, dofs + roff, -1)[:, :, None], 6, axis=2)
-        cols = np.repeat(np.where(dofs >= 0, dofs + coff, -1)[:, None, :], 6, axis=1)
-        parts.append(_scatter(2 * n, 2 * n, rows, cols, local))
-    return sum(parts[1:], parts[0]).tocsr()
+    indptr, indices, (slots,) = _structure(n, [(dofs, dofs)])
+    m_u, m_v = (sp.csc_matrix((_sum_into(slots, m, len(indices)), indices,
+                               indptr), shape=(n, n))
+                for m in _coupling_matrices(psi))
+    return sp.bmat([[m_v, m_u], [-m_u, None]], format="csr")

@@ -176,33 +176,52 @@ def _nested_dissection(mesh):
     that share an edge with the other half, taken from the half with fewer
     of them, form its separator, numbered after both halves.  Parts of at
     most 8 triangles keep mesh order.
+
+    The parts of one depth are split together, by one sort; each triangle
+    records its path (0 lower half, 1 upper half, 2 separator) and the
+    order is the lexicographic order of the paths, which numbers every
+    part's lower half, then its upper half, then its separator.
     """
+    nt = mesh.n_triangles
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    label = np.zeros(mesh.n_triangles, dtype=np.int8)  # 0 lower, 1 upper, 2 sep
-    order = []
-
-    def dissect(tris, pairs):
-        if len(tris) <= 8:
-            order.append(np.sort(tris))
-            return
+    pairs = mesh.edge_tris[mesh.edge_tris[:, 1] >= 0]  # both in one part
+    label = np.zeros(nt, dtype=np.int8)  # 0 lower, 1 upper, 2 separator
+    paths = []
+    # the triangles of the parts still to split, part by part, each part in
+    # the order its parent's sort left it
+    tris, part = np.arange(nt), np.zeros(nt, dtype=np.int64)
+    while True:
+        big = np.bincount(part)[part] > 8
+        tris, part = tris[big], part[big]
+        if not len(tris):
+            break
+        first = np.r_[True, part[1:] != part[:-1]]
+        part, start = np.cumsum(first) - 1, np.flatnonzero(first)
+        size = np.diff(np.r_[start, len(tris)])
         pts = centroids[tris]
-        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
-        tris = tris[np.argsort(pts[:, axis], kind="stable")]
-        lower, upper = np.array_split(tris, [len(tris) // 2])
-        label[lower], label[upper] = 0, 1
-        side = label[pairs]
-        cross = side[:, 0] != side[:, 1]
-        sep = min((np.unique(pairs[cross][side[cross] == h]) for h in (0, 1)),
-                  key=len)
-        label[sep] = 2
-        side = label[pairs]
-        dissect(lower[label[lower] == 0], pairs[(side == 0).all(axis=1)])
-        dissect(upper[label[upper] == 1], pairs[(side == 1).all(axis=1)])
-        order.append(sep)
+        extent = (np.maximum.reduceat(pts, start)
+                  - np.minimum.reduceat(pts, start))
+        axis = np.argmax(extent, axis=1)[part]
+        order = np.lexsort((pts[np.arange(len(tris)), axis], part))
+        tris = tris[order]
+        label[tris] = np.arange(len(tris)) - start[part] >= size[part] // 2
 
-    dissect(np.arange(mesh.n_triangles),
-            mesh.edge_tris[mesh.edge_tris[:, 1] >= 0])
-    return np.concatenate(order)
+        side = label[pairs]
+        cut = np.zeros(nt, dtype=bool)
+        cut[pairs[side[:, 0] != side[:, 1]]] = True
+        # each part's separator: the cut triangles of its half with fewer
+        counts = np.bincount(2 * part + label[tris], weights=cut[tris],
+                             minlength=2 * len(start)).reshape(-1, 2)
+        sep = cut[tris] & (label[tris] == (counts[:, 1] < counts[:, 0])[part])
+        label[tris[sep]] = 2
+        path = np.zeros(nt, dtype=np.int8)
+        path[tris] = label[tris]
+        paths.append(path)
+
+        side = label[pairs]
+        pairs = pairs[(side[:, 0] == side[:, 1]) & (side[:, 0] != 2)]
+        tris, part = tris[~sep], 2 * part[~sep] + label[tris[~sep]]
+    return np.lexsort([np.arange(nt)] + paths[::-1])
 
 
 def _affine_maps(mesh):
@@ -416,18 +435,21 @@ def element_hessians(basis, coefficients):
 
 
 def edge_jumps(edge_basis, coefficients):
-    """Jumps ``side 0 - side 1`` of a discrete field's value and gradient at
-    every point of an edge table, shapes ``(ne, m)`` and ``(ne, m, 2)``.
+    """Jumps ``side 0 - side 1`` of a discrete field's value at every point
+    of an edge table, shape ``(ne, m)``, and of its gradient at the first
+    ``len(EDGE_RULE.points)`` points (the rule's, in a dof map's table),
+    shape ``(ne, nq, 2)``: only vertex-value jumps read the endpoints.
 
     On a boundary edge the jump is the side-0 trace.
     """
+    nq = len(EDGE_RULE.points)
     vj, gj = 0.0, 0.0
     for side, sign in ((0, 1.0), (1, -1.0)):
         local = gather_coefficients(edge_basis.dofs[side], coefficients)
         vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
                                    local)
-        gj = gj + sign * np.einsum("eqja,ej->eqa", edge_basis.gradients[side],
-                                   local)
+        gj = gj + sign * np.einsum(
+            "eqja,ej->eqa", edge_basis.gradients[side][:, :nq], local)
     return vj, gj
 
 

@@ -4,11 +4,18 @@ Triangle rules come from a collapsed Gauss-Jacobi x Gauss-Legendre product,
 which keeps every weight positive for all supported degrees.  Points are
 stored in barycentric coordinates and weights are normalised to sum to one,
 so an integral over a physical triangle is ``area * sum(w * f(points))``.
+
+Each rule is built once per degree and shared: :func:`triangle_rule` and
+:func:`edge_rule` return the same frozen rule, with read-only arrays, for
+every call with the same degree (after ``int`` conversion), so a rule costs
+no Gauss-Jacobi root finding after its first use.  ``MAX_DEGREE`` bounds the
+number of rules kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -45,7 +52,11 @@ def _check_degree(degree):
 
 def edge_rule(degree):
     """Gauss-Legendre rule on [0, 1] exact for polynomials up to `degree`."""
-    degree = _check_degree(degree)
+    return _edge_rule(_check_degree(degree))
+
+
+@lru_cache(maxsize=None)
+def _edge_rule(degree):
     n = (degree + 2) // 2
     x, w = roots_legendre(n)
     rule = EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree)
@@ -61,7 +72,11 @@ def triangle_rule(degree):
     for the weight (1-x) and y = (1-x) t with t Gauss-Legendre, every
     polynomial of total degree <= 2n-1 is integrated exactly.
     """
-    degree = _check_degree(degree)
+    return _triangle_rule(_check_degree(degree))
+
+
+@lru_cache(maxsize=None)
+def _triangle_rule(degree):
     n = (degree + 2) // 2
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     xl, wl = roots_legendre(n)

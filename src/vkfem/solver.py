@@ -14,6 +14,15 @@ fails the acceptance test of :func:`linear_solve`, or whose block does not
 factorise, is solved by sparse LU on ``J`` instead.  The symmetric positive
 definite biharmonic operator used for coercivity checks gets a dedicated
 factorisation helper.
+
+A step rebuilds nothing that only depends on the mesh.  The structure of
+``K`` holds every pair of dofs that share a triangle, and the data slot of
+every element-local coupling entry in it is found once per solve; each step
+sums the element matrices of ``M_v`` and ``M_u`` into those slots (one
+``bincount`` each), so ``A`` shares ``K``'s index arrays and reaches the
+factorisation in CSC with no format conversion.  GMRES applies ``J`` block
+by block, and ``J`` is assembled as one matrix only for the sparse-LU
+fallback.
 """
 
 from __future__ import annotations
@@ -25,8 +34,10 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, assemble_biharmonic, assemble_load,
-                       assemble_trilinear_jacobian, assemble_trilinear_vector)
+from .assembly import (DiscreteSolution, _coupling_matrices, _element_slots,
+                       _sub_structure, _sum_into, assemble_biharmonic,
+                       assemble_load, assemble_trilinear_jacobian,
+                       assemble_trilinear_vector)
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
@@ -61,9 +72,12 @@ def _backward_error(a, x, rhs, anorm, bnorm):
 def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
     """Solve a sparse square system, verifying the residual.
 
-    With a ``preconditioner`` (an approximate inverse of ``matrix``, as
-    ``gmres`` takes for ``M``) the system is first solved by restarted GMRES
-    aiming at a residual of ``1e-10 * ||b||``.  Its result is accepted when
+    ``matrix`` is a sparse matrix, or the :class:`NewtonMatrix` of a Newton
+    step, which GMRES applies block by block and which is assembled only
+    when the system goes to sparse LU.  With a ``preconditioner`` (an
+    approximate inverse of ``matrix``, as ``gmres`` takes for ``M``) the
+    system is first solved by restarted GMRES aiming at a residual of
+    ``1e-10 * ||b||``.  Its result is accepted when
     it is finite and passes the acceptance test below.  Otherwise, and
     always without a preconditioner, the system is solved by sparse LU
     (COLAMD ordering), whose iterative refinement drives the residual to
@@ -77,13 +91,14 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
     naming the context.
     """
     rhs = np.asarray(rhs, dtype=float)
-    a = sp.csc_matrix(matrix)
+    blocks = isinstance(matrix, NewtonMatrix)
+    a = matrix if blocks else sp.csc_matrix(matrix)
     if a.shape[0] != a.shape[1] or a.shape[0] != len(rhs):
         raise SolverError(f"{context}: non-square system or shape mismatch")
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    anorm = float(abs(a).sum(axis=1).max())  # induced infinity norm
+    anorm = a.norm_inf() if blocks else float(_abs_row_sums(a).max())
     if preconditioner is not None:
         x, _ = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
                           restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
@@ -92,7 +107,7 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
                 and _backward_error(a, x, rhs, anorm, bnorm) <= 1e-10):
             return x
     try:
-        lu = spla.splu(a)
+        lu = spla.splu(a.tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"{context}: factorisation failed ({exc})") from exc
@@ -110,16 +125,24 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
     return x
 
 
+def _abs_row_sums(matrix):
+    """Row sums of ``|matrix|`` for a CSC matrix, without a copy of it."""
+    return np.bincount(matrix.indices, weights=np.abs(matrix.data),
+                       minlength=matrix.shape[0])
+
+
 def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
     """Sparse LU for a matrix with a symmetric pattern whose diagonal needs
     no pivoting (``K`` and ``K + M_v``): diagonal pivots and the column order
     ``column_order`` (SuperLU's ``permc_spec``), by default minimum degree on
     ``A^T + A``; Newton solves pass their dof map's
     :attr:`~vkfem.femspace.DofMap.column_order`, which is ``NATURAL`` for the
-    nested-dissection numbering of ``dg``.  Raises ``RuntimeError`` when a
-    pivot is exactly zero."""
-    return spla.splu(sp.csc_matrix(matrix), diag_pivot_thresh=0.0,
-                     permc_spec=column_order,
+    nested-dissection numbering of ``dg``.  Stored zeros are left out, so
+    the column order sees the pattern of the nonzeros.  Raises
+    ``RuntimeError`` when a pivot is exactly zero."""
+    matrix = sp.csc_matrix(matrix, copy=True)
+    matrix.eliminate_zeros()
+    return spla.splu(matrix, diag_pivot_thresh=0.0, permc_spec=column_order,
                      options={"SymmetricMode": True})
 
 
@@ -161,11 +184,48 @@ def is_spd(matrix):
     return True
 
 
+class NewtonMatrix(spla.LinearOperator):
+    """The Newton matrix ``J = [[A, M_u], [-M_u, K]]`` of one step, kept as
+    its n x n CSC blocks ``a`` (``K + M_v``), ``m_u`` and ``k``.
+
+    It applies ``J`` block by block; :func:`linear_solve` takes its
+    infinity norm from the blocks' row sums and assembles ``J`` (``tocsc``)
+    only for the sparse-LU fallback.
+    """
+
+    def __init__(self, a, m_u, k):
+        n = k.shape[0]
+        super().__init__(float, (2 * n, 2 * n))
+        self.a, self.m_u, self.k = a, m_u, k
+
+    def _matvec(self, x):
+        n = self.k.shape[0]
+        x1, x2 = x[:n], x[n:]
+        return np.concatenate([self.a @ x1 + self.m_u @ x2,
+                               self.k @ x2 - self.m_u @ x1])
+
+    def norm_inf(self):
+        """The induced infinity norm of ``J``."""
+        a, m_u, k = (_abs_row_sums(b) for b in (self.a, self.m_u, self.k))
+        return float(max((a + m_u).max(), (m_u + k).max()))
+
+    def tocsc(self):
+        """``J`` assembled as one sparse matrix."""
+        return sp.bmat([[self.a, self.m_u], [-self.m_u, self.k]],
+                       format="csc")
+
+
 class NewtonSystem:
     """Assembled operators of one discrete problem, reused across iterates.
 
     ``loads`` is the pair ``(f, g)`` as :func:`~vkfem.assembly.assemble_load`
     takes it: callables or their values at the rule points.
+
+    The structure of the biharmonic operator ``K`` (``stiffness``) holds
+    every pair of dofs that share a triangle, so the element matrices of the
+    coupling blocks ``M_v`` and ``M_u`` are summed into it, or into its part
+    on the element pairs, through data slots found once per system:
+    :meth:`step_matrix` makes no sparse format conversion.
     """
 
     def __init__(self, mesh, dofmap, method=None, penalty=None, loads=None,
@@ -176,18 +236,51 @@ class NewtonSystem:
         self.dofmap = dofmap
         self.method = dofmap.method if method is None else method
         self.stiffness = assemble_biharmonic(mesh, dofmap, method, penalty)
-        self.block_stiffness = sp.block_diag(
-            (self.stiffness, self.stiffness), format="csr")
+        k = self.stiffness
+        self._abs_stiffness = sp.csc_matrix(
+            (np.abs(k.data), k.indices, k.indptr), shape=k.shape)
+        # rows of shapes with zero mean (the Lagrange vertex shapes) are zero
+        # in both coupling blocks, so M_u's structure leaves them out
+        slots = np.where(dofmap.basis.int_phi[:, :, None] != 0.0,
+                         _element_slots(k, dofmap), k.nnz)
+        self._a_slots = slots
+        self._coupling = _sub_structure(k.indptr, k.indices, slots)
         self.load = assemble_load(f, g, mesh, dofmap, quad_degree)
         self.load_scale = max(1.0, np.linalg.norm(self.load))
 
+    @property
+    def block_stiffness(self):
+        """``K`` twice on the diagonal, the 2n x 2n operator on ``(u, v)``
+        (assembled on each access)."""
+        return sp.block_diag((self.stiffness, self.stiffness), format="csr")
+
     def residual(self, psi):
-        x = np.concatenate([psi.u, psi.v])
-        return (self.block_stiffness @ x
+        k = self.stiffness
+        return (np.concatenate([k @ psi.u, k @ psi.v])
                 + assemble_trilinear_vector(psi, psi) - self.load)
 
+    def residual_floor(self, psi):
+        """Rounding floor of :meth:`residual` at ``psi``:
+        ``4 eps (|| |K| |u|, |K| |v| || + load scale)``."""
+        abs_k = self._abs_stiffness
+        x = np.concatenate([abs_k @ np.abs(psi.u), abs_k @ np.abs(psi.v)])
+        return 4.0 * np.finfo(float).eps * (np.linalg.norm(x)
+                                            + self.load_scale)
+
     def jacobian(self, psi):
+        """The Newton matrix at ``psi`` assembled as one sparse matrix."""
         return self.block_stiffness + assemble_trilinear_jacobian(psi)
+
+    def step_matrix(self, psi):
+        """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`."""
+        k = self.stiffness
+        m_u, m_v = _coupling_matrices(psi)
+        a = sp.csc_matrix((k.data + _sum_into(self._a_slots, m_v, k.nnz),
+                           k.indices, k.indptr), shape=k.shape)
+        indptr, indices, slots = self._coupling
+        m_u = sp.csc_matrix((_sum_into(slots, m_u, len(indices)), indices,
+                             indptr), shape=k.shape)
+        return NewtonMatrix(a, m_u, k)
 
 
 def _block_triangular_inverse(a_lu, k_lu, coupling):
@@ -235,8 +328,6 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
     system = NewtonSystem(mesh, dofmap, method, penalty, loads, quad_degree)
     n = dofmap.n_global
     label = f"{system.method} (ndof {n})"
-    abs_stiffness = abs(system.block_stiffness)
-    eps = np.finfo(float).eps
     target = tol * system.load_scale
 
     psi = DiscreteSolution(system.method, np.zeros(n), np.zeros(n), dofmap)
@@ -250,18 +341,17 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
     except RuntimeError:  # then no step is preconditioned
         k_lu = None
     for it in range(maxit):
-        jac = system.jacobian(psi)
+        jac = system.step_matrix(psi)
         preconditioner = None
         if k_lu is not None:
-            top = jac[:n]
             try:
                 # at the zero iterate the block is K itself
-                a_lu = k_lu if it == 0 else _symmetric_lu(top[:, :n], order)
+                a_lu = k_lu if it == 0 else _symmetric_lu(jac.a, order)
             except RuntimeError:
                 pass
             else:
                 preconditioner = _block_triangular_inverse(a_lu, k_lu,
-                                                           top[:, n:])
+                                                           jac.m_u)
         delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",
                              preconditioner=preconditioner)
         psi.u += delta[:n]
@@ -269,10 +359,7 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
         iterations += 1
         res = system.residual(psi)
         history.append(float(np.linalg.norm(res)))
-        x = np.abs(np.concatenate([psi.u, psi.v]))
-        floor = 4.0 * eps * (np.linalg.norm(abs_stiffness @ x)
-                             + system.load_scale)
-        if history[-1] <= max(target, floor):
+        if history[-1] <= max(target, system.residual_floor(psi)):
             converged = True
             break
     return psi, NewtonReport(iterations, history, converged)

@@ -3,10 +3,14 @@ import pytest
 
 from vkfem import (ConvergenceRecord, DiscreteSolution, ExactSolutionPair,
                    best_approx_term, build_dofmap, build_topology,
-                   convergence_rates, discrete_norm, error_norm, fit_rate,
-                   morley_interpolate, nodal_interpolate, oscillation,
-                   oscillation_local, triangle_rule,
+                   convergence_rates, discrete_norm, error_norm, estimate,
+                   fit_rate, lshape_problem, morley_interpolate,
+                   newton_solve, nodal_interpolate, oscillation,
+                   oscillation_local, square_problem, triangle_rule,
                    uniform_refine, unified_h_norm)
+from vkfem import adaptivity, analysis
+from vkfem.analysis import NORM_KINDS
+from vkfem.femspace import EDGE_RULE, gather_coefficients
 from vkfem.problems import exact_square
 
 
@@ -244,3 +248,45 @@ def test_convergence_rates_records():
     assert rates["error_total"] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         convergence_rates(records[:2])
+
+
+def jumps_at_every_table_point(edge_basis, coefficients):
+    """The reference for ``femspace.edge_jumps``: value and gradient jumps
+    at every point of the table, the gradient jumps cut to the rule points
+    afterwards."""
+    vj, gj = 0.0, 0.0
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        local = gather_coefficients(edge_basis.dofs[side], coefficients)
+        vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
+                                   local)
+        gj = gj + sign * np.einsum("eqja,ej->eqa", edge_basis.gradients[side],
+                                   local)
+    return vj, gj[:, :len(EDGE_RULE.points)]
+
+
+@pytest.fixture(scope="module")
+def lshape2(lshape1):
+    return uniform_refine(lshape1)
+
+
+@pytest.mark.parametrize("mesh_name", ["square2", "lshape2"])
+def test_rule_point_gradient_jumps_leave_estimates_and_norms_unchanged(
+        request, monkeypatch, mesh_name):
+    mesh = request.getfixturevalue(mesh_name)
+    problem = square_problem() if mesh_name == "square2" else lshape_problem()
+    exact = problem.exact
+    loads = (exact.f, exact.g)
+    for method in ("morley", "c0ip", "dg"):
+        psi, _ = newton_solve(mesh, build_dofmap(mesh, method), loads=loads)
+
+        def run():
+            return (estimate(psi, loads).eta2,
+                    np.array(error_norm(psi, exact, NORM_KINDS)))
+        eta2, norms = run()
+        with monkeypatch.context() as patched:
+            for module in (adaptivity, analysis):
+                patched.setattr(module, "edge_jumps",
+                                jumps_at_every_table_point)
+            eta2_all, norms_all = run()
+        assert np.array_equal(eta2, eta2_all), method
+        assert np.array_equal(norms, norms_all), method

@@ -86,6 +86,24 @@ def test_triangle_rule_rejects_bad_degree():
             edge_rule(degree)
 
 
+@pytest.mark.parametrize("make", [triangle_rule, edge_rule])
+def test_rules_are_built_once_per_degree_and_read_only(make):
+    rule = make(8)
+    # every spelling of one degree gets the same rule
+    for degree in (8, 8.0, np.int64(8), "8"):
+        assert make(degree) is rule
+    assert make(7) is not rule and make(7).degree == 7
+    assert not rule.points.flags.writeable
+    assert not rule.weights.flags.writeable
+    with pytest.raises(ValueError):
+        rule.points[0] = 0.0
+    # an invalid degree raises on every call, not only the first
+    for _ in range(2):
+        for degree in (0, 11):
+            with pytest.raises(ValueError):
+                make(degree)
+
+
 def test_edge_rule_point_counts_and_values():
     one = edge_rule(1)
     assert len(one.points) == 1
