@@ -3,6 +3,9 @@
 Run as a script; it prints what it does at every step.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from vkfem import (build_topology, lshape_mesh, nvb_refine, read_mesh,
@@ -44,6 +47,8 @@ print(f"  min angle {shape_regularity(adaptive):.6f} = pi/4 = "
 
 # Meshes round-trip through a plain-text format (header `nv nt`, then
 # vertex lines `x y`, then triangle lines `i j k`).
-write_mesh(lshape_mesh(), "/tmp/lshape.mesh")
-back = read_mesh("/tmp/lshape.mesh")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "lshape.mesh")
+    write_mesh(lshape_mesh(), path)
+    back = read_mesh(path)
 print(f"\nL-shape written and read back: {back}")

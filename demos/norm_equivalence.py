@@ -30,7 +30,7 @@ print("               ||.||_nc =", f"{discrete_norm(dm, coef, 'nc'):.12e}")
 
 # 2. The Morley interpolant realises the best broken-Hessian approximation:
 #    its piecewise Hessian is the element-wise mean of the exact Hessian.
-coef_u = morley_interpolate(exact.u, exact.u_grad, mesh, dm)
+coef_u = morley_interpolate(exact.u, exact.u_grad, dm)
 basis = dm.basis
 hess = element_hessians(basis, coef_u)
 rule = triangle_rule(8)
@@ -47,7 +47,7 @@ print(f"\n{'method':>8} {'native norm':>13} {'native error':>13} "
 native = {"morley": "nc", "c0ip": "ip", "dg": "dg"}
 for method, kind in native.items():
     dofmap = build_dofmap(mesh, method)
-    psi, _ = newton_solve(mesh, dofmap, loads=(exact.f, exact.g))
+    psi, _ = newton_solve(dofmap, (exact.f, exact.g))
     e_native = error_norm(psi, exact, kind)[2]
     e_unified = error_norm(psi, exact, "h")[2]
     print(f"{method:>8} {kind:>13} {e_native:13.4e} {e_unified:14.4e}")

@@ -7,7 +7,7 @@ norm per level, together with the fitted decay rate against the number of
 degrees of freedom (about 0.5 for quadratic elements).
 """
 
-from vkfem import METHODS, fit_rate, uniform_study
+from vkfem import METHODS, fit_rate, uniform_levels
 from vkfem.problems import square_problem
 
 LEVELS = 4  # bump to 5 for the full study (a few extra seconds)
@@ -15,7 +15,7 @@ LEVELS = 4  # bump to 5 for the full study (a few extra seconds)
 problem = square_problem()
 
 for method in METHODS:
-    records = uniform_study(problem, method, LEVELS)
+    records = [s.record for s in uniform_levels(problem, method, LEVELS)]
     print(f"\n{method}")
     print(f"{'level':>5} {'ndof':>8} {'error (h-norm)':>15} "
           f"{'estimator':>12} {'rate':>6}")

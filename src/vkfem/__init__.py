@@ -14,12 +14,11 @@ from .mesh import (MeshError, Triangulation, build_topology, lshape_mesh,
 from .quadrature import (EdgeRule, TriangleRule, edge_rule, integrate_edge,
                          integrate_triangle, triangle_rule)
 from .femspace import (METHODS, DofMap, EdgeBasis, ElementBasis, build_dofmap,
-                       eval_basis, load_values, morley_interpolate,
-                       nodal_interpolate, to_dg_coefficients)
+                       load_values, morley_interpolate, nodal_interpolate,
+                       to_dg_coefficients)
 from .assembly import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
-                       assemble_bracket_element, assemble_load,
-                       assemble_trilinear_jacobian, assemble_trilinear_vector,
-                       bracket_elements)
+                       assemble_load, assemble_trilinear_jacobian,
+                       assemble_trilinear_vector, bracket_elements)
 from .solver import (NewtonReport, SolverError, is_spd, linear_solve,
                      newton_order, newton_solve, residual, spd_solve)
 from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
@@ -27,8 +26,8 @@ from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
                        error_norm, fit_rate, oscillation, oscillation_local,
                        unified_h_norm)
 from .adaptivity import (AdaptiveConfig, LocalEstimates, METHOD_NORM,
-                         adaptive_levels, adaptive_loop, dorfler_mark,
-                         estimate, solve_level, uniform_study)
+                         adaptive_levels, dorfler_mark, estimate, solve_level,
+                         uniform_levels)
 from .problems import (Problem, exact_lshape, exact_square, lshape_problem,
                        square_problem)
 

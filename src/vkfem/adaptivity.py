@@ -31,8 +31,8 @@ from .quadrature import triangle_rule
 from .solver import SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
-           "dorfler_mark", "adaptive_levels", "adaptive_loop",
-           "uniform_levels", "uniform_study", "solve_level", "METHOD_NORM"]
+           "dorfler_mark", "adaptive_levels", "uniform_levels", "solve_level",
+           "METHOD_NORM"]
 
 #: Norm in which each method's error is naturally measured.
 METHOD_NORM = {"morley": "nc", "c0ip": "ip", "dg": "dg"}
@@ -184,7 +184,7 @@ def dorfler_mark(estimates, theta):
 
 def _solve(level, mesh, method, config, loads):
     dofmap = build_dofmap(mesh, method)
-    psi, report = newton_solve(mesh, dofmap, method, config.penalty, loads,
+    psi, report = newton_solve(dofmap, loads, config.penalty,
                                tol=config.newton_tol,
                                maxit=config.newton_maxit,
                                quad_degree=config.quad_degree)
@@ -270,21 +270,9 @@ def adaptive_levels(problem, method, config, estimator=None):
                        estimator)
 
 
-def adaptive_loop(problem, method, config, estimator=None):
-    """Records of the adaptive loop, one per level."""
-    return [state.record for state in
-            adaptive_levels(problem, method, config, estimator)]
-
-
 def uniform_levels(problem, method, levels, config=None):
     """Generator over a uniform (red) refinement hierarchy; the loads are
     evaluated once per mesh."""
     config = config or AdaptiveConfig(max_levels=levels)
     yield from _levels(problem, method, config, levels,
                        lambda state: uniform_refine(state.mesh))
-
-
-def uniform_study(problem, method, levels, config=None):
-    """Records over a uniform (red) refinement hierarchy."""
-    return [state.record for state in
-            uniform_levels(problem, method, levels, config)]

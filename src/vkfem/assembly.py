@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .femspace import (DofMap, EDGE_RULE, METHODS, bracket,
-                       element_hessians, load_values)
+from .femspace import (DofMap, EDGE_RULE, bracket, element_hessians,
+                       load_values)
 from .quadrature import triangle_rule
 
 __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
-           "assemble_load", "bracket_elements", "assemble_bracket_element",
-           "assemble_trilinear_vector", "assemble_trilinear_jacobian"]
+           "assemble_load", "bracket_elements", "assemble_trilinear_vector",
+           "assemble_trilinear_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -43,27 +43,21 @@ class PenaltyConfig:
 
 @dataclass
 class DiscreteSolution:
-    """Coefficient pair (u, v) of one discretisation."""
-    method: str
+    """Coefficient pair (u, v) of one discretisation; its dof map fixes the
+    mesh and the method."""
+    dofmap: DofMap
     u: np.ndarray
     v: np.ndarray
-    dofmap: DofMap
 
     def __post_init__(self):
         n = self.dofmap.n_global
         if len(self.u) != n or len(self.v) != n:
             raise ValueError("coefficient length does not match the dof map")
 
-
-def _check_method(dofmap, method):
-    if method is None:
-        return dofmap.method
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method != dofmap.method:
-        raise ValueError(f"method {method!r} does not match the "
-                         f"{dofmap.method!r} dof map")
-    return method
+    @property
+    def method(self):
+        """The method of the dof map."""
+        return self.dofmap.method
 
 
 def _keys(n, rows, cols):
@@ -136,8 +130,9 @@ def _hessian_normal_vector(hess, normal):
     return out
 
 
-def assemble_biharmonic(mesh, dofmap, method=None, penalty=None):
-    """Assemble the scalar fourth-order operator of one method.
+def assemble_biharmonic(dofmap, penalty=None):
+    """Assemble the scalar fourth-order operator of the dof map's method on
+    its mesh.
 
     Returns the sparse symmetric matrix (CSC) of the broken Hessian product
     plus, for ``c0ip``/``dg``, the symmetrised consistency terms and the jump
@@ -148,7 +143,6 @@ def assemble_biharmonic(mesh, dofmap, method=None, penalty=None):
     The block operator on the pair (u, v) is this matrix twice on the
     diagonal.
     """
-    _check_method(dofmap, method)
     penalty = penalty or PenaltyConfig()
     basis = dofmap.basis
     n = dofmap.n_global
@@ -241,12 +235,13 @@ def _edge_terms(dofmap, sigma):
     return local
 
 
-def assemble_load(f, g, mesh, dofmap, quad_degree=8):
+def assemble_load(f, g, dofmap, quad_degree=8):
     """Right-hand side block vector ``[(f, phi_i); (g, phi_i)]``.
 
     ``f`` and ``g`` are vectorised callables ``(x, y) -> array``, or their
-    values at the degree-``quad_degree`` rule points of ``mesh``, shape
-    ``(n_triangles, n_rule_points)`` (see :func:`~vkfem.femspace.load_values`).
+    values at the degree-``quad_degree`` rule points of the dof map's mesh,
+    shape ``(n_triangles, n_rule_points)`` (see
+    :func:`~vkfem.femspace.load_values`).
     """
     basis = dofmap.basis
     rule = triangle_rule(quad_degree)
@@ -255,7 +250,7 @@ def assemble_load(f, g, mesh, dofmap, quad_degree=8):
     dofs = dofmap.element_dofs
     keep = dofs >= 0
     for block, load in enumerate((f, g)):
-        vals = load_values(load, mesh, quad_degree)
+        vals = load_values(load, dofmap.mesh, quad_degree)
         local = np.einsum("t,q,tq,tqi->ti", basis.area, rule.weights, vals, phi)
         np.add.at(out, block * dofmap.n_global + dofs[keep], local[keep])
     return out
@@ -265,11 +260,6 @@ def bracket_elements(dofmap, coef_a, coef_b):
     """Element-wise constants ``[a, b]|_K`` of two P2 fields, shape (nt,)."""
     return bracket(element_hessians(dofmap.basis, coef_a),
                    element_hessians(dofmap.basis, coef_b))
-
-
-def assemble_bracket_element(dofmap, coef_a, coef_b, triangle_index):
-    """The bracket constant of a single triangle."""
-    return float(bracket_elements(dofmap, coef_a, coef_b)[int(triangle_index)])
 
 
 def _cubic_form_scalar(basis, bracket_const):

@@ -27,11 +27,11 @@ from .mesh import Triangulation
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
-           "eval_basis", "morley_interpolate", "nodal_interpolate",
-           "p2_values", "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES",
-           "EDGE_RULE", "EDGE_POINTS", "gather_coefficients",
-           "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
-           "load_values", "rule_points"]
+           "morley_interpolate", "nodal_interpolate", "p2_values",
+           "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES", "EDGE_RULE",
+           "EDGE_POINTS", "gather_coefficients", "element_hessians",
+           "edge_jumps", "bracket", "to_dg_coefficients", "load_values",
+           "rule_points"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -407,25 +407,12 @@ class EdgeBasis:
         return vals, grads, hess, dofs
 
 
-def eval_basis(dofmap, triangle_index, ref_points):
-    """Evaluate the six shapes of one triangle at reference points.
-
-    Returns ``(values, gradients, hessians)`` with shapes ``(m, 6)``,
-    ``(m, 6, 2)`` and ``(6, 3)``; gradients and Hessians are physical.
-    """
-    basis = dofmap.basis
-    k = int(triangle_index)
-    vals = basis.values(np.atleast_2d(ref_points))[k]
-    grads = basis.gradients(np.atleast_2d(ref_points))[k]
-    return vals, grads, basis.hessians[k]
-
-
 def gather_coefficients(dofs, coefficients):
     """The coefficients of an array of global dofs, such as a dof map's
-    ``element_dofs``, with constrained dofs (``-1``) as zero."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    return np.where(dofs >= 0, coefficients[np.where(dofs >= 0, dofs, 0)],
-                    0.0)
+    ``element_dofs``, with constrained dofs (``-1``) as zero: ``-1`` picks
+    the zero appended to the coefficients, which also serves a dof map with
+    no free dofs."""
+    return np.append(np.asarray(coefficients, dtype=float), 0.0)[dofs]
 
 
 def element_hessians(basis, coefficients):
@@ -460,8 +447,8 @@ def bracket(hess_a, hess_b):
         - 2.0 * hess_a[..., 2] * hess_b[..., 2]
 
 
-def morley_interpolate(value, gradient, mesh, dofmap, degree=10):
-    """Interpolate a function into the Morley space.
+def morley_interpolate(value, gradient, dofmap, degree=10):
+    """Interpolate a function into the Morley space of a dof map's mesh.
 
     Vertex dofs take the point value, edge dofs the mean of the normal
     derivative along the edge (Gauss rule of the given degree).  Boundary
@@ -477,6 +464,7 @@ def morley_interpolate(value, gradient, mesh, dofmap, degree=10):
     """
     if dofmap.method != "morley":
         raise ValueError("morley_interpolate needs a 'morley' dof map")
+    mesh = dofmap.mesh
     coef = np.zeros(dofmap.n_global)
     free_v = np.where(dofmap.vertex_dof >= 0)[0]
     coef[dofmap.vertex_dof[free_v]] = value(mesh.vertices[free_v, 0],

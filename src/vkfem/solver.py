@@ -11,9 +11,9 @@ factored in the column order of the dof map: ``dg`` numbers its triangles in
 nested-dissection order and factors in that order as it stands, Morley and
 C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
 fails the acceptance test of :func:`linear_solve`, or whose block does not
-factorise, is solved by sparse LU on ``J`` instead.  The symmetric positive
-definite biharmonic operator used for coercivity checks gets a dedicated
-factorisation helper.
+factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
+(:func:`spd_solve`) factor ``K`` by the same diagonal-pivot LU as the
+blocks and read its definiteness from the signs of the pivots.
 
 A step rebuilds nothing that only depends on the mesh.  The structure of
 ``K`` holds every pair of dofs that share a triangle, and the data slot of
@@ -30,19 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (DiscreteSolution, _coupling_matrices, _element_slots,
                        _sub_structure, _sum_into, assemble_biharmonic,
-                       assemble_load, assemble_trilinear_jacobian,
-                       assemble_trilinear_vector)
+                       assemble_load, assemble_trilinear_vector)
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
 
-_DENSE_SPD_LIMIT = 1200
 # GMRES on the preconditioned Newton matrix: the relative residual it aims
 # for (the LU path's target), the restart length and the number of restarts
 _GMRES_RTOL = 1e-10
@@ -149,23 +146,15 @@ def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
 def spd_solve(matrix, context="SPD system"):
     """Factorise a symmetric positive definite sparse matrix.
 
-    Returns a solve callable.  Small systems use a dense Cholesky
-    factorisation; larger ones an LU restricted to diagonal pivots whose
+    Returns a solve callable of an LU restricted to diagonal pivots, whose
     positivity certifies definiteness.  Raises :class:`SolverError` when the
     matrix is not SPD.
     """
     a = sp.csc_matrix(matrix)
-    n = a.shape[0]
     asym = abs(a - a.T).max()
     scale = abs(a).max()
     if scale > 0 and asym > 1e-10 * scale:
         raise SolverError(f"{context}: matrix is not symmetric")
-    if n <= _DENSE_SPD_LIMIT:
-        try:
-            chol = scipy.linalg.cho_factor(a.toarray())
-        except scipy.linalg.LinAlgError as exc:
-            raise SolverError(f"{context}: not positive definite") from exc
-        return lambda b: scipy.linalg.cho_solve(chol, b)
     try:
         lu = _symmetric_lu(a)
     except RuntimeError as exc:
@@ -218,8 +207,9 @@ class NewtonMatrix(spla.LinearOperator):
 class NewtonSystem:
     """Assembled operators of one discrete problem, reused across iterates.
 
-    ``loads`` is the pair ``(f, g)`` as :func:`~vkfem.assembly.assemble_load`
-    takes it: callables or their values at the rule points.
+    The dof map fixes the mesh and the method.  ``loads`` is the pair
+    ``(f, g)`` as :func:`~vkfem.assembly.assemble_load` takes it: callables
+    or their values at the rule points.
 
     The structure of the biharmonic operator ``K`` (``stiffness``) holds
     every pair of dofs that share a triangle, so the element matrices of the
@@ -228,14 +218,10 @@ class NewtonSystem:
     :meth:`step_matrix` makes no sparse format conversion.
     """
 
-    def __init__(self, mesh, dofmap, method=None, penalty=None, loads=None,
-                 quad_degree=8):
-        if loads is None:
-            raise ValueError("loads=(f, g) is required")
+    def __init__(self, dofmap, loads, penalty=None, quad_degree=8):
         f, g = loads
         self.dofmap = dofmap
-        self.method = dofmap.method if method is None else method
-        self.stiffness = assemble_biharmonic(mesh, dofmap, method, penalty)
+        self.stiffness = assemble_biharmonic(dofmap, penalty)
         k = self.stiffness
         self._abs_stiffness = sp.csc_matrix(
             (np.abs(k.data), k.indices, k.indptr), shape=k.shape)
@@ -245,14 +231,8 @@ class NewtonSystem:
                          _element_slots(k, dofmap), k.nnz)
         self._a_slots = slots
         self._coupling = _sub_structure(k.indptr, k.indices, slots)
-        self.load = assemble_load(f, g, mesh, dofmap, quad_degree)
+        self.load = assemble_load(f, g, dofmap, quad_degree)
         self.load_scale = max(1.0, np.linalg.norm(self.load))
-
-    @property
-    def block_stiffness(self):
-        """``K`` twice on the diagonal, the 2n x 2n operator on ``(u, v)``
-        (assembled on each access)."""
-        return sp.block_diag((self.stiffness, self.stiffness), format="csr")
 
     def residual(self, psi):
         k = self.stiffness
@@ -266,10 +246,6 @@ class NewtonSystem:
         x = np.concatenate([abs_k @ np.abs(psi.u), abs_k @ np.abs(psi.v)])
         return 4.0 * np.finfo(float).eps * (np.linalg.norm(x)
                                             + self.load_scale)
-
-    def jacobian(self, psi):
-        """The Newton matrix at ``psi`` assembled as one sparse matrix."""
-        return self.block_stiffness + assemble_trilinear_jacobian(psi)
 
     def step_matrix(self, psi):
         """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`."""
@@ -294,12 +270,13 @@ def _block_triangular_inverse(a_lu, k_lu, coupling):
     return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
 
 
-def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
-                 tol=1e-10, maxit=50, quad_degree=8):
+def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
+                 quad_degree=8):
     """Newton iteration for the discrete clamped-plate system.
 
-    ``loads`` is the pair ``(f, g)``: vectorised callables, or their values
-    at the degree-``quad_degree`` rule points of ``mesh`` (see
+    The dof map fixes the mesh and the method.  ``loads`` is the pair
+    ``(f, g)``: vectorised callables, or their values at the
+    degree-``quad_degree`` rule points of the dof map's mesh (see
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
     The iteration starts from the zero pair, whose first Newton step is
@@ -325,12 +302,12 @@ def newton_solve(mesh, dofmap, method=None, penalty=None, loads=None,
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
-    system = NewtonSystem(mesh, dofmap, method, penalty, loads, quad_degree)
+    system = NewtonSystem(dofmap, loads, penalty, quad_degree)
     n = dofmap.n_global
-    label = f"{system.method} (ndof {n})"
+    label = f"{dofmap.method} (ndof {n})"
     target = tol * system.load_scale
 
-    psi = DiscreteSolution(system.method, np.zeros(n), np.zeros(n), dofmap)
+    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
     res = -system.load  # residual at the zero iterate
     history = [float(np.linalg.norm(res))]
     converged = False
@@ -369,8 +346,7 @@ def residual(psi, loads, penalty=None, quad_degree=8):
     """Nonlinear residual vector of a coefficient pair, one entry per dof.
 
     ``loads`` is taken as by :func:`newton_solve`."""
-    system = NewtonSystem(psi.dofmap.mesh, psi.dofmap, psi.method, penalty,
-                          loads, quad_degree)
+    system = NewtonSystem(psi.dofmap, loads, penalty, quad_degree)
     return system.residual(psi)
 
 

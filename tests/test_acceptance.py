@@ -18,9 +18,9 @@ from vkfem import (AdaptiveConfig, DiscreteSolution, assemble_biharmonic,
                    build_dofmap, dorfler_mark, fit_rate, is_spd,
                    lshape_mesh, morley_interpolate, newton_order,
                    newton_solve, nvb_refine, shape_regularity,
-                   two_triangle_square, uniform_refine, uniform_study,
-                   unified_h_norm, unit_square_mesh)
-from vkfem.adaptivity import adaptive_levels, solve_level
+                   two_triangle_square, uniform_refine, unified_h_norm,
+                   unit_square_mesh)
+from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
 from vkfem.analysis import discrete_norm
 from vkfem.femspace import EdgeBasis, ElementBasis, element_hessians
 from vkfem.problems import exact_square, lshape_problem, square_problem
@@ -38,18 +38,22 @@ def report(number, passed, detail):
 
 # -- shared studies ----------------------------------------------------------
 
+def uniform_records(problem, method, levels):
+    return [s.record for s in uniform_levels(problem, method, levels)]
+
+
 @pytest.fixture(scope="module")
 def square_study():
     problem = square_problem()
     t0 = time.time()
-    records = {m: uniform_study(problem, m, 5) for m in METHODS}
+    records = {m: uniform_records(problem, m, 5) for m in METHODS}
     return records, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def lshape_study():
     problem = lshape_problem()
-    return {m: uniform_study(problem, m, 5) for m in METHODS}
+    return {m: uniform_records(problem, m, 5) for m in METHODS}
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +162,7 @@ def test_criterion_5_morley_hessian_projection():
     for _ in range(3):
         mesh = uniform_refine(mesh)
         dm = build_dofmap(mesh, "morley")
-        coef = morley_interpolate(exact.u, exact.u_grad, mesh, dm)
+        coef = morley_interpolate(exact.u, exact.u_grad, dm)
         basis = ElementBasis(dm)
         hess = element_hessians(basis, coef)
         pts = basis.physical_points(rule.points[:, 1:])
@@ -240,7 +244,7 @@ def test_criterion_7_best_approximation_equivalence():
     mesh = uniform_refine(uniform_refine(unit_square_mesh()))
     qp = best_approx_qp(mesh, exact.u, exact.u_grad, exact.u_hess)
     dm = build_dofmap(mesh, "morley")
-    coef = morley_interpolate(exact.u, exact.u_grad, mesh, dm)
+    coef = morley_interpolate(exact.u, exact.u_grad, dm)
     basis = ElementBasis(dm)
     hfield = element_hessians(basis, coef)
     rule = triangle_rule(10)
@@ -265,7 +269,7 @@ def test_criterion_8_penalised_operators_spd():
                 mesh = uniform_refine(mesh)
             for method in ("c0ip", "dg"):
                 dm = build_dofmap(mesh, method)
-                ok = ok and is_spd(assemble_biharmonic(mesh, dm))
+                ok = ok and is_spd(assemble_biharmonic(dm))
                 checked += 1
     report(8, ok, f"Cholesky-style factorisation certified SPD for all "
            f"{checked} penalised operators (sigma = 20, three mesh families "
@@ -283,10 +287,9 @@ def test_criterion_9_newton_quadratic_convergence():
     rng = np.random.default_rng(103)
     for method in METHODS:
         dm = build_dofmap(mesh, method)
-        psi, rep = newton_solve(mesh, dm,
-                                loads=(problem.exact.f, problem.exact.g))
+        psi, rep = newton_solve(dm, (problem.exact.f, problem.exact.g))
         assert rep.converged
-        a = assemble_biharmonic(mesh, dm)
+        a = assemble_biharmonic(dm)
         big = sp.block_diag((a, a), format="csr")
         x = np.abs(np.concatenate([psi.u, psi.v]))
         floor = 3.0 * eps * float(np.linalg.norm(abs(big) @ x))
@@ -295,10 +298,10 @@ def test_criterion_9_newton_quadratic_convergence():
         n = dm.n_global
         theta = rng.standard_normal(2 * n)
         step = 1e-3
-        plus = DiscreteSolution(method, psi.u + step * theta[:n],
-                                psi.v + step * theta[n:], dm)
-        minus = DiscreteSolution(method, psi.u - step * theta[:n],
-                                 psi.v - step * theta[n:], dm)
+        plus = DiscreteSolution(dm, psi.u + step * theta[:n],
+                                psi.v + step * theta[n:])
+        minus = DiscreteSolution(dm, psi.u - step * theta[:n],
+                                 psi.v - step * theta[n:])
         fd = (assemble_trilinear_vector(plus, plus)
               - assemble_trilinear_vector(minus, minus)) / (2.0 * step)
         applied = assemble_trilinear_jacobian(psi) @ theta

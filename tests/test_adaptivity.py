@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from vkfem import (AdaptiveConfig, DiscreteSolution, LocalEstimates,
-                   adaptive_loop, build_dofmap, dorfler_mark, estimate,
-                   edge_rule, integrate_edge, nodal_interpolate,
-                   uniform_refine, uniform_study)
+                   build_dofmap, dorfler_mark, estimate, edge_rule,
+                   integrate_edge, nodal_interpolate, uniform_refine)
 from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
 from vkfem.problems import square_problem
 
@@ -19,8 +18,8 @@ def test_estimator_volume_terms_for_zero_solution(square1):
     g = lambda x, y: np.zeros_like(x)
     for method in ("morley", "dg"):
         dm = build_dofmap(square1, method)
-        psi = DiscreteSolution(method, np.zeros(dm.n_global),
-                               np.zeros(dm.n_global), dm)
+        psi = DiscreteSolution(dm, np.zeros(dm.n_global),
+                               np.zeros(dm.n_global))
         eta = estimate(psi, (f, g))
         from vkfem.quadrature import triangle_rule
         from vkfem.femspace import ElementBasis
@@ -45,7 +44,7 @@ def test_estimator_vanishes_for_manufactured_quadratic_interior(square1):
 
     dm = build_dofmap(square1, "dg")
     coef = nodal_interpolate(q, dm)
-    psi = DiscreteSolution("dg", coef, coef.copy(), dm)
+    psi = DiscreteSolution(dm, coef, coef.copy())
     eta = estimate(psi, (f, g))
 
     rule = edge_rule(5)
@@ -64,8 +63,8 @@ def test_estimator_vanishes_for_manufactured_quadratic_interior(square1):
     # unreachable for a quadratic through the constrained space, but the
     # volume residuals vanish for any representation of constant brackets
     dm_m = build_dofmap(square1, "morley")
-    zero = DiscreteSolution("morley", np.zeros(dm_m.n_global),
-                            np.zeros(dm_m.n_global), dm_m)
+    zero = DiscreteSolution(dm_m, np.zeros(dm_m.n_global),
+                            np.zeros(dm_m.n_global))
     eta_m = estimate(zero, (lambda x, y: np.zeros_like(x),
                             lambda x, y: np.zeros_like(x)))
     assert eta_m.total == 0.0
@@ -146,9 +145,9 @@ def test_theta_one_marks_everything(square0):
     assert states[1].mesh.n_triangles >= 2 * square0.n_triangles
 
 
-def test_uniform_study_estimator_decreases_and_efficiency_band():
+def test_uniform_levels_estimator_decreases_and_efficiency_band():
     prob = square_problem()
-    records = uniform_study(prob, "morley", 4)
+    records = [s.record for s in uniform_levels(prob, "morley", 4)]
     ests = [r.estimator_total for r in records]
     assert all(ests[k + 1] < ests[k] for k in range(3))
     # efficiency index error/(eta + osc) within a regression band
@@ -161,13 +160,15 @@ def test_uniform_study_estimator_decreases_and_efficiency_band():
     assert all(0.1 < q < 20.0 for q in mirror)
 
 
-def test_adaptive_loop_records_and_corner_focus():
+def test_adaptive_levels_records_and_corner_focus():
     from vkfem.problems import lshape_problem
     prob = lshape_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=12)
     states = list(adaptive_levels(prob, "morley", config))
     records = [s.record for s in states]
-    assert [r.level for r in records] == list(range(len(records)))
+    assert [r.level for r in records] == list(range(config.max_levels))
+    assert records[0].ndof == build_dofmap(prob.initial_mesh,
+                                           "morley").n_global
     assert all(records[k + 1].ndof > records[k].ndof
                for k in range(len(records) - 1))
     mesh = states[-1].mesh
@@ -177,19 +178,12 @@ def test_adaptive_loop_records_and_corner_focus():
     assert mesh.tri_diameter[near].min() < mesh.tri_diameter.max() / 2
 
 
-def test_adaptive_loop_wrapper_matches_generator():
-    prob = square_problem()
-    config = AdaptiveConfig(theta=0.7, max_levels=3)
-    records = adaptive_loop(prob, "c0ip", config)
-    assert len(records) == 3
-    assert records[0].ndof == build_dofmap(prob.initial_mesh, "c0ip").n_global
-
-
 def test_adaptive_cross_estimator(square0):
     # drive with the dg estimator when solving morley
     prob = square_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
-    records = adaptive_loop(prob, "morley", config, estimator="dg")
+    records = [s.record for s in adaptive_levels(prob, "morley", config,
+                                                 estimator="dg")]
     assert len(records) == 2
     assert records[0].estimator_total > 0
 
@@ -263,7 +257,7 @@ def test_each_dofmap_builds_its_bases_once(monkeypatch, method):
 def test_solve_level_matches_the_methods_own_loop():
     problem = square_problem()
     config = AdaptiveConfig(max_levels=2)
-    own = uniform_study(problem, "c0ip", 2, config)
+    own = [s.record for s in uniform_levels(problem, "c0ip", 2, config)]
     prev = None
     for state, expected in zip(uniform_levels(problem, "morley", 2, config),
                                own):

@@ -28,7 +28,7 @@ def test_error_norms_vanish_for_exact_p2(square1):
     exact = ExactSolutionPair(q, qg, qh, q, qg, qh, None, None)
     dm = build_dofmap(square1, "dg")
     coef = nodal_interpolate(q, dm)
-    psi = DiscreteSolution("dg", coef, coef.copy(), dm)
+    psi = DiscreteSolution(dm, coef, coef.copy())
     for kind in ("nc", "ip", "dg", "h"):
         assert error_norm(psi, exact, kind)[2] <= 1e-12
 
@@ -50,8 +50,8 @@ def test_error_norm_kinds_share_one_evaluation(square1):
     rng = np.random.default_rng(9)
     for method in ("morley", "c0ip", "dg"):
         dm = build_dofmap(square1, method)
-        psi = DiscreteSolution(method, rng.standard_normal(dm.n_global),
-                               rng.standard_normal(dm.n_global), dm)
+        psi = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                               rng.standard_normal(dm.n_global))
         calls.clear()
         together = error_norm(psi, exact, ("h", "nc", "ip", "dg"))
         assert sorted(map(id, calls)) == sorted(map(id, (q, qg, qh)))
@@ -223,7 +223,7 @@ def test_best_approx_equals_morley_distance(square2):
         value = getattr(exact, component)
         grad = getattr(exact, component + "_grad")
         hess = getattr(exact, component + "_hess")
-        coef = morley_interpolate(value, grad, square2, dm)
+        coef = morley_interpolate(value, grad, dm)
         basis = ElementBasis(dm)
         hfield = element_hessians(basis, coef)
         pts = basis.physical_points(rule.points[:, 1:])
@@ -277,7 +277,7 @@ def test_rule_point_gradient_jumps_leave_estimates_and_norms_unchanged(
     exact = problem.exact
     loads = (exact.f, exact.g)
     for method in ("morley", "c0ip", "dg"):
-        psi, _ = newton_solve(mesh, build_dofmap(mesh, method), loads=loads)
+        psi, _ = newton_solve(build_dofmap(mesh, method), loads)
 
         def run():
             return (estimate(psi, loads).eta2,

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from vkfem import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
-                   assemble_bracket_element, assemble_load,
+                   assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
                    bracket_elements, build_dofmap, build_topology, edge_rule,
                    integrate_edge, is_spd, nodal_interpolate,
@@ -34,7 +34,7 @@ def fd_hessian_quadratic(basis, tri, pts, coef, h=1e-5):
 def test_symmetry_all_methods(square1):
     for method in ("morley", "c0ip", "dg"):
         dm = build_dofmap(square1, method)
-        a = assemble_biharmonic(square1, dm)
+        a = assemble_biharmonic(dm)
         asym = abs(a - a.T).max()
         assert asym <= 1e-10 * abs(a).max()
 
@@ -43,7 +43,7 @@ def test_morley_two_triangle_matrix_against_quadrature(two_tri):
     # single dof: entry is sum_K int |D2(phi)|^2 for the one Morley shape;
     # cross-check with a dense quadrature using finite-difference Hessians
     dm = build_dofmap(two_tri, "morley")
-    a = assemble_biharmonic(two_tri, dm)
+    a = assemble_biharmonic(dm)
     assert a.shape == (1, 1)
     basis = ElementBasis(dm)
     rule = triangle_rule(2)
@@ -61,14 +61,14 @@ def test_morley_two_triangle_matrix_against_quadrature(two_tri):
 def test_ip_dg_spd_at_default_penalty(square1):
     for method in ("c0ip", "dg"):
         dm = build_dofmap(square1, method)
-        assert is_spd(assemble_biharmonic(square1, dm))
+        assert is_spd(assemble_biharmonic(dm))
 
 
 def test_morley_matrix_spd(square1, lshape0):
     # boundary constraints remove the kernel of the broken Hessian form
     for mesh in (square1, lshape0):
         dm = build_dofmap(mesh, "morley")
-        assert is_spd(assemble_biharmonic(mesh, dm))
+        assert is_spd(assemble_biharmonic(dm))
 
 
 def test_dg_interior_jumps_vanish_for_global_quadratic(square1):
@@ -77,7 +77,7 @@ def test_dg_interior_jumps_vanish_for_global_quadratic(square1):
     # here by an independent edge-wise oracle
     dm = build_dofmap(square1, "dg")
     mesh = square1
-    a = assemble_biharmonic(mesh, dm)
+    a = assemble_biharmonic(dm)
     coef = nodal_interpolate(lambda x, y: x**2, dm)
     value = float(coef @ (a @ coef))
 
@@ -113,7 +113,7 @@ def test_dg_on_morley_field_is_nc_plus_penalties(square1):
     # embed into the discontinuous space by evaluating at the Lagrange nodes
     dm_dg = build_dofmap(mesh, "dg")
     coef_dg = to_dg_coefficients(dm_m, coef_m)
-    a_dg = assemble_biharmonic(mesh, dm_dg)
+    a_dg = assemble_biharmonic(dm_dg)
     quad_form = float(coef_dg @ (a_dg @ coef_dg))
 
     nc2 = discrete_norm(dm_m, coef_m, "nc")**2
@@ -139,7 +139,7 @@ def test_bracket_of_x2_plus_y2(square1):
     coef = nodal_interpolate(lambda x, y: x**2 + y**2, dm)
     br = bracket_elements(dm, coef, coef)
     assert np.abs(br - 8.0).max() < 1e-10
-    assert assemble_bracket_element(dm, coef, coef, 3) == pytest.approx(8.0)
+    assert float(br[3]) == pytest.approx(8.0)
 
 
 def test_bracket_symmetry_and_affine(square1):
@@ -156,10 +156,10 @@ def test_bracket_symmetry_and_affine(square1):
 def test_trilinear_vector_symmetric_in_first_two(square1):
     dm = build_dofmap(square1, "morley")
     rng = np.random.default_rng(5)
-    xi = DiscreteSolution("morley", rng.standard_normal(dm.n_global),
-                          rng.standard_normal(dm.n_global), dm)
-    th = DiscreteSolution("morley", rng.standard_normal(dm.n_global),
-                          rng.standard_normal(dm.n_global), dm)
+    xi = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                          rng.standard_normal(dm.n_global))
+    th = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                          rng.standard_normal(dm.n_global))
     b1 = assemble_trilinear_vector(xi, th)
     b2 = assemble_trilinear_vector(th, xi)
     assert np.abs(b1 - b2).max() < 1e-13 * max(1.0, np.abs(b1).max())
@@ -168,10 +168,10 @@ def test_trilinear_vector_symmetric_in_first_two(square1):
 def test_trilinear_vector_affine_gives_zero(square1):
     dm = build_dofmap(square1, "dg")
     affine = nodal_interpolate(lambda x, y: 1.0 + x - y, dm)
-    xi = DiscreteSolution("dg", affine, 2.0 * affine, dm)
+    xi = DiscreteSolution(dm, affine, 2.0 * affine)
     rng = np.random.default_rng(6)
-    th = DiscreteSolution("dg", rng.standard_normal(dm.n_global),
-                          rng.standard_normal(dm.n_global), dm)
+    th = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                          rng.standard_normal(dm.n_global))
     assert np.abs(assemble_trilinear_vector(xi, th)).max() < 1e-10
 
 
@@ -183,8 +183,8 @@ def test_cubic_form_single_triangle_against_quadrature(skewed_triangle):
     rng = np.random.default_rng(7)
     eta = rng.standard_normal(6)
     chi = rng.standard_normal(6)
-    xi = DiscreteSolution("dg", eta, np.zeros(6), dm)
-    th = DiscreteSolution("dg", np.zeros(6), chi, dm)
+    xi = DiscreteSolution(dm, eta, np.zeros(6))
+    th = DiscreteSolution(dm, np.zeros(6), chi)
     vec = assemble_trilinear_vector(xi, th)  # block 1: b(eta, chi, phi_i)
 
     basis = ElementBasis(dm)
@@ -201,8 +201,7 @@ def test_cubic_form_single_triangle_against_quadrature(skewed_triangle):
 
 def test_trilinear_jacobian_zero_state(square1):
     dm = build_dofmap(square1, "c0ip")
-    zero = DiscreteSolution("c0ip", np.zeros(dm.n_global),
-                            np.zeros(dm.n_global), dm)
+    zero = DiscreteSolution(dm, np.zeros(dm.n_global), np.zeros(dm.n_global))
     j = assemble_trilinear_jacobian(zero)
     assert abs(j).max() == 0.0
 
@@ -213,14 +212,13 @@ def test_trilinear_jacobian_matches_central_difference(square1):
     dm = build_dofmap(square1, "morley")
     n = dm.n_global
     rng = np.random.default_rng(8)
-    psi = DiscreteSolution("morley", rng.standard_normal(n),
-                           rng.standard_normal(n), dm)
+    psi = DiscreteSolution(dm, rng.standard_normal(n), rng.standard_normal(n))
     theta = rng.standard_normal(2 * n)
     eps = 1e-3
-    plus = DiscreteSolution("morley", psi.u + eps * theta[:n],
-                            psi.v + eps * theta[n:], dm)
-    minus = DiscreteSolution("morley", psi.u - eps * theta[:n],
-                             psi.v - eps * theta[n:], dm)
+    plus = DiscreteSolution(dm, psi.u + eps * theta[:n],
+                            psi.v + eps * theta[n:])
+    minus = DiscreteSolution(dm, psi.u - eps * theta[:n],
+                             psi.v - eps * theta[n:])
     fd = (assemble_trilinear_vector(plus, plus)
           - assemble_trilinear_vector(minus, minus)) / (2.0 * eps)
     jac = assemble_trilinear_jacobian(psi)
@@ -233,8 +231,7 @@ def test_trilinear_jacobian_block_structure(square1):
     dm = build_dofmap(square1, "dg")
     n = dm.n_global
     rng = np.random.default_rng(9)
-    psi = DiscreteSolution("dg", rng.standard_normal(n),
-                           rng.standard_normal(n), dm)
+    psi = DiscreteSolution(dm, rng.standard_normal(n), rng.standard_normal(n))
     j = assemble_trilinear_jacobian(psi).toarray()
     # (2,2) block empty; (2,1) block is the negative of (1,2)
     assert np.abs(j[n:, n:]).max() == 0.0
@@ -245,7 +242,7 @@ def test_load_constant_on_reference_triangle():
     mesh = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     dm = build_dofmap(mesh, "dg")
     load = assemble_load(lambda x, y: np.ones_like(x),
-                         lambda x, y: np.zeros_like(x), mesh, dm)
+                         lambda x, y: np.zeros_like(x), dm)
     # vertex shapes integrate to zero, midpoint shapes to area/3 = 1/6
     assert np.abs(load[:3]).max() < 1e-15
     assert np.abs(load[3:6] - 1.0 / 6.0).max() < 1e-14
@@ -255,15 +252,13 @@ def test_load_constant_on_reference_triangle():
 def test_load_zero_and_linearity(square1):
     dm = build_dofmap(square1, "c0ip")
     zero = assemble_load(lambda x, y: np.zeros_like(x),
-                         lambda x, y: np.zeros_like(x), square1, dm)
+                         lambda x, y: np.zeros_like(x), dm)
     assert np.abs(zero).max() == 0.0
     f1 = lambda x, y: np.sin(x + y)
     f2 = lambda x, y: x * y**2
     g = lambda x, y: np.cos(x)
-    la = assemble_load(lambda x, y: 2.0 * f1(x, y) + 3.0 * f2(x, y), g,
-                       square1, dm)
-    lb = (2.0 * assemble_load(f1, g, square1, dm)
-          + 3.0 * assemble_load(f2, g, square1, dm))
+    la = assemble_load(lambda x, y: 2.0 * f1(x, y) + 3.0 * f2(x, y), g, dm)
+    lb = (2.0 * assemble_load(f1, g, dm) + 3.0 * assemble_load(f2, g, dm))
     # the g block was added three plus two times in lb, fix the comparison
     n = dm.n_global
     assert np.abs(la[:n] - lb[:n]).max() < 1e-13 * max(1.0, np.abs(la).max())
@@ -276,10 +271,10 @@ def test_trilinear_boundedness_constant(square1):
     rng = np.random.default_rng(10)
     worst = 0.0
     for _ in range(100):
-        xi = DiscreteSolution("dg", rng.standard_normal(n),
-                              rng.standard_normal(n), dm)
-        th = DiscreteSolution("dg", rng.standard_normal(n),
-                              rng.standard_normal(n), dm)
+        xi = DiscreteSolution(dm, rng.standard_normal(n),
+                              rng.standard_normal(n))
+        th = DiscreteSolution(dm, rng.standard_normal(n),
+                              rng.standard_normal(n))
         phi = rng.standard_normal(2 * n)
         val = abs(float(assemble_trilinear_vector(xi, th) @ phi))
         norms = 1.0
@@ -303,13 +298,7 @@ def test_penalty_validation():
         PenaltyConfig(sigma_dg=float("inf"))
 
 
-def test_method_mismatch(square1):
-    dm = build_dofmap(square1, "morley")
-    with pytest.raises(ValueError):
-        assemble_biharmonic(square1, dm, method="dg")
-
-
 def test_solution_length_validation(square1):
     dm = build_dofmap(square1, "morley")
     with pytest.raises(ValueError):
-        DiscreteSolution("morley", np.zeros(3), np.zeros(dm.n_global), dm)
+        DiscreteSolution(dm, np.zeros(3), np.zeros(dm.n_global))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vkfem import (build_dofmap, build_topology, edge_rule, eval_basis,
-                   morley_interpolate, nodal_interpolate, uniform_refine)
+from vkfem import (build_dofmap, build_topology, edge_rule, morley_interpolate,
+                   nodal_interpolate, uniform_refine)
 from vkfem.adaptivity import AdaptiveConfig, adaptive_levels
 from vkfem.femspace import (EDGE_POINTS, METHODS, REF_NODES, EdgeBasis,
                             ElementBasis, _nested_dissection,
@@ -121,9 +121,11 @@ def test_lagrange_kronecker_and_partition_of_unity():
     assert np.abs(p2_values(pts).sum(axis=-1) - 1.0).max() < 1e-14
 
 
-def test_eval_basis_vertex_values(two_tri):
+def test_basis_vertex_values(two_tri):
     dm = build_dofmap(two_tri, "dg")
-    vals, grads, hess = eval_basis(dm, 0, REF_NODES[:3])
+    vals = dm.basis.values(REF_NODES[:3])[0]
+    grads = dm.basis.gradients(REF_NODES[:3])[0]
+    hess = dm.basis.hessians[0]
     assert np.abs(vals - np.eye(6)[:3]).max() < 1e-14
     assert grads.shape == (3, 6, 2)
     assert hess.shape == (6, 3)
@@ -240,8 +242,7 @@ def test_morley_shapes_have_constant_hessians(skewed_triangle):
 def test_morley_interpolate_zero_function(square1):
     dm = build_dofmap(square1, "morley")
     coef = morley_interpolate(lambda x, y: np.zeros_like(x),
-                              lambda x, y: np.zeros(x.shape + (2,)),
-                              square1, dm)
+                              lambda x, y: np.zeros(x.shape + (2,)), dm)
     assert np.abs(coef).max() == 0.0
 
 
@@ -249,7 +250,7 @@ def test_morley_interpolate_dof_data(square1):
     # vertex dofs carry point values, edge dofs the mean normal derivative
     ex = exact_square()
     dm = build_dofmap(square1, "morley")
-    coef = morley_interpolate(ex.u, ex.u_grad, square1, dm)
+    coef = morley_interpolate(ex.u, ex.u_grad, dm)
     free_v = np.where(dm.vertex_dof >= 0)[0]
     xv = square1.vertices[free_v]
     assert np.abs(coef[dm.vertex_dof[free_v]] - ex.u(xv[:, 0], xv[:, 1])).max() < 1e-14
@@ -289,7 +290,7 @@ def test_morley_interpolant_hessian_projection(square2):
     # the exact Hessian (clamped data, so boundary constraints agree)
     ex = exact_square()
     dm = build_dofmap(square2, "morley")
-    coef = morley_interpolate(ex.u, ex.u_grad, square2, dm)
+    coef = morley_interpolate(ex.u, ex.u_grad, dm)
     basis = ElementBasis(dm)
     hess = element_hessians(basis, coef)
     rule = triangle_rule(8)
@@ -304,7 +305,7 @@ def test_morley_interpolant_edge_mean_conforming(square1):
     # jump of the edge mean of the normal derivative vanishes by construction
     ex = exact_square()
     dm = build_dofmap(square1, "morley")
-    coef = morley_interpolate(ex.u, ex.u_grad, square1, dm)
+    coef = morley_interpolate(ex.u, ex.u_grad, dm)
     basis = ElementBasis(dm)
     rule = edge_rule(6)
     eb = EdgeBasis(basis, rule.points)
@@ -338,4 +339,4 @@ def test_nodal_interpolate_rejects_morley(square1):
     dmc = build_dofmap(square1, "c0ip")
     with pytest.raises(ValueError):
         morley_interpolate(lambda x, y: x, lambda x, y: np.zeros(x.shape + (2,)),
-                           square1, dmc)
+                           dmc)

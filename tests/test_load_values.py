@@ -26,10 +26,10 @@ def test_callables_and_values_give_identical_results(level2):
     rng = np.random.default_rng(7)
     for method in METHODS:
         dm = build_dofmap(mesh, method)
-        assert np.array_equal(assemble_load(*loads, mesh, dm),
-                              assemble_load(*values, mesh, dm))
-        psi = DiscreteSolution(method, rng.standard_normal(dm.n_global),
-                               rng.standard_normal(dm.n_global), dm)
+        assert np.array_equal(assemble_load(*loads, dm),
+                              assemble_load(*values, dm))
+        psi = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                               rng.standard_normal(dm.n_global))
         eta2 = estimate(psi, values).eta2
         assert np.array_equal(estimate(psi, loads).eta2, eta2)
         assert np.array_equal(residual(psi, loads), residual(psi, values))
@@ -46,17 +46,17 @@ def test_values_of_the_wrong_shape_raise(square1):
     good = load_values(ex.f, square1)
     dm = build_dofmap(square1, "morley")
     zero = np.zeros(dm.n_global)
-    psi = DiscreteSolution("morley", zero, zero, dm)
+    psi = DiscreteSolution(dm, zero, zero)
     for bad in (good.T, good[:, :-1], good[:-1], good.ravel(),
                 load_values(ex.f, square1, quad_degree=6)):
         with pytest.raises(ValueError, match="shape"):
             load_values(bad, square1)
         with pytest.raises(ValueError, match="shape"):
-            assemble_load(good, bad, square1, dm)
+            assemble_load(good, bad, dm)
         with pytest.raises(ValueError, match="shape"):
             estimate(psi, (bad, good))
         with pytest.raises(ValueError, match="shape"):
             oscillation_local(bad, square1)
     # values belong to the degree they were evaluated at
     with pytest.raises(ValueError, match="shape"):
-        assemble_load(good, good, square1, dm, quad_degree=6)
+        assemble_load(good, good, dm, quad_degree=6)

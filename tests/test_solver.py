@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from vkfem import (DiscreteSolution, PenaltyConfig, SolverError,
                    assemble_biharmonic, assemble_load,
-                   assemble_trilinear_jacobian, build_dofmap, is_spd,
-                   linear_solve, newton_order, newton_solve, residual,
-                   spd_solve, uniform_refine)
+                   assemble_trilinear_jacobian, build_dofmap, build_topology,
+                   error_norm, estimate, is_spd, linear_solve, newton_order,
+                   newton_solve, residual, spd_solve, uniform_refine)
 from vkfem import solver
 from vkfem.femspace import DofMap, load_values
 from vkfem.problems import exact_lshape, exact_square
@@ -27,7 +27,7 @@ def test_identity_system():
 
 def test_one_by_one_morley_system(two_tri):
     dm = build_dofmap(two_tri, "morley")
-    a = assemble_biharmonic(two_tri, dm)
+    a = assemble_biharmonic(dm)
     x = linear_solve(a, np.array([2.0]))
     assert x[0] == pytest.approx(2.0 / a[0, 0], rel=1e-12)
 
@@ -57,7 +57,7 @@ def test_spd_detection():
     assert not is_spd(sp.diags([2.0, -1.0, 5.0]).tocsc())
     # nonsymmetric matrices are rejected
     assert not is_spd(sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 1.0]])))
-    # large sparse path (SuperLU pivots)
+    # a larger system: definiteness read from the SuperLU pivots
     n = 2000
     lap = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                    [-1, 0, 1]).tocsc()
@@ -77,7 +77,7 @@ def test_spd_solve_solves():
 def test_newton_zero_loads_one_iteration(square1):
     dm = build_dofmap(square1, "morley")
     zero = lambda x, y: np.zeros_like(x)
-    psi, report = newton_solve(square1, dm, loads=(zero, zero))
+    psi, report = newton_solve(dm, (zero, zero))
     assert report.converged
     assert report.iterations == 1
     assert np.abs(psi.u).max() == 0.0 and np.abs(psi.v).max() == 0.0
@@ -88,7 +88,7 @@ def test_newton_tiny_loads_two_iterations(square1):
     ex = exact_square()
     tiny_f = lambda x, y: 1e-8 * ex.f(x, y)
     tiny_g = lambda x, y: 1e-8 * ex.g(x, y)
-    psi, report = newton_solve(square1, dm, loads=(tiny_f, tiny_g))
+    psi, report = newton_solve(dm, (tiny_f, tiny_g))
     assert report.converged
     assert report.iterations <= 2
 
@@ -97,7 +97,7 @@ def test_newton_converges_and_history_decreases(square2):
     ex = exact_square()
     for method in ("morley", "c0ip", "dg"):
         dm = build_dofmap(square2, method)
-        psi, report = newton_solve(square2, dm, loads=loads_of(ex))
+        psi, report = newton_solve(dm, loads_of(ex))
         assert report.converged
         h = report.residual_history
         assert all(h[k + 1] < h[k] for k in range(len(h) - 1))
@@ -106,9 +106,27 @@ def test_newton_converges_and_history_decreases(square2):
 def test_newton_quadratic_order(square2):
     ex = exact_square()
     dm = build_dofmap(square2, "morley")
-    psi, report = newton_solve(square2, dm, loads=loads_of(ex))
+    psi, report = newton_solve(dm, loads_of(ex))
     order = newton_order(report.residual_history, floor=1e-11)
     assert order >= 1.7
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_newton_without_free_dofs(method):
+    # on one triangle every Morley and C0IP dof lies on the boundary, so the
+    # discrete pair is the empty zero pair; dg keeps its six dofs
+    mesh = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    dm = build_dofmap(mesh, method)
+    ex = exact_square()
+    psi, report = newton_solve(dm, loads_of(ex))
+    assert report.converged
+    if method == "dg":
+        assert dm.n_global == 6
+    else:
+        assert dm.n_global == 0 and report.iterations == 1
+        assert psi.u.shape == psi.v.shape == (0,)
+    assert np.isfinite(estimate(psi, loads_of(ex)).total)
+    assert np.all(np.isfinite(error_norm(psi, ex, "h")))
 
 
 def test_newton_order_needs_three_residuals():
@@ -119,9 +137,8 @@ def test_newton_order_needs_three_residuals():
 def test_residual_of_zero_is_minus_load(square1):
     ex = exact_square()
     dm = build_dofmap(square1, "dg")
-    load = assemble_load(ex.f, ex.g, square1, dm)
-    zero = DiscreteSolution("dg", np.zeros(dm.n_global),
-                            np.zeros(dm.n_global), dm)
+    load = assemble_load(ex.f, ex.g, dm)
+    zero = DiscreteSolution(dm, np.zeros(dm.n_global), np.zeros(dm.n_global))
     res = residual(zero, loads_of(ex))
     assert np.abs(res + load).max() < 1e-14 * max(1.0, np.abs(load).max())
 
@@ -129,7 +146,7 @@ def test_residual_of_zero_is_minus_load(square1):
 def test_residual_small_at_converged_solution(square1):
     ex = exact_square()
     dm = build_dofmap(square1, "c0ip")
-    psi, report = newton_solve(square1, dm, loads=loads_of(ex))
+    psi, report = newton_solve(dm, loads_of(ex))
     res = residual(psi, loads_of(ex))
     assert np.linalg.norm(res) == pytest.approx(report.residual_history[-1],
                                                 rel=1e-10)
@@ -139,11 +156,11 @@ def test_newton_invalid_arguments(square1):
     dm = build_dofmap(square1, "morley")
     zero = lambda x, y: np.zeros_like(x)
     with pytest.raises(ValueError):
-        newton_solve(square1, dm, loads=(zero, zero), tol=0.0)
+        newton_solve(dm, (zero, zero), tol=0.0)
     with pytest.raises(ValueError):
-        newton_solve(square1, dm, loads=(zero, zero), maxit=0)
-    with pytest.raises(ValueError):
-        newton_solve(square1, dm)
+        newton_solve(dm, (zero, zero), maxit=0)
+    with pytest.raises(TypeError):  # the loads are required
+        newton_solve(dm)
 
 
 def test_method_solutions_pairwise_close(square2):
@@ -154,7 +171,7 @@ def test_method_solutions_pairwise_close(square2):
     solutions, errors = {}, {}
     for method in ("morley", "c0ip", "dg"):
         dm = build_dofmap(square2, method)
-        psi, _ = newton_solve(square2, dm, loads=loads_of(ex))
+        psi, _ = newton_solve(dm, loads_of(ex))
         solutions[method] = psi
         errors[method] = error_norm(psi, ex, "h")[2]
     dg_dm = build_dofmap(square2, "dg")
@@ -180,10 +197,10 @@ def permuted_dofmap(dm, rng):
 def test_newton_permutation_invariance(square1):
     ex = exact_square()
     dm = build_dofmap(square1, "morley")
-    psi, _ = newton_solve(square1, dm, loads=loads_of(ex))
+    psi, _ = newton_solve(dm, loads_of(ex))
     rng = np.random.default_rng(14)
     dmp, perm = permuted_dofmap(dm, rng)
-    psi_p, _ = newton_solve(square1, dmp, loads=loads_of(ex))
+    psi_p, _ = newton_solve(dmp, loads_of(ex))
     back_u = psi_p.u[perm]
     back_v = psi_p.v[perm]
     scale = max(1.0, np.abs(psi.u).max())
@@ -191,17 +208,25 @@ def test_newton_permutation_invariance(square1):
     assert np.abs(back_v - psi.v).max() < 1e-9 * scale
 
 
-def lu_newton(mesh, dm, loads, penalty=None):
+def assembled_jacobian(system, psi):
+    """The Newton matrix at ``psi`` assembled as one sparse matrix from
+    ``K`` and the coupling derivative, independently of ``step_matrix``."""
+    k = system.stiffness
+    return (sp.block_diag((k, k), format="csr")
+            + assemble_trilinear_jacobian(psi))
+
+
+def lu_newton(dm, loads, penalty=None):
     """Newton's method with every step solved by LU on the full Jacobian,
     with the stopping rule of ``newton_solve``: the reference for its
     preconditioned steps."""
-    system = NewtonSystem(mesh, dm, dm.method, penalty, loads)
+    system = NewtonSystem(dm, loads, penalty)
     n = dm.n_global
-    abs_stiffness = abs(system.block_stiffness)
-    psi = DiscreteSolution(dm.method, np.zeros(n), np.zeros(n), dm)
+    abs_stiffness = abs(sp.block_diag((system.stiffness,) * 2, format="csr"))
+    psi = DiscreteSolution(dm, np.zeros(n), np.zeros(n))
     res = -system.load
     for it in range(1, 51):
-        delta = linear_solve(system.jacobian(psi), -res)
+        delta = linear_solve(assembled_jacobian(system, psi), -res)
         psi.u += delta[:n]
         psi.v += delta[n:]
         res = system.residual(psi)
@@ -248,10 +273,10 @@ def test_preconditioned_newton_matches_lu_newton(request, mesh_name, exact,
     mesh = request.getfixturevalue(mesh_name)
     dm = build_dofmap(mesh, method)
     if penalty is not None:
-        assert not is_spd(assemble_biharmonic(mesh, dm, method, penalty))
+        assert not is_spd(assemble_biharmonic(dm, penalty))
     loads = loads_of(exact())
-    ref, ref_iterations = lu_newton(mesh, dm, loads, penalty)
-    psi, report = newton_solve(mesh, dm, method, penalty, loads)
+    ref, ref_iterations = lu_newton(dm, loads, penalty)
+    psi, report = newton_solve(dm, loads, penalty)
     assert report.converged
     assert report.iterations == ref_iterations
     assert_same_solution(psi, ref)
@@ -260,14 +285,14 @@ def test_preconditioned_newton_matches_lu_newton(request, mesh_name, exact,
 def test_newton_falls_back_to_lu_when_gmres_fails(square2, monkeypatch):
     dm = build_dofmap(square2, "c0ip")
     loads = loads_of(exact_square())
-    ref, report_ref = newton_solve(square2, dm, loads=loads)
+    ref, report_ref = newton_solve(dm, loads)
     calls = []
 
     def nan_gmres(a, b, **kwargs):
         calls.append(len(b))
         return np.full_like(b, np.nan), 0
     monkeypatch.setattr(solver.spla, "gmres", nan_gmres)
-    psi, report = newton_solve(square2, dm, loads=loads)
+    psi, report = newton_solve(dm, loads)
     assert len(calls) == report.iterations  # every step tried GMRES first
     assert report.converged
     assert report.iterations == report_ref.iterations
@@ -281,7 +306,7 @@ def test_newton_falls_back_to_lu_when_the_block_does_not_factorise(
     # block failing sends only its own step to LU
     dm = build_dofmap(square2, "dg")
     loads = loads_of(exact_square())
-    ref, report_ref = newton_solve(square2, dm, loads=loads)
+    ref, report_ref = newton_solve(dm, loads)
     real_lu = solver._symmetric_lu
     calls = []
 
@@ -291,7 +316,7 @@ def test_newton_falls_back_to_lu_when_the_block_does_not_factorise(
             raise RuntimeError("Factor is exactly singular")
         return real_lu(matrix, column_order)
     monkeypatch.setattr(solver, "_symmetric_lu", failing_lu)
-    psi, report = newton_solve(square2, dm, loads=loads)
+    psi, report = newton_solve(dm, loads)
     assert len(calls) == (1 if failing_step == 0 else report.iterations)
     assert report.converged
     assert report.iterations == report_ref.iterations
@@ -323,7 +348,7 @@ def test_dg_numbering_factors_with_minimum_degree_fill(request, mesh_name):
     mesh = request.getfixturevalue(mesh_name)
     dm = build_dofmap(mesh, "dg")
     assert dm.column_order == "NATURAL"
-    k = assemble_biharmonic(mesh, dm)
+    k = assemble_biharmonic(dm)
     natural = solver._symmetric_lu(k, "NATURAL")
     mmd = solver._symmetric_lu(k, "MMD_AT_PLUS_A")
     fill = natural.L.nnz + natural.U.nnz
@@ -340,10 +365,10 @@ def test_dg_newton_matches_minimum_degree_factors(request, monkeypatch,
     mesh = request.getfixturevalue(mesh_name)
     dm = build_dofmap(mesh, "dg")
     loads = loads_of(exact())
-    psi, report = newton_solve(mesh, dm, loads=loads)
+    psi, report = newton_solve(dm, loads)
     monkeypatch.setattr(DofMap, "column_order",
                         property(lambda self: "MMD_AT_PLUS_A"))
-    ref, report_ref = newton_solve(mesh, dm, loads=loads)
+    ref, report_ref = newton_solve(dm, loads)
     assert report.converged and report_ref.converged
     assert report.iterations == report_ref.iterations
     assert_same_solution(psi, ref)
@@ -362,13 +387,12 @@ def test_newton_step_matrix_is_the_assembled_jacobian(request, mesh_name,
     # them
     mesh = request.getfixturevalue(mesh_name)
     dm = build_dofmap(mesh, method)
-    system = NewtonSystem(mesh, dm, method, None, loads_of(exact_square()))
+    system = NewtonSystem(dm, loads_of(exact_square()))
     n = dm.n_global
     rng = np.random.default_rng(16)
-    psi = DiscreteSolution(method, rng.standard_normal(n),
-                           rng.standard_normal(n), dm)
+    psi = DiscreteSolution(dm, rng.standard_normal(n), rng.standard_normal(n))
     step = system.step_matrix(psi)
-    ref = (system.block_stiffness + assemble_trilinear_jacobian(psi)).tocsr()
+    ref = assembled_jacobian(system, psi).tocsr()
     scale = abs(ref).max()
 
     def assert_close(got, want):
@@ -400,7 +424,7 @@ def test_dg_newton_solve_stays_within_its_memory_peak(square3):
     loads = (load_values(ex.f, square3), load_values(ex.g, square3))
     tracemalloc.start()
     try:
-        _, report = newton_solve(square3, dm, loads=loads)
+        _, report = newton_solve(dm, loads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
