@@ -103,8 +103,7 @@ def estimate(psi, loads, quad_degree=8):
     res1 = load_values(f, mesh, quad_degree) + br_uv[:, None]
     res2 = load_values(g, mesh, quad_degree) - 0.5 * br_uu[:, None]
     hk4 = mesh.tri_diameter**4
-    eta2 = hk4 * np.einsum("t,q,tq->t", mesh.area, rule.weights,
-                           res1**2 + res2**2)
+    eta2 = hk4 * mesh.area * ((res1**2 + res2**2) @ rule.weights)
 
     h = mesh.edge_length
     interior = ~mesh.edge_on_boundary
@@ -148,7 +147,7 @@ def estimate(psi, loads, quad_degree=8):
             grad2 = np.einsum("q,eqa->e", w, gj**2)
             term += grad2  # h^-1 * h * sum(w |jump|^2)
             if method == "dg":
-                term += np.einsum("q,eq->e", w, vj[:, :nq]**2) / h**2
+                term += (vj[:, :nq]**2 @ w) / h**2
         attribute(term)
 
     return LocalEstimates(np.maximum(eta2, 0.0), method)

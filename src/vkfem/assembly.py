@@ -114,13 +114,6 @@ def _sub_structure(indptr, indices, slots):
             before[slots])
 
 
-def _hessian_normal_scalar(hess, normal):
-    """nu' D2(phi) nu per shape from (xx, yy, xy) triplets."""
-    n1, n2 = normal[:, 0], normal[:, 1]
-    return (hess[..., 0] * (n1**2)[:, None] + hess[..., 1] * (n2**2)[:, None]
-            + 2.0 * hess[..., 2] * (n1 * n2)[:, None])
-
-
 def _hessian_normal_vector(hess, normal):
     """D2(phi) nu per shape, shape (ne, 6, 2)."""
     n1, n2 = normal[:, 0], normal[:, 1]
@@ -148,8 +141,8 @@ def assemble_biharmonic(dofmap, penalty=None):
     n = dofmap.n_global
     dofs = dofmap.element_dofs
     frob = np.array([1.0, 1.0, 2.0])
-    local = np.einsum("t,tic,tjc,c->tij", basis.area, basis.hessians,
-                      basis.hessians, frob)
+    weighted = basis.hessians * (basis.area[:, None, None] * frob)
+    local = weighted @ basis.hessians.transpose(0, 2, 1)
     if dofmap.method == "morley":
         indptr, indices, (slots,) = _structure(n, [(dofs, dofs)])
         data = _sum_into(slots, local, len(indices))
@@ -198,8 +191,7 @@ def _edge_terms(dofmap, sigma):
     mesh, eb = dofmap.mesh, dofmap.edge_basis
     w = EDGE_RULE.weights
     nq = len(w)
-    normal = mesh.edge_normal
-    h = mesh.edge_length
+    normal, h = mesh.edge_normal, mesh.edge_length
     avg_factor = np.where(mesh.edge_on_boundary, 1.0, 0.5)
 
     def jump(sides):
@@ -208,31 +200,27 @@ def _edge_terms(dofmap, sigma):
 
     dn = jump([np.einsum("eqja,ea->eqj", grads[:, :nq], normal)
                for grads in eb.gradients])
-    jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
+    # scale the (ne, nq, 12) factors: each (ne, 12, 12) array is made once
+    pen = dn.transpose(0, 2, 1) @ (sigma * w[:, None] * dn)
+    hn = np.concatenate([_hessian_normal_vector(eb.hessians[0], normal),
+                         _hessian_normal_vector(eb.hessians[1], normal)],
+                        axis=1) * avg_factor[:, None, None]
 
     if dofmap.method == "c0ip":
-        hnn = np.concatenate([_hessian_normal_scalar(eb.hessians[0], normal),
-                              _hessian_normal_scalar(eb.hessians[1], normal)],
-                             axis=1) * avg_factor[:, None]
-        cons = -(np.einsum("ei,ej->eij", hnn, jn_int)
-                 + np.einsum("ej,ei->eij", hnn, jn_int))
-        pen = sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
-        local = cons + pen
+        # only the normal-derivative jump: its integral times the normal
+        jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
+        gj_int = jn_int[:, :, None] * normal[:, None, :]
     else:
-        hn = np.concatenate([_hessian_normal_vector(eb.hessians[0], normal),
-                             _hessian_normal_vector(eb.hessians[1], normal)],
-                            axis=1) * avg_factor[:, None, None]
         gj = jump(eb.gradients)
         gj_int = h[:, None, None] * np.einsum("q,eqja->eja", w, gj)
-        cons = -(np.einsum("eia,eja->eij", hn, gj_int)
-                 + np.einsum("eja,eia->eij", hn, gj_int))
         vj = jump(eb.values)
-        pen = (sigma / h**2)[:, None, None] * np.einsum(
-            "q,eqi,eqj->eij", w, vj, vj)
-        pen += sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
-        local = cons + pen
-
-    return local
+        pen += vj.transpose(0, 2, 1) @ (
+            (sigma / h**2)[:, None, None] * w[:, None] * vj)
+    # the consistency term {D2(phi_i) nu} . [grad phi_j] and its transpose
+    cons = hn @ gj_int.transpose(0, 2, 1)
+    pen -= cons
+    pen -= cons.transpose(0, 2, 1)
+    return pen
 
 
 def assemble_load(f, g, dofmap, quad_degree=8):
@@ -251,7 +239,8 @@ def assemble_load(f, g, dofmap, quad_degree=8):
     keep = dofs >= 0
     for block, load in enumerate((f, g)):
         vals = load_values(load, dofmap.mesh, quad_degree)
-        local = np.einsum("t,q,tq,tqi->ti", basis.area, rule.weights, vals, phi)
+        local = basis.area[:, None] * (
+            (vals * rule.weights)[:, None, :] @ phi)[:, 0]
         np.add.at(out, block * dofmap.n_global + dofs[keep], local[keep])
     return out
 

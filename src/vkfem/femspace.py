@@ -15,6 +15,10 @@ assembly.  Local dof order is always three vertex functions followed by the
 function attached to local edge 0, 1, 2 (edge ``k`` opposite vertex ``k``).
 Morley edge dofs use the mesh's global edge normal, so the two elements
 sharing an edge see the same functional and no sign flips are needed.
+
+Bases are built by ``@`` on stacked arrays: all Jacobians' rows as one
+``(2 nt, 2)`` matrix times the points, one ``(points x shapes, 2)`` block per
+element for gradients, and Morley transforms batched over elements or edges.
 """
 
 from __future__ import annotations
@@ -234,7 +238,8 @@ def _affine_maps(mesh):
 
 def _map_points(p0, jac, ref_points):
     ref = np.asarray(ref_points, dtype=float)
-    return p0[:, None, :] + np.einsum("tab,mb->tma", jac, ref)
+    lin = (jac.reshape(-1, 2) @ ref.T).reshape(len(jac), 2, len(ref))
+    return p0[:, None, :] + lin.transpose(0, 2, 1)
 
 
 def rule_points(mesh, quad_degree=8):
@@ -302,20 +307,16 @@ class ElementBasis:
         self.p0, self.jac, self.jac_inv = p0, jac, jac_inv
         self.area = mesh.area
 
-        href = np.empty((6, 2, 2))
-        href[:, 0, 0] = P2_REF_HESSIANS[:, 0]
-        href[:, 1, 1] = P2_REF_HESSIANS[:, 1]
-        href[:, 0, 1] = href[:, 1, 0] = P2_REF_HESSIANS[:, 2]
-        hphys = np.einsum("tba,jbc,tcd->tjad", jac_inv, href, jac_inv)
-        lag_hess = np.stack([hphys[:, :, 0, 0], hphys[:, :, 1, 1],
-                             hphys[:, :, 0, 1]], axis=-1)
+        href = P2_REF_HESSIANS[:, [[0, 2], [2, 1]]]  # (6, 2, 2) matrices
+        hphys = jac_inv.transpose(0, 2, 1)[:, None] @ href @ jac_inv[:, None]
+        lag_hess = hphys[:, :, [0, 1, 0], [0, 1, 1]]  # back to (xx, yy, xy)
 
         lag_int = np.zeros((mesh.n_triangles, 6))
         lag_int[:, 3:] = self.area[:, None] / 3.0
 
         if dofmap.method == "morley":
             self.transform = self._morley_transform(mesh, lag_hess)
-            self.hessians = np.einsum("tjk,tkc->tjc", self.transform, lag_hess)
+            self.hessians = self.transform @ lag_hess
             self.int_phi = np.einsum("tjk,tk->tj", self.transform, lag_int)
             self.transform.setflags(write=False)
         else:
@@ -332,7 +333,7 @@ class ElementBasis:
         # value).
         nt = mesh.n_triangles
         gm = p2_ref_gradients(_EDGE_MIDPOINTS_REF)          # (3, 6, 2)
-        gphys = np.einsum("tba,kjb->tkja", self.jac_inv, gm)
+        gphys = (gm.reshape(-1, 2) @ self.jac_inv).reshape(nt, 3, 6, 2)
         normals = mesh.edge_normal[mesh.tri_edges]           # (nt, 3, 2)
         pairing = np.zeros((nt, 6, 6))
         pairing[:, :3, :3] = np.eye(3)
@@ -348,15 +349,15 @@ class ElementBasis:
         vals = p2_values(ref_points)
         if self.transform is None:
             return np.broadcast_to(vals, (len(self.area),) + vals.shape).copy()
-        return np.einsum("tjk,mk->tmj", self.transform, vals)
+        return vals @ self.transform.transpose(0, 2, 1)
 
     def gradients(self, ref_points):
         """Physical gradients at reference points, shape (nt, m, 6, 2)."""
         g = p2_ref_gradients(ref_points)
-        gphys = np.einsum("tba,mjb->tmja", self.jac_inv, g)
+        gphys = (g.reshape(-1, 2) @ self.jac_inv).reshape((-1,) + g.shape)
         if self.transform is None:
             return gphys
-        return np.einsum("tjk,tmka->tmja", self.transform, gphys)
+        return self.transform[:, None] @ gphys
 
 
 class EdgeBasis:
@@ -387,15 +388,16 @@ class EdgeBasis:
         the triangles ``tri`` (``-1``: none, all zero) at the edge points."""
         valid = tri >= 0
         tt = np.where(valid, tri, 0)
-        ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
-                        self.points - basis.p0[tt][:, None, :])
+        jac_inv = basis.jac_inv[tt]
+        ref = ((self.points - basis.p0[tt][:, None, :])
+               @ jac_inv.transpose(0, 2, 1))
         vals = p2_values(ref)
-        grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
-                          p2_ref_gradients(ref))
+        g = p2_ref_gradients(ref)
+        grads = (g.reshape(len(tt), -1, 2) @ jac_inv).reshape(g.shape)
         if basis.transform is not None:
             w = basis.transform[tt]
-            vals = np.einsum("ejk,eqk->eqj", w, vals)
-            grads = np.einsum("ejk,eqka->eqja", w, grads)
+            vals = vals @ w.transpose(0, 2, 1)
+            grads = w[:, None] @ grads
         hess = basis.hessians[tt]
         dofs = basis.element_dofs[tt]
         vals[~valid] = 0.0
@@ -435,8 +437,8 @@ def edge_jumps(edge_basis, coefficients):
         local = gather_coefficients(edge_basis.dofs[side], coefficients)
         vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
                                    local)
-        gj = gj + sign * np.einsum(
-            "eqja,ej->eqa", edge_basis.gradients[side][:, :nq], local)
+        gj = gj + sign * (local[:, None, None, :]
+                          @ edge_basis.gradients[side][:, :nq])[:, :, 0]
     return vj, gj
 
 

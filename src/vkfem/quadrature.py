@@ -10,6 +10,8 @@ Each rule is built once per degree and shared: :func:`triangle_rule` and
 every call with the same degree (after ``int`` conversion), so a rule costs
 no Gauss-Jacobi root finding after its first use.  ``MAX_DEGREE`` bounds the
 number of rules kept.
+The 1-D Gauss rules come from numpy (``leggauss``, and Golub-Welsch for
+Gauss-Jacobi), so importing the package does not load ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = ["TriangleRule", "EdgeRule", "triangle_rule", "edge_rule",
            "integrate_triangle", "integrate_edge", "MAX_DEGREE"]
@@ -58,11 +60,22 @@ def edge_rule(degree):
 @lru_cache(maxsize=None)
 def _edge_rule(degree):
     n = (degree + 2) // 2
-    x, w = roots_legendre(n)
+    x, w = leggauss(n)
     rule = EdgeRule(0.5 * (x + 1.0), 0.5 * w, degree)
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
+
+
+def _gauss_jacobi_10(n):
+    """The ``n``-point Gauss rule on [-1, 1] for the weight ``1 - x`` by
+    Golub-Welsch: the eigenvalues of the Jacobi matrix, and 2 (the weight's
+    integral) times the squared first components of its eigenvectors."""
+    k = np.arange(n, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2.0 * k[1:] + 1.0)
+    jacobi = np.diag(-1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0)))
+    nodes, vecs = np.linalg.eigh(jacobi + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vecs[0]**2
 
 
 def triangle_rule(degree):
@@ -78,15 +91,13 @@ def triangle_rule(degree):
 @lru_cache(maxsize=None)
 def _triangle_rule(degree):
     n = (degree + 2) // 2
-    xj, wj = roots_jacobi(n, 1.0, 0.0)
-    xl, wl = roots_legendre(n)
+    xj, wj = _gauss_jacobi_10(n)
     x = 0.5 * (xj + 1.0)
     wx = 0.25 * wj          # integrates g against (1-x) dx on [0, 1]
-    t = 0.5 * (xl + 1.0)
-    wt = 0.5 * wl
+    edge = _edge_rule(degree)  # the n-point Gauss-Legendre rule on [0, 1]
     xx = np.repeat(x, n)
-    yy = ((1.0 - x)[:, None] * t[None, :]).ravel()
-    weights = 2.0 * (wx[:, None] * wt[None, :]).ravel()  # normalised to sum 1
+    yy = ((1.0 - x)[:, None] * edge.points[None, :]).ravel()
+    weights = 2.0 * (wx[:, None] * edge.weights[None, :]).ravel()  # sum 1
     points = np.column_stack([1.0 - xx - yy, xx, yy])
     rule = TriangleRule(points, weights, degree)
     rule.points.setflags(write=False)

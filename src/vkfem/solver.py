@@ -188,10 +188,10 @@ class NewtonMatrix(spla.LinearOperator):
         self.a, self.m_u, self.k = a, m_u, k
 
     def _matvec(self, x):
-        n = self.k.shape[0]
-        x1, x2 = x[:n], x[n:]
-        return np.concatenate([self.a @ x1 + self.m_u @ x2,
-                               self.k @ x2 - self.m_u @ x1])
+        x1, x2 = np.split(np.ravel(x), 2)
+        coupled = self.m_u @ np.column_stack([x2, -x1])
+        return np.concatenate([self.a @ x1 + coupled[:, 0],
+                               self.k @ x2 + coupled[:, 1]])
 
     def norm_inf(self):
         """The induced infinity norm of ``J``."""
@@ -333,6 +333,8 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
                              preconditioner=preconditioner)
         psi.u += delta[:n]
         psi.v += delta[n:]
+        # free this step's block factor before the next step factors its own
+        jac = preconditioner = a_lu = None
         iterations += 1
         res = system.residual(psi)
         history.append(float(np.linalg.norm(res)))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,3 +163,34 @@ def test_integrate_edge():
     got = integrate_edge(edge_rule(4), lambda x, y: x * y, (0.0, 1.0), (2.0, 0.0))
     # line x = 2t, y = 1 - t, length sqrt(5): int_0^1 2t(1-t) sqrt5 dt
     assert got == pytest.approx(np.sqrt(5.0) / 3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gauss_rules_match_scipy_and_integrate_their_monomials(n):
+    from scipy.special import roots_jacobi, roots_legendre
+
+    from numpy.polynomial.legendre import leggauss
+
+    from vkfem.quadrature import _gauss_jacobi_10
+    for (x, w), (xs, ws) in [(_gauss_jacobi_10(n), roots_jacobi(n, 1.0, 0.0)),
+                             (leggauss(n), roots_legendre(n))]:
+        assert np.abs(x - xs).max() <= 1e-14
+        assert np.abs(w - ws).max() <= 1e-14
+    # every monomial up to degree 2n - 1 against 1 - x on [-1, 1], and
+    # against 1
+    x, w = _gauss_jacobi_10(n)
+    xl, wl = leggauss(n)
+    for p in range(2 * n):
+        even = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        odd = 0.0 if p % 2 == 0 else 2.0 / (p + 2)
+        assert float(w @ x**p) == pytest.approx(even - odd, abs=1e-14)
+        assert float(wl @ xl**p) == pytest.approx(even, abs=1e-14)
+
+
+def test_importing_the_package_does_not_load_scipy_special():
+    code = "import sys, vkfem; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             sys.path)})
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -430,3 +432,47 @@ def test_dg_newton_solve_stays_within_its_memory_peak(square3):
         tracemalloc.stop()
     assert report.converged
     assert peak <= DG_SOLVE_PEAK_BOUND
+
+
+def test_newton_matrix_applies_the_assembled_jacobian(square2):
+    # the step operator applies M_u once, to two columns; its product must
+    # be the assembled J's, also for a column-vector operand
+    dm = build_dofmap(square2, "c0ip")
+    system = NewtonSystem(dm, loads_of(exact_square()))
+    n = dm.n_global
+    rng = np.random.default_rng(17)
+    step = system.step_matrix(DiscreteSolution(dm, rng.standard_normal(n),
+                                               rng.standard_normal(n)))
+    assembled = step.tocsc()
+    for _ in range(3):
+        x = rng.standard_normal(2 * n)
+        want = assembled @ x
+        tol = 1e-14 * np.abs(want).max()
+        assert np.abs(step._matvec(x) - want).max() <= tol
+        assert np.abs(step.matvec(x[:, None])[:, 0] - want).max() <= tol
+
+
+def test_newton_frees_each_block_factor_before_the_next(square2,
+                                                        monkeypatch):
+    # one factor of K + M_v at a time: when a step factors its block, the
+    # last step's factor (K's is kept for the solve) is already gone
+    dm = build_dofmap(square2, "dg")
+    real_lu = solver._symmetric_lu
+    factors = []
+    alive_at_call = []
+
+    class Factor:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def tracked_lu(matrix, column_order):
+        gc.collect()
+        alive_at_call.append([ref() is not None for ref in factors[1:]])
+        factor = Factor(real_lu(matrix, column_order))
+        factors.append(weakref.ref(factor))
+        return factor
+    monkeypatch.setattr(solver, "_symmetric_lu", tracked_lu)
+    _, report = newton_solve(dm, loads_of(exact_square()))
+    assert report.converged
+    assert len(factors) == report.iterations >= 3
+    assert not any(any(alive) for alive in alive_at_call)
