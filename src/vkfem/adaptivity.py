@@ -188,8 +188,13 @@ def _solve(level, mesh, method, config, loads):
                                maxit=config.newton_maxit,
                                quad_degree=config.quad_degree)
     if not report.converged:
+        reason = ""
+        if report.stiffness_definite is False:
+            penalty = config.penalty
+            reason = (f": K is indefinite for these penalties (sigma_ip "
+                      f"{penalty.sigma_ip:g}, sigma_dg {penalty.sigma_dg:g})")
         raise SolverError(f"Newton did not converge at level {level} "
-                          f"({method}, {dofmap.n_global} dofs)")
+                          f"({method}, {dofmap.n_global} dofs){reason}")
     return psi
 
 

@@ -60,14 +60,6 @@ class DiscreteSolution:
         return self.dofmap.method
 
 
-def _keys(n, rows, cols):
-    """Column-major keys ``col * n + row`` of the entries of local blocks
-    with row dofs ``rows`` and column dofs ``cols``, ``-1`` where either is
-    constrained."""
-    return np.where((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0),
-                    cols[:, None, :] * n + rows[:, :, None], -1)
-
-
 def _structure(n, blocks):
     """CSC structure of a sum of local blocks on ``n`` dofs.
 
@@ -75,24 +67,68 @@ def _structure(n, blocks):
     and ``(m, l)``: the global row and column dofs (``-1``: constrained) of
     ``m`` local ``k x l`` blocks.  Returns ``indptr`` and ``indices``
     (int32) and, per pair, the data slot of every local entry ``(t, i, j)``,
-    shape ``(m, k, l)``, with ``nnz`` for constrained entries, so that
-    :func:`_sum_into` sums local blocks into the structure.  Every entry of
-    a local block has a slot, also where the sum cancels to exactly zero.
+    shape ``(m, k, l)`` (int32), with ``nnz`` for constrained entries, so
+    that :func:`_sum_into` sums local blocks into the structure.  Every
+    entry of a local block has a slot, also where the sum cancels to exactly
+    zero.
     """
-    keys = [_keys(n, rows, cols).ravel() for rows, cols in blocks]
-    ends = np.cumsum([len(k) for k in keys])
-    keys = np.concatenate(keys)
-    kept = keys >= 0
-    unique, inverse = np.unique(keys[kept], return_inverse=True)
-    slots = np.full(len(keys), len(unique), dtype=np.int64)
-    slots[kept] = inverse
-    cols = unique // n
-    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
-    indices = (unique - cols * n).astype(np.int32)
+    # column-major keys col * n + row, written into one array; constrained
+    # entries get the key n * n, which sorts last and so ranks nnz
+    sizes = [rows.size * cols.shape[1] for rows, cols in blocks]
+    keys = np.empty(sum(sizes), dtype=np.int64)
+    ends = np.cumsum(sizes)
+    for (rows, cols), end, size in zip(blocks, ends, sizes):
+        part = keys[end - size:end].reshape(rows.shape + cols.shape[1:])
+        np.add(cols[:, None, :] * n, rows[:, :, None], out=part)
+        part[(rows < 0)[:, :, None] | (cols < 0)[:, None, :]] = n * n
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique = keys[first]
+    del keys
+    unique = unique[:np.searchsorted(unique, n * n)]
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    slots = np.empty(len(rank), dtype=np.int32)
+    slots[order] = rank
+    del order, rank
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
+    indices = (unique % n).astype(np.int32)
     # copies, so that keeping one part does not keep the others
     return indptr, indices, [
-        part.reshape(rows.shape + cols.shape[1:]).copy()
-        for part, (rows, cols) in zip(np.split(slots, ends[:-1]), blocks)]
+        slots[end - size:end].reshape(rows.shape + cols.shape[1:]).copy()
+        for (rows, cols), end, size in zip(blocks, ends, sizes)]
+
+
+def _stiffness_structure(dofmap):
+    """The CSC structure of the stiffness matrix of the dof map's method:
+    ``indptr``, ``indices`` and the slots (see :func:`_structure`) of the
+    element entries, shape ``(nt, 6, 6)``, then, for ``c0ip``/``dg``, of the
+    entries that couple side 0 of each edge to side 1 and side 1 to side 0
+    (``dofmap.edge_basis.dofs``), each of shape ``(ne, 6, 6)``.
+
+    The first three are kept on the dof map, where
+    :func:`_element_structure` reads them; the edge slots are not, since
+    they would stay in memory for as long as the level.
+    """
+    dofs = dofmap.element_dofs
+    blocks = [(dofs, dofs)]
+    if dofmap.method != "morley":
+        side0, side1 = dofmap.edge_basis.dofs
+        blocks += [(side0, side1), (side1, side0)]
+    indptr, indices, slots = _structure(dofmap.n_global, blocks)
+    dofmap._structure = (indptr, indices, slots[0])
+    return indptr, indices, slots
+
+
+def _element_structure(dofmap):
+    """``indptr``, ``indices`` and element slots of the stiffness structure
+    of the dof map, as the last :func:`_stiffness_structure` kept them (built
+    now when no assembly has)."""
+    if dofmap._structure is None:
+        _stiffness_structure(dofmap)
+    return dofmap._structure
 
 
 def _sum_into(slots, local, nnz):
@@ -109,18 +145,16 @@ def _sub_structure(indptr, indices, slots):
     nnz = len(indices)
     reached = np.zeros(nnz + 1, dtype=bool)
     reached[slots] = True
-    before = np.concatenate([[0], np.cumsum(reached[:nnz])])
-    return (before[indptr].astype(np.int32), indices[reached[:nnz]],
-            before[slots])
+    before = np.zeros(nnz + 1, dtype=np.int32)
+    np.cumsum(reached[:nnz], out=before[1:])
+    return before[indptr], indices[reached[:nnz]], before[slots]
 
 
-def _hessian_normal_vector(hess, normal):
-    """D2(phi) nu per shape, shape (ne, 6, 2)."""
+def _hessian_normal_vector(hess, normal, out):
+    """D2(phi) nu per shape into ``out``, shape (ne, 6, 2)."""
     n1, n2 = normal[:, 0], normal[:, 1]
-    out = np.empty(hess.shape[:-1] + (2,))
     out[..., 0] = hess[..., 0] * n1[:, None] + hess[..., 2] * n2[:, None]
     out[..., 1] = hess[..., 2] * n1[:, None] + hess[..., 1] * n2[:, None]
-    return out
 
 
 def assemble_biharmonic(dofmap, penalty=None):
@@ -132,29 +166,27 @@ def assemble_biharmonic(dofmap, penalty=None):
     penalties (normal-derivative jumps at ``sigma/h``; additionally value
     jumps at ``sigma/h^3`` for ``dg``).  Its structure holds every pair of
     dofs that share a triangle or an edge, also where the entries cancel to
-    exactly zero, so element matrices can be summed into its data slots.
+    exactly zero, so element matrices can be summed into its data slots; the
+    dof map keeps it with those slots (see :func:`_stiffness_structure`).
     The block operator on the pair (u, v) is this matrix twice on the
     diagonal.
     """
     penalty = penalty or PenaltyConfig()
     basis = dofmap.basis
     n = dofmap.n_global
-    dofs = dofmap.element_dofs
     frob = np.array([1.0, 1.0, 2.0])
     weighted = basis.hessians * (basis.area[:, None, None] * frob)
     local = weighted @ basis.hessians.transpose(0, 2, 1)
     if dofmap.method == "morley":
-        indptr, indices, (slots,) = _structure(n, [(dofs, dofs)])
+        indptr, indices, slots = _element_structure(dofmap)
         data = _sum_into(slots, local, len(indices))
         return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
     sigma = (penalty.sigma_ip if dofmap.method == "c0ip"
              else penalty.sigma_dg)
-    edge_local = _edge_terms(dofmap, sigma)
-    side0, side1 = dofmap.edge_basis.dofs
-    indptr, indices, (slots, cross01, cross10) = _structure(
-        n, [(dofs, dofs), (side0, side1), (side1, side0)])
+    indptr, indices, (slots, cross01, cross10) = _stiffness_structure(dofmap)
     nnz = len(indices)
+    edge_local = _edge_terms(dofmap, sigma)
     # the blocks of one side of an edge matrix are entries of that side's
     # element, in its local order
     t0, t1 = dofmap.mesh.edge_tris.T
@@ -163,64 +195,61 @@ def assemble_biharmonic(dofmap, penalty=None):
     edge_slots[:, 6:, 6:] = np.where((t1 >= 0)[:, None, None], slots[t1], nnz)
     edge_slots[:, :6, 6:] = cross01
     edge_slots[:, 6:, :6] = cross10
-    data = _sum_into(slots, local, nnz) + _sum_into(edge_slots, edge_local,
-                                                    nnz)
+    data = _sum_into(edge_slots, edge_local, nnz)
+    # free the edge arrays before the element matrices are summed
+    edge_slots = edge_local = None
+    data += _sum_into(slots, local, nnz)
     return sp.csc_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _element_slots(matrix, dofmap):
-    """Data slot of every element-local entry ``(t, i, j)`` in the CSC
-    structure of ``matrix``, shape ``(nt, 6, 6)``, with ``nnz`` where the
-    entry is constrained, for :func:`_sum_into`.
-
-    The structure must hold every pair of dofs that share a triangle, as
-    :func:`assemble_biharmonic` keeps it: where a pair is missing, the
-    search returns the slot of another entry.
-    """
-    n = matrix.shape[0]
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
-    query = _keys(n, dofmap.element_dofs, dofmap.element_dofs)
-    return np.where(query >= 0,
-                    np.searchsorted(cols * n + matrix.indices, query),
-                    matrix.nnz)
 
 
 def _edge_terms(dofmap, sigma):
     """Local matrices of the edge terms of ``c0ip``/``dg``, shape ``(ne, 12,
-    12)``: side-0 shapes, then side-1 shapes (``dofmap.edge_basis.dofs``)."""
+    12)``: side-0 shapes, then side-1 shapes (``dofmap.edge_basis.dofs``).
+
+    Each edge matrix is one product ``L^T R`` of two ``(r, 12)`` factors
+    whose rows are functions of the 12 shapes: the normal-derivative jumps
+    at the rule points (``R``: times ``sigma w``), for ``dg`` the value
+    jumps there (``R``: times ``sigma w / h^2``), then the average
+    ``{D2(phi) nu}`` and the integrated jump ``[grad phi]`` (two rows each,
+    ``R`` holds them negated and swapped: the consistency term and its
+    transpose).  Side-0 shapes enter the jumps with +, side-1 shapes with -.
+    """
     mesh, eb = dofmap.mesh, dofmap.edge_basis
     w = EDGE_RULE.weights
     nq = len(w)
     normal, h = mesh.edge_normal, mesh.edge_length
-    avg_factor = np.where(mesh.edge_on_boundary, 1.0, 0.5)
-
-    def jump(sides):
-        # at the rule points: side-0 shapes enter with +, side-1 shapes with -
-        return np.concatenate([sides[0][:, :nq], -sides[1][:, :nq]], axis=2)
-
-    dn = jump([np.einsum("eqja,ea->eqj", grads[:, :nq], normal)
-               for grads in eb.gradients])
-    # scale the (ne, nq, 12) factors: each (ne, 12, 12) array is made once
-    pen = dn.transpose(0, 2, 1) @ (sigma * w[:, None] * dn)
-    hn = np.concatenate([_hessian_normal_vector(eb.hessians[0], normal),
-                         _hessian_normal_vector(eb.hessians[1], normal)],
-                        axis=1) * avg_factor[:, None, None]
-
-    if dofmap.method == "c0ip":
-        # only the normal-derivative jump: its integral times the normal
-        jn_int = h[:, None] * np.einsum("q,eqj->ej", w, dn)
-        gj_int = jn_int[:, :, None] * normal[:, None, :]
+    ne = len(h)
+    dg = dofmap.method == "dg"
+    m = 2 * nq if dg else nq
+    left = np.empty((ne, m + 4, 12))
+    dn, vj = left[:, :nq], left[:, nq:m]
+    hn, gj = left[:, m:m + 2], left[:, m + 2:]
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        half = slice(6 * side, 6 * side + 6)
+        grads = eb.gradients[side][:, :nq]
+        np.matmul(grads, sign * normal[:, None, :, None],
+                  out=dn[:, :, half, None])
+        _hessian_normal_vector(eb.hessians[side], normal,
+                               hn[:, :, half].transpose(0, 2, 1))
+        if dg:
+            np.multiply(eb.values[side][:, :nq], sign, out=vj[:, :, half])
+            gj[:, :, half] = sign * (w @ grads.reshape(ne, nq, 12)).reshape(
+                ne, 6, 2).transpose(0, 2, 1)
+    hn *= np.where(mesh.edge_on_boundary, 1.0, 0.5)[:, None, None]
+    if dg:
+        gj *= h[:, None, None]
     else:
-        gj = jump(eb.gradients)
-        gj_int = h[:, None, None] * np.einsum("q,eqja->eja", w, gj)
-        vj = jump(eb.values)
-        pen += vj.transpose(0, 2, 1) @ (
-            (sigma / h**2)[:, None, None] * w[:, None] * vj)
-    # the consistency term {D2(phi_i) nu} . [grad phi_j] and its transpose
-    cons = hn @ gj_int.transpose(0, 2, 1)
-    pen -= cons
-    pen -= cons.transpose(0, 2, 1)
-    return pen
+        # only the normal-derivative jump: its integral times the normal
+        gj[...] = normal[:, :, None] * (h[:, None] * (w @ dn))[:, None, :]
+
+    right = np.empty_like(left)
+    np.multiply(dn, (sigma * w)[:, None], out=right[:, :nq])
+    if dg:
+        np.multiply(vj, ((sigma / h**2)[:, None] * w)[:, :, None],
+                    out=right[:, nq:m])
+    np.negative(gj, out=right[:, m:m + 2])
+    np.negative(hn, out=right[:, m + 2:])
+    return left.transpose(0, 2, 1) @ right
 
 
 def assemble_load(f, g, dofmap, quad_degree=8):
@@ -305,12 +334,13 @@ def assemble_trilinear_jacobian(psi):
     ``B(psi, theta, .)``; adding the block-diagonal biharmonic operator
     yields the full Newton matrix.  With ``M_w[i, j] = -sum_K [w, phi_j]
     int_K phi_i`` the blocks are ``[[M_v, M_u], [-M_u, 0]]``, each on the
-    structure of the pairs of dofs that share a triangle.
+    structure of the stiffness matrix of the dof map (see
+    :func:`assemble_biharmonic`), which holds every pair of dofs that share
+    a triangle.
     """
     dofmap = psi.dofmap
     n = dofmap.n_global
-    dofs = dofmap.element_dofs
-    indptr, indices, (slots,) = _structure(n, [(dofs, dofs)])
+    indptr, indices, slots = _element_structure(dofmap)
     m_u, m_v = (sp.csc_matrix((_sum_into(slots, m, len(indices)), indices,
                                indptr), shape=(n, n))
                 for m in _coupling_matrices(psi))

@@ -112,6 +112,9 @@ class DofMap:
 
     It is the context of its mesh and method: assembly, estimates and norms
     read its read-only ``basis`` and ``edge_basis``, each built on first use.
+    The first assembly of its stiffness matrix keeps that matrix's CSC
+    structure and the data slots of the element entries in it (see
+    :mod:`vkfem.assembly`), for the Newton steps and the cubic coupling.
     """
     mesh: Triangulation
     method: str
@@ -123,6 +126,8 @@ class DofMap:
                                         compare=False)
     _edge_basis: EdgeBasis | None = field(default=None, init=False,
                                           repr=False, compare=False)
+    _structure: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         self.element_dofs.setflags(write=False)

@@ -13,16 +13,26 @@ C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
 fails the acceptance test of :func:`linear_solve`, or whose block does not
 factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
 (:func:`spd_solve`) factor ``K`` by the same diagonal-pivot LU as the
-blocks and read its definiteness from the signs of the pivots.
+blocks and read its definiteness from the signs of the pivots; a Newton run
+that does not converge reads them from the factor of ``K`` it holds.
+
+GMRES is preconditioned on the right and starts at ``x0 = P^{-1} b``, so
+the residual it minimises is the step's own.  It stops at the loosest
+residual that both passes the backward-error acceptance test and cannot
+delay Newton: the larger of ``1e-10 ||b||`` and the smaller of half the
+backward-error bound ``1e-10 (||J|| ||x|| + ||b||)``, with ``||x||``
+estimated at the start of each cycle, and a tenth of the residual at which
+Newton stops (see :func:`linear_solve`).
 
 A step rebuilds nothing that only depends on the mesh.  The structure of
 ``K`` holds every pair of dofs that share a triangle, and the data slot of
-every element-local coupling entry in it is found once per solve; each step
-sums the element matrices of ``M_v`` and ``M_u`` into those slots (one
-``bincount`` each), so ``A`` shares ``K``'s index arrays and reaches the
-factorisation in CSC with no format conversion.  GMRES applies ``J`` block
-by block, and ``J`` is assembled as one matrix only for the sparse-LU
-fallback.
+every element-local entry in it comes from the one structure the dof map's
+assembly of ``K`` built; each step sums the element matrices of ``M_v`` and
+``M_u`` into those slots (one ``bincount`` each), so ``A`` shares ``K``'s
+index arrays and reaches the factorisation in CSC with no format
+conversion.  GMRES applies ``J`` block by block, with the row sums of
+``|K|`` taken once per solve for its norm, and ``J`` is assembled as one
+matrix only for the sparse-LU fallback.
 """
 
 from __future__ import annotations
@@ -33,18 +43,20 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, _coupling_matrices, _element_slots,
-                       _sub_structure, _sum_into, assemble_biharmonic,
-                       assemble_load, assemble_trilinear_vector)
+from .assembly import (DiscreteSolution, _coupling_matrices,
+                       _element_structure, _sub_structure, _sum_into,
+                       assemble_biharmonic, assemble_load,
+                       assemble_trilinear_vector)
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
 
-# GMRES on the preconditioned Newton matrix: the relative residual it aims
-# for (the LU path's target), the restart length and the number of restarts
+# GMRES on the preconditioned Newton matrix: the relative residual it may
+# always aim for (the LU path's target), the restart length and the number
+# of cycles
 _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 40
-_GMRES_MAXITER = 2
+_GMRES_CYCLES = 2
 
 
 class SolverError(RuntimeError):
@@ -53,10 +65,15 @@ class SolverError(RuntimeError):
 
 @dataclass
 class NewtonReport:
-    """Iteration record of one Newton run."""
+    """Iteration record of one Newton run.
+
+    ``stiffness_definite`` is read only when the run did not converge (else
+    ``None``): whether the diagonal pivots of ``K``'s factor are all
+    positive, so ``K`` is positive definite."""
     iterations: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
+    stiffness_definite: bool | None = None
 
 
 def _backward_error(a, x, rhs, anorm, bnorm):
@@ -66,19 +83,31 @@ def _backward_error(a, x, rhs, anorm, bnorm):
     return res / (anorm * np.linalg.norm(x) + bnorm)
 
 
-def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
+def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
+                 target=None):
     """Solve a sparse square system, verifying the residual.
 
     ``matrix`` is a sparse matrix, or the :class:`NewtonMatrix` of a Newton
     step, which GMRES applies block by block and which is assembled only
     when the system goes to sparse LU.  With a ``preconditioner`` (an
-    approximate inverse of ``matrix``, as ``gmres`` takes for ``M``) the
-    system is first solved by restarted GMRES aiming at a residual of
-    ``1e-10 * ||b||``.  Its result is accepted when
-    it is finite and passes the acceptance test below.  Otherwise, and
-    always without a preconditioner, the system is solved by sparse LU
-    (COLAMD ordering), whose iterative refinement drives the residual to
-    ``1e-10 * ||b||`` when the conditioning allows it.
+    approximate inverse ``P^{-1}`` of ``matrix``: a sparse matrix or a
+    ``LinearOperator``) the system is first solved by GMRES, preconditioned
+    on the right and started at ``x0 = P^{-1} b``, in at most two cycles of
+    at most 40 iterations.  A cycle starting at ``x`` stops once the
+    residual ``||Ax - b||`` is at most the larger of ``1e-10 ||b||`` and
+    the smaller of
+
+    * half the backward-error bound ``1e-10 (||A|| ||x|| + ||b||)`` of the
+      acceptance test below, ``x`` standing in for the solution, and
+    * the caller's residual ``target`` (``None``: none), which a Newton
+      step sets to a tenth of the residual at which Newton stops.
+
+    The first result that is finite and passes the acceptance test is
+    returned; the second cycle starts from the first one's result, whose
+    norm may be far from that of ``x0``.  Otherwise, and always without a
+    preconditioner, the system is solved by sparse LU (COLAMD ordering),
+    whose iterative refinement drives the residual to ``1e-10 * ||b||``
+    when the conditioning allows it.
 
     The acceptance test is a normwise backward error of at most ``1e-10``
     (``||Ax-b|| <= 1e-10 (||A|| ||x|| + ||b||)``), which every residual below
@@ -97,12 +126,23 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None):
         return np.zeros_like(rhs)
     anorm = a.norm_inf() if blocks else float(_abs_row_sums(a).max())
     if preconditioner is not None:
-        x, _ = spla.gmres(a, rhs, rtol=_GMRES_RTOL, atol=0.0,
-                          restart=_GMRES_RESTART, maxiter=_GMRES_MAXITER,
-                          M=preconditioner)
-        if (np.all(np.isfinite(x))
-                and _backward_error(a, x, rhs, anorm, bnorm) <= 1e-10):
-            return x
+        # on the right, GMRES minimises the residual of x + P^{-1} y itself,
+        # so a cycle stops where that residual meets its aim
+        right = spla.LinearOperator(a.shape, dtype=float,
+                                    matvec=lambda y: a @ (preconditioner @ y))
+        limit = np.inf if target is None else target
+        x = preconditioner @ rhs
+        for _ in range(_GMRES_CYCLES):
+            aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm), limit)
+            y, _ = spla.gmres(right, rhs - a @ x, rtol=0.0,
+                              atol=max(_GMRES_RTOL * bnorm, aim),
+                              restart=_GMRES_RESTART, maxiter=1)
+            if y.any():
+                x = x + preconditioner @ y
+            if not np.all(np.isfinite(x)):
+                break
+            if _backward_error(a, x, rhs, anorm, bnorm) <= 1e-10:
+                return x
     try:
         lu = spla.splu(a.tocsc())
         x = lu.solve(rhs)
@@ -178,14 +218,16 @@ class NewtonMatrix(spla.LinearOperator):
     its n x n CSC blocks ``a`` (``K + M_v``), ``m_u`` and ``k``.
 
     It applies ``J`` block by block; :func:`linear_solve` takes its
-    infinity norm from the blocks' row sums and assembles ``J`` (``tocsc``)
-    only for the sparse-LU fallback.
+    infinity norm from the blocks' row sums (those of ``|K|``,
+    ``k_row_sums``, are the system's) and assembles ``J`` (``tocsc``) only
+    for the sparse-LU fallback.
     """
 
-    def __init__(self, a, m_u, k):
+    def __init__(self, a, m_u, k, k_row_sums):
         n = k.shape[0]
         super().__init__(float, (2 * n, 2 * n))
         self.a, self.m_u, self.k = a, m_u, k
+        self.k_row_sums = k_row_sums
 
     def _matvec(self, x):
         x1, x2 = np.split(np.ravel(x), 2)
@@ -195,8 +237,8 @@ class NewtonMatrix(spla.LinearOperator):
 
     def norm_inf(self):
         """The induced infinity norm of ``J``."""
-        a, m_u, k = (_abs_row_sums(b) for b in (self.a, self.m_u, self.k))
-        return float(max((a + m_u).max(), (m_u + k).max()))
+        a, m_u = _abs_row_sums(self.a), _abs_row_sums(self.m_u)
+        return float(max((a + m_u).max(), (m_u + self.k_row_sums).max()))
 
     def tocsc(self):
         """``J`` assembled as one sparse matrix."""
@@ -214,8 +256,9 @@ class NewtonSystem:
     The structure of the biharmonic operator ``K`` (``stiffness``) holds
     every pair of dofs that share a triangle, so the element matrices of the
     coupling blocks ``M_v`` and ``M_u`` are summed into it, or into its part
-    on the element pairs, through data slots found once per system:
-    :meth:`step_matrix` makes no sparse format conversion.
+    on the element pairs, through the element slots that the assembly of
+    ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
+    conversion.
     """
 
     def __init__(self, dofmap, loads, penalty=None, quad_degree=8):
@@ -225,11 +268,13 @@ class NewtonSystem:
         k = self.stiffness
         self._abs_stiffness = sp.csc_matrix(
             (np.abs(k.data), k.indices, k.indptr), shape=k.shape)
+        self._k_row_sums = _abs_row_sums(k)
+        # the element slots of the structure assemble_biharmonic built
+        _, _, self._a_slots = _element_structure(dofmap)
         # rows of shapes with zero mean (the Lagrange vertex shapes) are zero
         # in both coupling blocks, so M_u's structure leaves them out
         slots = np.where(dofmap.basis.int_phi[:, :, None] != 0.0,
-                         _element_slots(k, dofmap), k.nnz)
-        self._a_slots = slots
+                         self._a_slots, k.nnz)
         self._coupling = _sub_structure(k.indptr, k.indices, slots)
         self.load = assemble_load(f, g, dofmap, quad_degree)
         self.load_scale = max(1.0, np.linalg.norm(self.load))
@@ -256,7 +301,7 @@ class NewtonSystem:
         indptr, indices, slots = self._coupling
         m_u = sp.csc_matrix((_sum_into(slots, m_u, len(indices)), indices,
                              indptr), shape=k.shape)
-        return NewtonMatrix(a, m_u, k)
+        return NewtonMatrix(a, m_u, k, self._k_row_sums)
 
 
 def _block_triangular_inverse(a_lu, k_lu, coupling):
@@ -286,7 +331,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     factors only the block ``A = K + M_v`` (at the zero iterate ``A = K``,
     whose factor is kept for all steps) and passes :func:`linear_solve` the
     preconditioner ``P = [[A, M_u], [0, K]]``, whose inverse costs two
-    triangular solves and one product with ``M_u``.  When ``A`` does not
+    triangular solves and one product with ``M_u``, and the residual
+    target of a tenth of the residual at which the iteration stops (see
+    below), so that no step's linear residual delays it.  When ``A`` does not
     factorise, or GMRES fails the acceptance test of :func:`linear_solve`,
     the step is solved by sparse LU on ``J``.  Convergence means the
     residual norm falls below ``tol * max(1, ||load||)`` or below the
@@ -297,8 +344,10 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     Returns
     -------
     (DiscreteSolution, NewtonReport)
-        ``report.converged`` is False when ``maxit`` was exhausted; linear
-        solver failures raise :class:`SolverError`.
+        ``report.converged`` is False when ``maxit`` was exhausted, and
+        then ``report.stiffness_definite`` says whether the pivots of
+        ``K``'s factor are all positive; linear solver failures raise
+        :class:`SolverError`.
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
@@ -309,6 +358,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
 
     psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
     res = -system.load  # residual at the zero iterate
+    floor = system.residual_floor(psi)
     history = [float(np.linalg.norm(res))]
     converged = False
     iterations = 0
@@ -329,19 +379,27 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
             else:
                 preconditioner = _block_triangular_inverse(a_lu, k_lu,
                                                            jac.m_u)
+        # a tenth of the residual at which the iteration stops: a step
+        # solved that far cannot delay convergence
         delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",
-                             preconditioner=preconditioner)
+                             preconditioner=preconditioner,
+                             target=0.1 * max(target, floor))
         psi.u += delta[:n]
         psi.v += delta[n:]
         # free this step's block factor before the next step factors its own
         jac = preconditioner = a_lu = None
         iterations += 1
         res = system.residual(psi)
+        floor = system.residual_floor(psi)
         history.append(float(np.linalg.norm(res)))
-        if history[-1] <= max(target, system.residual_floor(psi)):
+        if history[-1] <= max(target, floor):
             converged = True
             break
-    return psi, NewtonReport(iterations, history, converged)
+    definite = None
+    if not converged:
+        # no factor: a zero pivot stopped it, and that is not positive either
+        definite = k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0))
+    return psi, NewtonReport(iterations, history, converged, definite)
 
 
 def residual(psi, loads, penalty=None, quad_degree=8):

@@ -25,6 +25,11 @@ def square2(square1):
 
 
 @pytest.fixture(scope="session")
+def square3(square2):
+    return uniform_refine(square2)
+
+
+@pytest.fixture(scope="session")
 def lshape0():
     return lshape_mesh()
 

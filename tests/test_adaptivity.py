@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from vkfem import (AdaptiveConfig, DiscreteSolution, LocalEstimates,
-                   build_dofmap, dorfler_mark, estimate, edge_rule,
-                   integrate_edge, nodal_interpolate, uniform_refine)
+                   PenaltyConfig, SolverError, build_dofmap, dorfler_mark,
+                   estimate, edge_rule, integrate_edge, nodal_interpolate,
+                   uniform_refine)
 from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
-from vkfem.problems import square_problem
+from vkfem.problems import lshape_problem, square_problem
 
 
 def test_estimator_volume_terms_for_zero_solution(square1):
@@ -295,3 +296,20 @@ def test_record_evaluates_the_exact_fields_three_times(monkeypatch, method):
     assert calls["n"] == 3
     np.testing.assert_array_equal(dataclasses.astuple(record),
                                   dataclasses.astuple(state.record))
+
+
+def test_weak_penalties_fail_saying_that_k_is_indefinite():
+    # c0ip with penalties too small for a positive definite K: on the
+    # L-shape refined once undamped Newton does not converge in 50 steps,
+    # and the pivots of K's factor name the cause (on the square the same
+    # penalties converge, so an indefinite K alone does not abort)
+    config = AdaptiveConfig(max_levels=2, penalty=PenaltyConfig(0.5, 0.5))
+    with pytest.raises(SolverError, match=r"level 1 \(c0ip, .*\): K is "
+                       r"indefinite for these penalties"):
+        list(uniform_levels(lshape_problem(), "c0ip", 2, config))
+    # a run that stops for want of steps with a definite K says only that
+    config = AdaptiveConfig(max_levels=1, newton_maxit=1)
+    with pytest.raises(SolverError) as failure:
+        list(uniform_levels(square_problem(), "c0ip", 1, config))
+    assert "did not converge" in str(failure.value)
+    assert "indefinite" not in str(failure.value)

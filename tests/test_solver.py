@@ -247,11 +247,6 @@ def assert_same_solution(psi, ref):
 
 
 @pytest.fixture(scope="module")
-def square3(square2):
-    return uniform_refine(square2)
-
-
-@pytest.fixture(scope="module")
 def lshape2(lshape1):
     return uniform_refine(lshape1)
 
@@ -281,6 +276,71 @@ def test_preconditioned_newton_matches_lu_newton(request, mesh_name, exact,
     psi, report = newton_solve(dm, loads, penalty)
     assert report.converged
     assert report.iterations == ref_iterations
+    assert_same_solution(psi, ref)
+
+
+def test_linear_solve_stops_gmres_at_the_callers_target(square3,
+                                                        monkeypatch):
+    # a c0ip Newton step after the first: GMRES aims at the larger of
+    # 1e-10 ||b|| and the smaller of the caller's target and half the
+    # backward-error bound estimated at x0 = P^{-1} b
+    dm = build_dofmap(square3, "c0ip")
+    loads = loads_of(exact_square())
+    system = NewtonSystem(dm, loads)
+    psi, _ = newton_solve(dm, loads, maxit=1)
+    jac = system.step_matrix(psi)
+    rhs = -system.residual(psi)
+    order = dm.column_order
+    preconditioner = solver._block_triangular_inverse(
+        solver._symmetric_lu(jac.a, order),
+        solver._symmetric_lu(jac.k, order), jac.m_u)
+    bnorm, anorm = np.linalg.norm(rhs), jac.norm_inf()
+    bound = 0.5e-10 * (anorm * np.linalg.norm(preconditioner @ rhs) + bnorm)
+    assert bound > 1e3 * 1e-10 * bnorm
+
+    real_gmres = solver.spla.gmres
+    aims = []
+
+    def recording_gmres(a, b, **kwargs):
+        aims.append(kwargs["atol"])
+        return real_gmres(a, b, **kwargs)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the GMRES result was not accepted")
+    monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+    monkeypatch.setattr(solver.spla, "splu", no_lu)
+    cases = [(1e-12 * bnorm, 1e-10 * bnorm), (10 * 1e-10 * bnorm, None),
+             (0.1 * bound, None), (None, bound), (10.0 * bound, bound)]
+    for target, aim in cases:
+        aims.clear()
+        x = linear_solve(jac, rhs, preconditioner=preconditioner,
+                         target=target)
+        want = target if aim is None else aim
+        assert len(aims) == 1  # one cycle
+        assert aims[0] == pytest.approx(want, rel=1e-12)
+        assert np.linalg.norm(rhs - jac @ x) <= want
+        assert solver._backward_error(jac, x, rhs, anorm, bnorm) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["c0ip", "dg"])
+def test_every_newton_step_ends_gmres_in_its_first_cycle(square3,
+                                                         monkeypatch, method):
+    dm = build_dofmap(square3, method)
+    loads = loads_of(exact_square())
+    ref, ref_iterations = lu_newton(dm, loads)
+    real_gmres = solver.spla.gmres
+    infos = []
+
+    def recording_gmres(a, b, **kwargs):
+        x, info = real_gmres(a, b, **kwargs)
+        infos.append(info)
+        return x, info
+    monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+    psi, report = newton_solve(dm, loads)
+    assert report.converged
+    assert report.iterations == ref_iterations
+    # each gmres call is one cycle: one per step, each reaching its aim
+    assert infos == [0] * report.iterations
     assert_same_solution(psi, ref)
 
 
