@@ -140,14 +140,13 @@ def estimate(psi, loads, quad_degree=8):
 
     if method in ("c0ip", "dg"):
         w = EDGE_RULE.weights
-        nq = len(w)
         term = np.zeros(mesh.n_edges)
         for coef in (psi.u, psi.v):
             vj, gj = edge_jumps(dofmap.edge_basis, coef)
             grad2 = np.einsum("q,eqa->e", w, gj**2)
             term += grad2  # h^-1 * h * sum(w |jump|^2)
             if method == "dg":
-                term += (vj[:, :nq]**2 @ w) / h**2
+                term += (vj**2 @ w) / h**2
         attribute(term)
 
     return LocalEstimates(np.maximum(eta2, 0.0), method)
@@ -214,14 +213,10 @@ def _record(level, psi, loads, problem, eta_total, config, prev):
                              eta_total, float(osc), rate)
 
 
-def _level_state(level, mesh, loads, method, problem, config, prev,
-                 estimator=None):
-    """Solve, estimate and record ``method`` on one mesh; the indicators
-    come from a solve of ``estimator`` when that names another method."""
+def _level_state(level, mesh, loads, method, problem, config, prev):
+    """Solve, estimate and record ``method`` on one mesh."""
     psi = _solve(level, mesh, method, config, loads)
-    psi_est = psi if estimator in (None, method) \
-        else _solve(level, mesh, estimator, config, loads)
-    eta = estimate(psi_est, loads, config.quad_degree)
+    eta = estimate(psi, loads, config.quad_degree)
     record = _record(level, psi, loads, problem, eta.total, config, prev)
     return LevelState(level, mesh, psi, eta, record, loads)
 
@@ -238,7 +233,7 @@ def solve_level(state, method, problem, config, prev=None):
                         problem, config, prev)
 
 
-def _levels(problem, method, config, levels, refine, estimator=None):
+def _levels(problem, method, config, levels, refine):
     """Generator over at most ``levels`` meshes: on each, the loads are
     evaluated once and ``method`` is solved, estimated and recorded.
     ``refine(state)`` makes the next mesh, or returns ``None`` to stop."""
@@ -250,19 +245,16 @@ def _levels(problem, method, config, levels, refine, estimator=None):
         loads = tuple(load_values(load, mesh, config.quad_degree)
                       for load in (problem.exact.f, problem.exact.g))
         prev = None if state is None else state.record
-        state = _level_state(level, mesh, loads, method, problem, config,
-                             prev, estimator)
+        state = _level_state(level, mesh, loads, method, problem, config, prev)
         yield state
 
 
-def adaptive_levels(problem, method, config, estimator=None):
-    """Generator driving Solve - Estimate - Mark - Refine.
-
-    ``estimator`` names the method whose residual indicator steers the
-    marking (default: ``method`` itself); when it differs, that method is
-    solved alongside on every level.  The loads are evaluated once per
-    mesh.  Yields a :class:`LevelState` per level and stops at
-    ``max_levels`` or ``max_ndof``.
+def adaptive_levels(problem, method, config):
+    """Generator driving Solve - Estimate - Mark - Refine, marked by the
+    residual indicator of ``method``; :func:`solve_level` solves another
+    method on each level's mesh.  The loads are evaluated once per mesh.
+    Yields a :class:`LevelState` per level and stops at ``max_levels`` or
+    ``max_ndof``.
     """
     def refine(state):
         cap = config.max_ndof
@@ -270,8 +262,7 @@ def adaptive_levels(problem, method, config, estimator=None):
             return None
         return nvb_refine(state.mesh,
                           dorfler_mark(state.estimates, config.theta))
-    yield from _levels(problem, method, config, config.max_levels, refine,
-                       estimator)
+    yield from _levels(problem, method, config, config.max_levels, refine)
 
 
 def uniform_levels(problem, method, levels, config=None):

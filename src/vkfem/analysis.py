@@ -35,6 +35,12 @@ NORM_KINDS = ("nc", "ip", "dg", "h")
 
 _FROB = np.array([1.0, 1.0, 2.0])
 
+#: Values of a quadratic at the points of ``EDGE_RULE`` times this matrix
+#: are its values at the edge parameters 0 and 1: a P2 trace is quadratic
+#: along a straight edge, so its vertex values need no table of their own.
+_TO_ENDS = np.linalg.solve(np.vander(EDGE_RULE.points, 3).T,
+                           np.vander([0.0, 1.0], 3).T)
+
 
 @dataclass(frozen=True)
 class ExactSolutionPair:
@@ -72,8 +78,9 @@ class ConvergenceRecord:
 def _jump_terms(dofmap, coef, kinds, exact=None):
     """Squared jump contributions of a discrete field, one per norm kind.
 
-    With ``exact = (values, gradients)`` at the edge table's points and its
-    rule points, the jumps are those of the error ``exact - field``: on
+    With ``exact = (values, gradients)``, the values at the edge table's
+    points and then at both endpoints of every edge, the gradients at the
+    table's points, the jumps are those of the error ``exact - field``: on
     interior edges the smooth exact part cancels, on boundary edges its
     trace is subtracted (trace convention).
     """
@@ -81,9 +88,8 @@ def _jump_terms(dofmap, coef, kinds, exact=None):
         return [0.0] * len(kinds)
     mesh = dofmap.mesh
     w = EDGE_RULE.weights
-    nq = len(w)
     vj, gj = edge_jumps(dofmap.edge_basis, coef)
-    # the table's points past the rule's are the endpoints: vertex jumps only
+    vj = np.concatenate([vj, vj @ _TO_ENDS], axis=1)
     dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
     if exact is not None:
         bdry = mesh.edge_on_boundary[:, None]
@@ -91,7 +97,7 @@ def _jump_terms(dofmap, coef, kinds, exact=None):
         # boundary: [error] = exact trace - field trace (= exact - vj there)
         vj = np.where(bdry, exact[0] - vj, vj)
         dj = np.where(bdry, exact_dn - dj, dj)
-    vj, ends = vj[:, :nq], vj[:, nq:]
+    vj, ends = np.split(vj, [len(w)], axis=1)
     h = mesh.edge_length
     out = [0.0] * len(kinds)
     for i, kind in enumerate(kinds):
@@ -151,10 +157,11 @@ def error_norm(psi, exact, kind="h", quad_degree=8):
     hessians = _evaluate(pts, exact.u_hess, exact.v_hess)
     traces = [None, None]
     if any(k != "nc" for k in kinds):
-        edge_pts = dofmap.edge_basis.points
-        traces = zip(_evaluate(edge_pts, exact.u, exact.v),
-                     _evaluate(edge_pts[:, :len(EDGE_RULE.weights)],
-                               exact.u_grad, exact.v_grad))
+        mesh, edge_pts = dofmap.mesh, dofmap.edge_basis.points
+        ends = mesh.vertices[mesh.edges]
+        traces = zip(_evaluate(np.concatenate([edge_pts, ends], axis=1),
+                               exact.u, exact.v),
+                     _evaluate(edge_pts, exact.u_grad, exact.v_grad))
     errors = []
     for coef, hess, trace in zip((psi.u, psi.v), hessians, traces):
         diff = hess - element_hessians(basis, coef)[:, None, :]

@@ -221,20 +221,22 @@ def _edge_terms(dofmap, sigma):
     ne = len(h)
     dg = dofmap.method == "dg"
     m = 2 * nq if dg else nq
+    rows = [nq, m, m + 2]  # where the row blocks of a factor start
     left = np.empty((ne, m + 4, 12))
-    dn, vj = left[:, :nq], left[:, nq:m]
-    hn, gj = left[:, m:m + 2], left[:, m + 2:]
+    dn, vj, hn, gj = np.split(left, rows, axis=1)
     for side, sign in ((0, 1.0), (1, -1.0)):
         half = slice(6 * side, 6 * side + 6)
-        grads = eb.gradients[side][:, :nq]
+        grads = eb.gradients[side]
         np.matmul(grads, sign * normal[:, None, :, None],
                   out=dn[:, :, half, None])
-        _hessian_normal_vector(eb.hessians[side], normal,
-                               hn[:, :, half].transpose(0, 2, 1))
+        _hessian_normal_vector(dofmap.basis.hessians[mesh.edge_tris[:, side]],
+                               normal, hn[:, :, half].transpose(0, 2, 1))
         if dg:
-            np.multiply(eb.values[side][:, :nq], sign, out=vj[:, :, half])
+            np.multiply(eb.values[side], sign, out=vj[:, :, half])
             gj[:, :, half] = sign * (w @ grads.reshape(ne, nq, 12)).reshape(
                 ne, 6, 2).transpose(0, 2, 1)
+    # side 1 of a boundary edge has no triangle (edge_tris -1 read the last)
+    hn[mesh.edge_on_boundary, :, 6:] = 0.0
     hn *= np.where(mesh.edge_on_boundary, 1.0, 0.5)[:, None, None]
     if dg:
         gj *= h[:, None, None]
@@ -243,12 +245,12 @@ def _edge_terms(dofmap, sigma):
         gj[...] = normal[:, :, None] * (h[:, None] * (w @ dn))[:, None, :]
 
     right = np.empty_like(left)
-    np.multiply(dn, (sigma * w)[:, None], out=right[:, :nq])
+    r_dn, r_vj, r_gj, r_hn = np.split(right, rows, axis=1)
+    np.multiply(dn, (sigma * w)[:, None], out=r_dn)
     if dg:
-        np.multiply(vj, ((sigma / h**2)[:, None] * w)[:, :, None],
-                    out=right[:, nq:m])
-    np.negative(gj, out=right[:, m:m + 2])
-    np.negative(hn, out=right[:, m + 2:])
+        np.multiply(vj, ((sigma / h**2)[:, None] * w)[:, :, None], out=r_vj)
+    np.negative(gj, out=r_gj)
+    np.negative(hn, out=r_hn)
     return left.transpose(0, 2, 1) @ right
 
 

@@ -191,27 +191,27 @@ def run_experiment(spec):
 
 
 def _build_parser():
+    # options left out are left out of the namespace too, so the defaults
+    # are those of ExperimentSpec
     parser = argparse.ArgumentParser(
-        prog="vkfem",
+        prog="vkfem", argument_default=argparse.SUPPRESS,
         description="Convergence experiments for quadratic clamped-plate "
                     "discretisations (Morley, C0 interior penalty, "
                     "discontinuous Galerkin).")
     parser.add_argument("--example", required=True, choices=EXAMPLES)
-    parser.add_argument("--method", default="all",
-                        choices=METHODS + ("all",))
-    parser.add_argument("--levels", type=int, default=5)
-    parser.add_argument("--theta", type=float, default=0.5,
+    parser.add_argument("--method", choices=METHODS + ("all",))
+    parser.add_argument("--levels", type=int)
+    parser.add_argument("--theta", type=float,
                         help="bulk marking parameter in (0, 1]")
-    parser.add_argument("--sigma-ip", type=float, default=20.0)
-    parser.add_argument("--sigma-dg", type=float, default=20.0)
+    parser.add_argument("--sigma-ip", type=float)
+    parser.add_argument("--sigma-dg", type=float)
     parser.add_argument("--refine", choices=("uniform", "adaptive"),
-                        default=None,
                         help="override the example's refinement style")
-    parser.add_argument("--estimator", choices=METHODS, default=None,
+    parser.add_argument("--estimator", choices=METHODS,
                         help="estimator driving adaptive refinement")
-    parser.add_argument("--out", default="convergence.csv")
-    parser.add_argument("--quad-degree", type=int, default=8)
-    parser.add_argument("--newton-tol", type=float, default=1e-10)
+    parser.add_argument("--out")
+    parser.add_argument("--quad-degree", type=int)
+    parser.add_argument("--newton-tol", type=float)
     parser.add_argument("--emit-plot", action="store_true",
                         help="write a gnuplot script next to the CSV")
     return parser
@@ -220,12 +220,7 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        spec = ExperimentSpec(
-            example=args.example, method=args.method, levels=args.levels,
-            theta=args.theta, sigma_ip=args.sigma_ip, sigma_dg=args.sigma_dg,
-            refine=args.refine, estimator=args.estimator, out=args.out,
-            quad_degree=args.quad_degree, newton_tol=args.newton_tol,
-            emit_plot=args.emit_plot)
+        spec = ExperimentSpec(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

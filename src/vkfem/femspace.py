@@ -33,9 +33,8 @@ from .quadrature import edge_rule, triangle_rule
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "morley_interpolate", "nodal_interpolate", "p2_values",
            "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES", "EDGE_RULE",
-           "EDGE_POINTS", "gather_coefficients", "element_hessians",
-           "edge_jumps", "bracket", "to_dg_coefficients", "load_values",
-           "rule_points"]
+           "gather_coefficients", "element_hessians", "edge_jumps", "bracket",
+           "to_dg_coefficients", "load_values", "rule_points"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -55,12 +54,9 @@ P2_REF_HESSIANS = np.array([
 
 _EDGE_MIDPOINTS_REF = REF_NODES[3:]
 
-#: Gauss rule of every edge integral: exact for two quadratic traces.
+#: Gauss rule of every edge integral: exact for two quadratic traces, and
+#: the points of every dof map's :class:`EdgeBasis`.
 EDGE_RULE = edge_rule(5)
-#: Edge parameters of every dof map's :class:`EdgeBasis`: the points of
-#: :data:`EDGE_RULE`, then both endpoints (for vertex-value jumps).
-EDGE_POINTS = np.concatenate([EDGE_RULE.points, [0.0, 1.0]])
-EDGE_POINTS.setflags(write=False)
 
 
 def p2_values(points):
@@ -148,9 +144,10 @@ class DofMap:
 
     @property
     def edge_basis(self):
-        """The :class:`EdgeBasis` of this dof map at :data:`EDGE_POINTS`."""
+        """The :class:`EdgeBasis` of this dof map at the points of
+        :data:`EDGE_RULE`."""
         if self._edge_basis is None:
-            self._edge_basis = EdgeBasis(self.basis, EDGE_POINTS)
+            self._edge_basis = EdgeBasis(self.basis, EDGE_RULE.points)
         return self._edge_basis
 
 
@@ -260,13 +257,14 @@ def load_values(load, mesh, quad_degree=8):
     ``load`` is a vectorised callable ``(x, y) -> array``, which is called at
     the physical rule points of every triangle, or its values there: an
     array of shape ``(n_triangles, n_rule_points)``, returned as floats.
-    Any other shape raises ``ValueError``.  The points depend only on the
-    mesh and the degree, so values computed once serve every consumer on
-    the same mesh (assembly, estimator, oscillation) bit for bit.
+    Any other shape, given or returned by the callable, raises
+    ``ValueError``.  The points depend only on the mesh and the degree, so
+    values computed once serve every consumer on the same mesh (assembly,
+    estimator, oscillation) bit for bit.
     """
     if callable(load):
         pts = rule_points(mesh, quad_degree)
-        return np.asarray(load(pts[..., 0], pts[..., 1]), dtype=float)
+        load = load(pts[..., 0], pts[..., 1])
     values = np.asarray(load, dtype=float)
     expected = (mesh.n_triangles, len(triangle_rule(quad_degree).points))
     if values.shape != expected:
@@ -366,7 +364,8 @@ class ElementBasis:
 
 
 class EdgeBasis:
-    """Traces of the element basis on both sides of every edge.
+    """Traces of the element basis on both sides of every edge: values,
+    gradients and the dofs of each side; Hessians are the element basis's.
 
     Evaluation points are ``a + t * (b - a)`` for the sorted edge vertices
     ``(a, b)``, identical for both sides, so jumps and averages pair up
@@ -385,12 +384,12 @@ class EdgeBasis:
         points.setflags(write=False)
         self.points = points
 
-        self.values, self.gradients, self.hessians, self.dofs = zip(
+        self.values, self.gradients, self.dofs = zip(
             *(self._side(basis, mesh.edge_tris[:, side]) for side in (0, 1)))
 
     def _side(self, basis, tri):
-        """Read-only values, gradients, Hessians and dofs of the shapes of
-        the triangles ``tri`` (``-1``: none, all zero) at the edge points."""
+        """Read-only values, gradients and dofs of the shapes of the
+        triangles ``tri`` (``-1``: none, all zero) at the edge points."""
         valid = tri >= 0
         tt = np.where(valid, tri, 0)
         jac_inv = basis.jac_inv[tt]
@@ -403,15 +402,13 @@ class EdgeBasis:
             w = basis.transform[tt]
             vals = vals @ w.transpose(0, 2, 1)
             grads = w[:, None] @ grads
-        hess = basis.hessians[tt]
         dofs = basis.element_dofs[tt]
         vals[~valid] = 0.0
         grads[~valid] = 0.0
-        hess[~valid] = 0.0
         dofs[~valid] = -1
-        for arr in (vals, grads, hess, dofs):
+        for arr in (vals, grads, dofs):
             arr.setflags(write=False)
-        return vals, grads, hess, dofs
+        return vals, grads, dofs
 
 
 def gather_coefficients(dofs, coefficients):
@@ -429,21 +426,18 @@ def element_hessians(basis, coefficients):
 
 
 def edge_jumps(edge_basis, coefficients):
-    """Jumps ``side 0 - side 1`` of a discrete field's value at every point
-    of an edge table, shape ``(ne, m)``, and of its gradient at the first
-    ``len(EDGE_RULE.points)`` points (the rule's, in a dof map's table),
-    shape ``(ne, nq, 2)``: only vertex-value jumps read the endpoints.
+    """Jumps ``side 0 - side 1`` of a discrete field's value and gradient at
+    every point of an edge table, shapes ``(ne, m)`` and ``(ne, m, 2)``.
 
     On a boundary edge the jump is the side-0 trace.
     """
-    nq = len(EDGE_RULE.points)
     vj, gj = 0.0, 0.0
     for side, sign in ((0, 1.0), (1, -1.0)):
         local = gather_coefficients(edge_basis.dofs[side], coefficients)
         vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
                                    local)
         gj = gj + sign * (local[:, None, None, :]
-                          @ edge_basis.gradients[side][:, :nq])[:, :, 0]
+                          @ edge_basis.gradients[side])[:, :, 0]
     return vj, gj
 
 

@@ -71,8 +71,6 @@ class Triangulation:
     vertex_on_boundary, edge_on_boundary : ndarray of bool
         Topological boundary flags (an edge is boundary iff it has exactly
         one adjacent triangle).
-    h_max : float
-        Largest edge length.
 
     Raises
     ------
@@ -161,7 +159,6 @@ class Triangulation:
         normal[towards_first > 0.0] *= -1.0
         self.edge_normal = normal
         self.edge_tangent = np.stack([-normal[:, 1], normal[:, 0]], axis=1)
-        self.h_max = float(self.edge_length.max())
 
         self._audit_hanging_vertices()
 
@@ -307,16 +304,14 @@ def nvb_refine(mesh, marked):
     edge_marked[ref_edge[marked]] = True
 
     # Closure: a triangle with any marked edge must bisect its refinement
-    # edge as well; iterate to a fixpoint.
-    for _ in range(10 * nv):
+    # edge as well; iterate to a fixpoint (a pass that does not stop marks
+    # a new edge, so there are at most n_edges passes).
+    while True:
         touched = edge_marked[mesh.tri_edges].any(axis=1)
         need = touched & ~edge_marked[ref_edge]
         if not need.any():
             break
         edge_marked[ref_edge[need]] = True
-    else:
-        raise MeshError("bisection closure did not terminate "
-                        "(corrupt refinement-edge tags)")
 
     cut = np.where(edge_marked)[0]
     edge_vertex = np.full(ne, -1, dtype=np.int64)

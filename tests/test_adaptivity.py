@@ -180,11 +180,11 @@ def test_adaptive_levels_records_and_corner_focus():
 
 
 def test_adaptive_cross_estimator(square0):
-    # drive with the dg estimator when solving morley
+    # the dg estimator drives the refinement, morley is solved on its meshes
     prob = square_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
-    records = [s.record for s in adaptive_levels(prob, "morley", config,
-                                                 estimator="dg")]
+    records = [solve_level(s, "morley", prob, config).record
+               for s in adaptive_levels(prob, "dg", config)]
     assert len(records) == 2
     assert records[0].estimator_total > 0
 
@@ -215,10 +215,12 @@ def test_loads_are_evaluated_once_per_level():
     assert len(list(uniform_levels(problem, "dg", 2))) == 2
     assert calls == {"f": 2, "g": 2}
 
-    # a cross estimator and the other methods reuse the level's values
+    # the other methods, solved on the meshes another drives, reuse the
+    # level's values
     problem, calls = _counting_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
-    for state in adaptive_levels(problem, "morley", config, estimator="dg"):
+    for state in adaptive_levels(problem, "dg", config):
+        solve_level(state, "morley", problem, config)
         solve_level(state, "c0ip", problem, config)
     assert calls == {"f": 2, "g": 2}
 

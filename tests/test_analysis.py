@@ -3,14 +3,12 @@ import pytest
 
 from vkfem import (ConvergenceRecord, DiscreteSolution, ExactSolutionPair,
                    best_approx_term, build_dofmap, build_topology,
-                   convergence_rates, discrete_norm, error_norm, estimate,
-                   fit_rate, lshape_problem, morley_interpolate,
-                   newton_solve, nodal_interpolate, oscillation,
-                   oscillation_local, square_problem, triangle_rule,
-                   uniform_refine, unified_h_norm)
-from vkfem import adaptivity, analysis
-from vkfem.analysis import NORM_KINDS
-from vkfem.femspace import EDGE_RULE, gather_coefficients
+                   convergence_rates, discrete_norm, error_norm, fit_rate,
+                   morley_interpolate, nodal_interpolate, oscillation,
+                   oscillation_local, triangle_rule, uniform_refine,
+                   unified_h_norm)
+from vkfem import analysis
+from vkfem.femspace import EdgeBasis, edge_jumps, gather_coefficients
 from vkfem.problems import exact_square
 
 
@@ -185,7 +183,7 @@ def test_best_approx_decreases_under_refinement(square0):
 def test_best_approx_evaluates_a_shared_hessian_once(lshape1, square2,
                                                      monkeypatch):
     from vkfem import problems
-    from vkfem.femspace import load_values
+    from vkfem.femspace import rule_points
     from vkfem.problems import exact_lshape
     calls = []
     fields_polar = problems._fields_polar
@@ -199,9 +197,10 @@ def test_best_approx_evaluates_a_shared_hessian_once(lshape1, square2,
 
     # the square's distinct Hessians give what one evaluation each gave
     exact, rule = exact_square(), triangle_rule(8)
+    pts = rule_points(square2)
     total = 0.0
     for hess_fn in (exact.u_hess, exact.v_hess):
-        h = load_values(hess_fn, square2)
+        h = hess_fn(pts[..., 0], pts[..., 1])
         dev = h - (rule.weights @ h)[:, None, :]
         total += float(square2.area
                        @ (dev**2 @ np.array([1.0, 1.0, 2.0]) @ rule.weights))
@@ -247,43 +246,31 @@ def test_convergence_rates_records():
         convergence_rates(records[:2])
 
 
-def jumps_at_every_table_point(edge_basis, coefficients):
-    """The reference for ``femspace.edge_jumps``: value and gradient jumps
-    at every point of the table, the gradient jumps cut to the rule points
-    afterwards."""
-    vj, gj = 0.0, 0.0
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        local = gather_coefficients(edge_basis.dofs[side], coefficients)
-        vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
-                                   local)
-        gj = gj + sign * (local[:, None, None, :]
-                          @ edge_basis.gradients[side])[:, :, 0]
-    return vj, gj[:, :len(EDGE_RULE.points)]
-
-
 @pytest.fixture(scope="module")
 def lshape2(lshape1):
     return uniform_refine(lshape1)
 
 
 @pytest.mark.parametrize("mesh_name", ["square2", "lshape2"])
-def test_rule_point_gradient_jumps_leave_estimates_and_norms_unchanged(
-        request, monkeypatch, mesh_name):
+def test_vertex_jumps_extrapolate_the_rule_point_jumps(request, mesh_name):
+    # a P2 trace is quadratic along a straight edge, so its values at the
+    # rule points give those at both endpoints: each side's trace and the
+    # jump, against a table at the endpoints themselves
     mesh = request.getfixturevalue(mesh_name)
-    problem = square_problem() if mesh_name == "square2" else lshape_problem()
-    exact = problem.exact
-    loads = (exact.f, exact.g)
+    rng = np.random.default_rng(21)
     for method in ("morley", "c0ip", "dg"):
-        psi, _ = newton_solve(build_dofmap(mesh, method), loads)
-
-        def run():
-            return (estimate(psi, loads).eta2,
-                    np.array(error_norm(psi, exact, NORM_KINDS)))
-        eta2, norms = run()
-        with monkeypatch.context() as patched:
-            for module in (adaptivity, analysis):
-                patched.setattr(module, "edge_jumps",
-                                jumps_at_every_table_point)
-            eta2_all, norms_all = run()
-        assert np.array_equal(eta2, eta2_all), method
-        assert np.array_equal(norms, norms_all), method
+        dm = build_dofmap(mesh, method)
+        coef = rng.standard_normal(dm.n_global)
+        ends_table = EdgeBasis(dm.basis, [0.0, 1.0])
+        got, want = [], []
+        for table, out in ((dm.edge_basis, got), (ends_table, want)):
+            for side in (0, 1):
+                local = gather_coefficients(table.dofs[side], coef)
+                out.append((table.values[side] @ local[:, :, None])[..., 0])
+            out.append(edge_jumps(table, coef)[0])
+        got = [vals @ analysis._TO_ENDS for vals in got]
+        scale = np.abs(want[0]).max()
+        assert scale > 0.0
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (mesh.n_edges, 2)
+            assert np.abs(g - w).max() <= 1e-13 * scale, method

@@ -15,7 +15,7 @@ from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
                    lshape_mesh, nvb_refine, oscillation_local, uniform_refine)
 from vkfem import analysis, assembly
 from vkfem.femspace import (EDGE_RULE, P2_REF_HESSIANS, REF_NODES,
-                            edge_jumps, gather_coefficients,
+                            EdgeBasis, edge_jumps, gather_coefficients,
                             p2_ref_gradients, p2_values)
 from vkfem.problems import exact_lshape
 from vkfem.quadrature import triangle_rule
@@ -133,8 +133,8 @@ def test_edge_jumps(dofmap, coefficients):
         for side, sign in ((0, 1.0), (1, -1.0)):
             local = gather_coefficients(eb.dofs[side], coef)
             vj = vj + sign * np.einsum("eqj,ej->eq", eb.values[side], local)
-            gj = gj + sign * np.einsum("eqja,ej->eqa",
-                                       eb.gradients[side][:, :NQ], local)
+            gj = gj + sign * np.einsum("eqja,ej->eqa", eb.gradients[side],
+                                       local)
         got_vj, got_gj = edge_jumps(eb, coef)
         assert_matches(got_vj, vj)
         assert_matches(got_gj, gj)
@@ -146,17 +146,20 @@ def edge_terms_reference(dofmap, sigma):
     avg = np.where(mesh.edge_on_boundary, 1.0, 0.5)
 
     def jump(sides):
-        return np.concatenate([sides[0][:, :NQ], -sides[1][:, :NQ]], axis=2)
+        return np.concatenate([sides[0], -sides[1]], axis=2)
 
     def normal_hessian(hess):
         n1, n2 = normal[:, 0, None], normal[:, 1, None]
         return np.stack([hess[..., 0] * n1 + hess[..., 2] * n2,
                          hess[..., 2] * n1 + hess[..., 1] * n2], axis=-1)
 
-    dn = jump([np.einsum("eqja,ea->eqj", g[:, :NQ], normal)
-               for g in eb.gradients])
+    dn = jump([np.einsum("eqja,ea->eqj", g, normal) for g in eb.gradients])
     pen = sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
-    hn = np.concatenate([normal_hessian(hs) for hs in eb.hessians],
+    tri = mesh.edge_tris
+    hess = [dofmap.basis.hessians[tri[:, 0]],
+            np.where((tri[:, 1] >= 0)[:, None, None],
+                     dofmap.basis.hessians[tri[:, 1]], 0.0)]
+    hn = np.concatenate([normal_hessian(hs) for hs in hess],
                         axis=1) * avg[:, None, None]
     if dofmap.method == "c0ip":
         hnn = np.einsum("eja,ea->ej", hn, normal)
@@ -213,14 +216,16 @@ def test_load_vector(dofmap):
 
 
 def jump_terms_reference(dofmap, coef, kinds, exact):
+    # the vertex jumps from a table at the endpoints
     mesh, w = dofmap.mesh, EDGE_RULE.weights
     vj, gj = edge_jumps(dofmap.edge_basis, coef)
+    ends = edge_jumps(EdgeBasis(dofmap.basis, [0.0, 1.0]), coef)[0]
     dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
     bdry = mesh.edge_on_boundary[:, None]
-    vj = np.where(bdry, exact[0] - vj, vj)
+    vj = np.where(bdry, exact[0][:, :NQ] - vj, vj)
+    ends = np.where(bdry, exact[0][:, NQ:] - ends, ends)
     dj = np.where(bdry, np.einsum("eqa,ea->eq", exact[1], mesh.edge_normal)
                   - dj, dj)
-    vj, ends = vj[:, :NQ], vj[:, NQ:]
     h = mesh.edge_length
     out = []
     for kind in kinds:
@@ -241,7 +246,10 @@ def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
     basis = dofmap.basis
     rule = triangle_rule(8)
     pts = basis.physical_points(rule.points[:, 1:])
-    edge_pts = dofmap.edge_basis.points
+    mesh, edge_pts = dofmap.mesh, dofmap.edge_basis.points
+    # the values at the rule points and both endpoints, as error_norm takes
+    # them
+    value_pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)
     kinds = ["ip", "dg", "h"]
     want = []
     for coef, hess, value, grad in zip(
@@ -253,8 +261,8 @@ def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
         diff = hess(pts[..., 0], pts[..., 1]) - hcoef[:, None, :]
         volume = np.einsum("t,q,tqc,c->", basis.area, rule.weights, diff**2,
                            FROB)
-        trace = (value(edge_pts[..., 0], edge_pts[..., 1]),
-                 grad(edge_pts[:, :NQ, 0], edge_pts[:, :NQ, 1]))
+        trace = (value(value_pts[..., 0], value_pts[..., 1]),
+                 grad(edge_pts[..., 0], edge_pts[..., 1]))
         jumps = jump_terms_reference(dofmap, coef, kinds, trace)
         assert_matches(analysis._jump_terms(dofmap, coef, kinds, trace),
                        jumps)
@@ -303,7 +311,7 @@ def test_dg_estimator_jump_terms(mesh):
     for coef in (u, v):
         vj, gj = edge_jumps(dofmap.edge_basis, coef)
         term = term + (np.einsum("q,eqa->e", w, gj**2)
-                       + np.einsum("q,eq->e", w, vj[:, :NQ]**2) / h**2)
+                       + np.einsum("q,eq->e", w, vj**2) / h**2)
     interior = ~mesh.edge_on_boundary
     tri0, tri1 = mesh.edge_tris.T
     want = np.zeros(mesh.n_triangles)

@@ -4,7 +4,7 @@ import pytest
 from vkfem import (build_dofmap, build_topology, edge_rule, morley_interpolate,
                    nodal_interpolate, uniform_refine)
 from vkfem.adaptivity import AdaptiveConfig, adaptive_levels
-from vkfem.femspace import (EDGE_POINTS, METHODS, REF_NODES, EdgeBasis,
+from vkfem.femspace import (EDGE_RULE, METHODS, REF_NODES, EdgeBasis,
                             ElementBasis, _nested_dissection,
                             element_hessians, p2_values)
 from vkfem.problems import exact_square, lshape_problem
@@ -136,10 +136,10 @@ def test_dofmap_bases_are_cached_and_read_only(square1):
         dm = build_dofmap(square1, method)
         basis, eb = dm.basis, dm.edge_basis
         assert dm.basis is basis and dm.edge_basis is eb
-        assert eb.points.shape == (square1.n_edges, len(EDGE_POINTS), 2)
-        arrays = [EDGE_POINTS, basis.p0, basis.jac, basis.jac_inv,
-                  basis.area, basis.hessians, basis.int_phi, eb.points,
-                  *eb.values, *eb.gradients, *eb.hessians, *eb.dofs]
+        assert eb.points.shape == (square1.n_edges, len(EDGE_RULE.points), 2)
+        arrays = [basis.p0, basis.jac, basis.jac_inv, basis.area,
+                  basis.hessians, basis.int_phi, eb.points, *eb.values,
+                  *eb.gradients, *eb.dofs]
         if basis.transform is not None:
             arrays.append(basis.transform)
         for arr in arrays:
@@ -149,6 +149,24 @@ def test_dofmap_bases_are_cached_and_read_only(square1):
             dm.basis = basis
         with pytest.raises(AttributeError):
             dm.edge_basis = eb
+
+
+def test_edge_table_holds_rule_point_traces_only(lshape1):
+    # the points, then each side's values (3 x 6), gradients (3 x 6 x 2)
+    # and dofs: 1,008 bytes per edge, 35.7 MiB on the 37,120 edges of the
+    # uniform L-shape at level 6; a table that also held both endpoints and
+    # each side's Hessians took 1,904
+    nq = len(EDGE_RULE.points)
+    per_edge = 8 * (2 * nq + 2 * (6 * nq + 12 * nq + 6))
+    assert per_edge == 1008
+    for method in METHODS:
+        eb = build_dofmap(lshape1, method).edge_basis
+        assert not hasattr(eb, "hessians")
+        arrays = [a for v in vars(eb).values()
+                  for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) == 7
+        assert sum(a.nbytes for a in arrays) <= per_edge * lshape1.n_edges
 
 
 def test_dofmap_with_bases_is_freed_by_reference_counting(square1):

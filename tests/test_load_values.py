@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vkfem import (DiscreteSolution, assemble_load, build_dofmap, estimate,
-                   load_values, oscillation_local, residual, uniform_refine)
+                   load_values, newton_solve, oscillation_local, residual,
+                   uniform_refine)
 from vkfem.problems import exact_lshape, exact_square
 
 METHODS = ("morley", "c0ip", "dg")
@@ -48,13 +49,17 @@ def test_values_of_the_wrong_shape_raise(square1):
     zero = np.zeros(dm.n_global)
     psi = DiscreteSolution(dm, zero, zero)
     for bad in (good.T, good[:, :-1], good[:-1], good.ravel(),
-                load_values(ex.f, square1, quad_degree=6)):
+                load_values(ex.f, square1, quad_degree=6),
+                # a callable's result is checked as given values are
+                lambda x, y: 1.0, lambda x, y: ex.f(x, y).T):
         with pytest.raises(ValueError, match="shape"):
             load_values(bad, square1)
         with pytest.raises(ValueError, match="shape"):
             assemble_load(good, bad, dm)
         with pytest.raises(ValueError, match="shape"):
             estimate(psi, (bad, good))
+        with pytest.raises(ValueError, match="shape"):
+            newton_solve(dm, (bad, good))
         with pytest.raises(ValueError, match="shape"):
             oscillation_local(bad, square1)
     # values belong to the degree they were evaluated at
