@@ -23,11 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (ConvergenceRecord, error_norm, oscillation)
-from .assembly import PenaltyConfig, bracket_elements
-from .femspace import (EDGE_RULE, build_dofmap, edge_jumps, element_hessians,
-                       load_values)
+from .assembly import PenaltyConfig
+from .femspace import (EDGE_RULE, VOLUME_RULE, bracket, build_dofmap,
+                       edge_jumps, element_hessians, load_values)
 from .mesh import nvb_refine, uniform_refine
-from .quadrature import triangle_rule
 from .solver import SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
@@ -58,7 +57,6 @@ class AdaptiveConfig:
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     newton_tol: float = 1e-10
     newton_maxit: int = 50
-    quad_degree: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
@@ -83,27 +81,27 @@ class LevelState:
     loads: tuple = field(repr=False)
 
 
-def estimate(psi, loads, quad_degree=8):
+def estimate(psi, loads):
     """Local residual indicators of a converged solution.
 
     ``loads`` is the pair ``(f, g)``: vectorised callables, or their values
-    at the degree-``quad_degree`` rule points of the solution's mesh (see
-    :func:`~vkfem.femspace.load_values`).  Volume terms use triangle
-    quadrature of the given degree; edge integrands of P2 fields are
-    polynomial and integrated exactly.
+    at the ``VOLUME_RULE`` points of the solution's mesh (see
+    :func:`~vkfem.femspace.load_values`).  Volume terms use
+    ``VOLUME_RULE``; edge integrands of P2 fields are polynomial and
+    integrated exactly.
     """
     dofmap = psi.dofmap
     mesh = dofmap.mesh
     method = psi.method
     f, g = loads
 
-    rule = triangle_rule(quad_degree)
-    br_uv = bracket_elements(dofmap, psi.u, psi.v)
-    br_uu = bracket_elements(dofmap, psi.u, psi.u)
-    res1 = load_values(f, mesh, quad_degree) + br_uv[:, None]
-    res2 = load_values(g, mesh, quad_degree) - 0.5 * br_uu[:, None]
+    # one Hessian array per component, for the brackets and the jumps
+    hu = element_hessians(dofmap.basis, psi.u)
+    hv = element_hessians(dofmap.basis, psi.v)
+    res1 = load_values(f, mesh) + bracket(hu, hv)[:, None]
+    res2 = load_values(g, mesh) - 0.5 * bracket(hu, hu)[:, None]
     hk4 = mesh.tri_diameter**4
-    eta2 = hk4 * mesh.area * ((res1**2 + res2**2) @ rule.weights)
+    eta2 = hk4 * mesh.area * ((res1**2 + res2**2) @ VOLUME_RULE.weights)
 
     h = mesh.edge_length
     interior = ~mesh.edge_on_boundary
@@ -117,8 +115,7 @@ def estimate(psi, loads, quad_degree=8):
     if method in ("morley", "c0ip"):
         # Hessian jumps are interior-only and constant along each edge
         hess_jumps = []
-        for coef in (psi.u, psi.v):
-            he = element_hessians(dofmap.basis, coef)
+        for he in (hu, hv):
             jump = he[tri0] - he[np.where(tri1 >= 0, tri1, 0)]
             jump[~interior] = 0.0
             hess_jumps.append(jump)
@@ -184,8 +181,7 @@ def _solve(level, mesh, method, config, loads):
     dofmap = build_dofmap(mesh, method)
     psi, report = newton_solve(dofmap, loads, config.penalty,
                                tol=config.newton_tol,
-                               maxit=config.newton_maxit,
-                               quad_degree=config.quad_degree)
+                               maxit=config.newton_maxit)
     if not report.converged:
         reason = ""
         if report.stiffness_definite is False:
@@ -201,9 +197,8 @@ def _record(level, psi, loads, problem, eta_total, config, prev):
     exact = problem.exact
     mesh = psi.dofmap.mesh
     (e_u, e_v, e_tot), (_, _, e_meth) = error_norm(
-        psi, exact, ("h", METHOD_NORM[psi.method]), config.quad_degree)
-    osc = np.hypot(oscillation(loads[0], mesh, config.quad_degree),
-                   oscillation(loads[1], mesh, config.quad_degree))
+        psi, exact, ("h", METHOD_NORM[psi.method]))
+    osc = np.hypot(oscillation(loads[0], mesh), oscillation(loads[1], mesh))
     ndof = psi.dofmap.n_global
     rate = float("nan")
     if prev is not None and prev.error_total > 0 and e_tot > 0:
@@ -216,7 +211,7 @@ def _record(level, psi, loads, problem, eta_total, config, prev):
 def _level_state(level, mesh, loads, method, problem, config, prev):
     """Solve, estimate and record ``method`` on one mesh."""
     psi = _solve(level, mesh, method, config, loads)
-    eta = estimate(psi, loads, config.quad_degree)
+    eta = estimate(psi, loads)
     record = _record(level, psi, loads, problem, eta.total, config, prev)
     return LevelState(level, mesh, psi, eta, record, loads)
 
@@ -242,7 +237,7 @@ def _levels(problem, method, config, levels, refine):
         mesh = problem.initial_mesh if state is None else refine(state)
         if mesh is None:
             return
-        loads = tuple(load_values(load, mesh, config.quad_degree)
+        loads = tuple(load_values(load, mesh)
                       for load in (problem.exact.f, problem.exact.g))
         prev = None if state is None else state.record
         state = _level_state(level, mesh, loads, method, problem, config, prev)

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femspace import (EDGE_RULE, edge_jumps, element_hessians, load_values,
-                       rule_points)
-from .quadrature import triangle_rule
+from .femspace import (EDGE_RULE, FROB_WEIGHTS, VOLUME_RULE, edge_jumps,
+                       element_hessians, load_values, rule_points)
 
 __all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
            "error_norm", "discrete_norm", "unified_h_norm", "oscillation",
@@ -32,8 +31,6 @@ __all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
            "convergence_rates"]
 
 NORM_KINDS = ("nc", "ip", "dg", "h")
-
-_FROB = np.array([1.0, 1.0, 2.0])
 
 #: Values of a quadratic at the points of ``EDGE_RULE`` times this matrix
 #: are its values at the edge parameters 0 and 1: a P2 trace is quadratic
@@ -127,7 +124,7 @@ def discrete_norm(dofmap, coef, kind="h"):
         raise ValueError(f"unknown norm kind {kind!r}, expected {NORM_KINDS}")
     basis = dofmap.basis
     hess = element_hessians(basis, coef)
-    nc2 = float(np.einsum("t,tc,c->", basis.area, hess**2, _FROB))
+    nc2 = float(np.einsum("t,tc,c->", basis.area, hess**2, FROB_WEIGHTS))
     return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, [kind])[0]))
 
 
@@ -136,36 +133,35 @@ def unified_h_norm(dofmap, coef):
     return discrete_norm(dofmap, coef, "h")
 
 
-def error_norm(psi, exact, kind="h", quad_degree=8):
+def error_norm(psi, exact, kind="h"):
     """Error of a discrete pair against an exact pair in one or more norms.
 
     Returns ``(e_u, e_v, sqrt(e_u^2 + e_v^2))`` for one norm ``kind``, and a
     list of such triples for a sequence of kinds, which share one evaluation
     of each distinct exact callable per point set.  Volume terms use
-    quadrature of the given degree; interior jump terms reduce to the
-    discrete field's jumps (the exact pair is smooth across edges), while on
-    boundary edges the exact traces are subtracted.
+    ``VOLUME_RULE``; interior jump terms reduce to the discrete field's
+    jumps (the exact pair is smooth across edges), while on boundary edges
+    the exact traces are subtracted.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     for k in kinds:
         if k not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {k!r}, expected {NORM_KINDS}")
     dofmap = psi.dofmap
-    basis = dofmap.basis
-    rule = triangle_rule(quad_degree)
-    pts = basis.physical_points(rule.points[:, 1:])
-    hessians = _evaluate(pts, exact.u_hess, exact.v_hess)
+    basis, mesh = dofmap.basis, dofmap.mesh
+    hessians = _evaluate(rule_points(mesh), exact.u_hess, exact.v_hess)
     traces = [None, None]
     if any(k != "nc" for k in kinds):
-        mesh, edge_pts = dofmap.mesh, dofmap.edge_basis.points
+        edge_pts = dofmap.edge_basis.points
         ends = mesh.vertices[mesh.edges]
         traces = zip(_evaluate(np.concatenate([edge_pts, ends], axis=1),
                                exact.u, exact.v),
                      _evaluate(edge_pts, exact.u_grad, exact.v_grad))
     errors = []
+    w = VOLUME_RULE.weights
     for coef, hess, trace in zip((psi.u, psi.v), hessians, traces):
         diff = hess - element_hessians(basis, coef)[:, None, :]
-        e2 = float(basis.area @ (diff**2 @ _FROB @ rule.weights))
+        e2 = float(basis.area @ (diff**2 @ FROB_WEIGHTS @ w))
         errors.append([np.sqrt(e2 + jump)
                        for jump in _jump_terms(dofmap, coef, kinds, trace)])
     out = [(float(e_u), float(e_v), float(np.hypot(e_u, e_v)))
@@ -173,44 +169,42 @@ def error_norm(psi, exact, kind="h", quad_degree=8):
     return out[0] if isinstance(kind, str) else out
 
 
-def oscillation_local(f, mesh, quad_degree=8):
+def oscillation_local(f, mesh):
     """Per-element oscillation ``h_K^2 || f - mean_K f ||_{L2(K)}``.
 
-    ``f`` is a vectorised callable or its values at the degree-
-    ``quad_degree`` rule points of ``mesh`` (see
-    :func:`~vkfem.femspace.load_values`).
+    ``f`` is a vectorised callable or its values at the ``VOLUME_RULE``
+    points of ``mesh`` (see :func:`~vkfem.femspace.load_values`).
     """
-    rule = triangle_rule(quad_degree)
-    vals = load_values(f, mesh, quad_degree)
-    mean = vals @ rule.weights
-    sq = mesh.area * ((vals - mean[:, None])**2 @ rule.weights)
+    w = VOLUME_RULE.weights
+    vals = load_values(f, mesh)
+    mean = vals @ w
+    sq = mesh.area * ((vals - mean[:, None])**2 @ w)
     return mesh.tri_diameter**2 * np.sqrt(np.maximum(sq, 0.0))
 
 
-def oscillation(f, mesh, quad_degree=8):
+def oscillation(f, mesh):
     """Data oscillation: rms of the local terms over the triangulation.
 
     ``f`` is a callable or its values at the rule points, as for
     :func:`oscillation_local`.
     """
-    return float(np.sqrt((oscillation_local(f, mesh, quad_degree)**2).sum()))
+    return float(np.sqrt((oscillation_local(f, mesh)**2).sum()))
 
 
-def best_approx_term(exact, mesh, quad_degree=8):
+def best_approx_term(exact, mesh):
     """Distance of the exact Hessian pair from element-wise constants.
 
     Computes ``sqrt(sum_K int_K |D2 psi - mean_K D2 psi|^2)`` over both
     components; this is the best-approximation quantity the three methods'
     errors are equivalent to.
     """
-    rule = triangle_rule(quad_degree)
+    w = VOLUME_RULE.weights
     total = 0.0
     # at the rule points, the same ones the loads are evaluated at; the
     # deviation from the mean is squared, so nothing cancels
-    for h in _evaluate(rule_points(mesh, quad_degree), exact.u_hess,
-                       exact.v_hess):
-        dev = h - (rule.weights @ h)[:, None, :]
-        total += float(mesh.area @ (dev**2 @ _FROB @ rule.weights))
+    for h in _evaluate(rule_points(mesh), exact.u_hess, exact.v_hess):
+        dev = h - (w @ h)[:, None, :]
+        total += float(mesh.area @ (dev**2 @ FROB_WEIGHTS @ w))
     return float(np.sqrt(total))
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .femspace import (DofMap, EDGE_RULE, bracket, element_hessians,
-                       load_values)
-from .quadrature import triangle_rule
+from .femspace import (DofMap, EDGE_RULE, FROB_WEIGHTS, VOLUME_RULE, bracket,
+                       element_hessians, load_values)
 
 __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
            "assemble_load", "bracket_elements", "assemble_trilinear_vector",
@@ -174,8 +173,7 @@ def assemble_biharmonic(dofmap, penalty=None):
     penalty = penalty or PenaltyConfig()
     basis = dofmap.basis
     n = dofmap.n_global
-    frob = np.array([1.0, 1.0, 2.0])
-    weighted = basis.hessians * (basis.area[:, None, None] * frob)
+    weighted = basis.hessians * (basis.area[:, None, None] * FROB_WEIGHTS)
     local = weighted @ basis.hessians.transpose(0, 2, 1)
     if dofmap.method == "morley":
         indptr, indices, slots = _element_structure(dofmap)
@@ -254,24 +252,22 @@ def _edge_terms(dofmap, sigma):
     return left.transpose(0, 2, 1) @ right
 
 
-def assemble_load(f, g, dofmap, quad_degree=8):
+def assemble_load(f, g, dofmap):
     """Right-hand side block vector ``[(f, phi_i); (g, phi_i)]``.
 
     ``f`` and ``g`` are vectorised callables ``(x, y) -> array``, or their
-    values at the degree-``quad_degree`` rule points of the dof map's mesh,
-    shape ``(n_triangles, n_rule_points)`` (see
-    :func:`~vkfem.femspace.load_values`).
+    values at the ``VOLUME_RULE`` points of the dof map's mesh, shape
+    ``(n_triangles, n_rule_points)`` (see :func:`~vkfem.femspace.load_values`).
     """
     basis = dofmap.basis
-    rule = triangle_rule(quad_degree)
-    phi = basis.values(rule.points[:, 1:])
+    phi = basis.values(VOLUME_RULE.points[:, 1:])
     out = np.zeros(2 * dofmap.n_global)
     dofs = dofmap.element_dofs
     keep = dofs >= 0
     for block, load in enumerate((f, g)):
-        vals = load_values(load, dofmap.mesh, quad_degree)
+        vals = load_values(load, dofmap.mesh)
         local = basis.area[:, None] * (
-            (vals * rule.weights)[:, None, :] @ phi)[:, 0]
+            (vals * VOLUME_RULE.weights)[:, None, :] @ phi)[:, 0]
         np.add.at(out, block * dofmap.n_global + dofs[keep], local[keep])
     return out
 

@@ -26,7 +26,6 @@ from .analysis import fit_rate
 from .assembly import PenaltyConfig
 from .femspace import METHODS
 from .problems import lshape_problem, square_problem
-from .quadrature import triangle_rule
 from .solver import SolverError
 
 __all__ = ["ExperimentSpec", "run_experiment", "main", "CSV_COLUMNS"]
@@ -50,7 +49,6 @@ class ExperimentSpec:
     refine: Optional[str] = None
     estimator: Optional[str] = None
     out: str = "convergence.csv"
-    quad_degree: int = 8
     newton_tol: float = 1e-10
     emit_plot: bool = False
 
@@ -65,11 +63,20 @@ class ExperimentSpec:
             raise ValueError("theta must be in (0, 1]")
         if self.estimator is not None and self.estimator not in METHODS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.estimator is not None and not self.adaptive:
+            raise ValueError("an estimator drives adaptive runs only, and "
+                             "this run refines uniformly")
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
-        # each raises ValueError on invalid values, before any output exists
-        triangle_rule(self.quad_degree)
+        # raises ValueError on invalid values, before any output exists
         PenaltyConfig(self.sigma_ip, self.sigma_dg)
+
+    @property
+    def adaptive(self):
+        """Whether the run refines adaptively (``refine`` overrides)."""
+        if self.refine is None:
+            return self.example == "lshape_adaptive"
+        return self.refine == "adaptive"
 
 
 def _methods_of(spec):
@@ -79,8 +86,7 @@ def _methods_of(spec):
 def _config(spec):
     return AdaptiveConfig(theta=spec.theta, max_levels=spec.levels,
                           penalty=PenaltyConfig(spec.sigma_ip, spec.sigma_dg),
-                          newton_tol=spec.newton_tol,
-                          quad_degree=spec.quad_degree)
+                          newton_tol=spec.newton_tol)
 
 
 def _row(method, record):
@@ -161,13 +167,9 @@ def run_experiment(spec):
         problem = square_problem()
     else:
         problem = lshape_problem()
-    adaptive = (spec.example == "lshape_adaptive"
-                or spec.refine == "adaptive")
-    if spec.refine == "uniform":
-        adaptive = False
     rows = []
     try:
-        if adaptive:
+        if spec.adaptive:
             _run_adaptive(spec, problem, rows)
         else:
             _run_uniform(spec, problem, rows)
@@ -208,9 +210,9 @@ def _build_parser():
     parser.add_argument("--refine", choices=("uniform", "adaptive"),
                         help="override the example's refinement style")
     parser.add_argument("--estimator", choices=METHODS,
-                        help="estimator driving adaptive refinement")
+                        help="estimator driving adaptive refinement "
+                             "(adaptive runs only)")
     parser.add_argument("--out")
-    parser.add_argument("--quad-degree", type=int)
     parser.add_argument("--newton-tol", type=float)
     parser.add_argument("--emit-plot", action="store_true",
                         help="write a gnuplot script next to the CSV")

@@ -32,9 +32,10 @@ from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "morley_interpolate", "nodal_interpolate", "p2_values",
-           "p2_ref_gradients", "P2_REF_HESSIANS", "REF_NODES", "EDGE_RULE",
-           "gather_coefficients", "element_hessians", "edge_jumps", "bracket",
-           "to_dg_coefficients", "load_values", "rule_points"]
+           "p2_ref_gradients", "P2_REF_HESSIANS", "FROB_WEIGHTS", "REF_NODES",
+           "EDGE_RULE", "VOLUME_RULE", "gather_coefficients",
+           "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
+           "load_values", "rule_points"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -52,11 +53,22 @@ P2_REF_HESSIANS = np.array([
     [-8.0, 0.0, -4.0],
 ])
 
+#: Weights of the (xx, yy, xy) products in the Frobenius product of two
+#: Hessian triplets: the off-diagonal entry counts twice.
+FROB_WEIGHTS = np.array([1.0, 1.0, 2.0])
+
 _EDGE_MIDPOINTS_REF = REF_NODES[3:]
 
 #: Gauss rule of every edge integral: exact for two quadratic traces, and
 #: the points of every dof map's :class:`EdgeBasis`.
 EDGE_RULE = edge_rule(5)
+
+#: Degree-8 triangle rule of every volume integral of the data path: the
+#: loads, the estimator, the oscillation and the error norms.
+VOLUME_RULE = triangle_rule(8)
+
+#: Gauss rule of the edge-mean normal derivatives of ``morley_interpolate``.
+_INTERPOLATION_EDGE_RULE = edge_rule(10)
 
 
 def p2_values(points):
@@ -244,33 +256,32 @@ def _map_points(p0, jac, ref_points):
     return p0[:, None, :] + lin.transpose(0, 2, 1)
 
 
-def rule_points(mesh, quad_degree=8):
-    """Physical points of the degree-``quad_degree`` triangle rule on every
-    triangle of ``mesh``, shape ``(n_triangles, n_rule_points, 2)``."""
-    rule = triangle_rule(quad_degree)
-    return _map_points(*_affine_maps(mesh), rule.points[:, 1:])
+def rule_points(mesh):
+    """Physical points of ``VOLUME_RULE`` on every triangle of ``mesh``,
+    shape ``(n_triangles, n_rule_points, 2)``."""
+    return _map_points(*_affine_maps(mesh), VOLUME_RULE.points[:, 1:])
 
 
-def load_values(load, mesh, quad_degree=8):
-    """A load at the points of the degree-``quad_degree`` triangle rule.
+def load_values(load, mesh):
+    """A load at the points of ``VOLUME_RULE``.
 
     ``load`` is a vectorised callable ``(x, y) -> array``, which is called at
     the physical rule points of every triangle, or its values there: an
     array of shape ``(n_triangles, n_rule_points)``, returned as floats.
     Any other shape, given or returned by the callable, raises
-    ``ValueError``.  The points depend only on the mesh and the degree, so
-    values computed once serve every consumer on the same mesh (assembly,
-    estimator, oscillation) bit for bit.
+    ``ValueError``.  The points depend only on the mesh, so values computed
+    once serve every consumer on the same mesh (assembly, estimator,
+    oscillation) bit for bit.
     """
     if callable(load):
-        pts = rule_points(mesh, quad_degree)
+        pts = rule_points(mesh)
         load = load(pts[..., 0], pts[..., 1])
     values = np.asarray(load, dtype=float)
-    expected = (mesh.n_triangles, len(triangle_rule(quad_degree).points))
+    expected = (mesh.n_triangles, len(VOLUME_RULE.points))
     if values.shape != expected:
         raise ValueError(
             f"load values have shape {values.shape}, expected {expected} "
-            f"(triangles, points of the degree-{quad_degree} rule)")
+            f"(triangles, points of the volume rule)")
     return values
 
 
@@ -448,13 +459,13 @@ def bracket(hess_a, hess_b):
         - 2.0 * hess_a[..., 2] * hess_b[..., 2]
 
 
-def morley_interpolate(value, gradient, dofmap, degree=10):
+def morley_interpolate(value, gradient, dofmap):
     """Interpolate a function into the Morley space of a dof map's mesh.
 
     Vertex dofs take the point value, edge dofs the mean of the normal
-    derivative along the edge (Gauss rule of the given degree).  Boundary
-    dofs are constrained and therefore dropped, so functions with
-    homogeneous clamped data are reproduced in the element-wise sense.
+    derivative along the edge (degree-10 Gauss rule).  Boundary dofs are
+    constrained and therefore dropped, so functions with homogeneous clamped
+    data are reproduced in the element-wise sense.
 
     Parameters
     ----------
@@ -472,7 +483,7 @@ def morley_interpolate(value, gradient, dofmap, degree=10):
                                             mesh.vertices[free_v, 1])
     free_e = np.where(dofmap.edge_dof >= 0)[0]
     if len(free_e):
-        rule = edge_rule(degree)
+        rule = _INTERPOLATION_EDGE_RULE
         a = mesh.vertices[mesh.edges[free_e, 0]]
         b = mesh.vertices[mesh.edges[free_e, 1]]
         pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]

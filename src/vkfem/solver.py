@@ -261,7 +261,7 @@ class NewtonSystem:
     conversion.
     """
 
-    def __init__(self, dofmap, loads, penalty=None, quad_degree=8):
+    def __init__(self, dofmap, loads, penalty=None):
         f, g = loads
         self.dofmap = dofmap
         self.stiffness = assemble_biharmonic(dofmap, penalty)
@@ -276,7 +276,7 @@ class NewtonSystem:
         slots = np.where(dofmap.basis.int_phi[:, :, None] != 0.0,
                          self._a_slots, k.nnz)
         self._coupling = _sub_structure(k.indptr, k.indices, slots)
-        self.load = assemble_load(f, g, dofmap, quad_degree)
+        self.load = assemble_load(f, g, dofmap)
         self.load_scale = max(1.0, np.linalg.norm(self.load))
 
     def residual(self, psi):
@@ -315,13 +315,12 @@ def _block_triangular_inverse(a_lu, k_lu, coupling):
     return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
 
 
-def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
-                 quad_degree=8):
+def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
     """Newton iteration for the discrete clamped-plate system.
 
     The dof map fixes the mesh and the method.  ``loads`` is the pair
     ``(f, g)``: vectorised callables, or their values at the
-    degree-``quad_degree`` rule points of the dof map's mesh (see
+    ``VOLUME_RULE`` points of the dof map's mesh (see
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
     The iteration starts from the zero pair, whose first Newton step is
@@ -351,7 +350,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
-    system = NewtonSystem(dofmap, loads, penalty, quad_degree)
+    system = NewtonSystem(dofmap, loads, penalty)
     n = dofmap.n_global
     label = f"{dofmap.method} (ndof {n})"
     target = tol * system.load_scale
@@ -402,11 +401,11 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     return psi, NewtonReport(iterations, history, converged, definite)
 
 
-def residual(psi, loads, penalty=None, quad_degree=8):
+def residual(psi, loads, penalty=None):
     """Nonlinear residual vector of a coefficient pair, one entry per dof.
 
     ``loads`` is taken as by :func:`newton_solve`."""
-    system = NewtonSystem(psi.dofmap, loads, penalty, quad_degree)
+    system = NewtonSystem(psi.dofmap, loads, penalty)
     return system.residual(psi)
 
 

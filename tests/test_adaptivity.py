@@ -22,10 +22,9 @@ def test_estimator_volume_terms_for_zero_solution(square1):
         psi = DiscreteSolution(dm, np.zeros(dm.n_global),
                                np.zeros(dm.n_global))
         eta = estimate(psi, (f, g))
-        from vkfem.quadrature import triangle_rule
-        from vkfem.femspace import ElementBasis
+        from vkfem.femspace import VOLUME_RULE, ElementBasis
         basis = ElementBasis(dm)
-        rule = triangle_rule(8)
+        rule = VOLUME_RULE
         pts = basis.physical_points(rule.points[:, 1:])
         fv = f(pts[..., 0], pts[..., 1])
         expected = square1.tri_diameter**4 * np.einsum(
@@ -69,6 +68,28 @@ def test_estimator_vanishes_for_manufactured_quadratic_interior(square1):
     eta_m = estimate(zero, (lambda x, y: np.zeros_like(x),
                             lambda x, y: np.zeros_like(x)))
     assert eta_m.total == 0.0
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_estimate_takes_each_components_hessians_once(square1, monkeypatch,
+                                                      method):
+    from vkfem import adaptivity, assembly, problems
+    dm = build_dofmap(square1, method)
+    rng = np.random.default_rng(11)
+    psi = DiscreteSolution(dm, *rng.standard_normal((2, dm.n_global)))
+    exact = problems.exact_square()
+    calls = []
+    real = adaptivity.element_hessians
+
+    def counting(basis, coef):
+        calls.append(1)
+        return real(basis, coef)
+    # also where bracket_elements would look it up
+    for module in (adaptivity, assembly):
+        monkeypatch.setattr(module, "element_hessians", counting)
+    estimate(psi, (exact.f, exact.g))
+    # the brackets and the Hessian jumps share one array per component
+    assert len(calls) == 2
 
 
 def test_dorfler_examples():

@@ -5,10 +5,10 @@ from vkfem import (ConvergenceRecord, DiscreteSolution, ExactSolutionPair,
                    best_approx_term, build_dofmap, build_topology,
                    convergence_rates, discrete_norm, error_norm, fit_rate,
                    morley_interpolate, nodal_interpolate, oscillation,
-                   oscillation_local, triangle_rule, uniform_refine,
-                   unified_h_norm)
+                   oscillation_local, uniform_refine, unified_h_norm)
 from vkfem import analysis
-from vkfem.femspace import EdgeBasis, edge_jumps, gather_coefficients
+from vkfem.femspace import (VOLUME_RULE, EdgeBasis, edge_jumps,
+                            gather_coefficients)
 from vkfem.problems import exact_square
 
 
@@ -196,7 +196,7 @@ def test_best_approx_evaluates_a_shared_hessian_once(lshape1, square2,
     assert len(calls) == 1  # u_hess is v_hess on the L-shape
 
     # the square's distinct Hessians give what one evaluation each gave
-    exact, rule = exact_square(), triangle_rule(8)
+    exact, rule = exact_square(), VOLUME_RULE
     pts = rule_points(square2)
     total = 0.0
     for hess_fn in (exact.u_hess, exact.v_hess):
@@ -212,7 +212,7 @@ def test_best_approx_equals_morley_distance(square2):
     exact = exact_square()
     target = best_approx_term(exact, square2)
     total = 0.0
-    rule = triangle_rule(8)
+    rule = VOLUME_RULE
     from vkfem.femspace import ElementBasis, element_hessians
     for component in ("u", "v"):
         dm = build_dofmap(square2, "morley")

@@ -1,5 +1,7 @@
 import csv
 import filecmp
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,13 +101,48 @@ def test_main_exit_codes(tmp_path):
     # invalid input is rejected before the run, so a previous --out file
     # survives
     written = out.read_bytes()
-    for bad in (["--quad-degree", "0"], ["--quad-degree", "11"],
-                ["--sigma-ip", "-1"], ["--sigma-dg", "0"],
+    for bad in (["--sigma-ip", "-1"], ["--sigma-dg", "0"],
                 ["--newton-tol", "0"]):
         code = main(["--example", "square_analytic", "--method", "morley",
                      "--levels", "2", "--out", str(out)] + bad)
         assert code == 2, bad
         assert out.read_bytes() == written, bad
+    # the volume rule is fixed: there is no flag for its degree
+    with pytest.raises(SystemExit) as err:
+        main(["--example", "square_analytic", "--method", "morley",
+              "--levels", "2", "--out", str(out), "--quad-degree", "8"])
+    assert err.value.code == 2
+    assert out.read_bytes() == written
+
+
+@pytest.mark.parametrize("args", [
+    ["--example", "square_analytic"],
+    ["--example", "lshape_uniform"],
+    ["--example", "lshape_adaptive", "--refine", "uniform"],
+])
+def test_estimator_on_a_uniform_run_is_invalid_input(tmp_path, capsys, args):
+    out = tmp_path / "uniform.csv"
+    out.write_bytes(b"previous run\n")
+    code = main(args + ["--method", "morley", "--levels", "2",
+                        "--estimator", "dg", "--out", str(out)])
+    assert code == 2
+    assert "adaptive runs only" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous run\n"
+
+
+def test_spec_adaptive_follows_example_and_refine():
+    def adaptive(example, refine=None):
+        return ExperimentSpec(example=example, refine=refine).adaptive
+    assert adaptive("lshape_adaptive")
+    assert not adaptive("lshape_adaptive", "uniform")
+    assert not adaptive("square_analytic")
+    assert not adaptive("lshape_uniform")
+    assert adaptive("square_analytic", "adaptive")
+    assert adaptive("lshape_uniform", "adaptive")
+    # an estimator is accepted where it drives the marking
+    ExperimentSpec(example="lshape_adaptive", estimator="dg")
+    ExperimentSpec(example="square_analytic", refine="adaptive",
+                   estimator="c0ip")
 
 
 def test_solver_failure_keeps_partial_csv(tmp_path, monkeypatch):
@@ -132,13 +169,26 @@ def test_solver_failure_keeps_partial_csv(tmp_path, monkeypatch):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(example="square_analytic", theta=0.0)
-    for bad in ({"quad_degree": 0}, {"quad_degree": 11}, {"sigma_ip": -1.0},
-                {"sigma_dg": 0.0}, {"sigma_ip": float("nan")},
-                {"sigma_dg": float("inf")}, {"newton_tol": 0.0},
-                {"newton_tol": float("nan")}):
+    for bad in ({"sigma_ip": -1.0}, {"sigma_dg": 0.0},
+                {"sigma_ip": float("nan")}, {"sigma_dg": float("inf")},
+                {"newton_tol": 0.0}, {"newton_tol": float("nan")},
+                {"estimator": "dg"}, {"estimator": "morley",
+                                      "refine": "uniform"}):
         with pytest.raises(ValueError):
             ExperimentSpec(example="square_analytic", **bad)
     with pytest.raises(ValueError):
         ExperimentSpec(example="square_analytic", method="p17")
     with pytest.raises(ValueError):
         ExperimentSpec(example="nope")
+
+
+def test_readme_flags_are_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    flags = section.split("Flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", flags))
+    options = {opt for action in cli._build_parser()._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert documented == options

@@ -15,8 +15,8 @@ from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
                    lshape_mesh, nvb_refine, oscillation_local, uniform_refine)
 from vkfem import analysis, assembly
 from vkfem.femspace import (EDGE_RULE, P2_REF_HESSIANS, REF_NODES,
-                            EdgeBasis, edge_jumps, gather_coefficients,
-                            p2_ref_gradients, p2_values)
+                            VOLUME_RULE, EdgeBasis, edge_jumps,
+                            gather_coefficients, p2_ref_gradients, p2_values)
 from vkfem.problems import exact_lshape
 from vkfem.quadrature import triangle_rule
 
@@ -201,7 +201,7 @@ def test_biharmonic_volume_and_edge_terms(dofmap):
 
 def test_load_vector(dofmap):
     basis, n = dofmap.basis, dofmap.n_global
-    rule = triangle_rule(8)
+    rule = VOLUME_RULE
     rng = np.random.default_rng(33)
     loads = rng.standard_normal((2, dofmap.mesh.n_triangles,
                                  len(rule.weights)))
@@ -244,7 +244,7 @@ def jump_terms_reference(dofmap, coef, kinds, exact):
 def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
     exact = exact_lshape()
     basis = dofmap.basis
-    rule = triangle_rule(8)
+    rule = VOLUME_RULE
     pts = basis.physical_points(rule.points[:, 1:])
     mesh, edge_pts = dofmap.mesh, dofmap.edge_basis.points
     # the values at the rule points and both endpoints, as error_norm takes
@@ -273,7 +273,7 @@ def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
 
 
 def test_oscillation(mesh):
-    rule = triangle_rule(8)
+    rule = VOLUME_RULE
     vals = np.random.default_rng(34).standard_normal(
         (mesh.n_triangles, len(rule.weights)))
     mean = np.einsum("q,tq->t", rule.weights, vals)
@@ -286,7 +286,7 @@ def test_oscillation(mesh):
 def test_estimator_volume_term(dofmap):
     # at the zero field every jump and bracket vanishes: only the volume
     # term of the loads is left
-    mesh, rule = dofmap.mesh, triangle_rule(8)
+    mesh, rule = dofmap.mesh, VOLUME_RULE
     n = dofmap.n_global
     f, g = np.random.default_rng(35).standard_normal(
         (2, mesh.n_triangles, len(rule.weights)))
@@ -302,7 +302,7 @@ def test_dg_estimator_jump_terms(mesh):
     dofmap = build_dofmap(mesh, "dg")
     u, v = np.random.default_rng(36).standard_normal((2, dofmap.n_global))
     psi = DiscreteSolution(dofmap, u, v)
-    nq = len(triangle_rule(8).weights)
+    nq = len(VOLUME_RULE.weights)
     loads = (np.repeat(-bracket_elements(dofmap, u, v)[:, None], nq, axis=1),
              np.repeat(0.5 * bracket_elements(dofmap, u, u)[:, None], nq,
                        axis=1))

@@ -49,7 +49,6 @@ def test_values_of_the_wrong_shape_raise(square1):
     zero = np.zeros(dm.n_global)
     psi = DiscreteSolution(dm, zero, zero)
     for bad in (good.T, good[:, :-1], good[:-1], good.ravel(),
-                load_values(ex.f, square1, quad_degree=6),
                 # a callable's result is checked as given values are
                 lambda x, y: 1.0, lambda x, y: ex.f(x, y).T):
         with pytest.raises(ValueError, match="shape"):
@@ -62,6 +61,3 @@ def test_values_of_the_wrong_shape_raise(square1):
             newton_solve(dm, (bad, good))
         with pytest.raises(ValueError, match="shape"):
             oscillation_local(bad, square1)
-    # values belong to the degree they were evaluated at
-    with pytest.raises(ValueError, match="shape"):
-        assemble_load(good, good, dm, quad_degree=6)
