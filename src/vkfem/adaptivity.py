@@ -193,7 +193,7 @@ def _solve(level, mesh, method, config, loads):
     return psi
 
 
-def _record(level, psi, loads, problem, eta_total, config, prev):
+def _record(level, psi, loads, problem, eta_total, prev):
     exact = problem.exact
     mesh = psi.dofmap.mesh
     (e_u, e_v, e_tot), (_, _, e_meth) = error_norm(
@@ -212,7 +212,7 @@ def _level_state(level, mesh, loads, method, problem, config, prev):
     """Solve, estimate and record ``method`` on one mesh."""
     psi = _solve(level, mesh, method, config, loads)
     eta = estimate(psi, loads)
-    record = _record(level, psi, loads, problem, eta.total, config, prev)
+    record = _record(level, psi, loads, problem, eta.total, prev)
     return LevelState(level, mesh, psi, eta, record, loads)
 
 

@@ -57,6 +57,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown example {self.example!r}")
         if self.method not in METHODS + ("all",):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.refine not in (None, "uniform", "adaptive"):
+            raise ValueError(f"unknown refine {self.refine!r}")
         if self.levels < 1:
             raise ValueError("levels must be at least 1")
         if not 0.0 < self.theta <= 1.0:

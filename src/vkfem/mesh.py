@@ -117,7 +117,10 @@ class Triangulation:
         # Edge enumeration: local edge k is opposite local vertex k.
         pairs = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
         pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        # the keys a * nv + b sort like the pairs (a, b)
+        keys, inv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                              return_inverse=True)
+        edges = np.stack(np.divmod(keys, nv), axis=1)
         ne = len(edges)
         self.edges = edges
         self.tri_edges = inv.reshape(nt, 3)
@@ -287,14 +290,32 @@ def nvb_refine(mesh, marked):
     edge; further bisections are added until the mesh is conforming.
     Unmarked, untouched triangles are carried over unchanged.
 
+    The output order is fixed: the children of each triangle follow the
+    children of the lower-indexed triangles.  A triangle ``(p, a, b)``,
+    rotated so that ``(a, b)`` is its refinement edge with new midpoint
+    ``m``, yields itself if no edge of it is bisected, else child A then
+    child B.  Child A is ``(m, p, qa), (m, qa, a)`` if the flank ``(p, a)``
+    is bisected at ``qa``, else ``(p, a, m)``; child B is ``(m, b, qb),
+    (m, qb, p)`` if the flank ``(b, p)`` is bisected at ``qb``, else
+    ``(p, m, b)``.  New vertex ``nv + i`` is the midpoint of the ``i``-th
+    bisected edge in edge order.
+
     Parameters
     ----------
     marked : array_like of int
         Triangle indices to refine.  An empty set returns ``mesh`` itself.
+
+    Raises
+    ------
+    MeshError
+        If ``marked`` holds anything but integer indices of triangles.
     """
-    marked = np.unique(np.asarray(marked, dtype=np.int64).ravel())
+    marked = np.asarray(marked).ravel()
     if marked.size == 0:
         return mesh
+    if not np.issubdtype(marked.dtype, np.integer):
+        raise MeshError(f"marked must be triangle indices, not {marked.dtype}")
+    marked = np.unique(marked)
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise MeshError("marked triangle index out of range")
 
@@ -321,44 +342,20 @@ def nvb_refine(mesh, marked):
         0.5 * (mesh.vertices[mesh.edges[cut, 0]] + mesh.vertices[mesh.edges[cut, 1]]),
     ])
 
-    tris, tags = [], []
-    tri_edges = mesh.tri_edges
-    triangles = mesh.triangles
-    tags_in = mesh.refinement_edge
-
-    for ti in range(nt):
-        if not edge_marked[tri_edges[ti]].any():
-            tris.append(tuple(triangles[ti]))
-            tags.append(tags_in[ti])
-            continue
-        # Bisect through the refinement edge (opposite the peak p); a child
-        # is bisected again when its own refinement edge (a parent flank)
-        # was marked during closure.
-        k = tags_in[ti]
-        tri = triangles[ti]
-        p, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
-        m = edge_vertex[tri_edges[ti, k]]
-        # child A keeps flank (p, a) = parent edge (k+2)%3 as refinement edge,
-        # child B keeps flank (b, p) = parent edge (k+1)%3.
-        flank_a = tri_edges[ti, (k + 2) % 3]
-        flank_b = tri_edges[ti, (k + 1) % 3]
-        if edge_marked[flank_a]:
-            q = edge_vertex[flank_a]
-            tris.extend([(m, p, q), (m, q, a)])
-            tags.extend([2, 1])
-        else:
-            tris.append((p, a, m))
-            tags.append(2)
-        if edge_marked[flank_b]:
-            q = edge_vertex[flank_b]
-            tris.extend([(m, b, q), (m, q, p)])
-            tags.extend([2, 1])
-        else:
-            tris.append((p, m, b))
-            tags.append(1)
-
-    return Triangulation(new_vertices, np.array(tris, dtype=np.int64),
-                         np.array(tags, dtype=np.int64))
+    # Seven child slots per triangle in the docstring's order; m, qa, qb are
+    # -1 where the edge is not bisected (``touched``: the closure's last pass).
+    rows, k = np.arange(nt), mesh.refinement_edge
+    p, a, b = (mesh.triangles[rows, (k + i) % 3] for i in range(3))
+    m, qb, qa = (edge_vertex[mesh.tri_edges[rows, (k + i) % 3]]
+                 for i in range(3))
+    split_a, split_b = qa >= 0, qb >= 0
+    children = np.stack([mesh.triangles.T, (m, p, qa), (m, qa, a), (p, a, m),
+                         (m, b, qb), (m, qb, p), (p, m, b)]).transpose(2, 0, 1)
+    tags = np.tile([0, 2, 1, 2, 2, 1, 1], (nt, 1))
+    tags[:, 0] = k
+    keep = np.stack([~touched, split_a, split_a, touched & ~split_a,
+                     split_b, split_b, touched & ~split_b], axis=1)
+    return Triangulation(new_vertices, children[keep], tags[keep])
 
 
 def shape_regularity(mesh):

@@ -315,7 +315,7 @@ def test_record_evaluates_the_exact_fields_three_times(monkeypatch, method):
 
     monkeypatch.setattr(problems, "_fields_polar", counted)
     record = _record(0, state.solution, state.loads, problem,
-                     state.estimates.total, config, None)
+                     state.estimates.total, None)
     assert calls["n"] == 3
     np.testing.assert_array_equal(dataclasses.astuple(record),
                                   dataclasses.astuple(state.record))

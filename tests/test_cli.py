@@ -173,7 +173,8 @@ def test_spec_validation():
                 {"sigma_ip": float("nan")}, {"sigma_dg": float("inf")},
                 {"newton_tol": 0.0}, {"newton_tol": float("nan")},
                 {"estimator": "dg"}, {"estimator": "morley",
-                                      "refine": "uniform"}):
+                                      "refine": "uniform"},
+                {"refine": "adaptiv"}):
         with pytest.raises(ValueError):
             ExperimentSpec(example="square_analytic", **bad)
     with pytest.raises(ValueError):

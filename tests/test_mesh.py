@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,89 @@ def test_nvb_random_rounds_stay_conforming(lshape0):
         mesh = nvb_refine(mesh, marked)  # constructor audits conformity
         assert mesh.euler_characteristic() == 1
     assert shape_regularity(mesh) >= angle0 - 1e-12
+
+
+@pytest.mark.parametrize("marked", [np.arange(8) == 5, [2.7]],
+                         ids=["bool-mask", "float"])
+def test_nvb_rejects_marked_that_are_not_indices(square0, marked):
+    # a boolean mask would otherwise mark triangles 0 and 1, and 2.7 be
+    # truncated to 2
+    with pytest.raises(MeshError, match="triangle indices"):
+        nvb_refine(square0, marked)
+
+
+def _bisected_edges(coarse, fine):
+    # new vertices are midpoints of the bisected coarse edges
+    ends = coarse.vertices[coarse.edges]
+    new = {tuple(x) for x in fine.vertices[coarse.n_vertices:]}
+    return np.array([tuple(x) in new for x in 0.5 * (ends[:, 0] + ends[:, 1])])
+
+
+def _bisect_loop(mesh, cut, seen):
+    # triangle-by-triangle reference for the children of nvb_refine, given
+    # the bisected edges; adds the branches taken to ``seen``
+    vertex = np.cumsum(cut) - 1 + mesh.n_vertices
+    tris, tags = [], []
+    for tri, e, k in zip(mesh.triangles, mesh.tri_edges, mesh.refinement_edge):
+        if not cut[e].any():
+            seen.add("untouched")
+            tris.append(tuple(tri))
+            tags.append(k)
+            continue
+        p, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        m, flank_b, flank_a = vertex[e[k]], e[(k + 1) % 3], e[(k + 2) % 3]
+        seen.update([f"A split {cut[flank_a]}", f"B split {cut[flank_b]}"])
+        if cut[flank_a]:
+            tris += [(m, p, vertex[flank_a]), (m, vertex[flank_a], a)]
+            tags += [2, 1]
+        else:
+            tris.append((p, a, m))
+            tags.append(2)
+        if cut[flank_b]:
+            tris += [(m, b, vertex[flank_b]), (m, vertex[flank_b], p)]
+            tags += [2, 1]
+        else:
+            tris.append((p, m, b))
+            tags.append(1)
+    return np.array(tris), np.array(tags)
+
+
+def _hash_mesh(h, mesh):
+    for arr, dtype in ((mesh.vertices, "<f8"), (mesh.triangles, "<i8"),
+                       (mesh.refinement_edge, "<i8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h
+
+
+# sha256 of vertices, triangles and refinement_edge of every round: the
+# closure, the vertex numbering and the child order are a contract
+NVB_GOLDEN = {
+    "lshape": "6ccf28b312e25dafc20e79761bc452fb061efd58169cb53d27d3781967c80a38",
+    "square": "1fdcadc31dcdf0860b5ae73dcf0a46d2d07681d477d6904b47a46d9a8047d133",
+    "lshape2": "d97a440f02ba62341ec7be59be4f81055d81a026f67c60e79bf51d89aae6df62",
+}
+
+
+def test_nvb_random_rounds_match_the_golden_meshes(lshape0, square0):
+    starts = {"lshape": lshape0, "square": square0,
+              "lshape2": uniform_refine(uniform_refine(lshape0))}
+    seen = set()
+    for seed, (name, mesh) in enumerate(starts.items()):
+        rng = np.random.default_rng(seed)
+        h = _hash_mesh(hashlib.sha256(), mesh)
+        for _ in range(14):
+            size = max(1, int(rng.uniform(0.02, 0.3) * mesh.n_triangles))
+            fine = nvb_refine(
+                mesh, rng.choice(mesh.n_triangles, size, replace=False))
+            tris, tags = _bisect_loop(mesh, _bisected_edges(mesh, fine), seen)
+            np.testing.assert_array_equal(fine.triangles, tris)
+            np.testing.assert_array_equal(fine.refinement_edge, tags)
+            mesh = fine
+            _hash_mesh(h, mesh)
+        assert h.hexdigest() == NVB_GOLDEN[name], name
+    # the rounds leave triangles untouched and split or keep child A and B
+    assert seen == {"untouched", "A split True", "A split False",
+                    "B split True", "B split False"}
 
 
 def test_longest_edge_tags(two_tri):
