@@ -4,7 +4,7 @@ The Newton matrix ``J = [[K + M_v, M_u], [-M_u, K]]`` couples the two
 unknowns antisymmetrically (the direction of the quadratic coupling flips
 sign between the two equations).  Newton steps never factor ``J``: each step
 factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
-by restarted GMRES, preconditioned by the block upper triangle
+by GMRES, preconditioned by the block upper triangle
 ``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
 per solve; it is also the block of the zero iterate.  Both blocks are
 factored in the column order of the dof map: ``dg`` numbers its triangles in
@@ -16,13 +16,17 @@ factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
 blocks and read its definiteness from the signs of the pivots; a Newton run
 that does not converge reads them from the factor of ``K`` it holds.
 
-GMRES is preconditioned on the right and starts at ``x0 = P^{-1} b``, so
-the residual it minimises is the step's own.  It stops at the loosest
-residual that both passes the backward-error acceptance test and cannot
-delay Newton: the larger of ``1e-10 ||b||`` and the smaller of half the
-backward-error bound ``1e-10 (||J|| ||x|| + ||b||)``, with ``||x||``
-estimated at the start of each cycle, and a tenth of the residual at which
-Newton stops (see :func:`linear_solve`).
+GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869) is
+the in-house cycle :func:`_gmres_cycle` on plain arrays: at most 40
+iterations from a zero start, which costs no operator application, with a
+Krylov basis that grows by one vector per iteration.  It is preconditioned
+on the right and the solve starts at ``x0 = P^{-1} b``, so the residual it
+minimises is the step's own.  It stops at the loosest residual that both
+passes the backward-error acceptance test and cannot delay Newton: the
+larger of ``1e-10 ||b||`` and the smaller of half the backward-error bound
+``1e-10 (||J|| ||x|| + ||b||)``, with ``||x||`` estimated at the start of
+each of at most two cycles, and a tenth of the residual at which Newton
+stops (see :func:`linear_solve`).
 
 A step rebuilds nothing that only depends on the mesh.  The structure of
 ``K`` holds every pair of dofs that share a triangle, and the data slot of
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -76,11 +81,11 @@ class NewtonReport:
     stiffness_definite: bool | None = None
 
 
-def _backward_error(a, x, rhs, anorm, bnorm):
-    """Normwise backward error ``||Ax-b|| / (||A|| ||x|| + ||b||)`` of ``x``;
-    a residual below ``1e-10 ||b||`` always gives at most 1e-10."""
-    res = np.linalg.norm(rhs - a @ x)
-    return res / (anorm * np.linalg.norm(x) + bnorm)
+def _backward_error(res, x, anorm, bnorm):
+    """Normwise backward error ``||Ax-b|| / (||A|| ||x|| + ||b||)`` of ``x``
+    with the residual ``res = b - Ax``; a residual below ``1e-10 ||b||``
+    always gives at most 1e-10."""
+    return np.linalg.norm(res) / (anorm * np.linalg.norm(x) + bnorm)
 
 
 def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
@@ -90,12 +95,13 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
     ``matrix`` is a sparse matrix, or the :class:`NewtonMatrix` of a Newton
     step, which GMRES applies block by block and which is assembled only
     when the system goes to sparse LU.  With a ``preconditioner`` (an
-    approximate inverse ``P^{-1}`` of ``matrix``: a sparse matrix or a
-    ``LinearOperator``) the system is first solved by GMRES, preconditioned
-    on the right and started at ``x0 = P^{-1} b``, in at most two cycles of
-    at most 40 iterations.  A cycle starting at ``x`` stops once the
-    residual ``||Ax - b||`` is at most the larger of ``1e-10 ||b||`` and
-    the smaller of
+    approximate inverse ``P^{-1}`` of ``matrix`` that supports ``@``: a
+    sparse matrix, a ``LinearOperator`` or the block-triangular inverse of a
+    Newton step) the system is first solved by GMRES, preconditioned on the
+    right and started at ``x0 = P^{-1} b``, in at most two cycles of
+    :func:`_gmres_cycle` (at most 40 iterations each).  A cycle starting at
+    ``x`` stops once the residual ``||Ax - b||`` is at most the larger of
+    ``1e-10 ||b||`` and the smaller of
 
     * half the backward-error bound ``1e-10 (||A|| ||x|| + ||b||)`` of the
       acceptance test below, ``x`` standing in for the solution, and
@@ -128,20 +134,22 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
     if preconditioner is not None:
         # on the right, GMRES minimises the residual of x + P^{-1} y itself,
         # so a cycle stops where that residual meets its aim
-        right = spla.LinearOperator(a.shape, dtype=float,
-                                    matvec=lambda y: a @ (preconditioner @ y))
         limit = np.inf if target is None else target
+
+        def right(v):
+            return a @ (preconditioner @ v)
         x = preconditioner @ rhs
+        res = rhs - a @ x
         for _ in range(_GMRES_CYCLES):
             aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm), limit)
-            y, _ = spla.gmres(right, rhs - a @ x, rtol=0.0,
-                              atol=max(_GMRES_RTOL * bnorm, aim),
-                              restart=_GMRES_RESTART, maxiter=1)
+            y = _gmres_cycle(right, res, max(_GMRES_RTOL * bnorm, aim),
+                             _GMRES_RESTART)
             if y.any():
                 x = x + preconditioner @ y
+                res = rhs - a @ x
             if not np.all(np.isfinite(x)):
                 break
-            if _backward_error(a, x, rhs, anorm, bnorm) <= 1e-10:
+            if _backward_error(res, x, anorm, bnorm) <= 1e-10:
                 return x
     try:
         lu = spla.splu(a.tocsc())
@@ -155,11 +163,65 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
         if np.linalg.norm(res) <= 1e-10 * bnorm:
             return x
         x = x + lu.solve(res)
-    backward = _backward_error(a, x, rhs, anorm, bnorm)
+    backward = _backward_error(rhs - a @ x, x, anorm, bnorm)
     if backward > 1e-10:
         raise SolverError(
             f"{context}: backward error {backward:.3e} exceeds 1e-10")
     return x
+
+
+def _gmres_cycle(apply, r, atol, maxiter):
+    """One GMRES cycle for ``apply(y) = r`` from ``y = 0``: the ``y`` of the
+    Krylov space of at most ``maxiter`` iterations that minimises
+    ``||r - apply(y)||``.
+
+    The zero start costs no call of ``apply``, and with ``||r|| <= atol``
+    the cycle makes none.  Each iteration orthogonalises the new vector
+    against the stacked basis by classical Gram-Schmidt done twice, as two
+    pairs of matrix products, and appends it, so the basis holds one vector
+    per iteration made.  The residual norm is read from the Givens rotations
+    of the Hessenberg matrix; the cycle stops once it is at most ``atol``,
+    on breakdown (the new vector lies in the basis: the least-squares
+    solution is exact) or when it is no longer finite, so an operator that
+    returns NaN gives a non-finite ``y`` after one iteration.
+    """
+    beta = np.linalg.norm(r)
+    if beta <= atol:
+        return np.zeros_like(r)
+    basis = (r / beta)[None, :]
+    rotated = np.zeros((maxiter, maxiter))  # R of the rotated Hessenberg
+    cos, sin = np.zeros(maxiter), np.zeros(maxiter)
+    g = np.zeros(maxiter + 1)  # the rotated beta e_1
+    g[0] = beta
+    eps = np.finfo(float).eps
+    for k in range(maxiter):
+        if k:
+            basis = np.vstack([basis, w / h_next])
+        w = apply(basis[k])
+        w_norm = np.linalg.norm(w)
+        h = basis @ w
+        w = w - h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        h_next = np.linalg.norm(w)
+        breakdown = h_next <= eps * w_norm
+        if breakdown:
+            h_next = 0.0
+        for j in range(k):
+            h[j], h[j + 1] = (cos[j] * h[j] + sin[j] * h[j + 1],
+                              cos[j] * h[j + 1] - sin[j] * h[j])
+        mag = np.hypot(h[k], h_next)
+        cos[k], sin[k] = (h[k] / mag, h_next / mag) if mag else (1.0, 0.0)
+        h[k] = mag
+        rotated[:k + 1, k] = h
+        g[k + 1] = -sin[k] * g[k]
+        g[k] *= cos[k]
+        if breakdown or not abs(g[k + 1]) > atol:
+            break
+    m = k + 1 if rotated[k, k] else k  # a zero pivot adds nothing to y
+    y = la.solve_triangular(rotated[:m, :m], g[:m], check_finite=False)
+    return y @ basis[:m]
 
 
 def _abs_row_sums(matrix):
@@ -213,27 +275,29 @@ def is_spd(matrix):
     return True
 
 
-class NewtonMatrix(spla.LinearOperator):
+class NewtonMatrix:
     """The Newton matrix ``J = [[A, M_u], [-M_u, K]]`` of one step, kept as
     its n x n CSC blocks ``a`` (``K + M_v``), ``m_u`` and ``k``.
 
-    It applies ``J`` block by block; :func:`linear_solve` takes its
-    infinity norm from the blocks' row sums (those of ``|K|``,
-    ``k_row_sums``, are the system's) and assembles ``J`` (``tocsc``) only
-    for the sparse-LU fallback.
+    ``J @ x`` applies it block by block, to a vector or to columns;
+    :func:`linear_solve` takes its infinity norm from the blocks' row sums
+    (those of ``|K|``, ``k_row_sums``, are the system's) and assembles ``J``
+    (``tocsc``) only for the sparse-LU fallback.
     """
 
     def __init__(self, a, m_u, k, k_row_sums):
         n = k.shape[0]
-        super().__init__(float, (2 * n, 2 * n))
+        self.shape = (2 * n, 2 * n)
         self.a, self.m_u, self.k = a, m_u, k
         self.k_row_sums = k_row_sums
 
-    def _matvec(self, x):
-        x1, x2 = np.split(np.ravel(x), 2)
-        coupled = self.m_u @ np.column_stack([x2, -x1])
-        return np.concatenate([self.a @ x1 + coupled[:, 0],
-                               self.k @ x2 + coupled[:, 1]])
+    def __matmul__(self, x):
+        x1, x2 = np.split(x, 2)
+        # M_u applied once, to the columns of x2 and -x1 side by side
+        m_u_x2, m_u_x1 = np.split(self.m_u @ np.column_stack([x2, -x1]), 2,
+                                  axis=1)
+        return np.concatenate([self.a @ x1 + m_u_x2.reshape(x1.shape),
+                               self.k @ x2 + m_u_x1.reshape(x2.shape)])
 
     def norm_inf(self):
         """The induced infinity norm of ``J``."""
@@ -304,15 +368,19 @@ class NewtonSystem:
         return NewtonMatrix(a, m_u, k, self._k_row_sums)
 
 
-def _block_triangular_inverse(a_lu, k_lu, coupling):
+class _BlockTriangularInverse:
     """``P^{-1}`` for ``P = [[A, C], [0, K]]`` from the factors of ``A`` and
-    ``K``: two triangular solves and one product with ``C``."""
-    n = coupling.shape[0]
+    ``K``: ``P^{-1} @ r`` costs two triangular solves and one product with
+    ``C``."""
 
-    def apply(r):
-        y2 = k_lu.solve(r[n:])
-        return np.concatenate([a_lu.solve(r[:n] - coupling @ y2), y2])
-    return spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float)
+    def __init__(self, a_lu, k_lu, coupling):
+        self.a_lu, self.k_lu, self.coupling = a_lu, k_lu, coupling
+
+    def __matmul__(self, r):
+        n = self.coupling.shape[0]
+        y2 = self.k_lu.solve(r[n:])
+        return np.concatenate([self.a_lu.solve(r[:n] - self.coupling @ y2),
+                               y2])
 
 
 def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
@@ -376,8 +444,8 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
             except RuntimeError:
                 pass
             else:
-                preconditioner = _block_triangular_inverse(a_lu, k_lu,
-                                                           jac.m_u)
+                preconditioner = _BlockTriangularInverse(a_lu, k_lu,
+                                                         jac.m_u)
         # a tenth of the residual at which the iteration stops: a step
         # solved that far cannot delay convergence
         delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from vkfem import (DiscreteSolution, PenaltyConfig, SolverError,
                    assemble_biharmonic, assemble_load,
@@ -279,35 +280,41 @@ def test_preconditioned_newton_matches_lu_newton(request, mesh_name, exact,
     assert_same_solution(psi, ref)
 
 
+def second_newton_step(mesh, method):
+    """The Newton matrix, right-hand side and block-triangular
+    preconditioner of the step after the first on the square pair."""
+    dm = build_dofmap(mesh, method)
+    loads = loads_of(exact_square())
+    system = NewtonSystem(dm, loads)
+    psi, _ = newton_solve(dm, loads, maxit=1)
+    jac = system.step_matrix(psi)
+    order = dm.column_order
+    preconditioner = solver._BlockTriangularInverse(
+        solver._symmetric_lu(jac.a, order),
+        solver._symmetric_lu(jac.k, order), jac.m_u)
+    return jac, -system.residual(psi), preconditioner
+
+
 def test_linear_solve_stops_gmres_at_the_callers_target(square3,
                                                         monkeypatch):
     # a c0ip Newton step after the first: GMRES aims at the larger of
     # 1e-10 ||b|| and the smaller of the caller's target and half the
     # backward-error bound estimated at x0 = P^{-1} b
-    dm = build_dofmap(square3, "c0ip")
-    loads = loads_of(exact_square())
-    system = NewtonSystem(dm, loads)
-    psi, _ = newton_solve(dm, loads, maxit=1)
-    jac = system.step_matrix(psi)
-    rhs = -system.residual(psi)
-    order = dm.column_order
-    preconditioner = solver._block_triangular_inverse(
-        solver._symmetric_lu(jac.a, order),
-        solver._symmetric_lu(jac.k, order), jac.m_u)
+    jac, rhs, preconditioner = second_newton_step(square3, "c0ip")
     bnorm, anorm = np.linalg.norm(rhs), jac.norm_inf()
     bound = 0.5e-10 * (anorm * np.linalg.norm(preconditioner @ rhs) + bnorm)
     assert bound > 1e3 * 1e-10 * bnorm
 
-    real_gmres = solver.spla.gmres
+    real_cycle = solver._gmres_cycle
     aims = []
 
-    def recording_gmres(a, b, **kwargs):
-        aims.append(kwargs["atol"])
-        return real_gmres(a, b, **kwargs)
+    def recording_cycle(apply, r, atol, maxiter):
+        aims.append(atol)
+        return real_cycle(apply, r, atol, maxiter)
 
     def no_lu(*args, **kwargs):
         raise AssertionError("the GMRES result was not accepted")
-    monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+    monkeypatch.setattr(solver, "_gmres_cycle", recording_cycle)
     monkeypatch.setattr(solver.spla, "splu", no_lu)
     cases = [(1e-12 * bnorm, 1e-10 * bnorm), (10 * 1e-10 * bnorm, None),
              (0.1 * bound, None), (None, bound), (10.0 * bound, bound)]
@@ -319,7 +326,8 @@ def test_linear_solve_stops_gmres_at_the_callers_target(square3,
         assert len(aims) == 1  # one cycle
         assert aims[0] == pytest.approx(want, rel=1e-12)
         assert np.linalg.norm(rhs - jac @ x) <= want
-        assert solver._backward_error(jac, x, rhs, anorm, bnorm) <= 1e-10
+        assert solver._backward_error(rhs - jac @ x, x, anorm,
+                                      bnorm) <= 1e-10
 
 
 @pytest.mark.parametrize("method", ["c0ip", "dg"])
@@ -328,19 +336,19 @@ def test_every_newton_step_ends_gmres_in_its_first_cycle(square3,
     dm = build_dofmap(square3, method)
     loads = loads_of(exact_square())
     ref, ref_iterations = lu_newton(dm, loads)
-    real_gmres = solver.spla.gmres
-    infos = []
+    real_cycle = solver._gmres_cycle
+    reached = []
 
-    def recording_gmres(a, b, **kwargs):
-        x, info = real_gmres(a, b, **kwargs)
-        infos.append(info)
-        return x, info
-    monkeypatch.setattr(solver.spla, "gmres", recording_gmres)
+    def recording_cycle(apply, r, atol, maxiter):
+        y = real_cycle(apply, r, atol, maxiter)
+        reached.append(bool(np.linalg.norm(r - apply(y)) <= atol))
+        return y
+    monkeypatch.setattr(solver, "_gmres_cycle", recording_cycle)
     psi, report = newton_solve(dm, loads)
     assert report.converged
     assert report.iterations == ref_iterations
-    # each gmres call is one cycle: one per step, each reaching its aim
-    assert infos == [0] * report.iterations
+    # one cycle per step, each reaching its aim
+    assert reached == [True] * report.iterations
     assert_same_solution(psi, ref)
 
 
@@ -350,15 +358,145 @@ def test_newton_falls_back_to_lu_when_gmres_fails(square2, monkeypatch):
     ref, report_ref = newton_solve(dm, loads)
     calls = []
 
-    def nan_gmres(a, b, **kwargs):
-        calls.append(len(b))
-        return np.full_like(b, np.nan), 0
-    monkeypatch.setattr(solver.spla, "gmres", nan_gmres)
+    def nan_cycle(apply, r, atol, maxiter):
+        calls.append(len(r))
+        return np.full_like(r, np.nan)
+    monkeypatch.setattr(solver, "_gmres_cycle", nan_cycle)
     psi, report = newton_solve(dm, loads)
     assert len(calls) == report.iterations  # every step tried GMRES first
     assert report.converged
     assert report.iterations == report_ref.iterations
     assert_same_solution(psi, ref)
+
+
+def counted(apply):
+    """``apply`` and the list that each of its calls appends to."""
+    calls = []
+
+    def wrapped(v):
+        calls.append(len(v))
+        return apply(v)
+    return wrapped, calls
+
+
+def scipy_cycle(apply, r, atol):
+    """One cycle of scipy's GMRES, restart 40: the correction and the
+    number of iterations."""
+    n = len(r)
+    iterations = []
+    op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+    y, _ = spla.gmres(op, r, rtol=0.0, atol=atol, restart=40, maxiter=1,
+                      callback=iterations.append, callback_type="pr_norm")
+    return y, len(iterations)
+
+
+def same_cycle(apply, r, atol):
+    """The corrections of ``_gmres_cycle`` and of scipy's cycle, after
+    checking that both take the same number of iterations."""
+    want, iterations = scipy_cycle(apply, r, atol)
+    wrapped, calls = counted(apply)
+    y = solver._gmres_cycle(wrapped, r, atol, 40)
+    assert len(calls) == iterations
+    return y, want, iterations
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("n", [60, 200])
+@pytest.mark.parametrize("rel_aim", [1e-4, 1e-10])
+def test_gmres_cycle_matches_scipy_gmres(seed, n, rel_aim):
+    # nonsymmetric, near the identity: GMRES converges within one cycle
+    rng = np.random.default_rng(seed)
+    a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    r = rng.standard_normal(n)
+    y, want, iterations = same_cycle(lambda v: a @ v, r,
+                                     rel_aim * np.linalg.norm(r))
+    assert 2 <= iterations < 40
+    assert_close_relative(y, want)
+
+
+def test_gmres_cycle_matches_scipy_gmres_on_a_newton_step(square3):
+    # the right-preconditioned c0ip step from x0 = P^{-1} b, aiming at
+    # 1e-10 ||b|| as linear_solve does when nothing looser is allowed; the
+    # Krylov coefficients are ill-conditioned (the two y differ by 1.6e-11
+    # relative, with residuals within 3 % of each other), the Newton
+    # corrections x0 + P^{-1} y they give by 1.1e-14
+    jac, rhs, preconditioner = second_newton_step(square3, "c0ip")
+    x0 = preconditioner @ rhs
+    y, want, iterations = same_cycle(lambda v: jac @ (preconditioner @ v),
+                                     rhs - jac @ x0,
+                                     1e-10 * np.linalg.norm(rhs))
+    assert iterations >= 2
+    assert_close_relative(x0 + preconditioner @ y,
+                          x0 + preconditioner @ want)
+
+
+def test_gmres_cycle_on_the_identity_stops_after_one_iteration():
+    r = np.random.default_rng(34).standard_normal(30)
+    apply, calls = counted(lambda v: v)
+    y = solver._gmres_cycle(apply, r, 1e-14 * np.linalg.norm(r), 40)
+    assert len(calls) == 1
+    assert np.abs(y - r).max() <= 1e-15 * np.abs(r).max()
+
+
+def test_gmres_cycle_makes_no_call_when_the_residual_meets_its_aim():
+    r = np.random.default_rng(35).standard_normal(30)
+    apply, calls = counted(lambda v: v)
+    cases = [(r, np.linalg.norm(r)), (r, 2.0 * np.linalg.norm(r)),
+             (np.zeros(30), 0.0)]
+    for rhs, atol in cases:
+        y = solver._gmres_cycle(apply, rhs, atol, 40)
+        assert y.shape == rhs.shape and not y.any()
+    assert calls == []
+
+
+def test_gmres_cycle_on_a_nan_operator_sends_the_solve_to_lu(monkeypatch):
+    r = np.random.default_rng(36).standard_normal(30)
+    apply, calls = counted(lambda v: np.full_like(v, np.nan))
+    y = solver._gmres_cycle(apply, r, 1e-10 * np.linalg.norm(r), 40)
+    assert len(calls) == 1  # the NaN residual estimate stops the cycle
+    assert not np.all(np.isfinite(y))
+
+    rng = np.random.default_rng(37)
+    a = sp.csr_matrix(np.eye(30) + 0.1 * rng.standard_normal((30, 30)))
+    real_cycle, real_lu = solver._gmres_cycle, solver.spla.splu
+    cycles, lus = [], []
+
+    def nan_operator_cycle(apply, r, atol, maxiter):
+        cycles.append(len(r))
+        return real_cycle(lambda v: np.full_like(v, np.nan), r, atol,
+                          maxiter)
+
+    def counted_lu(matrix):
+        lus.append(matrix.shape)
+        return real_lu(matrix)
+    monkeypatch.setattr(solver, "_gmres_cycle", nan_operator_cycle)
+    monkeypatch.setattr(solver.spla, "splu", counted_lu)
+    x = linear_solve(a, r, preconditioner=sp.identity(30, format="csr"))
+    assert len(cycles) == 1 and len(lus) == 1
+    assert np.abs(x - np.linalg.solve(a.toarray(), r)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("as_operator", [False, True])
+def test_linear_solve_takes_sparse_and_operator_preconditioners(
+        monkeypatch, as_operator):
+    rng = np.random.default_rng(38)
+    n = 40
+    a = sp.csr_matrix(np.eye(n) + 0.2 * rng.standard_normal((n, n))
+                      / np.sqrt(n))
+    b = rng.standard_normal(n)
+    preconditioner = sp.identity(n, format="csr")
+    if as_operator:
+        preconditioner = spla.aslinearoperator(preconditioner)
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the GMRES result was not accepted")
+    monkeypatch.setattr(solver.spla, "splu", no_lu)
+    x = linear_solve(a, b, preconditioner=preconditioner)
+    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("failing_step", [0, 1])
@@ -391,7 +529,7 @@ def test_block_triangular_inverse_inverts_the_upper_block_triangle():
     a, k, c = (sp.csc_matrix(rng.standard_normal((n, n)) + d * np.eye(n))
                for d in (20.0, 25.0, 0.0))
     p = sp.bmat([[a, c], [None, k]]).tocsr()
-    inverse = solver._block_triangular_inverse(
+    inverse = solver._BlockTriangularInverse(
         solver._symmetric_lu(a), solver._symmetric_lu(k), c.tocsr())
     x = rng.standard_normal(2 * n)
     assert np.abs(inverse @ (p @ x) - x).max() < 1e-12 * np.abs(x).max()
@@ -473,10 +611,12 @@ def test_newton_step_matrix_is_the_assembled_jacobian(request, mesh_name,
     assert abs(step.norm_inf() - ref_norm) <= 1e-14 * ref_norm
 
 
-#: tracemalloc peak of the dg Newton solve below, 11.53 MiB when every step
-#: assembled J as one sparse matrix (measured), rounded down; 5.56 MiB since
-#: the steps are summed on K's structure
-DG_SOLVE_PEAK_BOUND = 11.5 * 2**20
+#: tracemalloc peak of the dg Newton solve below: 11.53 MiB when every step
+#: assembled J as one sparse matrix, 4.83 MiB with the steps summed on K's
+#: structure and GMRES holding a (41, 2n) Krylov basis, 3.58 MiB with a
+#: basis of one vector per iteration (measured); a basis of 41 vectors again
+#: fails the bound
+DG_SOLVE_PEAK_BOUND = 4.25 * 2**20
 
 
 def test_dg_newton_solve_stays_within_its_memory_peak(square3):
@@ -508,8 +648,10 @@ def test_newton_matrix_applies_the_assembled_jacobian(square2):
         x = rng.standard_normal(2 * n)
         want = assembled @ x
         tol = 1e-14 * np.abs(want).max()
-        assert np.abs(step._matvec(x) - want).max() <= tol
-        assert np.abs(step.matvec(x[:, None])[:, 0] - want).max() <= tol
+        assert np.abs(step @ x - want).max() <= tol
+        column = step @ x[:, None]
+        assert column.shape == (2 * n, 1)
+        assert np.abs(column[:, 0] - want).max() <= tol
 
 
 def test_newton_frees_each_block_factor_before_the_next(square2,
