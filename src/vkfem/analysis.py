@@ -152,11 +152,15 @@ def error_norm(psi, exact, kind="h"):
     hessians = _evaluate(rule_points(mesh), exact.u_hess, exact.v_hess)
     traces = [None, None]
     if any(k != "nc" for k in kinds):
+        # values and gradients at one point set (the gradients at the ends
+        # are sliced off), so a pair that keeps its last evaluation of the
+        # fields computes them once
         edge_pts = dofmap.edge_basis.points
-        ends = mesh.vertices[mesh.edges]
-        traces = zip(_evaluate(np.concatenate([edge_pts, ends], axis=1),
-                               exact.u, exact.v),
-                     _evaluate(edge_pts, exact.u_grad, exact.v_grad))
+        pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)
+        u, v, u_grad, v_grad = _evaluate(pts, exact.u, exact.v,
+                                         exact.u_grad, exact.v_grad)
+        q = edge_pts.shape[1]
+        traces = [(u, u_grad[:, :q]), (v, v_grad[:, :q])]
     errors = []
     w = VOLUME_RULE.weights
     for coef, hess, trace in zip((psi.u, psi.v), hessians, traces):

@@ -211,23 +211,44 @@ def _polar_of(x, y):
 
 
 def exact_lshape():
-    """The singular benchmark pair (u = v) on the L-shaped domain."""
+    """The singular benchmark pair (u = v) on the L-shaped domain.
+
+    Its callables share the last evaluation of the fields: a call at the
+    ``(x, y)`` values of that evaluation reads the value, gradient, Hessian
+    and bilaplacian from it, and a call at other points evaluates all four
+    again.  So the loads and the Hessians at the rule points of a mesh take
+    one pass, and the values and gradients at its edge points another.  The
+    returned fields are read-only.
+    """
+    last = {}
+
+    def fields(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not (last and np.array_equal(last["x"], x)
+                and np.array_equal(last["y"], y)):
+            out = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+            for a in out:
+                if isinstance(a, np.ndarray):  # array scalars are immutable
+                    a.flags.writeable = False
+            last.update(x=x.copy(), y=y.copy(), fields=out)
+        return last["fields"]
 
     def value(x, y):
-        return _fields_polar(*_polar_of(x, y))[0]
+        return fields(x, y)[0]
 
     def grad(x, y):
-        return _fields_polar(*_polar_of(x, y))[1]
+        return fields(x, y)[1]
 
     def hess(x, y):
-        return _fields_polar(*_polar_of(x, y))[2]
+        return fields(x, y)[2]
 
     def f(x, y):
-        _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+        _, _, h, bilap = fields(x, y)
         return bilap - bracket(h, h)
 
     def g(x, y):
-        _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+        _, _, h, bilap = fields(x, y)
         return bilap + 0.5 * bracket(h, h)
 
     return ExactSolutionPair(value, grad, hess, value, grad, hess, f, g)

@@ -292,12 +292,14 @@ class NewtonMatrix:
         self.k_row_sums = k_row_sums
 
     def __matmul__(self, x):
-        x1, x2 = np.split(x, 2)
+        n = self.k.shape[0]
+        x1, x2 = x[:n], x[n:]
         # M_u applied once, to the columns of x2 and -x1 side by side
-        m_u_x2, m_u_x1 = np.split(self.m_u @ np.column_stack([x2, -x1]), 2,
-                                  axis=1)
-        return np.concatenate([self.a @ x1 + m_u_x2.reshape(x1.shape),
-                               self.k @ x2 + m_u_x1.reshape(x2.shape)])
+        m_u_x = self.m_u @ np.column_stack([x2, -x1])
+        half = m_u_x.shape[1] // 2
+        m_u_x2 = m_u_x[:, :half].reshape(x1.shape)
+        m_u_x1 = m_u_x[:, half:].reshape(x2.shape)
+        return np.concatenate([self.a @ x1 + m_u_x2, self.k @ x2 + m_u_x1])
 
     def norm_inf(self):
         """The induced infinity norm of ``J``."""
@@ -330,8 +332,6 @@ class NewtonSystem:
         self.dofmap = dofmap
         self.stiffness = assemble_biharmonic(dofmap, penalty)
         k = self.stiffness
-        self._abs_stiffness = sp.csc_matrix(
-            (np.abs(k.data), k.indices, k.indptr), shape=k.shape)
         self._k_row_sums = _abs_row_sums(k)
         # the element slots of the structure assemble_biharmonic built
         _, _, self._a_slots = _element_structure(dofmap)
@@ -350,8 +350,12 @@ class NewtonSystem:
 
     def residual_floor(self, psi):
         """Rounding floor of :meth:`residual` at ``psi``:
-        ``4 eps (|| |K| |u|, |K| |v| || + load scale)``."""
-        abs_k = self._abs_stiffness
+        ``4 eps (|| |K| |u|, |K| |v| || + load scale)``.
+
+        ``|K|`` is built for the call and dropped after it: Newton calls
+        this once per step, after the step's block factor is freed, so the
+        copy is never held beside two factors."""
+        abs_k = abs(self.stiffness)
         x = np.concatenate([abs_k @ np.abs(psi.u), abs_k @ np.abs(psi.v)])
         return 4.0 * np.finfo(float).eps * (np.linalg.norm(x)
                                             + self.load_scale)

@@ -63,3 +63,20 @@ def lshape_graded(lshape1):
         if len(marked) == 0:
             return mesh
         mesh = nvb_refine(mesh, marked)
+
+
+@pytest.fixture
+def field_passes(monkeypatch):
+    """Counts the evaluations of the L-shape fields: ``field_passes["n"]``
+    is the number of ``_fields_polar`` calls since the fixture was set up
+    (or since the test last reset it)."""
+    import vkfem.problems as problems
+    calls = {"n": 0}
+    real = problems._fields_polar
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "_fields_polar", counted)
+    return calls

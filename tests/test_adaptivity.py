@@ -294,31 +294,56 @@ def test_solve_level_matches_the_methods_own_loop():
         prev = other.record
 
 
+def lshape_without_shared_fields():
+    """The L-shape problem with each callable evaluating the fields itself."""
+    from vkfem.analysis import ExactSolutionPair
+    from vkfem.femspace import bracket
+    from vkfem.problems import Problem, _fields_polar, _polar_of
+
+    def field(i):
+        return lambda x, y: _fields_polar(*_polar_of(x, y))[i]
+
+    def load(sign):
+        def fn(x, y):
+            _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+            return bilap + sign * bracket(h, h)
+        return fn
+
+    value, grad, hess = field(0), field(1), field(2)
+    problem = lshape_problem()
+    return Problem(problem.name, problem.initial_mesh,
+                   ExactSolutionPair(value, grad, hess, value, grad, hess,
+                                     load(-1.0), load(0.5)))
+
+
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
-def test_record_evaluates_the_exact_fields_three_times(monkeypatch, method):
-    # one record computes the "h" norm and the method's norm in one
-    # error_norm call: on the L-shape u = v, so the Hessian at the volume
-    # points, the values and the gradients at the edge points are evaluated
-    # once each (the loads are passed as values)
-    import vkfem.problems as problems
-    from vkfem.adaptivity import _record
-    from vkfem.problems import lshape_problem
+def test_lshape_level_evaluates_the_exact_fields_twice(field_passes, method):
+    # the loads and the record's Hessians at the volume points share one
+    # evaluation, the record's values and gradients at the edge points
+    # another; the record is that of callables evaluating on their own
+    config = AdaptiveConfig(max_levels=1)
+    expected = next(uniform_levels(lshape_without_shared_fields(), method, 1,
+                                   config)).record
+    field_passes["n"] = 0
+    state = next(uniform_levels(lshape_problem(), method, 1, config))
+    assert field_passes["n"] == 2
+    np.testing.assert_array_equal(dataclasses.astuple(state.record),
+                                  dataclasses.astuple(expected))
+
+
+def test_second_method_on_a_level_evaluates_the_exact_fields_twice(
+        field_passes):
+    # the loads are passed as values; the record evaluates the Hessians at
+    # the volume points and the traces at the edge points once each
     problem = lshape_problem()
     config = AdaptiveConfig(max_levels=1)
-    state = next(uniform_levels(problem, method, 1, config))
-    calls = {"n": 0}
-    real = problems._fields_polar
-
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(problems, "_fields_polar", counted)
-    record = _record(0, state.solution, state.loads, problem,
-                     state.estimates.total, None)
-    assert calls["n"] == 3
-    np.testing.assert_array_equal(dataclasses.astuple(record),
-                                  dataclasses.astuple(state.record))
+    state = next(uniform_levels(problem, "morley", 1, config))
+    expected = next(uniform_levels(lshape_problem(), "dg", 1, config)).record
+    field_passes["n"] = 0
+    other = solve_level(state, "dg", problem, config)
+    assert field_passes["n"] <= 2
+    np.testing.assert_array_equal(dataclasses.astuple(other.record),
+                                  dataclasses.astuple(expected))
 
 
 def test_weak_penalties_fail_saying_that_k_is_indefinite():

@@ -148,23 +148,78 @@ def test_lshape_corner_values():
     assert np.isnan(ex.u_hess(np.array([0.0]), np.array([0.0]))).all()
 
 
-def test_lshape_load_evaluates_the_fields_once(monkeypatch):
-    # the closed form needs one evaluation of the fields per load call
-    import vkfem.problems as problems
-    calls = {"n": 0}
-    real = problems._fields_polar
-
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(problems, "_fields_polar", counted)
+def test_lshape_load_evaluates_the_fields_once(field_passes):
+    # f then g at the same points share one evaluation of the fields; each
+    # load at new points evaluates them once
     ex = exact_lshape()
     x, y = np.array([-0.5, 0.3]), np.array([0.4, 0.6])
+    ex.f(x, y)
+    ex.g(x, y)
+    assert field_passes["n"] == 1
     for load in (ex.f, ex.g):
-        calls["n"] = 0
+        field_passes["n"] = 0
+        x = x + 0.1
         load(x, y)
-        assert calls["n"] == 1
+        assert field_passes["n"] == 1
+
+
+def lshape_points(n=50, seed=11):
+    """Points of the L-shape, the corner among them, as strided views of
+    one ``(..., 2)`` array like the rule and edge points of a mesh."""
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 1.0, n)
+    t = rng.uniform(0.0, OMEGA, n)
+    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1).reshape(5, -1, 2)
+    pts[0, 0] = 0.0
+    return pts[..., 0], pts[..., 1]
+
+
+def test_lshape_fields_equal_a_direct_evaluation_bit_for_bit():
+    from vkfem.femspace import bracket
+    from vkfem.problems import _fields_polar
+    x, y = lshape_points()
+    value, grad, hess, bilap = _fields_polar(*_polar_of(x, y),
+                                             bilaplacian=True)
+    expected = {"u": value, "v": value, "u_grad": grad, "v_grad": grad,
+                "u_hess": hess, "v_hess": hess,
+                "f": bilap - bracket(hess, hess),
+                "g": bilap + 0.5 * bracket(hess, hess)}
+    ex = exact_lshape()
+    for name, want in expected.items():
+        # the first call on a pair, then one after another callable's call
+        # at the same points (NaN, at the corner, equals NaN)
+        np.testing.assert_array_equal(getattr(exact_lshape(), name)(x, y),
+                                      want)
+        ex.f(x, y)
+        np.testing.assert_array_equal(getattr(ex, name)(x, y), want)
+
+
+def test_lshape_fields_are_read_only():
+    ex = exact_lshape()
+    x, y = lshape_points()
+    for name in ("u", "u_grad", "u_hess", "v", "v_grad", "v_hess"):
+        out = getattr(ex, name)(x, y)
+        with pytest.raises(ValueError, match="read-only"):
+            out[...] = 0.0
+
+
+def test_lshape_fields_are_evaluated_again_at_changed_points(field_passes):
+    ex = exact_lshape()
+    x, y = (a.copy() for a in lshape_points())
+    before = ex.u_grad(x, y)
+    ex.u(x, y)
+    assert field_passes["n"] == 1
+    # one coordinate changed in place, in either array: the pair kept a copy
+    # of the points it evaluated
+    others = np.ones(x.shape, dtype=bool)
+    others[2, 3] = False
+    for passes, changed in enumerate((x, y), start=2):
+        changed[2, 3] += 0.01
+        after = ex.u_grad(x, y)
+        assert field_passes["n"] == passes
+        assert not np.array_equal(after[2, 3], before[2, 3])
+        np.testing.assert_array_equal(after[others], before[others])
+        before = after
 
 
 def test_lshape_load_matches_polar_fd_bilaplacian():
