@@ -8,7 +8,7 @@ Three P2 families share one machinery:
 * ``c0ip`` -- continuous Lagrange P2 with all boundary nodes constrained
   (values in H^1_0),
 * ``dg`` -- fully discontinuous Lagrange P2, six consecutive dofs per
-  triangle, triangles in nested-dissection order.
+  triangle, triangles in minimum-degree order of their edge adjacency.
 
 Constrained local dofs map to the sentinel ``-1`` and are skipped during
 assembly.  Local dof order is always three vertex functions followed by the
@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import Triangulation
 from .quadrature import edge_rule, triangle_rule
@@ -115,8 +117,10 @@ class DofMap:
     triangle ``t``, or ``-1`` when that dof is constrained to zero by the
     boundary conditions.  Numbering is deterministic: interior vertices in
     vertex order, then interior edges in edge order (``dg``: six consecutive
-    dofs per triangle, triangles in nested-dissection order, so the numbering
-    itself is a fill-reducing order of the ``dg`` matrices).
+    dofs per triangle, triangles in the minimum-degree order of their edge
+    adjacency, so the numbering itself is a fill-reducing order of the
+    ``dg`` matrices whose supernodes keep each triangle's six dofs
+    together).
 
     It is the context of its mesh and method: assembly, estimates and norms
     read its read-only ``basis`` and ``edge_basis``, each built on first use.
@@ -143,8 +147,8 @@ class DofMap:
     @property
     def column_order(self):
         """SuperLU column order (``permc_spec``) of this method's systems:
-        ``NATURAL`` for ``dg``, whose numbering already reduces fill, minimum
-        degree on ``A^T + A`` for the others."""
+        ``NATURAL`` for ``dg``, whose numbering is already minimum degree on
+        the triangles, minimum degree on ``A^T + A`` for the others."""
         return "NATURAL" if self.method == "dg" else "MMD_AT_PLUS_A"
 
     @property
@@ -169,8 +173,7 @@ def build_dofmap(mesh, method):
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     nt = mesh.n_triangles
     if method == "dg":
-        rank = np.empty(nt, dtype=np.int64)
-        rank[_nested_dissection(mesh)] = np.arange(nt)
+        rank = _minimum_degree(mesh).astype(np.int64)
         element_dofs = 6 * rank[:, None] + np.arange(6)
         return DofMap(mesh, method, 6 * nt, element_dofs)
     vertex_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -186,60 +189,19 @@ def build_dofmap(mesh, method):
     return DofMap(mesh, method, n_global, element_dofs, vertex_dof, edge_dof)
 
 
-def _nested_dissection(mesh):
-    """The triangles in nested-dissection order of their edge adjacency.
-
-    Recursive coordinate bisection of the centroids: a part splits at the
-    median of its longer extent (stable sort).  The triangles of one half
-    that share an edge with the other half, taken from the half with fewer
-    of them, form its separator, numbered after both halves.  Parts of at
-    most 8 triangles keep mesh order.
-
-    The parts of one depth are split together, by one sort; each triangle
-    records its path (0 lower half, 1 upper half, 2 separator) and the
-    order is the lexicographic order of the paths, which numbers every
-    part's lower half, then its upper half, then its separator.
-    """
+def _minimum_degree(mesh):
+    """The rank of each triangle in the multiple-minimum-degree order of its
+    edge adjacency: SuperLU's column order ``MMD_AT_PLUS_A`` (``perm_c``,
+    the new position of each column) of ``4 I - A``, ``A[s, t] = 1`` when
+    triangles ``s`` and ``t`` share an edge; at most three neighbours make
+    it symmetric and strictly diagonally dominant, so no pivot is zero."""
     nt = mesh.n_triangles
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    pairs = mesh.edge_tris[mesh.edge_tris[:, 1] >= 0]  # both in one part
-    label = np.zeros(nt, dtype=np.int8)  # 0 lower, 1 upper, 2 separator
-    paths = []
-    # the triangles of the parts still to split, part by part, each part in
-    # the order its parent's sort left it
-    tris, part = np.arange(nt), np.zeros(nt, dtype=np.int64)
-    while True:
-        big = np.bincount(part)[part] > 8
-        tris, part = tris[big], part[big]
-        if not len(tris):
-            break
-        first = np.r_[True, part[1:] != part[:-1]]
-        part, start = np.cumsum(first) - 1, np.flatnonzero(first)
-        size = np.diff(np.r_[start, len(tris)])
-        pts = centroids[tris]
-        extent = (np.maximum.reduceat(pts, start)
-                  - np.minimum.reduceat(pts, start))
-        axis = np.argmax(extent, axis=1)[part]
-        order = np.lexsort((pts[np.arange(len(tris)), axis], part))
-        tris = tris[order]
-        label[tris] = np.arange(len(tris)) - start[part] >= size[part] // 2
-
-        side = label[pairs]
-        cut = np.zeros(nt, dtype=bool)
-        cut[pairs[side[:, 0] != side[:, 1]]] = True
-        # each part's separator: the cut triangles of its half with fewer
-        counts = np.bincount(2 * part + label[tris], weights=cut[tris],
-                             minlength=2 * len(start)).reshape(-1, 2)
-        sep = cut[tris] & (label[tris] == (counts[:, 1] < counts[:, 0])[part])
-        label[tris[sep]] = 2
-        path = np.zeros(nt, dtype=np.int8)
-        path[tris] = label[tris]
-        paths.append(path)
-
-        side = label[pairs]
-        pairs = pairs[(side[:, 0] == side[:, 1]) & (side[:, 0] != 2)]
-        tris, part = tris[~sep], 2 * part[~sep] + label[tris[~sep]]
-    return np.lexsort([np.arange(nt)] + paths[::-1])
+    s, t = mesh.edge_tris[mesh.edge_tris[:, 1] >= 0].T
+    graph = sp.csc_matrix((np.r_[np.full(nt, 4.0), -np.ones(2 * len(s))],
+                           (np.r_[np.arange(nt), s, t],
+                            np.r_[np.arange(nt), t, s])), shape=(nt, nt))
+    return spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).perm_c
 
 
 def _affine_maps(mesh):

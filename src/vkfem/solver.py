@@ -8,7 +8,7 @@ by GMRES, preconditioned by the block upper triangle
 ``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
 per solve; it is also the block of the zero iterate.  Both blocks are
 factored in the column order of the dof map: ``dg`` numbers its triangles in
-nested-dissection order and factors in that order as it stands, Morley and
+minimum-degree order and factors in that order as it stands, Morley and
 C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
 fails the acceptance test of :func:`linear_solve`, or whose block does not
 factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
@@ -32,11 +32,13 @@ A step rebuilds nothing that only depends on the mesh.  The structure of
 ``K`` holds every pair of dofs that share a triangle, and the data slot of
 every element-local entry in it comes from the one structure the dof map's
 assembly of ``K`` built; each step sums the element matrices of ``M_v`` and
-``M_u`` into those slots (one ``bincount`` each), so ``A`` shares ``K``'s
-index arrays and reaches the factorisation in CSC with no format
-conversion.  GMRES applies ``J`` block by block, with the row sums of
-``|K|`` taken once per solve for its norm, and ``J`` is assembled as one
-matrix only for the sparse-LU fallback.
+``M_u`` into those slots (one ``bincount`` each), so ``A`` is built on
+``K``'s index arrays and reaches the factorisation in CSC with no format
+conversion.  The step keeps one copy of ``A``, without the stored zeros
+where entries cancel: GMRES applies it and the step factors it.  GMRES
+applies ``J`` block by block, with the row sums of ``|K|`` taken once per
+solve for its norm, and ``J`` is assembled as one matrix only for the
+sparse-LU fallback.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
 _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 40
 _GMRES_CYCLES = 2
+# the rounding floor of the residual is this times || |K| |u|, |K| |v| ||
+# plus the load scale
+_FLOOR_EPS = 4.0 * np.finfo(float).eps
 
 
 class SolverError(RuntimeError):
@@ -230,18 +235,28 @@ def _abs_row_sums(matrix):
                        minlength=matrix.shape[0])
 
 
+def _without_zeros(matrix):
+    """The CSC ``matrix`` without its stored zeros: ``matrix`` itself when it
+    stores none, else a pruned copy."""
+    if matrix.data.all():
+        return matrix
+    matrix = matrix.copy()
+    matrix.eliminate_zeros()
+    return matrix
+
+
 def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
     """Sparse LU for a matrix with a symmetric pattern whose diagonal needs
     no pivoting (``K`` and ``K + M_v``): diagonal pivots and the column order
     ``column_order`` (SuperLU's ``permc_spec``), by default minimum degree on
     ``A^T + A``; Newton solves pass their dof map's
     :attr:`~vkfem.femspace.DofMap.column_order`, which is ``NATURAL`` for the
-    nested-dissection numbering of ``dg``.  Stored zeros are left out, so
-    the column order sees the pattern of the nonzeros.  Raises
-    ``RuntimeError`` when a pivot is exactly zero."""
-    matrix = sp.csc_matrix(matrix, copy=True)
-    matrix.eliminate_zeros()
-    return spla.splu(matrix, diag_pivot_thresh=0.0, permc_spec=column_order,
+    minimum-degree numbering of ``dg``.  Stored zeros are left out (a copy
+    is made only when there are any), so the column order sees the pattern
+    of the nonzeros.  Raises ``RuntimeError`` when a pivot is exactly
+    zero."""
+    return spla.splu(_without_zeros(sp.csc_matrix(matrix)),
+                     diag_pivot_thresh=0.0, permc_spec=column_order,
                      options={"SymmetricMode": True})
 
 
@@ -277,7 +292,8 @@ def is_spd(matrix):
 
 class NewtonMatrix:
     """The Newton matrix ``J = [[A, M_u], [-M_u, K]]`` of one step, kept as
-    its n x n CSC blocks ``a`` (``K + M_v``), ``m_u`` and ``k``.
+    its n x n CSC blocks ``a`` (``K + M_v`` without stored zeros, as it is
+    factored), ``m_u`` and ``k``.
 
     ``J @ x`` applies it block by block, to a vector or to columns;
     :func:`linear_solve` takes its infinity norm from the blocks' row sums
@@ -353,19 +369,35 @@ class NewtonSystem:
         ``4 eps (|| |K| |u|, |K| |v| || + load scale)``.
 
         ``|K|`` is built for the call and dropped after it: Newton calls
-        this once per step, after the step's block factor is freed, so the
-        copy is never held beside two factors."""
+        this at most once per step, after the step's block factor is freed,
+        so the copy is never held beside two factors."""
         abs_k = abs(self.stiffness)
         x = np.concatenate([abs_k @ np.abs(psi.u), abs_k @ np.abs(psi.v)])
-        return 4.0 * np.finfo(float).eps * (np.linalg.norm(x)
-                                            + self.load_scale)
+        return _FLOOR_EPS * (np.linalg.norm(x) + self.load_scale)
+
+    def stopping_residual(self, psi, target):
+        """The residual at which Newton stops at ``psi``: the larger of
+        ``target`` and :meth:`residual_floor`.
+
+        ``K`` is symmetric, so ``|| |K| |u|, |K| |v| ||`` is at most the
+        largest row sum of ``|K|`` times ``||(u, v)||``.  When that bound,
+        with a margin for rounding, puts the floor at or below ``target``,
+        the floor is not computed and ``|K|`` is not built."""
+        bound = (self._k_row_sums.max(initial=0.0)
+                 * np.hypot(np.linalg.norm(psi.u), np.linalg.norm(psi.v)))
+        if 1.01 * _FLOOR_EPS * (bound + self.load_scale) <= target:
+            return target
+        return max(target, self.residual_floor(psi))
 
     def step_matrix(self, psi):
-        """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`."""
+        """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`, its block
+        ``A`` without stored zeros: the one copy of ``A`` that GMRES applies
+        and the step factors."""
         k = self.stiffness
         m_u, m_v = _coupling_matrices(psi)
-        a = sp.csc_matrix((k.data + _sum_into(self._a_slots, m_v, k.nnz),
-                           k.indices, k.indptr), shape=k.shape)
+        a = _without_zeros(sp.csc_matrix(
+            (k.data + _sum_into(self._a_slots, m_v, k.nnz), k.indices,
+             k.indptr), shape=k.shape))
         indptr, indices, slots = self._coupling
         m_u = sp.csc_matrix((_sum_into(slots, m_u, len(indices)), indices,
                              indptr), shape=k.shape)
@@ -429,7 +461,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
 
     psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
     res = -system.load  # residual at the zero iterate
-    floor = system.residual_floor(psi)
+    stop = system.stopping_residual(psi, target)
     history = [float(np.linalg.norm(res))]
     converged = False
     iterations = 0
@@ -454,16 +486,16 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
         # solved that far cannot delay convergence
         delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",
                              preconditioner=preconditioner,
-                             target=0.1 * max(target, floor))
+                             target=0.1 * stop)
         psi.u += delta[:n]
         psi.v += delta[n:]
         # free this step's block factor before the next step factors its own
         jac = preconditioner = a_lu = None
         iterations += 1
         res = system.residual(psi)
-        floor = system.residual_floor(psi)
+        stop = system.stopping_residual(psi, target)
         history.append(float(np.linalg.norm(res)))
-        if history[-1] <= max(target, floor):
+        if history[-1] <= stop:
             converged = True
             break
     definite = None

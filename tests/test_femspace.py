@@ -3,11 +3,9 @@ import pytest
 
 from vkfem import (build_dofmap, build_topology, edge_rule, morley_interpolate,
                    nodal_interpolate, uniform_refine)
-from vkfem.adaptivity import AdaptiveConfig, adaptive_levels
 from vkfem.femspace import (EDGE_RULE, METHODS, REF_NODES, EdgeBasis,
-                            ElementBasis, _nested_dissection,
-                            element_hessians, p2_values)
-from vkfem.problems import exact_square, lshape_problem
+                            ElementBasis, element_hessians, p2_values)
+from vkfem.problems import exact_square
 from vkfem.quadrature import triangle_rule
 
 
@@ -21,8 +19,9 @@ def test_dof_counts_two_triangles(two_tri, method, expected):
                                        "square2", "lshape_graded"])
 def test_dg_numbering_is_a_deterministic_permutation_of_blocks(request,
                                                                mesh_name):
-    # six consecutive dofs per triangle, triangles in nested-dissection
-    # order; rebuilding the mesh from its arrays gives the same numbering
+    # six consecutive dofs per triangle, triangles in the minimum-degree
+    # order of their edge adjacency; rebuilding the mesh from its arrays
+    # gives the same numbering
     mesh = request.getfixturevalue(mesh_name)
     dofs = build_dofmap(mesh, "dg").element_dofs
     nt = mesh.n_triangles
@@ -31,58 +30,6 @@ def test_dg_numbering_is_a_deterministic_permutation_of_blocks(request,
     assert np.array_equal(dofs, dofs[:, :1] + np.arange(6))
     again = build_topology(mesh.vertices.copy(), mesh.triangles.copy())
     assert np.array_equal(build_dofmap(again, "dg").element_dofs, dofs)
-
-
-def recursive_nested_dissection(mesh):
-    """The recursive formulation of ``femspace._nested_dissection``: split a
-    part at the median of its longer centroid extent, take the cut
-    triangles of the half with fewer of them as separator, number lower
-    half, upper half, separator; parts of at most 8 keep mesh order."""
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    label = np.zeros(mesh.n_triangles, dtype=np.int8)
-    order = []
-
-    def dissect(tris, pairs):
-        if len(tris) <= 8:
-            order.append(np.sort(tris))
-            return
-        pts = centroids[tris]
-        axis = np.argmax(pts.max(axis=0) - pts.min(axis=0))
-        tris = tris[np.argsort(pts[:, axis], kind="stable")]
-        lower, upper = np.array_split(tris, [len(tris) // 2])
-        label[lower], label[upper] = 0, 1
-        side = label[pairs]
-        cross = side[:, 0] != side[:, 1]
-        sep = min((np.unique(pairs[cross][side[cross] == h]) for h in (0, 1)),
-                  key=len)
-        label[sep] = 2
-        side = label[pairs]
-        dissect(lower[label[lower] == 0], pairs[(side == 0).all(axis=1)])
-        dissect(upper[label[upper] == 1], pairs[(side == 1).all(axis=1)])
-        order.append(sep)
-
-    dissect(np.arange(mesh.n_triangles),
-            mesh.edge_tris[mesh.edge_tris[:, 1] >= 0])
-    return np.concatenate(order)
-
-
-@pytest.fixture(scope="module")
-def lshape_adapted():
-    """The mesh of the Morley-driven adaptive L-shape loop at level 13
-    (264 triangles, graded towards the re-entrant corner)."""
-    states = adaptive_levels(lshape_problem(), "morley",
-                             AdaptiveConfig(max_levels=14))
-    return list(states)[-1].mesh
-
-
-def test_nested_dissection_is_the_recursive_order(square0, lshape_graded,
-                                                  lshape_adapted):
-    squares = [square0]  # levels 0-4
-    for _ in range(4):
-        squares.append(uniform_refine(squares[-1]))
-    for mesh in squares + [lshape_graded, lshape_adapted]:
-        assert np.array_equal(_nested_dissection(mesh),
-                              recursive_nested_dissection(mesh))
 
 
 @pytest.mark.parametrize("method,expected", [("morley", 9), ("c0ip", 9),

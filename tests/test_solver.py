@@ -155,6 +155,47 @@ def test_residual_small_at_converged_solution(square1):
                                                 rel=1e-10)
 
 
+@pytest.mark.parametrize("method, tol, builds", [("morley", 1e-10, False),
+                                                 ("dg", 1e-16, True)])
+def test_stopping_residual_shortcut_matches_the_exact_floor(
+        square3, monkeypatch, method, tol, builds):
+    # the row-sum bound of the floor skips |K| only where the floor cannot
+    # decide: the iterates and residuals equal those of an exact floor at
+    # every evaluation.  Morley at the default tol builds no |K|; at tol
+    # 1e-16 every iterate's bound exceeds the target, so dg builds it each
+    # time
+    dm = build_dofmap(square3, method)
+    loads = loads_of(exact_square())
+    real_floor = NewtonSystem.residual_floor
+    floors = []
+
+    def counted_floor(self, psi):
+        floors.append(psi)
+        return real_floor(self, psi)
+    monkeypatch.setattr(NewtonSystem, "residual_floor", counted_floor)
+    psi, report = newton_solve(dm, loads, tol=tol)
+    shortcut_floors = len(floors)
+    monkeypatch.setattr(NewtonSystem, "stopping_residual",
+                        lambda self, psi, target: max(target,
+                                                      real_floor(self, psi)))
+    ref, report_ref = newton_solve(dm, loads, tol=tol)
+    assert report.converged and report_ref.converged
+    assert report.residual_history == report_ref.residual_history
+    assert np.array_equal(psi.u, ref.u) and np.array_equal(psi.v, ref.v)
+    # one floor per iterate, the zero iterate's included
+    assert shortcut_floors == (report.iterations + 1 if builds else 0)
+
+
+def test_stopping_residual_builds_the_floor_above_the_target(square2):
+    dm = build_dofmap(square2, "c0ip")
+    system = NewtonSystem(dm, loads_of(exact_square()))
+    psi, _ = newton_solve(dm, loads_of(exact_square()))
+    floor = system.residual_floor(psi)
+    assert floor > 0.0
+    assert system.stopping_residual(psi, 0.5 * floor) == floor
+    assert system.stopping_residual(psi, 2.0 * floor) == 2.0 * floor
+
+
 def test_newton_invalid_arguments(square1):
     dm = build_dofmap(square1, "morley")
     zero = lambda x, y: np.zeros_like(x)
@@ -542,9 +583,10 @@ def square4(square3):
 
 @pytest.mark.parametrize("mesh_name", ["square4", "lshape_graded"])
 def test_dg_numbering_factors_with_minimum_degree_fill(request, mesh_name):
-    # the nested-dissection numbering factored as it stands fills about as
-    # much as minimum degree (mesh order on square4: 2.25x), and its
-    # diagonal pivots certify K positive definite, as criterion 8 does
+    # the minimum-degree numbering of the triangles factored as it stands
+    # fills no more than minimum degree on the dofs (0.51x on square4, 0.88x
+    # on lshape_graded; mesh order on square4: 2.25x), and its diagonal
+    # pivots certify K positive definite, as criterion 8 does
     mesh = request.getfixturevalue(mesh_name)
     dm = build_dofmap(mesh, "dg")
     assert dm.column_order == "NATURAL"
@@ -552,10 +594,22 @@ def test_dg_numbering_factors_with_minimum_degree_fill(request, mesh_name):
     natural = solver._symmetric_lu(k, "NATURAL")
     mmd = solver._symmetric_lu(k, "MMD_AT_PLUS_A")
     fill = natural.L.nnz + natural.U.nnz
-    assert fill <= 1.25 * (mmd.L.nnz + mmd.U.nnz)
+    assert fill <= mmd.L.nnz + mmd.U.nnz
     assert np.array_equal(natural.perm_r, np.arange(dm.n_global))
     assert np.array_equal(natural.perm_c, np.arange(dm.n_global))
     assert np.all(natural.U.diagonal() > 0.0)
+
+
+#: L+U fill of the dg K on lshape_graded in the numbering that minimum degree
+#: on the triangles replaced, coordinate nested dissection of the centroids
+#: (measured; minimum degree on the triangles: 338,794)
+DG_NESTED_DISSECTION_FILL = 520_526
+
+
+def test_dg_numbering_fills_less_than_nested_dissection(lshape_graded):
+    dm = build_dofmap(lshape_graded, "dg")
+    lu = solver._symmetric_lu(assemble_biharmonic(dm), dm.column_order)
+    assert lu.L.nnz + lu.U.nnz < DG_NESTED_DISSECTION_FILL
 
 
 @pytest.mark.parametrize("mesh_name, exact", [("square3", exact_square),
@@ -614,9 +668,12 @@ def test_newton_step_matrix_is_the_assembled_jacobian(request, mesh_name,
 #: tracemalloc peak of the dg Newton solve below: 11.53 MiB when every step
 #: assembled J as one sparse matrix, 4.83 MiB with the steps summed on K's
 #: structure and GMRES holding a (41, 2n) Krylov basis, 3.58 MiB with a
-#: basis of one vector per iteration (measured); a basis of 41 vectors again
-#: fails the bound
-DG_SOLVE_PEAK_BOUND = 4.25 * 2**20
+#: basis of one vector per iteration, 3.13 MiB with |K| built per call,
+#: 3.28 MiB with the step block kept without stored zeros (measured): that
+#: copy owns its index array, so GMRES holds 4 bytes more per entry, while
+#: the factorisation, which tracemalloc does not see, no longer holds a
+#: second copy; a basis of 41 vectors again fails the bound
+DG_SOLVE_PEAK_BOUND = 3.9 * 2**20
 
 
 def test_dg_newton_solve_stays_within_its_memory_peak(square3):
@@ -632,6 +689,59 @@ def test_dg_newton_solve_stays_within_its_memory_peak(square3):
         tracemalloc.stop()
     assert report.converged
     assert peak <= DG_SOLVE_PEAK_BOUND
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+@pytest.mark.parametrize("zero_iterate", [True, False])
+def test_step_block_is_k_plus_m_v_without_stored_zeros(square2, method,
+                                                       zero_iterate):
+    # the one copy of A = K + M_v that GMRES applies and the step factors:
+    # no stored zeros (on square2 entries of K cancel to exactly zero), the
+    # entries of the sum on K's structure, and bit-identical products
+    dm = build_dofmap(square2, method)
+    system = NewtonSystem(dm, loads_of(exact_square()))
+    n = dm.n_global
+    rng = np.random.default_rng(19)
+    psi = (DiscreteSolution(dm, np.zeros(n), np.zeros(n)) if zero_iterate
+           else DiscreteSolution(dm, rng.standard_normal(n),
+                                 rng.standard_normal(n)))
+    a = system.step_matrix(psi).a
+    k = system.stiffness
+    _, m_v = solver._coupling_matrices(psi)
+    full = sp.csc_matrix((k.data + solver._sum_into(system._a_slots, m_v,
+                                                    k.nnz),
+                          k.indices, k.indptr), shape=k.shape)
+    assert np.all(a.data != 0.0)
+    assert a.nnz == np.count_nonzero(full.data)
+    assert np.array_equal(a.toarray(), full.toarray())
+    x = rng.standard_normal((n, 2))
+    assert np.array_equal(a @ x, full @ x)
+    assert np.array_equal(a @ x[:, 0], full @ x[:, 0])
+    assert np.array_equal(solver._abs_row_sums(a), solver._abs_row_sums(full))
+
+
+def test_newton_factors_the_block_that_gmres_applies(square2, monkeypatch):
+    # each step after the first factors the very matrix that its GMRES
+    # products use, which stores no zeros, so the factorisation copies
+    # nothing: no second copy of the block
+    dm = build_dofmap(square2, "dg")
+    real_lu, real_solve = solver._symmetric_lu, solver.linear_solve
+    factored, applied = [], []
+
+    def tracked_lu(matrix, column_order):
+        factored.append(matrix)
+        return real_lu(matrix, column_order)
+
+    def tracked_solve(matrix, *args, **kwargs):
+        applied.append(matrix.a)
+        return real_solve(matrix, *args, **kwargs)
+    monkeypatch.setattr(solver, "_symmetric_lu", tracked_lu)
+    monkeypatch.setattr(solver, "linear_solve", tracked_solve)
+    _, report = newton_solve(dm, loads_of(exact_square()))
+    assert report.converged and report.iterations >= 3
+    assert len(factored) == len(applied) == report.iterations
+    assert all(f is a for f, a in zip(factored[1:], applied[1:]))
+    assert all(np.all(a.data != 0.0) for a in applied[1:])
 
 
 def test_newton_matrix_applies_the_assembled_jacobian(square2):
