@@ -177,11 +177,23 @@ def dorfler_mark(estimates, theta):
     return np.sort(order[:len(eta2) - unmarked])
 
 
-def _solve(level, mesh, method, config, loads):
+def _coarse_hessian(mesh, prev):
+    """The element Hessians of ``u`` of ``prev``'s solution on the triangles
+    of ``mesh``, through the parents of ``mesh`` in ``prev.mesh``; ``None``
+    without ``prev`` or when ``mesh`` does not come from ``prev.mesh``."""
+    parents = None if prev is None else mesh.parents_in(prev.mesh)
+    if parents is None:
+        return None
+    coarse = prev.solution
+    return element_hessians(coarse.dofmap.basis, coarse.u)[parents]
+
+
+def _solve(level, mesh, method, config, loads, prev):
     dofmap = build_dofmap(mesh, method)
     psi, report = newton_solve(dofmap, loads, config.penalty,
                                tol=config.newton_tol,
-                               maxit=config.newton_maxit)
+                               maxit=config.newton_maxit,
+                               coarse_hessian=_coarse_hessian(mesh, prev))
     if not report.converged:
         reason = ""
         if report.stiffness_definite is False:
@@ -201,7 +213,9 @@ def _record(level, psi, loads, problem, eta_total, prev):
     osc = np.hypot(oscillation(loads[0], mesh), oscillation(loads[1], mesh))
     ndof = psi.dofmap.n_global
     rate = float("nan")
-    if prev is not None and prev.error_total > 0 and e_tot > 0:
+    # no rate between two levels of one mesh (an empty marking)
+    if prev is not None and prev.error_total > 0 and e_tot > 0 \
+            and ndof != prev.ndof:
         rate = -(np.log(e_tot) - np.log(prev.error_total)) \
             / (np.log(ndof) - np.log(prev.ndof))
     return ConvergenceRecord(level, ndof, e_u, e_v, e_tot, e_meth,
@@ -209,10 +223,12 @@ def _record(level, psi, loads, problem, eta_total, prev):
 
 
 def _level_state(level, mesh, loads, method, problem, config, prev):
-    """Solve, estimate and record ``method`` on one mesh."""
-    psi = _solve(level, mesh, method, config, loads)
+    """Solve, estimate and record ``method`` on one mesh; ``prev`` is the
+    previous level's state of ``method``, or ``None``."""
+    psi = _solve(level, mesh, method, config, loads, prev)
     eta = estimate(psi, loads)
-    record = _record(level, psi, loads, problem, eta.total, prev)
+    record = _record(level, psi, loads, problem, eta.total,
+                     None if prev is None else prev.record)
     return LevelState(level, mesh, psi, eta, record, loads)
 
 
@@ -221,8 +237,10 @@ def solve_level(state, method, problem, config, prev=None):
 
     Solves, estimates and records ``method`` with the load values of
     ``state``, so the loads are not evaluated again.  ``prev`` is the
-    previous level's record of ``method`` (for the rate).  Raises
-    :class:`SolverError` when Newton does not converge.
+    previous level's :class:`LevelState` of ``method``: its record gives
+    the rate, and when ``state.mesh`` was refined from its mesh, its
+    solution gives Newton's coarse start, as in the method's own loop.
+    Raises :class:`SolverError` when Newton does not converge.
     """
     return _level_state(state.level, state.mesh, state.loads, method,
                         problem, config, prev)
@@ -231,7 +249,9 @@ def solve_level(state, method, problem, config, prev=None):
 def _levels(problem, method, config, levels, refine):
     """Generator over at most ``levels`` meshes: on each, the loads are
     evaluated once and ``method`` is solved, estimated and recorded.
-    ``refine(state)`` makes the next mesh, or returns ``None`` to stop."""
+    ``refine(state)`` makes the next mesh, or returns ``None`` to stop.
+    Each level's Newton run starts from the previous level's solution (see
+    :func:`~vkfem.solver.newton_solve`)."""
     state = None
     for level in range(levels):
         mesh = problem.initial_mesh if state is None else refine(state)
@@ -239,8 +259,8 @@ def _levels(problem, method, config, levels, refine):
             return
         loads = tuple(load_values(load, mesh)
                       for load in (problem.exact.f, problem.exact.g))
-        prev = None if state is None else state.record
-        state = _level_state(level, mesh, loads, method, problem, config, prev)
+        state = _level_state(level, mesh, loads, method, problem, config,
+                             state)
         yield state
 
 

@@ -317,12 +317,16 @@ def _coupling_matrices(psi):
     :func:`assemble_trilinear_jacobian`.
     """
     basis = psi.dofmap.basis
+    return tuple(_coupling_elements(basis, element_hessians(basis, coef))
+                 for coef in (psi.u, psi.v))
 
-    def m_of(coef):
-        col = bracket(element_hessians(basis, coef)[:, None, :],
-                      basis.hessians)
-        return -col[:, None, :] * basis.int_phi[:, :, None]
-    return m_of(psi.u), m_of(psi.v)
+
+def _coupling_elements(basis, hess):
+    """Element matrices ``-[w, phi_j]_K int_K phi_i``, shape ``(nt, 6, 6)``,
+    of a field ``w`` given by its element Hessians ``hess``, shape
+    ``(nt, 3)``."""
+    col = bracket(hess[:, None, :], basis.hessians)
+    return -col[:, None, :] * basis.int_phi[:, :, None]
 
 
 def assemble_trilinear_jacobian(psi):

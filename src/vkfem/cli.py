@@ -120,10 +120,10 @@ def _run_adaptive(spec, problem, rows):
     prev = {m: None for m in methods}
     for state in adaptive_levels(problem, driver, config):
         for method in methods:
-            record = state.record if method == driver else solve_level(
-                state, method, problem, config, prev[method]).record
-            prev[method] = record
-            rows.append(_row(method, record))
+            ours = state if method == driver else solve_level(
+                state, method, problem, config, prev[method])
+            prev[method] = ours
+            rows.append(_row(method, ours.record))
 
 
 def _write_csv(path, rows):

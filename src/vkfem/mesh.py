@@ -19,6 +19,8 @@ Conventions
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 __all__ = [
@@ -71,6 +73,10 @@ class Triangulation:
     vertex_on_boundary, edge_on_boundary : ndarray of bool
         Topological boundary flags (an edge is boundary iff it has exactly
         one adjacent triangle).
+    parent : ndarray (nt,) or None
+        For a mesh made by :func:`uniform_refine` or :func:`nvb_refine`, the
+        triangle of the refined mesh that contains each triangle; ``None``
+        otherwise.  :meth:`parents_in` checks which mesh that was.
 
     Raises
     ------
@@ -179,6 +185,8 @@ class Triangulation:
                     self.edge_length, self.area, self.vertex_on_boundary,
                     self.edge_on_boundary, self.refinement_edge):
             arr.setflags(write=False)
+        self.parent = None
+        self._refined_from = None
 
     # -- derived quantities -------------------------------------------------
 
@@ -202,6 +210,17 @@ class Triangulation:
     @property
     def interior_edges(self):
         return np.where(~self.edge_on_boundary)[0]
+
+    def parents_in(self, coarse):
+        """The triangle of ``coarse`` that contains each triangle of this
+        mesh: the identity when this mesh is ``coarse`` (an empty marking
+        returns the mesh itself), :attr:`parent` when this mesh was refined
+        from ``coarse``, else ``None``."""
+        if coarse is self:
+            return np.arange(self.n_triangles)
+        if self._refined_from is not None and self._refined_from() is coarse:
+            return self.parent
+        return None
 
     def euler_characteristic(self):
         """V - E + F; equals 1 for a mesh of a simply-connected domain."""
@@ -263,11 +282,23 @@ def build_topology(vertices, triangles, refinement_edge=None):
     return Triangulation(vertices, triangles, refinement_edge)
 
 
+def _refined(coarse, vertices, triangles, tags, parent):
+    """The refinement of ``coarse`` with its triangles' ``parent`` in it."""
+    fine = Triangulation(vertices, triangles, tags)
+    parent.setflags(write=False)
+    fine.parent = parent
+    # a weak reference, so a fine mesh does not keep its hierarchy alive
+    fine._refined_from = weakref.ref(coarse)
+    return fine
+
+
 def uniform_refine(mesh):
     """Red refinement: split every triangle into four similar children.
 
     Children inherit the parent's refinement-edge index (child edge ``k`` is
     parallel to parent edge ``k``), so similarity classes are preserved.
+    The children of triangle ``t`` are ``4t ... 4t+3`` (``parent[4t + i]
+    == t``).
     """
     v, t = mesh.vertices, mesh.triangles
     nv, nt = mesh.n_vertices, mesh.n_triangles
@@ -280,7 +311,8 @@ def uniform_refine(mesh):
     children[:, 2] = np.column_stack([m[:, 1], m[:, 0], t[:, 2]])
     children[:, 3] = m
     tags = np.repeat(mesh.refinement_edge, 4)
-    return Triangulation(new_vertices, children.reshape(-1, 3), tags)
+    return _refined(mesh, new_vertices, children.reshape(-1, 3), tags,
+                    np.repeat(np.arange(nt), 4))
 
 
 def nvb_refine(mesh, marked):
@@ -298,7 +330,8 @@ def nvb_refine(mesh, marked):
     is bisected at ``qa``, else ``(p, a, m)``; child B is ``(m, b, qb),
     (m, qb, p)`` if the flank ``(b, p)`` is bisected at ``qb``, else
     ``(p, m, b)``.  New vertex ``nv + i`` is the midpoint of the ``i``-th
-    bisected edge in edge order.
+    bisected edge in edge order.  ``parent`` of the result records the
+    triangle each child comes from (an untouched triangle is its own child).
 
     Parameters
     ----------
@@ -355,7 +388,8 @@ def nvb_refine(mesh, marked):
     tags[:, 0] = k
     keep = np.stack([~touched, split_a, split_a, touched & ~split_a,
                      split_b, split_b, touched & ~split_b], axis=1)
-    return Triangulation(new_vertices, children[keep], tags[keep])
+    return _refined(mesh, new_vertices, children[keep], tags[keep],
+                    np.nonzero(keep)[0])
 
 
 def shape_regularity(mesh):

@@ -6,12 +6,14 @@ sign between the two equations).  Newton steps never factor ``J``: each step
 factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
 by GMRES, preconditioned by the block upper triangle
 ``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
-per solve; it is also the block of the zero iterate.  Both blocks are
-factored in the column order of the dof map: ``dg`` numbers its triangles in
-minimum-degree order and factors in that order as it stands, Morley and
-C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
-fails the acceptance test of :func:`linear_solve`, or whose block does not
-factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
+per solve; it is also the block of the zero iterate, and of the first step
+of a run started from a coarse level (see :func:`newton_solve`), which
+solves with it and no GMRES.  Both blocks are factored in the column order
+of the dof map: ``dg`` numbers its triangles in minimum-degree order and
+factors in that order as it stands, Morley and C0IP order by minimum degree
+on ``A^T + A``.  A step whose GMRES result fails the acceptance test of
+:func:`linear_solve`, or whose block does not factorise, is solved by sparse
+LU on ``J`` instead.  Coercivity checks
 (:func:`spd_solve`) factor ``K`` by the same diagonal-pivot LU as the
 blocks and read its definiteness from the signs of the pivots; a Newton run
 that does not converge reads them from the factor of ``K`` it holds.
@@ -21,12 +23,14 @@ the in-house cycle :func:`_gmres_cycle` on plain arrays: at most 40
 iterations from a zero start, which costs no operator application, with a
 Krylov basis that grows by one vector per iteration.  It is preconditioned
 on the right and the solve starts at ``x0 = P^{-1} b``, so the residual it
-minimises is the step's own.  It stops at the loosest residual that both
-passes the backward-error acceptance test and cannot delay Newton: the
-larger of ``1e-10 ||b||`` and the smaller of half the backward-error bound
-``1e-10 (||J|| ||x|| + ||b||)``, with ``||x||`` estimated at the start of
-each of at most two cycles, and a tenth of the residual at which Newton
-stops (see :func:`linear_solve`).
+minimises is the step's own; ``x0`` is returned without a cycle when it
+passes the acceptance test (at the zero iterate it is the exact step).  A
+cycle stops at the loosest residual that both passes the backward-error
+acceptance test and cannot delay Newton: the larger of ``1e-10 ||b||`` and
+the smaller of half the backward-error bound ``1e-10 (||J|| ||x|| +
+||b||)``, with ``||x||`` estimated at the start of each of at most two
+cycles, and a tenth of the residual at which Newton stops (see
+:func:`linear_solve`).
 
 A step rebuilds nothing that only depends on the mesh.  The structure of
 ``K`` holds every pair of dofs that share a triangle, and the data slot of
@@ -50,10 +54,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, _coupling_matrices,
+from .assembly import (DiscreteSolution, _coupling_elements,
+                       _coupling_matrices, _cubic_form_scalar,
                        _element_structure, _sub_structure, _sum_into,
                        assemble_biharmonic, assemble_load,
                        assemble_trilinear_vector)
+from .femspace import bracket
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
            "is_spd", "newton_solve", "residual", "newton_order"]
@@ -77,6 +83,13 @@ class SolverError(RuntimeError):
 class NewtonReport:
     """Iteration record of one Newton run.
 
+    ``start`` is where the run started: ``"zero"`` (the zero pair),
+    ``"coarse"`` (from coarse Hessians, see :func:`newton_solve`) or
+    ``"restarted"`` (a coarse start whose first Newton step did not lower
+    the residual, abandoned for the zero pair).  ``residual_history`` holds
+    the run that was kept, ``iterations`` every step taken: two more than
+    that run's when it was restarted.
+
     ``stiffness_definite`` is read only when the run did not converge (else
     ``None``): whether the diagonal pivots of ``K``'s factor are all
     positive, so ``K`` is positive definite."""
@@ -84,6 +97,7 @@ class NewtonReport:
     residual_history: list = field(default_factory=list)
     converged: bool = False
     stiffness_definite: bool | None = None
+    start: str = "zero"
 
 
 def _backward_error(res, x, anorm, bnorm):
@@ -114,11 +128,12 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
       step sets to a tenth of the residual at which Newton stops.
 
     The first result that is finite and passes the acceptance test is
-    returned; the second cycle starts from the first one's result, whose
-    norm may be far from that of ``x0``.  Otherwise, and always without a
-    preconditioner, the system is solved by sparse LU (COLAMD ordering),
-    whose iterative refinement drives the residual to ``1e-10 * ||b||``
-    when the conditioning allows it.
+    returned, ``x0`` included, which then costs no cycle; the second cycle
+    starts from the first one's result, whose norm may be far from that of
+    ``x0``.  Otherwise, and always without a preconditioner, the system is
+    solved by sparse LU (COLAMD ordering), whose iterative refinement
+    drives the residual to ``1e-10 * ||b||`` when the conditioning allows
+    it.
 
     The acceptance test is a normwise backward error of at most ``1e-10``
     (``||Ax-b|| <= 1e-10 (||A|| ||x|| + ||b||)``), which every residual below
@@ -145,6 +160,9 @@ def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
             return a @ (preconditioner @ v)
         x = preconditioner @ rhs
         res = rhs - a @ x
+        if (np.all(np.isfinite(x))
+                and _backward_error(res, x, anorm, bnorm) <= 1e-10):
+            return x
         for _ in range(_GMRES_CYCLES):
             aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm), limit)
             y = _gmres_cycle(right, res, max(_GMRES_RTOL * bnorm, aim),
@@ -340,7 +358,9 @@ class NewtonSystem:
     coupling blocks ``M_v`` and ``M_u`` are summed into it, or into its part
     on the element pairs, through the element slots that the assembly of
     ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
-    conversion.
+    conversion, and neither does :meth:`coarse_start`, which builds the
+    coupling block of a coarse level's Hessians for the first step of a run
+    that does not start from the zero pair.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -398,10 +418,34 @@ class NewtonSystem:
         a = _without_zeros(sp.csc_matrix(
             (k.data + _sum_into(self._a_slots, m_v, k.nnz), k.indices,
              k.indptr), shape=k.shape))
+        return NewtonMatrix(a, self._coupling_block(m_u), k, self._k_row_sums)
+
+    def _coupling_block(self, elements):
+        """The coupling block ``M_w`` summed from its element matrices."""
         indptr, indices, slots = self._coupling
-        m_u = sp.csc_matrix((_sum_into(slots, m_u, len(indices)), indices,
-                             indptr), shape=k.shape)
-        return NewtonMatrix(a, m_u, k, self._k_row_sums)
+        return sp.csc_matrix((_sum_into(slots, elements, len(indices)),
+                              indices, indptr), shape=self.stiffness.shape)
+
+    def coarse_start(self, k_lu, hess):
+        """The start ``(u_0, v_0)`` of a Newton run from the element Hessians
+        ``hess`` of a coarse ``u_H`` on this mesh, shape ``(nt, 3)``, and the
+        factor ``k_lu`` of ``K``, as one vector.
+
+        It solves the system with the bracket ``[u, .]`` frozen at ``u_H``:
+        ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0 = L_f +
+        ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2) ([u_H, u_H],
+        phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two triangular solves
+        and no GMRES.  Only the broken-Hessian bracket sees ``u_H``, so its
+        kinks reach no jump or penalty term."""
+        dofmap = self.dofmap
+        basis = dofmap.basis
+        rhs = self.load.copy()
+        dofs = dofmap.element_dofs
+        keep = dofs >= 0
+        np.add.at(rhs, dofmap.n_global + dofs[keep],
+                  _cubic_form_scalar(basis, bracket(hess, hess))[keep])
+        m_u = self._coupling_block(_coupling_elements(basis, hess))
+        return _BlockTriangularInverse(k_lu, k_lu, m_u) @ rhs
 
 
 class _BlockTriangularInverse:
@@ -419,7 +463,8 @@ class _BlockTriangularInverse:
                                y2])
 
 
-def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
+def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
+                 coarse_hessian=None):
     """Newton iteration for the discrete clamped-plate system.
 
     The dof map fixes the mesh and the method.  ``loads`` is the pair
@@ -427,12 +472,24 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
     ``VOLUME_RULE`` points of the dof map's mesh (see
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
-    The iteration starts from the zero pair, whose first Newton step is
-    exactly the decoupled linear biharmonic solve; each further step solves
-    the exact linearisation ``J = [[K + M_v, M_u], [-M_u, K]]`` (biharmonic
-    operator plus twice the cubic coupling at the current iterate).  A step
-    factors only the block ``A = K + M_v`` (at the zero iterate ``A = K``,
-    whose factor is kept for all steps) and passes :func:`linear_solve` the
+
+    Without ``coarse_hessian`` the iteration starts from the zero pair,
+    whose first Newton step is exactly the decoupled linear biharmonic
+    solve.  ``coarse_hessian`` holds the element Hessians ``(xx, yy, xy)``
+    of ``u`` of a coarser solution of the same problem, one row per triangle
+    of this mesh (the Hessian of the coarse triangle that contains it); the
+    first step then solves the system with the bracket ``[u, .]`` frozen at
+    them (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
+    1759-1777; see :meth:`NewtonSystem.coarse_start`), with the factor of
+    ``K`` and no GMRES.  When the first Newton step from that start does
+    not lower the residual, the run starts again from the zero pair
+    (``report.start`` says which start was taken).
+
+    Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
+    [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
+    current iterate).  A step factors only the block ``A = K + M_v`` (at the
+    zero iterate ``A = K``, whose factor is kept for all steps and is the
+    only factor of a first step) and passes :func:`linear_solve` the
     preconditioner ``P = [[A, M_u], [0, K]]``, whose inverse costs two
     triangular solves and one product with ``M_u``, and the residual
     target of a tenth of the residual at which the iteration stops (see
@@ -447,62 +504,80 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50):
     Returns
     -------
     (DiscreteSolution, NewtonReport)
-        ``report.converged`` is False when ``maxit`` was exhausted, and
+        ``report.converged`` is False when ``maxit`` steps were taken, and
         then ``report.stiffness_definite`` says whether the pivots of
         ``K``'s factor are all positive; linear solver failures raise
         :class:`SolverError`.
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
+    if coarse_hessian is not None and np.shape(coarse_hessian) != (
+            dofmap.mesh.n_triangles, 3):
+        raise ValueError("coarse_hessian must have shape (n_triangles, 3)")
     system = NewtonSystem(dofmap, loads, penalty)
     n = dofmap.n_global
     label = f"{dofmap.method} (ndof {n})"
     target = tol * system.load_scale
-
-    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
-    res = -system.load  # residual at the zero iterate
-    stop = system.stopping_residual(psi, target)
-    history = [float(np.linalg.norm(res))]
-    converged = False
-    iterations = 0
     order = dofmap.column_order
     try:
         k_lu = _symmetric_lu(system.stiffness, order)
     except RuntimeError:  # then no step is preconditioned
         k_lu = None
-    for it in range(maxit):
-        jac = system.step_matrix(psi)
-        preconditioner = None
-        if k_lu is not None:
-            try:
-                # at the zero iterate the block is K itself
-                a_lu = k_lu if it == 0 else _symmetric_lu(jac.a, order)
-            except RuntimeError:
-                pass
-            else:
-                preconditioner = _BlockTriangularInverse(a_lu, k_lu,
-                                                         jac.m_u)
-        # a tenth of the residual at which the iteration stops: a step
-        # solved that far cannot delay convergence
-        delta = linear_solve(jac, -res, context=f"Newton step {it}, {label}",
-                             preconditioner=preconditioner,
-                             target=0.1 * stop)
+    # the coarse start solves with K's factor
+    start = "zero" if coarse_hessian is None or k_lu is None else "coarse"
+
+    def zero_pair():
+        psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
+        # the residual at the zero iterate
+        return psi, -system.load, system.stopping_residual(psi, target)
+    psi, res, stop = zero_pair()
+    history = [float(np.linalg.norm(res))]
+    converged = False
+    iterations = 0
+    steps = 0  # of the current run, which starts at the zero pair
+    while iterations < maxit:
+        if steps == 0 and start == "coarse":
+            delta = system.coarse_start(k_lu, coarse_hessian)
+        else:
+            jac = system.step_matrix(psi)
+            preconditioner = None
+            if k_lu is not None:
+                try:
+                    # at the zero iterate the block is K itself
+                    a_lu = k_lu if steps == 0 else _symmetric_lu(jac.a,
+                                                                 order)
+                except RuntimeError:
+                    pass
+                else:
+                    preconditioner = _BlockTriangularInverse(a_lu, k_lu,
+                                                             jac.m_u)
+            # a tenth of the residual at which the iteration stops: a step
+            # solved that far cannot delay convergence
+            delta = linear_solve(jac, -res,
+                                 context=f"Newton step {iterations}, {label}",
+                                 preconditioner=preconditioner,
+                                 target=0.1 * stop)
+            # free this step's block factor before the next step factors
+            jac = preconditioner = a_lu = None
         psi.u += delta[:n]
         psi.v += delta[n:]
-        # free this step's block factor before the next step factors its own
-        jac = preconditioner = a_lu = None
         iterations += 1
+        steps += 1
         res = system.residual(psi)
         stop = system.stopping_residual(psi, target)
         history.append(float(np.linalg.norm(res)))
         if history[-1] <= stop:
             converged = True
             break
+        if start == "coarse" and steps == 2 and not history[2] < history[1]:
+            start, steps = "restarted", 0
+            psi, res, stop = zero_pair()
+            del history[1:]
     definite = None
     if not converged:
         # no factor: a zero pivot stopped it, and that is not positive either
         definite = k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0))
-    return psi, NewtonReport(iterations, history, converged, definite)
+    return psi, NewtonReport(iterations, history, converged, definite, start)
 
 
 def residual(psi, loads, penalty=None):

@@ -75,11 +75,11 @@ def adaptive_studies():
             meshes.append(state.mesh)
             for method in METHODS:
                 # solve_level raises SolverError when Newton does not converge
-                record = state.record if method == driver else solve_level(
-                    state, method, problem, config, prev[method]).record
-                prev[method] = record
-                errors[method].append(record.error_total)
-                ndofs[method].append(record.ndof)
+                ours = state if method == driver else solve_level(
+                    state, method, problem, config, prev[method])
+                prev[method] = ours
+                errors[method].append(ours.record.error_total)
+                ndofs[method].append(ours.record.ndof)
         out[driver] = {"errors": errors, "ndofs": ndofs, "meshes": meshes}
     return out
 

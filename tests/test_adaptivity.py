@@ -291,7 +291,7 @@ def test_solve_level_matches_the_methods_own_loop():
         # field by field, with the NaN rate of the first level equal to itself
         np.testing.assert_array_equal(dataclasses.astuple(other.record),
                                       dataclasses.astuple(expected))
-        prev = other.record
+        prev = other
 
 
 def lshape_without_shared_fields():

@@ -1,0 +1,109 @@
+"""Newton's coarse start across refinement levels: robustness and starts."""
+
+import numpy as np
+import pytest
+
+from vkfem import adaptivity
+from vkfem.adaptivity import AdaptiveConfig, adaptive_levels, uniform_levels
+from vkfem.analysis import ExactSolutionPair
+from vkfem.femspace import METHODS, bracket, element_hessians
+from vkfem.problems import Problem, lshape_problem, square_problem
+
+
+def scaled_problem(base, a):
+    """The exact pair ``(a u, a v)`` of ``base`` with its loads:
+    ``f_a = a (f + [u,v]) - a^2 [u,v]`` and ``g_a = a (g - [u,u]/2) +
+    a^2 [u,u]/2``."""
+    ex = base.exact
+
+    def scale(fn):
+        return lambda x, y: a * fn(x, y)
+
+    def f(x, y):
+        br = bracket(ex.u_hess(x, y), ex.v_hess(x, y))
+        return a * (ex.f(x, y) + br) - a * a * br
+
+    def g(x, y):
+        hu = ex.u_hess(x, y)
+        br = bracket(hu, hu)
+        return a * (ex.g(x, y) - 0.5 * br) + 0.5 * a * a * br
+
+    exact = ExactSolutionPair(scale(ex.u), scale(ex.u_grad), scale(ex.u_hess),
+                              scale(ex.v), scale(ex.v_grad), scale(ex.v_hess),
+                              f, g)
+    return Problem(f"{base.name}_a{a:g}", base.initial_mesh, exact)
+
+
+@pytest.fixture
+def reports(monkeypatch):
+    """The reports of every Newton run of the level loops, in order."""
+    real = adaptivity.newton_solve
+    out = []
+
+    def recording(*args, **kwargs):
+        psi, report = real(*args, **kwargs)
+        out.append(report)
+        return psi, report
+    monkeypatch.setattr(adaptivity, "newton_solve", recording)
+    return out
+
+
+@pytest.mark.parametrize("amplitude", [15.0, 20.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_scaled_square_converges_on_every_level(method, amplitude, reports):
+    # from the zero pair, Morley's Newton does not converge at a = 15
+    # (level 2) or a = 20 (level 1); started from the coarse level it does
+    problem = scaled_problem(square_problem(), amplitude)
+    states = list(uniform_levels(problem, method, 4))
+    assert len(states) == 4 == len(reports)
+    assert all(report.converged for report in reports)
+    assert reports[0].start == "zero"
+    # some starts are abandoned: C0IP level 1 at both amplitudes, Morley
+    # level 2 at a = 20
+    assert {r.start for r in reports[1:]} <= {"coarse", "restarted"}
+
+
+def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
+    # the adaptive L-shape (16 levels, theta 0.5) and the uniform square
+    # (5 levels), each method on its own hierarchy
+    lshape_steps = 0
+    for method in METHODS:
+        list(adaptive_levels(lshape_problem(), method,
+                             AdaptiveConfig(theta=0.5, max_levels=16)))
+        lshape_steps += sum(r.iterations for r in reports[-16:])
+        list(uniform_levels(square_problem(), method, 5))
+    starts = [report.start for report in reports]
+    assert len(starts) == 3 * (16 + 5)
+    assert starts.count("zero") == 6  # the first level of each hierarchy
+    assert starts.count("coarse") == len(starts) - 6
+    # the zero start takes 196 steps on the L-shape hierarchies
+    assert lshape_steps < 196
+
+
+def test_a_level_on_the_same_mesh_starts_from_identity_parents(monkeypatch):
+    # an empty marking returns the mesh itself: the next solve gathers the
+    # coarse Hessians through identity parents, not through the parent map
+    # of the refinement that made the mesh
+    marks = iter([np.array([0, 3]), np.array([], dtype=np.int64)])
+    monkeypatch.setattr(adaptivity, "dorfler_mark",
+                        lambda estimates, theta: next(marks))
+    real = adaptivity.newton_solve
+    given = []
+
+    def recording(*args, coarse_hessian=None, **kwargs):
+        given.append(coarse_hessian)
+        return real(*args, coarse_hessian=coarse_hessian, **kwargs)
+    monkeypatch.setattr(adaptivity, "newton_solve", recording)
+    states = list(adaptive_levels(square_problem(), "c0ip",
+                                  AdaptiveConfig(max_levels=3)))
+    assert states[2].mesh is states[1].mesh is not states[0].mesh
+    assert np.isnan(states[2].record.rate_vs_ndof)
+    assert given[0] is None
+    for coarse, fine, hess in zip(states, states[1:], given[1:]):
+        psi = coarse.solution
+        want = element_hessians(psi.dofmap.basis, psi.u)[
+            fine.mesh.parents_in(coarse.mesh)]
+        np.testing.assert_array_equal(hess, want)
+    np.testing.assert_array_equal(
+        given[2], element_hessians(states[1].solution.dofmap.basis,
+                                   states[1].solution.u))

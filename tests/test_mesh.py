@@ -134,8 +134,60 @@ def test_uniform_refine_children_nested(skewed_triangle):
             assert point_in_triangle(p, parentv, tol=1e-10)
 
 
+def assert_children_in_parents(coarse, fine):
+    """Every triangle of ``fine`` lies in its recorded parent, whose area
+    its children share exactly; a parent with one child is that child."""
+    parent = fine.parent
+    assert fine.parents_in(coarse) is parent
+    assert parent.shape == (fine.n_triangles,)
+    assert np.all(np.diff(parent) >= 0)  # children follow their parents
+    np.testing.assert_allclose(
+        np.bincount(parent, weights=fine.area, minlength=coarse.n_triangles),
+        coarse.area, rtol=1e-12)
+    # each child vertex on the inner side of every edge of its parent
+    hosts = coarse.vertices[coarse.triangles[parent]]
+    pts = fine.vertices[fine.triangles]
+    for k in range(3):
+        a, b = hosts[:, k, None], hosts[:, (k + 1) % 3, None]
+        side = ((b - a)[..., 0] * (pts - a)[..., 1]
+                - (b - a)[..., 1] * (pts - a)[..., 0])
+        assert np.all(side >= -1e-12)
+    alone = np.bincount(parent, minlength=coarse.n_triangles)[parent] == 1
+    np.testing.assert_array_equal(fine.triangles[alone],
+                                  coarse.triangles[parent[alone]])
+
+
+def test_uniform_children_lie_in_their_parent(lshape0, skewed_triangle):
+    for coarse in (lshape0, skewed_triangle, uniform_refine(lshape0)):
+        fine = uniform_refine(coarse)
+        # the children of t are 4t ... 4t+3
+        np.testing.assert_array_equal(
+            fine.parent, np.repeat(np.arange(coarse.n_triangles), 4))
+        assert_children_in_parents(coarse, fine)
+
+
+def test_parents_name_only_the_mesh_refined_from(square0):
+    fine = nvb_refine(square0, [1, 4])
+    finer = uniform_refine(fine)
+    assert fine.parents_in(square0) is fine.parent
+    # not the grandparent, not an equal copy, not the finer mesh
+    assert finer.parents_in(square0) is None
+    assert fine.parents_in(nvb_refine(square0, [1, 4])) is None
+    assert fine.parents_in(finer) is None
+    assert square0.parent is None and square0.parents_in(fine) is None
+    with pytest.raises(ValueError):
+        fine.parent[0] = 0
+
+
 def test_nvb_empty_marking_returns_same_mesh(square0):
     assert nvb_refine(square0, []) is square0
+    # the same mesh: identity parents, never the map of an earlier refinement
+    fine = nvb_refine(square0, [3])
+    same = nvb_refine(fine, np.array([], dtype=np.int64))
+    assert same is fine
+    np.testing.assert_array_equal(same.parents_in(fine),
+                                  np.arange(fine.n_triangles))
+    assert same.parents_in(square0) is fine.parent
 
 
 def test_nvb_closure_two_triangles(two_tri):
@@ -252,6 +304,7 @@ def test_nvb_random_rounds_match_the_golden_meshes(lshape0, square0):
             tris, tags = _bisect_loop(mesh, _bisected_edges(mesh, fine), seen)
             np.testing.assert_array_equal(fine.triangles, tris)
             np.testing.assert_array_equal(fine.refinement_edge, tags)
+            assert_children_in_parents(mesh, fine)
             mesh = fine
             _hash_mesh(h, mesh)
         assert h.hexdigest() == NVB_GOLDEN[name], name
