@@ -20,14 +20,14 @@ from .assembly import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
                        assemble_load, assemble_trilinear_jacobian,
                        assemble_trilinear_vector, bracket_elements)
 from .solver import (NewtonReport, SolverError, is_spd, linear_solve,
-                     newton_order, newton_solve, residual, spd_solve)
+                     newton_order, newton_solve, residual)
 from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
                        best_approx_term, convergence_rates, discrete_norm,
                        error_norm, fit_rate, oscillation, oscillation_local,
                        unified_h_norm)
 from .adaptivity import (AdaptiveConfig, LocalEstimates, METHOD_NORM,
-                         adaptive_levels, dorfler_mark, estimate, solve_level,
-                         uniform_levels)
+                         adaptive_levels, dorfler_mark, estimate,
+                         method_levels, uniform_levels)
 from .problems import (Problem, exact_lshape, exact_square, lshape_problem,
                        square_problem)
 

@@ -1,4 +1,4 @@
-"""Residual error estimators, bulk marking and refinement loops.
+"""Residual error estimators, bulk marking and the level loop.
 
 Each method gets the residual estimator matching its norm: shared volume
 terms ``h_K^4 (||f + [u,v]||^2 + ||g - [u,u]/2||^2)`` per element plus
@@ -17,7 +17,7 @@ boundary); the total is attribution-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -30,8 +30,8 @@ from .mesh import nvb_refine, uniform_refine
 from .solver import SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
-           "dorfler_mark", "adaptive_levels", "uniform_levels", "solve_level",
-           "METHOD_NORM"]
+           "dorfler_mark", "method_levels", "adaptive_levels",
+           "uniform_levels", "METHOD_NORM"]
 
 #: Norm in which each method's error is naturally measured.
 METHOD_NORM = {"morley": "nc", "c0ip": "ip", "dg": "dg"}
@@ -205,12 +205,9 @@ def _solve(level, mesh, method, config, loads, prev):
     return psi
 
 
-def _record(level, psi, loads, problem, eta_total, prev):
-    exact = problem.exact
-    mesh = psi.dofmap.mesh
+def _record(level, psi, exact, eta_total, osc, prev):
     (e_u, e_v, e_tot), (_, _, e_meth) = error_norm(
         psi, exact, ("h", METHOD_NORM[psi.method]))
-    osc = np.hypot(oscillation(loads[0], mesh), oscillation(loads[1], mesh))
     ndof = psi.dofmap.n_global
     rate = float("nan")
     # no rate between two levels of one mesh (an empty marking)
@@ -219,70 +216,65 @@ def _record(level, psi, loads, problem, eta_total, prev):
         rate = -(np.log(e_tot) - np.log(prev.error_total)) \
             / (np.log(ndof) - np.log(prev.ndof))
     return ConvergenceRecord(level, ndof, e_u, e_v, e_tot, e_meth,
-                             eta_total, float(osc), rate)
+                             eta_total, osc, rate)
 
 
-def _level_state(level, mesh, loads, method, problem, config, prev):
-    """Solve, estimate and record ``method`` on one mesh; ``prev`` is the
-    previous level's state of ``method``, or ``None``."""
-    psi = _solve(level, mesh, method, config, loads, prev)
-    eta = estimate(psi, loads)
-    record = _record(level, psi, loads, problem, eta.total,
-                     None if prev is None else prev.record)
-    return LevelState(level, mesh, psi, eta, record, loads)
+def method_levels(problem, methods, config, marked_by=None):
+    """Generator over one mesh hierarchy with every method of ``methods``
+    solved, estimated and recorded on each mesh.
 
-
-def solve_level(state, method, problem, config, prev=None):
-    """The :class:`LevelState` of another method on the mesh of ``state``.
-
-    Solves, estimates and records ``method`` with the load values of
-    ``state``, so the loads are not evaluated again.  ``prev`` is the
-    previous level's :class:`LevelState` of ``method``: its record gives
-    the rate, and when ``state.mesh`` was refined from its mesh, its
-    solution gives Newton's coarse start, as in the method's own loop.
+    Each mesh gets one evaluation of the loads and one data oscillation,
+    shared by all methods.  Level by level, each method's
+    :class:`LevelState` is yielded as soon as it is recorded, in the order
+    of ``methods``; each method's Newton run starts from its own previous
+    level (see :func:`~vkfem.solver.newton_solve`).  ``marked_by=None``
+    refines uniformly (red); a method of ``methods`` refines by NVB the
+    elements Dörfler marks on its indicator, and the loop stops once its
+    level reaches ``config.max_ndof`` dofs.  There are at most
+    ``config.max_levels`` levels, and nothing is refined after the last.
     Raises :class:`SolverError` when Newton does not converge.
     """
-    return _level_state(state.level, state.mesh, state.loads, method,
-                        problem, config, prev)
-
-
-def _levels(problem, method, config, levels, refine):
-    """Generator over at most ``levels`` meshes: on each, the loads are
-    evaluated once and ``method`` is solved, estimated and recorded.
-    ``refine(state)`` makes the next mesh, or returns ``None`` to stop.
-    Each level's Newton run starts from the previous level's solution (see
-    :func:`~vkfem.solver.newton_solve`)."""
-    state = None
-    for level in range(levels):
-        mesh = problem.initial_mesh if state is None else refine(state)
-        if mesh is None:
-            return
+    if marked_by is not None and marked_by not in methods:
+        raise ValueError(f"marked_by {marked_by!r} is not among the methods")
+    mesh = problem.initial_mesh
+    states = dict.fromkeys(methods)
+    for level in range(config.max_levels):
+        if level and marked_by is None:
+            mesh = uniform_refine(mesh)
+        elif level:
+            marker = states[marked_by]
+            if config.max_ndof is not None \
+                    and marker.record.ndof >= config.max_ndof:
+                return
+            mesh = nvb_refine(mesh, dorfler_mark(marker.estimates,
+                                                 config.theta))
         loads = tuple(load_values(load, mesh)
                       for load in (problem.exact.f, problem.exact.g))
-        state = _level_state(level, mesh, loads, method, problem, config,
-                             state)
-        yield state
+        osc = float(np.hypot(oscillation(loads[0], mesh),
+                             oscillation(loads[1], mesh)))
+        for method in methods:
+            prev = states[method]
+            psi = _solve(level, mesh, method, config, loads, prev)
+            eta = estimate(psi, loads)
+            record = _record(level, psi, problem.exact, eta.total, osc,
+                             None if prev is None else prev.record)
+            states[method] = LevelState(level, mesh, psi, eta, record, loads)
+            yield states[method]
 
 
 def adaptive_levels(problem, method, config):
     """Generator driving Solve - Estimate - Mark - Refine, marked by the
-    residual indicator of ``method``; :func:`solve_level` solves another
-    method on each level's mesh.  The loads are evaluated once per mesh.
-    Yields a :class:`LevelState` per level and stops at ``max_levels`` or
-    ``max_ndof``.
+    residual indicator of ``method``: :func:`method_levels` with
+    ``marked_by=method``.  Yields a :class:`LevelState` per level and stops
+    at ``max_levels`` or ``max_ndof``.
     """
-    def refine(state):
-        cap = config.max_ndof
-        if cap is not None and state.record.ndof >= cap:
-            return None
-        return nvb_refine(state.mesh,
-                          dorfler_mark(state.estimates, config.theta))
-    yield from _levels(problem, method, config, config.max_levels, refine)
+    yield from method_levels(problem, [method], config, marked_by=method)
 
 
 def uniform_levels(problem, method, levels, config=None):
-    """Generator over a uniform (red) refinement hierarchy; the loads are
-    evaluated once per mesh."""
-    config = config or AdaptiveConfig(max_levels=levels)
-    yield from _levels(problem, method, config, levels,
-                       lambda state: uniform_refine(state.mesh))
+    """Generator over ``levels`` meshes of a uniform (red) refinement
+    hierarchy: :func:`method_levels` with ``config`` (default
+    :class:`AdaptiveConfig`), whose ``max_levels`` is replaced by
+    ``levels``."""
+    config = replace(config or AdaptiveConfig(), max_levels=levels)
+    yield from method_levels(problem, [method], config)

@@ -5,9 +5,12 @@ Writes one CSV row per level per method with the columns
     method, level, ndof, error_u, error_v, error_h_norm,
     error_method_norm, estimator, oscillation, rate
 
-(floats as ``%.12e``) and prints a per-method rate summary.  Exit codes:
-0 success, 1 nonlinear solver failure (the partial CSV is kept), 2 invalid
-input.
+(floats as ``%.12e``) and prints a per-method rate summary.  Uniform runs
+solve one method after the other, each on its own hierarchy, so their rows
+list method by method; adaptive runs solve every method on each mesh of
+one hierarchy, so their rows list level by level (morley, c0ip, dg within
+a level).  Exit codes: 0 success, 1 nonlinear solver failure (the partial
+CSV is kept), 2 invalid input.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Optional
 
 # ``estimate`` is unused here but stays a module attribute: the layer tracer
 # of ``bench/`` patches and checks it in every module that imports it
-from .adaptivity import (AdaptiveConfig, adaptive_levels,  # noqa: F401
-                         estimate, solve_level, uniform_levels)
+from .adaptivity import (AdaptiveConfig, estimate,  # noqa: F401
+                         method_levels)
 from .analysis import fit_rate
 from .assembly import PenaltyConfig
 from .femspace import METHODS
@@ -106,24 +109,21 @@ def _row(method, record):
     }
 
 
-def _run_uniform(spec, problem, rows):
-    for method in _methods_of(spec):
-        for state in uniform_levels(problem, method, spec.levels,
-                                    _config(spec)):
-            rows.append(_row(method, state.record))
-
-
-def _run_adaptive(spec, problem, rows):
+def _run(spec, problem, rows):
     config = _config(spec)
     methods = _methods_of(spec)
-    driver = spec.estimator or (methods[0] if len(methods) == 1 else "morley")
-    prev = {m: None for m in methods}
-    for state in adaptive_levels(problem, driver, config):
-        for method in methods:
-            ours = state if method == driver else solve_level(
-                state, method, problem, config, prev[method])
-            prev[method] = ours
-            rows.append(_row(method, ours.record))
+    if spec.adaptive:
+        driver = spec.estimator or (methods[0] if len(methods) == 1
+                                    else "morley")
+        solved = methods if driver in methods else [driver] + methods
+        runs = [method_levels(problem, solved, config, marked_by=driver)]
+    else:
+        runs = [method_levels(problem, [method], config)
+                for method in methods]
+    for run in runs:
+        for state in run:
+            if state.solution.method in methods:
+                rows.append(_row(state.solution.method, state.record))
 
 
 def _write_csv(path, rows):
@@ -171,10 +171,7 @@ def run_experiment(spec):
         problem = lshape_problem()
     rows = []
     try:
-        if spec.adaptive:
-            _run_adaptive(spec, problem, rows)
-        else:
-            _run_uniform(spec, problem, rows)
+        _run(spec, problem, rows)
     finally:
         # keep whatever levels completed, also on solver failure
         _write_csv(spec.out, rows)

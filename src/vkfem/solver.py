@@ -14,7 +14,7 @@ factors in that order as it stands, Morley and C0IP order by minimum degree
 on ``A^T + A``.  A step whose GMRES result fails the acceptance test of
 :func:`linear_solve`, or whose block does not factorise, is solved by sparse
 LU on ``J`` instead.  Coercivity checks
-(:func:`spd_solve`) factor ``K`` by the same diagonal-pivot LU as the
+(:func:`is_spd`) factor ``K`` by the same diagonal-pivot LU as the
 blocks and read its definiteness from the signs of the pivots; a Newton run
 that does not converge reads them from the factor of ``K`` it holds.
 
@@ -61,8 +61,8 @@ from .assembly import (DiscreteSolution, _coupling_elements,
                        assemble_trilinear_vector)
 from .femspace import bracket
 
-__all__ = ["SolverError", "NewtonReport", "linear_solve", "spd_solve",
-           "is_spd", "newton_solve", "residual", "newton_order"]
+__all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
+           "newton_solve", "residual", "newton_order"]
 
 # GMRES on the preconditioned Newton matrix: the relative residual it may
 # always aim for (the LU path's target), the restart length and the number
@@ -85,10 +85,10 @@ class NewtonReport:
 
     ``start`` is where the run started: ``"zero"`` (the zero pair),
     ``"coarse"`` (from coarse Hessians, see :func:`newton_solve`) or
-    ``"restarted"`` (a coarse start whose first Newton step did not lower
-    the residual, abandoned for the zero pair).  ``residual_history`` holds
-    the run that was kept, ``iterations`` every step taken: two more than
-    that run's when it was restarted.
+    ``"restarted"`` (a coarse start abandoned for the zero pair, see
+    :func:`newton_solve`).  ``residual_history`` holds the run that was
+    kept, ``iterations`` every step taken, those of an abandoned coarse run
+    included.
 
     ``stiffness_definite`` is read only when the run did not converge (else
     ``None``): whether the diagonal pivots of ``K``'s factor are all
@@ -278,34 +278,18 @@ def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
                      options={"SymmetricMode": True})
 
 
-def spd_solve(matrix, context="SPD system"):
-    """Factorise a symmetric positive definite sparse matrix.
-
-    Returns a solve callable of an LU restricted to diagonal pivots, whose
-    positivity certifies definiteness.  Raises :class:`SolverError` when the
-    matrix is not SPD.
-    """
+def is_spd(matrix):
+    """True when the sparse matrix is symmetric positive definite: its LU
+    restricted to diagonal pivots exists and every pivot is positive."""
     a = sp.csc_matrix(matrix)
-    asym = abs(a - a.T).max()
     scale = abs(a).max()
-    if scale > 0 and asym > 1e-10 * scale:
-        raise SolverError(f"{context}: matrix is not symmetric")
+    if scale > 0 and abs(a - a.T).max() > 1e-10 * scale:
+        return False
     try:
         lu = _symmetric_lu(a)
-    except RuntimeError as exc:
-        raise SolverError(f"{context}: not positive definite") from exc
-    if np.any(lu.U.diagonal() <= 0.0):
-        raise SolverError(f"{context}: not positive definite")
-    return lu.solve
-
-
-def is_spd(matrix):
-    """True when the symmetric sparse matrix is positive definite."""
-    try:
-        spd_solve(matrix)
-    except SolverError:
+    except RuntimeError:
         return False
-    return True
+    return bool(np.all(lu.U.diagonal() > 0.0))
 
 
 class NewtonMatrix:
@@ -482,8 +466,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     them (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
     1759-1777; see :meth:`NewtonSystem.coarse_start`), with the factor of
     ``K`` and no GMRES.  When the first Newton step from that start does
-    not lower the residual, the run starts again from the zero pair
-    (``report.start`` says which start was taken).
+    not lower the residual, or the run takes ``maxit`` steps without
+    converging, it starts again from the zero pair (``report.start`` says
+    which start was taken).
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
@@ -504,10 +489,10 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     Returns
     -------
     (DiscreteSolution, NewtonReport)
-        ``report.converged`` is False when ``maxit`` steps were taken, and
-        then ``report.stiffness_definite`` says whether the pivots of
-        ``K``'s factor are all positive; linear solver failures raise
-        :class:`SolverError`.
+        ``report.converged`` is False when the run that was kept took
+        ``maxit`` steps, and then ``report.stiffness_definite`` says
+        whether the pivots of ``K``'s factor are all positive; linear
+        solver failures raise :class:`SolverError`.
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
@@ -535,7 +520,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     converged = False
     iterations = 0
     steps = 0  # of the current run, which starts at the zero pair
-    while iterations < maxit:
+    while steps < maxit:
         if steps == 0 and start == "coarse":
             delta = system.coarse_start(k_lu, coarse_hessian)
         else:
@@ -569,7 +554,8 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         if history[-1] <= stop:
             converged = True
             break
-        if start == "coarse" and steps == 2 and not history[2] < history[1]:
+        if start == "coarse" and (steps == maxit or (
+                steps == 2 and not history[2] < history[1])):
             start, steps = "restarted", 0
             psi, res, stop = zero_pair()
             del history[1:]

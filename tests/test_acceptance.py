@@ -20,7 +20,7 @@ from vkfem import (AdaptiveConfig, DiscreteSolution, assemble_biharmonic,
                    newton_solve, nvb_refine, shape_regularity,
                    two_triangle_square, uniform_refine, unified_h_norm,
                    unit_square_mesh)
-from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
+from vkfem.adaptivity import method_levels, uniform_levels
 from vkfem.analysis import discrete_norm
 from vkfem.femspace import EdgeBasis, ElementBasis, element_hessians
 from vkfem.problems import exact_square, lshape_problem, square_problem
@@ -70,16 +70,13 @@ def adaptive_studies():
         errors = {m: [] for m in METHODS}
         ndofs = {m: [] for m in METHODS}
         meshes = []
-        prev = {m: None for m in METHODS}
-        for state in adaptive_levels(problem, driver, config):
-            meshes.append(state.mesh)
-            for method in METHODS:
-                # solve_level raises SolverError when Newton does not converge
-                ours = state if method == driver else solve_level(
-                    state, method, problem, config, prev[method])
-                prev[method] = ours
-                errors[method].append(ours.record.error_total)
-                ndofs[method].append(ours.record.ndof)
+        # raises SolverError when Newton does not converge
+        for state in method_levels(problem, METHODS, config,
+                                   marked_by=driver):
+            if state.level == len(meshes):
+                meshes.append(state.mesh)
+            errors[state.solution.method].append(state.record.error_total)
+            ndofs[state.solution.method].append(state.record.ndof)
         out[driver] = {"errors": errors, "ndofs": ndofs, "meshes": meshes}
     return out
 

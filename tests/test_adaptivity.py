@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from vkfem import (AdaptiveConfig, DiscreteSolution, LocalEstimates,
+from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, LocalEstimates,
                    PenaltyConfig, SolverError, build_dofmap, dorfler_mark,
                    estimate, edge_rule, integrate_edge, nodal_interpolate,
                    uniform_refine)
-from vkfem.adaptivity import adaptive_levels, solve_level, uniform_levels
+from vkfem.adaptivity import adaptive_levels, method_levels, uniform_levels
 from vkfem.problems import lshape_problem, square_problem
 
 
@@ -204,8 +204,9 @@ def test_adaptive_cross_estimator(square0):
     # the dg estimator drives the refinement, morley is solved on its meshes
     prob = square_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
-    records = [solve_level(s, "morley", prob, config).record
-               for s in adaptive_levels(prob, "dg", config)]
+    records = [s.record for s in method_levels(prob, ["morley", "dg"], config,
+                                               marked_by="dg")
+               if s.solution.method == "morley"]
     assert len(records) == 2
     assert records[0].estimator_total > 0
 
@@ -236,14 +237,36 @@ def test_loads_are_evaluated_once_per_level():
     assert len(list(uniform_levels(problem, "dg", 2))) == 2
     assert calls == {"f": 2, "g": 2}
 
-    # the other methods, solved on the meshes another drives, reuse the
+    # the other methods, solved on the meshes another marks, reuse the
     # level's values
     problem, calls = _counting_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
-    for state in adaptive_levels(problem, "dg", config):
-        solve_level(state, "morley", problem, config)
-        solve_level(state, "c0ip", problem, config)
+    states = list(method_levels(problem, METHODS, config, marked_by="dg"))
+    assert [(s.level, s.solution.method) for s in states] == [
+        (level, method) for level in range(2) for method in METHODS]
     assert calls == {"f": 2, "g": 2}
+
+
+def test_a_three_method_run_computes_one_oscillation_per_mesh(monkeypatch):
+    from vkfem import adaptivity
+    problem, calls = _counting_problem()
+    meshes = []
+    real = adaptivity.oscillation
+
+    def counted(load, mesh):
+        meshes.append(mesh)
+        return real(load, mesh)
+
+    monkeypatch.setattr(adaptivity, "oscillation", counted)
+    config = AdaptiveConfig(theta=0.5, max_levels=3)
+    states = list(method_levels(problem, METHODS, config, marked_by="c0ip"))
+    assert len(states) == 9
+    levels = [states[k].mesh for k in range(0, 9, 3)]
+    assert all(s.mesh is levels[s.level] for s in states)
+    # one per load per mesh: osc f and osc g
+    assert [id(m) for m in meshes] == [id(m) for m in levels for _ in "fg"]
+    assert calls == {"f": 3, "g": 3}
+    assert len({s.record.oscillation for s in states[:3]}) == 1
 
 
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
@@ -278,20 +301,60 @@ def test_each_dofmap_builds_its_bases_once(monkeypatch, method):
         assert all(any(b is d.basis for d in dofmaps) for b in edge)
 
 
-def test_solve_level_matches_the_methods_own_loop():
+def test_a_three_method_uniform_run_matches_each_methods_own_loop():
     problem = square_problem()
     config = AdaptiveConfig(max_levels=2)
-    own = [s.record for s in uniform_levels(problem, "c0ip", 2, config)]
-    prev = None
-    for state, expected in zip(uniform_levels(problem, "morley", 2, config),
-                               own):
-        other = solve_level(state, "c0ip", problem, config, prev)
-        assert other.mesh is state.mesh and other.loads is state.loads
-        assert other.solution.method == "c0ip"
-        # field by field, with the NaN rate of the first level equal to itself
-        np.testing.assert_array_equal(dataclasses.astuple(other.record),
+    merged = list(method_levels(problem, METHODS, config))
+    for method in METHODS:
+        own = [s.record for s in uniform_levels(problem, method, 2, config)]
+        ours = [s for s in merged if s.solution.method == method]
+        assert [s.level for s in ours] == [0, 1]
+        # field by field, with the NaN rate of the first level equal to
+        # itself
+        for state, expected in zip(ours, own):
+            np.testing.assert_array_equal(dataclasses.astuple(state.record),
+                                          dataclasses.astuple(expected))
+    # the methods of a level share its mesh and loads
+    for level in merged[::3]:
+        same = [s for s in merged if s.level == level.level]
+        assert all(s.mesh is level.mesh and s.loads is level.loads
+                   for s in same)
+
+
+def test_a_run_marked_by_dg_records_dg_as_its_own_loop():
+    problem = lshape_problem()
+    config = AdaptiveConfig(theta=0.5, max_levels=4)
+    own = [s.record for s in adaptive_levels(problem, "dg", config)]
+    merged = [s.record for s in method_levels(problem, METHODS, config,
+                                              marked_by="dg")
+              if s.solution.method == "dg"]
+    assert len(merged) == len(own) == 4
+    for record, expected in zip(merged, own):
+        np.testing.assert_array_equal(dataclasses.astuple(record),
                                       dataclasses.astuple(expected))
-        prev = other
+
+
+def test_uniform_levels_takes_its_level_count_over_the_config(monkeypatch):
+    from vkfem import adaptivity
+    refinements = []
+    real = adaptivity.uniform_refine
+
+    def counted(mesh):
+        refinements.append(mesh)
+        return real(mesh)
+
+    monkeypatch.setattr(adaptivity, "uniform_refine", counted)
+    states = list(uniform_levels(square_problem(), "morley", 3,
+                                 AdaptiveConfig(max_levels=5)))
+    assert [s.level for s in states] == [0, 1, 2]
+    # nothing is refined after the last level
+    assert len(refinements) == 2
+
+
+def test_marked_by_must_be_a_solved_method():
+    with pytest.raises(ValueError, match="marked_by"):
+        next(method_levels(square_problem(), ["morley"], AdaptiveConfig(),
+                           marked_by="dg"))
 
 
 def lshape_without_shared_fields():
@@ -333,14 +396,16 @@ def test_lshape_level_evaluates_the_exact_fields_twice(field_passes, method):
 
 def test_second_method_on_a_level_evaluates_the_exact_fields_twice(
         field_passes):
-    # the loads are passed as values; the record evaluates the Hessians at
+    # the loads are the level's values; the record evaluates the Hessians at
     # the volume points and the traces at the edge points once each
     problem = lshape_problem()
     config = AdaptiveConfig(max_levels=1)
-    state = next(uniform_levels(problem, "morley", 1, config))
     expected = next(uniform_levels(lshape_problem(), "dg", 1, config)).record
+    levels = method_levels(problem, ["morley", "dg"], config)
+    next(levels)
     field_passes["n"] = 0
-    other = solve_level(state, "dg", problem, config)
+    other = next(levels)
+    assert other.solution.method == "dg"
     assert field_passes["n"] <= 2
     np.testing.assert_array_equal(dataclasses.astuple(other.record),
                                   dataclasses.astuple(expected))

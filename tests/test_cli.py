@@ -166,6 +166,32 @@ def test_solver_failure_keeps_partial_csv(tmp_path, monkeypatch):
     assert len(data) == 1  # the completed level survived
 
 
+def test_multi_method_failure_keeps_every_completed_row(tmp_path,
+                                                        monkeypatch):
+    # adaptive rows are written level by level as each method's state
+    # arrives: c0ip failing at level 1 keeps morley's level-1 row
+    out = tmp_path / "partial.csv"
+    import vkfem.adaptivity as adaptivity
+    real = adaptivity.newton_solve
+    c0ip_calls = {"n": 0}
+
+    def flaky(dofmap, *args, **kwargs):
+        if dofmap.method == "c0ip":
+            c0ip_calls["n"] += 1
+            if c0ip_calls["n"] == 2:
+                raise SolverError("synthetic failure")
+        return real(dofmap, *args, **kwargs)
+
+    monkeypatch.setattr(adaptivity, "newton_solve", flaky)
+    code = main(["--example", "lshape_adaptive", "--method", "all",
+                 "--levels", "3", "--out", str(out)])
+    assert code == 1
+    header, data = read_rows(out)
+    assert header == list(CSV_COLUMNS)
+    assert [(row[0], row[1]) for row in data] == [
+        ("morley", "0"), ("c0ip", "0"), ("dg", "0"), ("morley", "1")]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(example="square_analytic", theta=0.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vkfem import adaptivity
+from vkfem import adaptivity, build_dofmap, newton_solve
 from vkfem.adaptivity import AdaptiveConfig, adaptive_levels, uniform_levels
 from vkfem.analysis import ExactSolutionPair
 from vkfem.femspace import METHODS, bracket, element_hessians
@@ -107,3 +107,22 @@ def test_a_level_on_the_same_mesh_starts_from_identity_parents(monkeypatch):
     np.testing.assert_array_equal(
         given[2], element_hessians(states[1].solution.dofmap.basis,
                                    states[1].solution.u))
+
+
+def test_a_coarse_start_that_never_converges_restarts_from_zero(square2):
+    # synthetic coarse Hessians whose first Newton step lowers the residual
+    # (4.2e6 after the start, then 1.05e6) but whose run oscillates for all
+    # 50 steps; the zero start converges in 4
+    problem = square_problem()
+    dofmap = build_dofmap(square2, "morley")
+    loads = (problem.exact.f, problem.exact.g)
+    hess = np.tile([-300.0, -300.0, 0.0], (square2.n_triangles, 1))
+    psi, report = newton_solve(dofmap, loads, coarse_hessian=hess)
+    zero, zero_report = newton_solve(dofmap, loads)
+    assert zero_report.converged and zero_report.start == "zero"
+    assert report.converged and report.start == "restarted"
+    # both runs counted; the history is that of the zero run
+    assert report.iterations == 50 + zero_report.iterations
+    assert report.residual_history == zero_report.residual_history
+    np.testing.assert_array_equal(psi.u, zero.u)
+    np.testing.assert_array_equal(psi.v, zero.v)

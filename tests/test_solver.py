@@ -12,7 +12,7 @@ from vkfem import (DiscreteSolution, PenaltyConfig, SolverError,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
                    build_dofmap, build_topology,
                    error_norm, estimate, is_spd, linear_solve, newton_order,
-                   newton_solve, residual, spd_solve, uniform_refine)
+                   newton_solve, residual, uniform_refine)
 from vkfem import solver
 from vkfem.femspace import DofMap, element_hessians, load_values
 from vkfem.problems import exact_lshape, exact_square
@@ -67,15 +67,6 @@ def test_spd_detection():
                    [-1, 0, 1]).tocsc()
     assert is_spd(lap)
     assert not is_spd((lap - 4.0 * sp.identity(n)).tocsc())
-
-
-def test_spd_solve_solves():
-    rng = np.random.default_rng(13)
-    m = rng.standard_normal((40, 40))
-    a = sp.csr_matrix(m.T @ m + 40 * np.eye(40))
-    b = rng.standard_normal(40)
-    solve = spd_solve(a)
-    assert np.abs(a @ solve(b) - b).max() < 1e-9
 
 
 def test_newton_zero_loads_one_iteration(square1):
