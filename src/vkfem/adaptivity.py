@@ -228,25 +228,26 @@ def method_levels(problem, methods, config, marked_by=None):
     :class:`LevelState` is yielded as soon as it is recorded, in the order
     of ``methods``; each method's Newton run starts from its own previous
     level (see :func:`~vkfem.solver.newton_solve`).  ``marked_by=None``
-    refines uniformly (red); a method of ``methods`` refines by NVB the
-    elements Dörfler marks on its indicator, and the loop stops once its
-    level reaches ``config.max_ndof`` dofs.  There are at most
+    refines uniformly (red), and a method of ``methods`` refines by NVB the
+    elements Dörfler marks on its indicator.  The loop stops once the level
+    of the marking method, or of any method when refinement is uniform,
+    reaches ``config.max_ndof`` dofs.  There are at most
     ``config.max_levels`` levels, and nothing is refined after the last.
     Raises :class:`SolverError` when Newton does not converge.
     """
     if marked_by is not None and marked_by not in methods:
         raise ValueError(f"marked_by {marked_by!r} is not among the methods")
+    capped = methods if marked_by is None else [marked_by]
     mesh = problem.initial_mesh
     states = dict.fromkeys(methods)
     for level in range(config.max_levels):
+        if level and config.max_ndof is not None and any(
+                states[m].record.ndof >= config.max_ndof for m in capped):
+            return
         if level and marked_by is None:
             mesh = uniform_refine(mesh)
         elif level:
-            marker = states[marked_by]
-            if config.max_ndof is not None \
-                    and marker.record.ndof >= config.max_ndof:
-                return
-            mesh = nvb_refine(mesh, dorfler_mark(marker.estimates,
+            mesh = nvb_refine(mesh, dorfler_mark(states[marked_by].estimates,
                                                  config.theta))
         loads = tuple(load_values(load, mesh)
                       for load in (problem.exact.f, problem.exact.g))
@@ -275,6 +276,6 @@ def uniform_levels(problem, method, levels, config=None):
     """Generator over ``levels`` meshes of a uniform (red) refinement
     hierarchy: :func:`method_levels` with ``config`` (default
     :class:`AdaptiveConfig`), whose ``max_levels`` is replaced by
-    ``levels``."""
+    ``levels``; it stops early once a level reaches ``max_ndof``."""
     config = replace(config or AdaptiveConfig(), max_levels=levels)
     yield from method_levels(problem, [method], config)

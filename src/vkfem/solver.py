@@ -6,9 +6,10 @@ sign between the two equations).  Newton steps never factor ``J``: each step
 factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
 by GMRES, preconditioned by the block upper triangle
 ``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
-per solve; it is also the block of the zero iterate, and of the first step
-of a run started from a coarse level (see :func:`newton_solve`), which
-solves with it and no GMRES.  Both blocks are factored in the column order
+per solve; it is also the block of the zero iterate, and the only factor of
+the first step of a run started from a coarse level, whose fixed-point
+sweeps make no GMRES iteration (see :func:`newton_solve`): such a run often
+ends after that step.  Both blocks are factored in the column order
 of the dof map: ``dg`` numbers its triangles in minimum-degree order and
 factors in that order as it stands, Morley and C0IP order by minimum degree
 on ``A^T + A``.  A step whose GMRES result fails the acceptance test of
@@ -59,7 +60,7 @@ from .assembly import (DiscreteSolution, _coupling_elements,
                        _element_structure, _sub_structure, _sum_into,
                        assemble_biharmonic, assemble_load,
                        assemble_trilinear_vector)
-from .femspace import bracket
+from .femspace import bracket, element_hessians
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
            "newton_solve", "residual", "newton_order"]
@@ -88,7 +89,8 @@ class NewtonReport:
     ``"restarted"`` (a coarse start abandoned for the zero pair, see
     :func:`newton_solve`).  ``residual_history`` holds the run that was
     kept, ``iterations`` every step taken, those of an abandoned coarse run
-    included.
+    included.  ``sweeps`` is the number of re-frozen solves that the start
+    step of a coarse run kept (0 for a zero start).
 
     ``stiffness_definite`` is read only when the run did not converge (else
     ``None``): whether the diagonal pivots of ``K``'s factor are all
@@ -98,6 +100,7 @@ class NewtonReport:
     converged: bool = False
     stiffness_definite: bool | None = None
     start: str = "zero"
+    sweeps: int = 0
 
 
 def _backward_error(res, x, anorm, bnorm):
@@ -344,7 +347,7 @@ class NewtonSystem:
     ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
     conversion, and neither does :meth:`coarse_start`, which builds the
     coupling block of a coarse level's Hessians for the first step of a run
-    that does not start from the zero pair.
+    that does not start from the zero pair, and for each of its sweeps.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -411,16 +414,19 @@ class NewtonSystem:
                               indices, indptr), shape=self.stiffness.shape)
 
     def coarse_start(self, k_lu, hess):
-        """The start ``(u_0, v_0)`` of a Newton run from the element Hessians
-        ``hess`` of a coarse ``u_H`` on this mesh, shape ``(nt, 3)``, and the
-        factor ``k_lu`` of ``K``, as one vector.
+        """The pair ``(u_0, v_0)``, as one vector, that solves the system
+        with the bracket ``[u, .]`` frozen at a field ``u_H`` given by its
+        element Hessians ``hess`` on this mesh, shape ``(nt, 3)``, with the
+        factor ``k_lu`` of ``K``.
 
-        It solves the system with the bracket ``[u, .]`` frozen at ``u_H``:
-        ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0 = L_f +
-        ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2) ([u_H, u_H],
-        phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two triangular solves
-        and no GMRES.  Only the broken-Hessian bracket sees ``u_H``, so its
-        kinks reach no jump or penalty term."""
+        It solves ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0
+        = L_f + ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2)
+        ([u_H, u_H], phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two
+        triangular solves and no GMRES.  ``u_H`` is a coarse level's ``u``
+        for the start of a Newton run, and the start's own ``u`` for each of
+        its sweeps (see :func:`newton_solve`).  Only the broken-Hessian
+        bracket sees ``u_H``, so its kinks reach no jump or penalty
+        term."""
         dofmap = self.dofmap
         basis = dofmap.basis
         rhs = self.load.copy()
@@ -465,7 +471,15 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     first step then solves the system with the bracket ``[u, .]`` frozen at
     them (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
     1759-1777; see :meth:`NewtonSystem.coarse_start`), with the factor of
-    ``K`` and no GMRES.  When the first Newton step from that start does
+    ``K`` and no GMRES.  The same step then sweeps, a fixed-point (Picard)
+    iteration on that factor: it freezes the bracket again at the element
+    Hessians of its current ``u`` and solves once more.  A sweep is kept
+    when it lowers the residual norm at least fourfold, and the first that
+    does not is dropped; the step stops there, at the stopping residual
+    (the run has then converged after one step, with ``K``'s factor as its
+    only factor) or after ``maxit`` sweeps.  The sweeps count as one
+    iteration and add one entry to ``residual_history``; ``report.sweeps``
+    counts the kept ones.  When the first Newton step from that start does
     not lower the residual, or the run takes ``maxit`` steps without
     converging, it starts again from the zero pair (``report.start`` says
     which start was taken).
@@ -518,11 +532,13 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     psi, res, stop = zero_pair()
     history = [float(np.linalg.norm(res))]
     converged = False
-    iterations = 0
+    iterations = sweeps = 0
     steps = 0  # of the current run, which starts at the zero pair
     while steps < maxit:
         if steps == 0 and start == "coarse":
-            delta = system.coarse_start(k_lu, coarse_hessian)
+            psi, res, stop, sweeps = _swept_start(system, k_lu,
+                                                  coarse_hessian, target,
+                                                  maxit)
         else:
             jac = system.step_matrix(psi)
             preconditioner = None
@@ -544,12 +560,12 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
                                  target=0.1 * stop)
             # free this step's block factor before the next step factors
             jac = preconditioner = a_lu = None
-        psi.u += delta[:n]
-        psi.v += delta[n:]
+            psi.u += delta[:n]
+            psi.v += delta[n:]
+            res = system.residual(psi)
+            stop = system.stopping_residual(psi, target)
         iterations += 1
         steps += 1
-        res = system.residual(psi)
-        stop = system.stopping_residual(psi, target)
         history.append(float(np.linalg.norm(res)))
         if history[-1] <= stop:
             converged = True
@@ -563,7 +579,34 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     if not converged:
         # no factor: a zero pivot stopped it, and that is not positive either
         definite = k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0))
-    return psi, NewtonReport(iterations, history, converged, definite, start)
+    return psi, NewtonReport(iterations, history, converged, definite, start,
+                             sweeps)
+
+
+def _swept_start(system, k_lu, hess, target, maxit):
+    """The start step of a Newton run from the coarse element Hessians
+    ``hess``, with its sweeps (see :func:`newton_solve`): the iterate, its
+    residual, its stopping residual and the number of sweeps kept.  Each
+    iterate's residual is evaluated once."""
+    dofmap = system.dofmap
+    n = dofmap.n_global
+
+    def solve(frozen):
+        x = system.coarse_start(k_lu, frozen)
+        psi = DiscreteSolution(dofmap, x[:n], x[n:])
+        res = system.residual(psi)
+        return psi, res, float(np.linalg.norm(res))
+    psi, res, norm = solve(hess)
+    stop = system.stopping_residual(psi, target)
+    sweeps = 0
+    while norm > stop and sweeps < maxit:
+        trial = solve(element_hessians(dofmap.basis, psi.u))
+        if not trial[2] <= 0.25 * norm:
+            break
+        psi, res, norm = trial
+        stop = system.stopping_residual(psi, target)
+        sweeps += 1
+    return psi, res, stop, sweeps
 
 
 def residual(psi, loads, penalty=None):

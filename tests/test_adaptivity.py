@@ -351,6 +351,21 @@ def test_uniform_levels_takes_its_level_count_over_the_config(monkeypatch):
     assert len(refinements) == 2
 
 
+def test_uniform_levels_stop_once_a_level_reaches_max_ndof():
+    # morley has 225 dofs on square level 2, dg 768: a uniform run stops
+    # there, as an adaptive one does, instead of refining to max_levels
+    config = AdaptiveConfig(max_levels=5, max_ndof=225)
+    states = list(uniform_levels(square_problem(), "morley", 5, config))
+    assert [s.record.ndof for s in states][-2:] == [49, 225]
+    assert [s.level for s in states] == [0, 1, 2]
+    # with several methods on one hierarchy, the first method to reach the
+    # cap stops it
+    states = list(method_levels(square_problem(), ["morley", "dg"],
+                                dataclasses.replace(config, max_ndof=500)))
+    assert [(s.level, s.solution.method, s.record.ndof) for s in states][-2:] \
+        == [(2, "morley", 225), (2, "dg", 768)]
+
+
 def test_marked_by_must_be_a_solved_method():
     with pytest.raises(ValueError, match="marked_by"):
         next(method_levels(square_problem(), ["morley"], AdaptiveConfig(),

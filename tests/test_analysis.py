@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from vkfem import (ConvergenceRecord, DiscreteSolution, ExactSolutionPair,
 from vkfem import analysis
 from vkfem.femspace import (VOLUME_RULE, EdgeBasis, edge_jumps,
                             gather_coefficients)
-from vkfem.problems import exact_square
+from vkfem.problems import exact_lshape, exact_square
 
 
 def quadratic_pair():
@@ -274,3 +276,31 @@ def test_vertex_jumps_extrapolate_the_rule_point_jumps(request, mesh_name):
         for g, w in zip(got, want):
             assert g.shape == w.shape == (mesh.n_edges, 2)
             assert np.abs(g - w).max() <= 1e-13 * scale, method
+
+
+#: tracemalloc peak of the Morley error_norm below, on the uniform L-shape at
+#: level 4 (1,536 triangles): 14.65 MiB (measured), dominated by the
+#: temporaries of the closed-form singular fields
+ERROR_NORM_PEAK_BOUND = 15.4 * 2**20
+
+
+def test_error_norm_stays_within_its_memory_peak(lshape1):
+    mesh = lshape1
+    for _ in range(3):
+        mesh = uniform_refine(mesh)
+    dm = build_dofmap(mesh, "morley")
+    dm.basis, dm.edge_basis  # the level's, not the norm's
+    rng = np.random.default_rng(23)
+    psi = DiscreteSolution(dm, rng.standard_normal(dm.n_global),
+                           rng.standard_normal(dm.n_global))
+    exact = exact_lshape()
+    tracemalloc.start()
+    try:
+        # the norms the level loop records for Morley
+        errors = error_norm(psi, exact, ("h", "nc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_triangles == 1536
+    assert all(np.isfinite(e).all() for e in errors)
+    assert peak <= ERROR_NORM_PEAK_BOUND

@@ -63,6 +63,20 @@ def test_scaled_square_converges_on_every_level(method, amplitude, reports):
     assert {r.start for r in reports[1:]} <= {"coarse", "restarted"}
 
 
+@pytest.mark.parametrize("method, steps", [("morley", 22), ("c0ip", 18),
+                                           ("dg", 18)])
+def test_sweeps_leave_the_scaled_square_steps_as_they_were(method, steps,
+                                                          reports):
+    # at a = 10 the sweeps of the start step do not contract, so the start
+    # keeps at most one and the Newton steps over levels 0-3 stay those of
+    # the start without sweeps
+    problem = scaled_problem(square_problem(), 10.0)
+    list(uniform_levels(problem, method, 4))
+    assert all(report.converged for report in reports)
+    assert sum(report.iterations for report in reports) == steps
+    assert sum(report.sweeps for report in reports) <= 1
+
+
 def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
     # the adaptive L-shape (16 levels, theta 0.5) and the uniform square
     # (5 levels), each method on its own hierarchy
@@ -76,8 +90,9 @@ def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
     assert len(starts) == 3 * (16 + 5)
     assert starts.count("zero") == 6  # the first level of each hierarchy
     assert starts.count("coarse") == len(starts) - 6
-    # the zero start takes 196 steps on the L-shape hierarchies
-    assert lshape_steps < 196
+    # on the L-shape hierarchies zero starts take 196 steps, coarse starts
+    # without sweeps 166 and with them 81
+    assert lshape_steps < 100
 
 
 def test_a_level_on_the_same_mesh_starts_from_identity_parents(monkeypatch):

@@ -838,13 +838,9 @@ def test_coarse_start_solves_the_frozen_bracket_system(square2, method):
         assert np.abs(k @ x + cubic - rhs).max() <= 1e-12 * scale.max()
 
 
-@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
-def test_coarse_start_factors_once_per_step_and_reaches_the_solution(
-        square1, square2, monkeypatch, method):
-    loads = loads_of(exact_square())
-    coarse, _ = newton_solve(build_dofmap(square1, method), loads)
-    dm = build_dofmap(square2, method)
-    ref, report_ref = newton_solve(dm, loads)
+def tracked_factors_and_solves(monkeypatch):
+    """The matrices ``_symmetric_lu`` factors and the contexts of the
+    ``linear_solve`` calls, as Newton makes them."""
     real_lu, real_solve = solver._symmetric_lu, solver.linear_solve
     factored, solved = [], []
 
@@ -857,10 +853,46 @@ def test_coarse_start_factors_once_per_step_and_reaches_the_solution(
         return real_solve(*args, **kwargs)
     monkeypatch.setattr(solver, "_symmetric_lu", tracked_lu)
     monkeypatch.setattr(solver, "linear_solve", tracked_solve)
+    return factored, solved
+
+
+@pytest.mark.parametrize("method", ["c0ip", "dg"])
+def test_coarse_start_sweeps_reach_the_solution_on_k_factor_alone(
+        square1, square2, monkeypatch, method):
+    # at unit amplitude each sweep of the start step contracts the residual
+    # at least fourfold until it stops: the run ends after its start step,
+    # with K's factor as its only factor and no GMRES
+    loads = loads_of(exact_square())
+    coarse, _ = newton_solve(build_dofmap(square1, method), loads)
+    dm = build_dofmap(square2, method)
+    ref, report_ref = newton_solve(dm, loads)
+    factored, solved = tracked_factors_and_solves(monkeypatch)
+    psi, report = newton_solve(dm, loads,
+                               coarse_hessian=coarse_hessian(square2, coarse))
+    assert report.converged and report.start == "coarse"
+    assert report.iterations == 1 and report.sweeps >= 1
+    assert len(factored) == 1
+    assert solved == []
+    assert len(report.residual_history) == 2
+    assert report_ref.iterations >= 3 and report_ref.sweeps == 0
+    assert_same_solution(psi, ref)
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_coarse_start_factors_once_per_step_and_reaches_the_solution(
+        square1, square2, monkeypatch, method):
+    # loads scaled by 10: the start step keeps no sweep or too few to stop,
+    # and Newton steps follow it
+    loads = scaled_loads(exact_square(), 10.0)
+    coarse, _ = newton_solve(build_dofmap(square1, method), loads)
+    dm = build_dofmap(square2, method)
+    ref, report_ref = newton_solve(dm, loads)
+    factored, solved = tracked_factors_and_solves(monkeypatch)
     psi, report = newton_solve(dm, loads,
                                coarse_hessian=coarse_hessian(square2, coarse))
     assert report.converged and report.start == "coarse"
     assert report_ref.start == "zero"
+    assert report.iterations >= 3
     # the first step solves with K's factor, and without GMRES
     assert len(factored) == report.iterations
     assert len(solved) == report.iterations - 1
@@ -871,14 +903,17 @@ def test_coarse_start_factors_once_per_step_and_reaches_the_solution(
 
 def test_coarse_start_restarts_from_zero_when_newton_does_not_descend(
         square2):
-    # Hessians far from the solution's: the first Newton step from this
-    # start raises the residual, and the run starts again from the zero pair
+    # Hessians far from the solution's: the first sweep of the start step
+    # does not contract the residual fourfold and is dropped, the first
+    # Newton step from the start raises the residual, and the run starts
+    # again from the zero pair (the sweeps repair the Hessians (0, 0, 100))
     dm = build_dofmap(square2, "morley")
     loads = loads_of(exact_square())
     ref, report_ref = newton_solve(dm, loads)
-    bad = np.tile([0.0, 0.0, 100.0], (square2.n_triangles, 1))
+    bad = np.tile([0.0, 0.0, -300.0], (square2.n_triangles, 1))
     psi, report = newton_solve(dm, loads, coarse_hessian=bad)
     assert report.start == "restarted" and report.converged
+    assert report.sweeps == 0
     # two steps were abandoned; the kept run is the zero start's
     assert report.iterations == report_ref.iterations + 2
     assert report.residual_history == report_ref.residual_history
