@@ -27,7 +27,7 @@ from .assembly import PenaltyConfig
 from .femspace import (EDGE_RULE, VOLUME_RULE, bracket, build_dofmap,
                        edge_jumps, element_hessians, load_values)
 from .mesh import nvb_refine, uniform_refine
-from .solver import SolverError, newton_solve
+from .solver import NewtonReport, SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
            "dorfler_mark", "method_levels", "adaptive_levels",
@@ -69,15 +69,17 @@ class AdaptiveConfig:
 class LevelState:
     """Everything produced on one level of a refinement loop.
 
-    ``loads`` holds the values of ``f`` and ``g`` at the rule points of
-    ``mesh``, evaluated once for the level and shared by every solve,
-    estimate and oscillation on it.
+    ``report`` is the :class:`~vkfem.solver.NewtonReport` of the level's
+    Newton run: its start, sweeps and steps.  ``loads`` holds the values of
+    ``f`` and ``g`` at the rule points of ``mesh``, evaluated once for the
+    level and shared by every solve, estimate and oscillation on it.
     """
     level: int
     mesh: object
     solution: object
     estimates: LocalEstimates
     record: ConvergenceRecord
+    report: NewtonReport
     loads: tuple = field(repr=False)
 
 
@@ -202,7 +204,7 @@ def _solve(level, mesh, method, config, loads, prev):
                       f"{penalty.sigma_ip:g}, sigma_dg {penalty.sigma_dg:g})")
         raise SolverError(f"Newton did not converge at level {level} "
                           f"({method}, {dofmap.n_global} dofs){reason}")
-    return psi
+    return psi, report
 
 
 def _record(level, psi, exact, eta_total, osc, prev):
@@ -255,11 +257,12 @@ def method_levels(problem, methods, config, marked_by=None):
                              oscillation(loads[1], mesh)))
         for method in methods:
             prev = states[method]
-            psi = _solve(level, mesh, method, config, loads, prev)
+            psi, report = _solve(level, mesh, method, config, loads, prev)
             eta = estimate(psi, loads)
             record = _record(level, psi, problem.exact, eta.total, osc,
                              None if prev is None else prev.record)
-            states[method] = LevelState(level, mesh, psi, eta, record, loads)
+            states[method] = LevelState(level, mesh, psi, eta, record,
+                                        report, loads)
             yield states[method]
 
 

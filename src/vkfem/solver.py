@@ -2,48 +2,44 @@
 
 The Newton matrix ``J = [[K + M_v, M_u], [-M_u, K]]`` couples the two
 unknowns antisymmetrically (the direction of the quadratic coupling flips
-sign between the two equations).  Newton steps never factor ``J``: each step
-factors only its n x n top-left block ``A = K + M_v`` and solves with ``J``
-by GMRES, preconditioned by the block upper triangle
-``P = [[A, M_u], [0, K]]``.  The biharmonic operator ``K`` is factored once
-per solve; it is also the block of the zero iterate, and the only factor of
-the first step of a run started from a coarse level, whose fixed-point
-sweeps make no GMRES iteration (see :func:`newton_solve`): such a run often
-ends after that step.  Both blocks are factored in the column order
-of the dof map: ``dg`` numbers its triangles in minimum-degree order and
-factors in that order as it stands, Morley and C0IP order by minimum degree
-on ``A^T + A``.  A step whose GMRES result fails the acceptance test of
-:func:`linear_solve`, or whose block does not factorise, is solved by sparse
-LU on ``J`` instead.  Coercivity checks
-(:func:`is_spd`) factor ``K`` by the same diagonal-pivot LU as the
-blocks and read its definiteness from the signs of the pivots; a Newton run
-that does not converge reads them from the factor of ``K`` it holds.
+sign between the two equations).  Newton steps never factor ``J``.  The
+biharmonic operator ``K`` is factored once per solve, and every run's first
+step is the start solve on that factor alone, from a coarse level's
+Hessians or from zero Hessians (then it is the exact first Newton step),
+with no GMRES; a coarse start's fixed-point sweeps often end the run in
+that step (see :func:`newton_solve`).  Each further step factors only its
+n x n top-left block ``A = K + M_v`` and solves with ``J`` by GMRES,
+preconditioned by the block upper triangle ``P = [[A, M_u], [0, K]]``.
+Both blocks are factored in the column order of the dof map: ``dg`` numbers
+its triangles in minimum-degree order and factors in that order as it
+stands, Morley and C0IP order by minimum degree on ``A^T + A``.  A step
+whose GMRES result fails the acceptance test of :func:`linear_solve`, or
+whose block does not factorise, is solved by sparse LU on ``J`` instead.
+Coercivity checks (:func:`is_spd`) factor ``K`` by the same diagonal-pivot
+LU as the blocks and read its definiteness from the signs of the pivots; a
+Newton run that does not converge reads them from the factor of ``K`` it
+holds.
 
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869) is
-the in-house cycle :func:`_gmres_cycle` on plain arrays: at most 40
+one in-house cycle :func:`_gmres_cycle` on plain arrays: at most 40
 iterations from a zero start, which costs no operator application, with a
 Krylov basis that grows by one vector per iteration.  It is preconditioned
 on the right and the solve starts at ``x0 = P^{-1} b``, so the residual it
 minimises is the step's own; ``x0`` is returned without a cycle when it
-passes the acceptance test (at the zero iterate it is the exact step).  A
-cycle stops at the loosest residual that both passes the backward-error
-acceptance test and cannot delay Newton: the larger of ``1e-10 ||b||`` and
-the smaller of half the backward-error bound ``1e-10 (||J|| ||x|| +
-||b||)``, with ``||x||`` estimated at the start of each of at most two
-cycles, and a tenth of the residual at which Newton stops (see
-:func:`linear_solve`).
+passes the acceptance test.  The cycle stops at the loosest residual that
+both passes the backward-error acceptance test and cannot delay Newton: the
+larger of ``1e-10 ||b||`` and the smaller of half the backward-error bound
+``1e-10 (||J|| ||x0|| + ||b||)`` and a tenth of the residual at which Newton
+stops (see :func:`linear_solve`).
 
-A step rebuilds nothing that only depends on the mesh.  The structure of
-``K`` holds every pair of dofs that share a triangle, and the data slot of
-every element-local entry in it comes from the one structure the dof map's
-assembly of ``K`` built; each step sums the element matrices of ``M_v`` and
-``M_u`` into those slots (one ``bincount`` each), so ``A`` is built on
+A step rebuilds nothing that only depends on the mesh: it sums the element
+matrices of ``M_v`` and ``M_u`` into the element slots of ``K``'s structure
+(one ``bincount`` each, see :class:`NewtonSystem`), so ``A`` is built on
 ``K``'s index arrays and reaches the factorisation in CSC with no format
 conversion.  The step keeps one copy of ``A``, without the stored zeros
 where entries cancel: GMRES applies it and the step factors it.  GMRES
 applies ``J`` block by block, with the row sums of ``|K|`` taken once per
-solve for its norm, and ``J`` is assembled as one matrix only for the
-sparse-LU fallback.
+solve for its norm, and ``J`` is assembled only for the sparse-LU fallback.
 """
 
 from __future__ import annotations
@@ -66,11 +62,9 @@ __all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
            "newton_solve", "residual", "newton_order"]
 
 # GMRES on the preconditioned Newton matrix: the relative residual it may
-# always aim for (the LU path's target), the restart length and the number
-# of cycles
+# always aim for (the LU path's target) and the length of its one cycle
 _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 40
-_GMRES_CYCLES = 2
 # the rounding floor of the residual is this times || |K| |u|, |K| |v| ||
 # plus the load scale
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
@@ -90,7 +84,7 @@ class NewtonReport:
     :func:`newton_solve`).  ``residual_history`` holds the run that was
     kept, ``iterations`` every step taken, those of an abandoned coarse run
     included.  ``sweeps`` is the number of re-frozen solves that the start
-    step of a coarse run kept (0 for a zero start).
+    step of the kept run kept (0 for a zero start and after a restart).
 
     ``stiffness_definite`` is read only when the run did not converge (else
     ``None``): whether the diagonal pivots of ``K``'s factor are all
@@ -110,96 +104,77 @@ def _backward_error(res, x, anorm, bnorm):
     return np.linalg.norm(res) / (anorm * np.linalg.norm(x) + bnorm)
 
 
-def linear_solve(matrix, rhs, context="linear system", preconditioner=None,
+def linear_solve(jac, rhs, context="linear system", preconditioner=None,
                  target=None):
-    """Solve a sparse square system, verifying the residual.
+    """Solve one Newton step ``J x = rhs``, verifying the residual.
 
-    ``matrix`` is a sparse matrix, or the :class:`NewtonMatrix` of a Newton
-    step, which GMRES applies block by block and which is assembled only
-    when the system goes to sparse LU.  With a ``preconditioner`` (an
-    approximate inverse ``P^{-1}`` of ``matrix`` that supports ``@``: a
-    sparse matrix, a ``LinearOperator`` or the block-triangular inverse of a
-    Newton step) the system is first solved by GMRES, preconditioned on the
-    right and started at ``x0 = P^{-1} b``, in at most two cycles of
-    :func:`_gmres_cycle` (at most 40 iterations each).  A cycle starting at
-    ``x`` stops once the residual ``||Ax - b||`` is at most the larger of
-    ``1e-10 ||b||`` and the smaller of
+    ``jac`` is the step's :class:`NewtonMatrix`.  With a ``preconditioner``
+    (the step's block-triangular ``P^{-1}``), ``x0 = P^{-1} b`` is returned
+    when it passes the acceptance test below; otherwise one cycle of
+    :func:`_gmres_cycle`, preconditioned on the right, starts from it and
+    stops once ``||Jx - b||`` is at most the larger of ``1e-10 ||b||`` and
+    the smaller of half the backward-error bound ``1e-10 (||J|| ||x0|| +
+    ||b||)`` and the caller's residual ``target`` (``None``: none; Newton
+    sets a tenth of the residual at which it stops).  When the cycle's
+    result fails the test, and always without a preconditioner, the system
+    is solved by sparse LU on the assembled ``J`` (COLAMD ordering), with
+    iterative refinement to ``1e-10 ||b||`` where the conditioning allows.
 
-    * half the backward-error bound ``1e-10 (||A|| ||x|| + ||b||)`` of the
-      acceptance test below, ``x`` standing in for the solution, and
-    * the caller's residual ``target`` (``None``: none), which a Newton
-      step sets to a tenth of the residual at which Newton stops.
-
-    The first result that is finite and passes the acceptance test is
-    returned, ``x0`` included, which then costs no cycle; the second cycle
-    starts from the first one's result, whose norm may be far from that of
-    ``x0``.  Otherwise, and always without a preconditioner, the system is
-    solved by sparse LU (COLAMD ordering), whose iterative refinement
-    drives the residual to ``1e-10 * ||b||`` when the conditioning allows
-    it.
-
-    The acceptance test is a normwise backward error of at most ``1e-10``
-    (``||Ax-b|| <= 1e-10 (||A|| ||x|| + ||b||)``), which every residual below
-    ``1e-10 * ||b||`` meets: the sharpest contract double precision supports
-    for fourth-order stiffness matrices.  An LU solution failing it, or a
-    singular or badly failing factorisation, raises :class:`SolverError`
-    naming the context.
+    The acceptance test is a finite ``x`` with a normwise backward error
+    ``||Jx-b|| / (||J|| ||x|| + ||b||)`` of at most ``1e-10``, which every
+    residual below ``1e-10 ||b||`` meets: the sharpest contract double
+    precision supports for fourth-order stiffness matrices.  An LU solution
+    failing it, a failing factorisation, or an ``rhs`` whose length is not
+    ``J``'s raises :class:`SolverError` naming the context.
     """
     rhs = np.asarray(rhs, dtype=float)
-    blocks = isinstance(matrix, NewtonMatrix)
-    a = matrix if blocks else sp.csc_matrix(matrix)
-    if a.shape[0] != a.shape[1] or a.shape[0] != len(rhs):
-        raise SolverError(f"{context}: non-square system or shape mismatch")
+    if jac.shape[0] != len(rhs):
+        raise SolverError(f"{context}: shape mismatch")
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros_like(rhs)
-    anorm = a.norm_inf() if blocks else float(_abs_row_sums(a).max())
-    if preconditioner is not None:
-        # on the right, GMRES minimises the residual of x + P^{-1} y itself,
-        # so a cycle stops where that residual meets its aim
-        limit = np.inf if target is None else target
+    anorm = jac.norm_inf()
 
-        def right(v):
-            return a @ (preconditioner @ v)
+    def accepted(res, x):
+        return (np.all(np.isfinite(x))
+                and _backward_error(res, x, anorm, bnorm) <= 1e-10)
+    if preconditioner is not None:
         x = preconditioner @ rhs
-        res = rhs - a @ x
-        if (np.all(np.isfinite(x))
-                and _backward_error(res, x, anorm, bnorm) <= 1e-10):
+        res = rhs - jac @ x
+        if accepted(res, x):
             return x
-        for _ in range(_GMRES_CYCLES):
-            aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm), limit)
-            y = _gmres_cycle(right, res, max(_GMRES_RTOL * bnorm, aim),
-                             _GMRES_RESTART)
-            if y.any():
-                x = x + preconditioner @ y
-                res = rhs - a @ x
-            if not np.all(np.isfinite(x)):
-                break
-            if _backward_error(res, x, anorm, bnorm) <= 1e-10:
-                return x
+        # on the right, GMRES minimises the residual of x + P^{-1} y itself,
+        # so the cycle stops where that residual meets its aim
+        aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm),
+                  np.inf if target is None else target)
+        x = x + preconditioner @ _gmres_cycle(
+            lambda v: jac @ (preconditioner @ v), res,
+            max(_GMRES_RTOL * bnorm, aim))
+        if accepted(rhs - jac @ x, x):
+            return x
     try:
-        lu = spla.splu(a.tocsc())
+        lu = spla.splu(jac.tocsc())
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"{context}: factorisation failed ({exc})") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{context}: singular matrix")
     for _ in range(8):
-        res = rhs - a @ x
+        res = rhs - jac @ x
         if np.linalg.norm(res) <= 1e-10 * bnorm:
             return x
         x = x + lu.solve(res)
-    backward = _backward_error(rhs - a @ x, x, anorm, bnorm)
+    backward = _backward_error(rhs - jac @ x, x, anorm, bnorm)
     if backward > 1e-10:
         raise SolverError(
             f"{context}: backward error {backward:.3e} exceeds 1e-10")
     return x
 
 
-def _gmres_cycle(apply, r, atol, maxiter):
+def _gmres_cycle(apply, r, atol):
     """One GMRES cycle for ``apply(y) = r`` from ``y = 0``: the ``y`` of the
-    Krylov space of at most ``maxiter`` iterations that minimises
-    ``||r - apply(y)||``.
+    Krylov space of at most 40 iterations (``_GMRES_RESTART``) that
+    minimises ``||r - apply(y)||``.
 
     The zero start costs no call of ``apply``, and with ``||r|| <= atol``
     the cycle makes none.  Each iteration orthogonalises the new vector
@@ -214,13 +189,14 @@ def _gmres_cycle(apply, r, atol, maxiter):
     beta = np.linalg.norm(r)
     if beta <= atol:
         return np.zeros_like(r)
+    m = _GMRES_RESTART
     basis = (r / beta)[None, :]
-    rotated = np.zeros((maxiter, maxiter))  # R of the rotated Hessenberg
-    cos, sin = np.zeros(maxiter), np.zeros(maxiter)
-    g = np.zeros(maxiter + 1)  # the rotated beta e_1
+    rotated = np.zeros((m, m))  # R of the rotated Hessenberg
+    cos, sin = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)  # the rotated beta e_1
     g[0] = beta
     eps = np.finfo(float).eps
-    for k in range(maxiter):
+    for k in range(m):
         if k:
             basis = np.vstack([basis, w / h_next])
         w = apply(basis[k])
@@ -300,7 +276,7 @@ class NewtonMatrix:
     its n x n CSC blocks ``a`` (``K + M_v`` without stored zeros, as it is
     factored), ``m_u`` and ``k``.
 
-    ``J @ x`` applies it block by block, to a vector or to columns;
+    ``J @ x`` applies it block by block to a vector;
     :func:`linear_solve` takes its infinity norm from the blocks' row sums
     (those of ``|K|``, ``k_row_sums``, are the system's) and assembles ``J``
     (``tocsc``) only for the sparse-LU fallback.
@@ -315,12 +291,10 @@ class NewtonMatrix:
     def __matmul__(self, x):
         n = self.k.shape[0]
         x1, x2 = x[:n], x[n:]
-        # M_u applied once, to the columns of x2 and -x1 side by side
+        # M_u applied once, to x2 and -x1 side by side
         m_u_x = self.m_u @ np.column_stack([x2, -x1])
-        half = m_u_x.shape[1] // 2
-        m_u_x2 = m_u_x[:, :half].reshape(x1.shape)
-        m_u_x1 = m_u_x[:, half:].reshape(x2.shape)
-        return np.concatenate([self.a @ x1 + m_u_x2, self.k @ x2 + m_u_x1])
+        return np.concatenate([self.a @ x1 + m_u_x[:, 0],
+                               self.k @ x2 + m_u_x[:, 1]])
 
     def norm_inf(self):
         """The induced infinity norm of ``J``."""
@@ -346,8 +320,8 @@ class NewtonSystem:
     on the element pairs, through the element slots that the assembly of
     ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
     conversion, and neither does :meth:`coarse_start`, which builds the
-    coupling block of a coarse level's Hessians for the first step of a run
-    that does not start from the zero pair, and for each of its sweeps.
+    coupling block of frozen Hessians for every run's start solve and its
+    sweeps.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -422,11 +396,11 @@ class NewtonSystem:
         It solves ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0
         = L_f + ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2)
         ([u_H, u_H], phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two
-        triangular solves and no GMRES.  ``u_H`` is a coarse level's ``u``
-        for the start of a Newton run, and the start's own ``u`` for each of
-        its sweeps (see :func:`newton_solve`).  Only the broken-Hessian
-        bracket sees ``u_H``, so its kinks reach no jump or penalty
-        term."""
+        triangular solves and no GMRES.  ``u_H`` is a coarse level's ``u``,
+        or zero, for the start of a Newton run, and the start's own ``u``
+        for each of its sweeps (see :func:`newton_solve`).  Only the
+        broken-Hessian bracket sees ``u_H``, so its kinks reach no jump or
+        penalty term."""
         dofmap = self.dofmap
         basis = dofmap.basis
         rhs = self.load.copy()
@@ -463,42 +437,38 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
 
-    Without ``coarse_hessian`` the iteration starts from the zero pair,
-    whose first Newton step is exactly the decoupled linear biharmonic
-    solve.  ``coarse_hessian`` holds the element Hessians ``(xx, yy, xy)``
-    of ``u`` of a coarser solution of the same problem, one row per triangle
-    of this mesh (the Hessian of the coarse triangle that contains it); the
-    first step then solves the system with the bracket ``[u, .]`` frozen at
-    them (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
-    1759-1777; see :meth:`NewtonSystem.coarse_start`), with the factor of
-    ``K`` and no GMRES.  The same step then sweeps, a fixed-point (Picard)
-    iteration on that factor: it freezes the bracket again at the element
-    Hessians of its current ``u`` and solves once more.  A sweep is kept
-    when it lowers the residual norm at least fourfold, and the first that
-    does not is dropped; the step stops there, at the stopping residual
-    (the run has then converged after one step, with ``K``'s factor as its
-    only factor) or after ``maxit`` sweeps.  The sweeps count as one
-    iteration and add one entry to ``residual_history``; ``report.sweeps``
-    counts the kept ones.  When the first Newton step from that start does
-    not lower the residual, or the run takes ``maxit`` steps without
-    converging, it starts again from the zero pair (``report.start`` says
-    which start was taken).
+    Every run's first step is the start solve on ``K``'s factor, with no
+    GMRES: the system with the bracket ``[u, .]`` frozen at given element
+    Hessians (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
+    1759-1777; see :meth:`NewtonSystem.coarse_start`).  ``coarse_hessian``
+    holds the Hessians ``(xx, yy, xy)`` of ``u`` of a coarser solution of
+    the same problem, one row per triangle of this mesh (that of the coarse
+    triangle containing it); without it they are zero, and the start solve
+    is the exact first Newton step from the zero pair.  From coarse
+    Hessians the step then sweeps, a fixed-point (Picard) iteration on that
+    factor: it freezes the bracket again at its own ``u`` and solves once
+    more.  A sweep is kept when it lowers the residual norm at least
+    fourfold, and the first that does not is dropped; the step stops there,
+    at the stopping residual or after ``maxit`` sweeps, and counts as one
+    iteration (``report.sweeps`` counts the kept sweeps).  A coarse run is
+    abandoned for the zero start (``report.start`` reads ``"restarted"``)
+    when its first Newton step does not lower the residual, at the first
+    step whose residual is not finite or whose linear solve raises
+    :class:`SolverError`, or after ``maxit`` steps without converging.
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
-    current iterate).  A step factors only the block ``A = K + M_v`` (at the
-    zero iterate ``A = K``, whose factor is kept for all steps and is the
-    only factor of a first step) and passes :func:`linear_solve` the
-    preconditioner ``P = [[A, M_u], [0, K]]``, whose inverse costs two
-    triangular solves and one product with ``M_u``, and the residual
-    target of a tenth of the residual at which the iteration stops (see
-    below), so that no step's linear residual delays it.  When ``A`` does not
-    factorise, or GMRES fails the acceptance test of :func:`linear_solve`,
-    the step is solved by sparse LU on ``J``.  Convergence means the
-    residual norm falls below ``tol * max(1, ||load||)`` or below the
-    attainable floating-point floor of the residual evaluation, whichever is
-    larger.  ``residual_history`` records the norms starting at the zero
-    iterate, so zero loads converge after one iteration.
+    current iterate).  It factors only the block ``A = K + M_v`` and passes
+    :func:`linear_solve` the preconditioner ``P = [[A, M_u], [0, K]]``, whose
+    inverse costs two triangular solves and one product with ``M_u``, and
+    the residual target of a tenth of the residual at which the iteration
+    stops, so that no step's linear residual delays it.  When ``A`` does not
+    factorise the step is solved by sparse LU on ``J``; when ``K`` does not,
+    the run starts from the zero pair and every step is.  Convergence means
+    the residual norm falls below ``tol * max(1, ||load||)`` or below the
+    attainable floating-point floor of the residual evaluation, whichever
+    is larger.  ``residual_history`` holds the norms of the kept run from
+    the zero iterate on, so zero loads converge after one iteration.
 
     Returns
     -------
@@ -506,7 +476,8 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         ``report.converged`` is False when the run that was kept took
         ``maxit`` steps, and then ``report.stiffness_definite`` says
         whether the pivots of ``K``'s factor are all positive; linear
-        solver failures raise :class:`SolverError`.
+        solver failures of a run that is not abandoned raise
+        :class:`SolverError`.
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
@@ -520,44 +491,43 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     order = dofmap.column_order
     try:
         k_lu = _symmetric_lu(system.stiffness, order)
-    except RuntimeError:  # then no step is preconditioned
+    except RuntimeError:  # then every step is solved by LU
         k_lu = None
-    # the coarse start solves with K's factor
+    # the start solves with K's factor
     start = "zero" if coarse_hessian is None or k_lu is None else "coarse"
-
-    def zero_pair():
-        psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
-        # the residual at the zero iterate
-        return psi, -system.load, system.stopping_residual(psi, target)
-    psi, res, stop = zero_pair()
+    # the zero pair, the start without K's factor (its LU steps read no stop)
+    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
+    res, stop = -system.load, target
     history = [float(np.linalg.norm(res))]
     converged = False
-    iterations = sweeps = 0
-    steps = 0  # of the current run, which starts at the zero pair
+    iterations = sweeps = steps = 0  # steps: of the current run
     while steps < maxit:
-        if steps == 0 and start == "coarse":
-            psi, res, stop, sweeps = _swept_start(system, k_lu,
-                                                  coarse_hessian, target,
-                                                  maxit)
+        if steps == 0 and k_lu is not None:
+            psi, res, stop, sweeps = _swept_start(
+                system, k_lu, coarse_hessian if start == "coarse" else None,
+                target, maxit)
         else:
             jac = system.step_matrix(psi)
             preconditioner = None
             if k_lu is not None:
                 try:
-                    # at the zero iterate the block is K itself
-                    a_lu = k_lu if steps == 0 else _symmetric_lu(jac.a,
-                                                                 order)
+                    a_lu = _symmetric_lu(jac.a, order)
                 except RuntimeError:
                     pass
                 else:
                     preconditioner = _BlockTriangularInverse(a_lu, k_lu,
                                                              jac.m_u)
-            # a tenth of the residual at which the iteration stops: a step
-            # solved that far cannot delay convergence
-            delta = linear_solve(jac, -res,
-                                 context=f"Newton step {iterations}, {label}",
-                                 preconditioner=preconditioner,
-                                 target=0.1 * stop)
+            try:
+                # a tenth of the residual at which the iteration stops: a
+                # step solved that far cannot delay convergence
+                delta = linear_solve(
+                    jac, -res, context=f"Newton step {iterations}, {label}",
+                    preconditioner=preconditioner, target=0.1 * stop)
+            except SolverError:
+                if start != "coarse":
+                    raise
+                # a non-finite residual, which abandons the run below
+                delta = np.full(2 * n, np.nan)
             # free this step's block factor before the next step factors
             jac = preconditioner = a_lu = None
             psi.u += delta[:n]
@@ -570,10 +540,10 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         if history[-1] <= stop:
             converged = True
             break
-        if start == "coarse" and (steps == maxit or (
-                steps == 2 and not history[2] < history[1])):
+        if start == "coarse" and (
+                steps == maxit or not np.isfinite(history[-1])
+                or (steps == 2 and not history[2] < history[1])):
             start, steps = "restarted", 0
-            psi, res, stop = zero_pair()
             del history[1:]
     definite = None
     if not converged:
@@ -584,12 +554,15 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
 
 
 def _swept_start(system, k_lu, hess, target, maxit):
-    """The start step of a Newton run from the coarse element Hessians
-    ``hess``, with its sweeps (see :func:`newton_solve`): the iterate, its
-    residual, its stopping residual and the number of sweeps kept.  Each
-    iterate's residual is evaluated once."""
+    """The start step of a Newton run from the element Hessians ``hess``
+    with at most ``maxit`` sweeps, or from zero Hessians with none (``hess``
+    ``None``; see :func:`newton_solve`): the iterate, its residual, its
+    stopping residual and the number of sweeps kept.  Each iterate's
+    residual is evaluated once."""
     dofmap = system.dofmap
     n = dofmap.n_global
+    if hess is None:  # the exact first Newton step from the zero pair
+        hess, maxit = np.zeros((dofmap.mesh.n_triangles, 3)), 0
 
     def solve(frozen):
         x = system.coarse_start(k_lu, frozen)

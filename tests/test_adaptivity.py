@@ -351,6 +351,18 @@ def test_uniform_levels_takes_its_level_count_over_the_config(monkeypatch):
     assert len(refinements) == 2
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_each_level_keeps_its_newton_report(method):
+    # level 0 starts from the zero pair, every later level from the coarse
+    # level's Hessians; each state keeps the report of its own run
+    states = list(uniform_levels(square_problem(), method, 4))
+    reports = [s.report for s in states]
+    assert [r.start for r in reports] == ["zero", "coarse", "coarse", "coarse"]
+    assert all(r.converged for r in reports)
+    assert reports[0].sweeps == 0
+    assert len({id(r) for r in reports}) == 4
+
+
 def test_uniform_levels_stop_once_a_level_reaches_max_ndof():
     # morley has 225 dofs on square level 2, dg 768: a uniform run stops
     # there, as an adaptive one does, instead of refining to max_levels

@@ -141,3 +141,23 @@ def test_a_coarse_start_that_never_converges_restarts_from_zero(square2):
     assert report.residual_history == zero_report.residual_history
     np.testing.assert_array_equal(psi.u, zero.u)
     np.testing.assert_array_equal(psi.v, zero.v)
+
+
+def test_a_coarse_run_whose_linear_solve_fails_restarts_from_zero(square2):
+    # synthetic coarse Hessians whose iterates grow until the linear solve of
+    # the 50th step fails its backward-error test; the run is abandoned there
+    # for the zero start, which converges in 4 steps
+    problem = square_problem()
+    dofmap = build_dofmap(square2, "morley")
+    loads = (problem.exact.f, problem.exact.g)
+    hess = np.tile([1000.0, 1000.0, 0.0], (square2.n_triangles, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi, report = newton_solve(dofmap, loads, coarse_hessian=hess)
+    zero, zero_report = newton_solve(dofmap, loads)
+    assert zero_report.converged and zero_report.iterations == 4
+    assert report.converged and report.start == "restarted"
+    assert report.iterations == 50 + zero_report.iterations
+    assert report.sweeps == 0
+    assert report.residual_history == zero_report.residual_history
+    np.testing.assert_array_equal(psi.u, zero.u)
+    np.testing.assert_array_equal(psi.v, zero.v)
