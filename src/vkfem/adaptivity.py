@@ -109,10 +109,13 @@ def estimate(psi, loads):
     interior = ~mesh.edge_on_boundary
     tri0, tri1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
 
-    def attribute(term):
-        share = np.where(interior, 0.5, 1.0) * term
-        np.add.at(eta2, tri0, share)
-        np.add.at(eta2, tri1[interior], 0.5 * term[interior])
+    def on_triangles(term):
+        # half to each side of an interior edge, all to a boundary edge's
+        return np.bincount(
+            np.concatenate([tri0, tri1[interior]]),
+            weights=np.concatenate([np.where(interior, 0.5, 1.0) * term,
+                                    0.5 * term[interior]]),
+            minlength=mesh.n_triangles)
 
     if method in ("morley", "c0ip"):
         # Hessian jumps are interior-only and constant along each edge
@@ -135,7 +138,7 @@ def estimate(psi, loads):
                 jnn = (jump[:, 0] * nu[:, 0]**2 + jump[:, 1] * nu[:, 1]**2
                        + 2.0 * jump[:, 2] * nu[:, 0] * nu[:, 1])
                 term += h**2 * jnn**2
-        attribute(term)
+        eta2 += on_triangles(term)
 
     if method in ("c0ip", "dg"):
         w = EDGE_RULE.weights
@@ -146,7 +149,7 @@ def estimate(psi, loads):
             term += grad2  # h^-1 * h * sum(w |jump|^2)
             if method == "dg":
                 term += (vj**2 @ w) / h**2
-        attribute(term)
+        eta2 += on_triangles(term)
 
     return LocalEstimates(np.maximum(eta2, 0.0), method)
 

@@ -137,6 +137,16 @@ def _sum_into(slots, local, nnz):
                        minlength=nnz + 1)[:nnz]
 
 
+def _scatter(dofmap, local):
+    """Element entries ``local``, shape ``(nt, 6)``, summed into the free dofs
+    of the dof map, one ``bincount``: a vector of ``n_global`` entries
+    (constrained dofs, ``-1``, dropped)."""
+    n = dofmap.n_global
+    dofs = dofmap.element_dofs
+    return np.bincount(np.where(dofs < 0, n, dofs).ravel(),
+                       weights=local.ravel(), minlength=n + 1)[:n]
+
+
 def _sub_structure(indptr, indices, slots):
     """The part of a CSC structure that ``slots`` reach: its ``indptr``,
     ``indices`` and the slots in it (the structure's ``nnz`` goes to the
@@ -261,15 +271,12 @@ def assemble_load(f, g, dofmap):
     """
     basis = dofmap.basis
     phi = basis.values(VOLUME_RULE.points[:, 1:])
-    out = np.zeros(2 * dofmap.n_global)
-    dofs = dofmap.element_dofs
-    keep = dofs >= 0
-    for block, load in enumerate((f, g)):
+    blocks = []
+    for load in (f, g):
         vals = load_values(load, dofmap.mesh)
-        local = basis.area[:, None] * (
-            (vals * VOLUME_RULE.weights)[:, None, :] @ phi)[:, 0]
-        np.add.at(out, block * dofmap.n_global + dofs[keep], local[keep])
-    return out
+        blocks.append(_scatter(dofmap, basis.area[:, None] * (
+            (vals * VOLUME_RULE.weights)[:, None, :] @ phi)[:, 0]))
+    return np.concatenate(blocks)
 
 
 def bracket_elements(dofmap, coef_a, coef_b):
@@ -295,17 +302,15 @@ def assemble_trilinear_vector(xi, theta):
         raise ValueError("operands must share one dof map")
     dofmap = xi.dofmap
     basis = dofmap.basis
-    br_12 = bracket_elements(dofmap, xi.u, theta.v)
-    br_21 = bracket_elements(dofmap, xi.v, theta.u)
-    br_11 = bracket_elements(dofmap, xi.u, theta.u)
-    local1 = _cubic_form_scalar(basis, br_12 + br_21)
-    local2 = -_cubic_form_scalar(basis, br_11)
-    out = np.zeros(2 * dofmap.n_global)
-    dofs = dofmap.element_dofs
-    keep = dofs >= 0
-    np.add.at(out, dofs[keep], local1[keep])
-    np.add.at(out, dofmap.n_global + dofs[keep], local2[keep])
-    return out
+    # each operand's Hessians once: two calls for (psi, psi)
+    xi_u, xi_v = (element_hessians(basis, c) for c in (xi.u, xi.v))
+    theta_u, theta_v = (xi_u, xi_v) if theta is xi else (
+        element_hessians(basis, c) for c in (theta.u, theta.v))
+    local1 = _cubic_form_scalar(
+        basis, bracket(xi_u, theta_v) + bracket(xi_v, theta_u))
+    local2 = -_cubic_form_scalar(basis, bracket(xi_u, theta_u))
+    return np.concatenate([_scatter(dofmap, local1),
+                           _scatter(dofmap, local2)])
 
 
 def _coupling_matrices(psi):

@@ -6,7 +6,9 @@ sign between the two equations).  Newton steps never factor ``J``.  The
 biharmonic operator ``K`` is factored once per solve, and every run's first
 step is the start solve on that factor alone, from a coarse level's
 Hessians or from zero Hessians (then it is the exact first Newton step),
-with no GMRES; a coarse start's fixed-point sweeps often end the run in
+with no GMRES and no sparse matrix: the bracket is applied element by
+element.  A coarse start's fixed-point sweeps, each a chord step of ``P_K =
+[[K, M_u], [0, K]]`` from the residual already at hand, often end the run in
 that step (see :func:`newton_solve`).  Each further step factors only its
 n x n top-left block ``A = K + M_v`` and solves with ``J`` by GMRES,
 preconditioned by the block upper triangle ``P = [[A, M_u], [0, K]]``.
@@ -45,16 +47,16 @@ solve for its norm, and ``J`` is assembled only for the sparse-LU fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, _coupling_elements,
-                       _coupling_matrices, _cubic_form_scalar,
-                       _element_structure, _sub_structure, _sum_into,
-                       assemble_biharmonic, assemble_load,
+from .assembly import (DiscreteSolution, _coupling_matrices,
+                       _element_structure, _scatter, _sub_structure,
+                       _sum_into, assemble_biharmonic, assemble_load,
                        assemble_trilinear_vector)
 from .femspace import bracket, element_hessians
 
@@ -83,7 +85,7 @@ class NewtonReport:
     ``"restarted"`` (a coarse start abandoned for the zero pair, see
     :func:`newton_solve`).  ``residual_history`` holds the run that was
     kept, ``iterations`` every step taken, those of an abandoned coarse run
-    included.  ``sweeps`` is the number of re-frozen solves that the start
+    included.  ``sweeps`` is the number of sweeps (chord steps) that the start
     step of the kept run kept (0 for a zero start and after a restart).
 
     ``stiffness_definite`` is read only when the run did not converge (else
@@ -319,9 +321,10 @@ class NewtonSystem:
     coupling blocks ``M_v`` and ``M_u`` are summed into it, or into its part
     on the element pairs, through the element slots that the assembly of
     ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
-    conversion, and neither does :meth:`coarse_start`, which builds the
-    coupling block of frozen Hessians for every run's start solve and its
-    sweeps.
+    conversion.  ``M_u``'s part of that structure is built by the first
+    :meth:`step_matrix`, so a run that ends in its start step never builds
+    it: :meth:`coarse_start` and :meth:`sweep` apply the bracket element by
+    element and build no matrix.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -332,11 +335,6 @@ class NewtonSystem:
         self._k_row_sums = _abs_row_sums(k)
         # the element slots of the structure assemble_biharmonic built
         _, _, self._a_slots = _element_structure(dofmap)
-        # rows of shapes with zero mean (the Lagrange vertex shapes) are zero
-        # in both coupling blocks, so M_u's structure leaves them out
-        slots = np.where(dofmap.basis.int_phi[:, :, None] != 0.0,
-                         self._a_slots, k.nnz)
-        self._coupling = _sub_structure(k.indptr, k.indices, slots)
         self.load = assemble_load(f, g, dofmap)
         self.load_scale = max(1.0, np.linalg.norm(self.load))
 
@@ -381,11 +379,30 @@ class NewtonSystem:
              k.indptr), shape=k.shape))
         return NewtonMatrix(a, self._coupling_block(m_u), k, self._k_row_sums)
 
+    @cached_property
+    def _coupling(self):
+        """``M_u``'s part of ``K``'s structure (see :func:`_sub_structure`),
+        built by the first :meth:`step_matrix`: rows of shapes with zero
+        mean (the Lagrange vertex shapes) are zero in both coupling blocks,
+        so it leaves them out."""
+        k = self.stiffness
+        slots = np.where(self.dofmap.basis.int_phi[:, :, None] != 0.0,
+                         self._a_slots, k.nnz)
+        return _sub_structure(k.indptr, k.indices, slots)
+
     def _coupling_block(self, elements):
         """The coupling block ``M_w`` summed from its element matrices."""
         indptr, indices, slots = self._coupling
         return sp.csc_matrix((_sum_into(slots, elements, len(indices)),
                               indices, indptr), shape=self.stiffness.shape)
+
+    def _bracket_load(self, hess_a, hess_b):
+        """``([a, b], phi)`` for every dof, of two fields given by their
+        element Hessians: the element brackets times ``int_K phi_i``, summed
+        into the dofs (``-([a, .], phi)`` is ``M_a``, applied without it)."""
+        basis = self.dofmap.basis
+        return _scatter(self.dofmap,
+                        bracket(hess_a, hess_b)[:, None] * basis.int_phi)
 
     def coarse_start(self, k_lu, hess):
         """The pair ``(u_0, v_0)``, as one vector, that solves the system
@@ -396,20 +413,29 @@ class NewtonSystem:
         It solves ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0
         = L_f + ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2)
         ([u_H, u_H], phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two
-        triangular solves and no GMRES.  ``u_H`` is a coarse level's ``u``,
-        or zero, for the start of a Newton run, and the start's own ``u``
-        for each of its sweeps (see :func:`newton_solve`).  Only the
-        broken-Hessian bracket sees ``u_H``, so its kinks reach no jump or
-        penalty term."""
-        dofmap = self.dofmap
-        basis = dofmap.basis
-        rhs = self.load.copy()
-        dofs = dofmap.element_dofs
-        keep = dofs >= 0
-        np.add.at(rhs, dofmap.n_global + dofs[keep],
-                  _cubic_form_scalar(basis, bracket(hess, hess))[keep])
-        m_u = self._coupling_block(_coupling_elements(basis, hess))
-        return _BlockTriangularInverse(k_lu, k_lu, m_u) @ rhs
+        triangular solves, no GMRES and no sparse matrix, since both
+        brackets are applied element by element.  ``u_H`` is a coarse
+        level's ``u``, or zero, for the start of a Newton run (see
+        :func:`newton_solve`).  Only the broken-Hessian bracket sees
+        ``u_H``, so its kinks reach no jump or penalty term."""
+        n = self.dofmap.n_global
+        v0 = k_lu.solve(self.load[n:] - 0.5 * self._bracket_load(hess, hess))
+        u0 = k_lu.solve(self.load[:n] + self._bracket_load(
+            hess, element_hessians(self.dofmap.basis, v0)))
+        return np.concatenate([u0, v0])
+
+    def sweep(self, k_lu, psi, res):
+        """The start step's sweep from ``psi`` with its residual ``res``:
+        :meth:`coarse_start` with ``u_H`` the ``u`` of ``psi``, taken as one
+        chord step of ``P_K = [[K, M_u], [0, K]]``.  It solves ``K dv =
+        -F_v`` and then ``K du = -(F_u - ([u, dv], phi))`` and returns the
+        pair ``psi + (du, dv)`` as one vector: two triangular solves."""
+        n = self.dofmap.n_global
+        basis = self.dofmap.basis
+        dv = -k_lu.solve(res[n:])
+        du = -k_lu.solve(res[:n] - self._bracket_load(
+            element_hessians(basis, psi.u), element_hessians(basis, dv)))
+        return np.concatenate([psi.u + du, psi.v + dv])
 
 
 class _BlockTriangularInverse:
@@ -446,15 +472,19 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     triangle containing it); without it they are zero, and the start solve
     is the exact first Newton step from the zero pair.  From coarse
     Hessians the step then sweeps, a fixed-point (Picard) iteration on that
-    factor: it freezes the bracket again at its own ``u`` and solves once
-    more.  A sweep is kept when it lowers the residual norm at least
-    fourfold, and the first that does not is dropped; the step stops there,
-    at the stopping residual or after ``maxit`` sweeps, and counts as one
-    iteration (``report.sweeps`` counts the kept sweeps).  A coarse run is
+    factor that freezes the bracket again at its own ``u``, taken as a chord
+    step from the residual at hand (:meth:`NewtonSystem.sweep`).  A sweep is
+    kept when it lowers the residual norm at least fourfold, and the first
+    that does not is dropped; the step stops there, at the stopping residual
+    or after ``maxit`` sweeps, and counts as one iteration
+    (``report.sweeps`` counts the kept sweeps).  A coarse run is
     abandoned for the zero start (``report.start`` reads ``"restarted"``)
     when its first Newton step does not lower the residual, at the first
     step whose residual is not finite or whose linear solve raises
-    :class:`SolverError`, or after ``maxit`` steps without converging.
+    :class:`SolverError`, or after ``maxit`` steps without converging; its
+    steps run with NumPy's overflow and invalid-value warnings off, since
+    that abandonment handles their results, while a zero start keeps the
+    caller's error state.
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
@@ -488,9 +518,8 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     n = dofmap.n_global
     label = f"{dofmap.method} (ndof {n})"
     target = tol * system.load_scale
-    order = dofmap.column_order
     try:
-        k_lu = _symmetric_lu(system.stiffness, order)
+        k_lu = _symmetric_lu(system.stiffness, dofmap.column_order)
     except RuntimeError:  # then every step is solved by LU
         k_lu = None
     # the start solves with K's factor
@@ -502,41 +531,33 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     converged = False
     iterations = sweeps = steps = 0  # steps: of the current run
     while steps < maxit:
-        if steps == 0 and k_lu is not None:
-            psi, res, stop, sweeps = _swept_start(
-                system, k_lu, coarse_hessian if start == "coarse" else None,
-                target, maxit)
-        else:
-            jac = system.step_matrix(psi)
-            preconditioner = None
-            if k_lu is not None:
+        # a coarse run that overflows is abandoned below, so its steps warn
+        # of no overflow or NaN; a zero start keeps the caller's error state
+        quiet = (dict(over="ignore", invalid="ignore") if start == "coarse"
+                 else {})
+        with np.errstate(**quiet):
+            if steps == 0 and k_lu is not None:
+                psi, res, stop, sweeps = _swept_start(
+                    system, k_lu,
+                    coarse_hessian if start == "coarse" else None, target,
+                    maxit)
+            else:
                 try:
-                    a_lu = _symmetric_lu(jac.a, order)
-                except RuntimeError:
-                    pass
-                else:
-                    preconditioner = _BlockTriangularInverse(a_lu, k_lu,
-                                                             jac.m_u)
-            try:
-                # a tenth of the residual at which the iteration stops: a
-                # step solved that far cannot delay convergence
-                delta = linear_solve(
-                    jac, -res, context=f"Newton step {iterations}, {label}",
-                    preconditioner=preconditioner, target=0.1 * stop)
-            except SolverError:
-                if start != "coarse":
-                    raise
-                # a non-finite residual, which abandons the run below
-                delta = np.full(2 * n, np.nan)
-            # free this step's block factor before the next step factors
-            jac = preconditioner = a_lu = None
-            psi.u += delta[:n]
-            psi.v += delta[n:]
-            res = system.residual(psi)
-            stop = system.stopping_residual(psi, target)
+                    delta = _newton_step(
+                        system, k_lu, psi, res, 0.1 * stop,
+                        f"Newton step {iterations}, {label}")
+                except SolverError:
+                    if start != "coarse":
+                        raise
+                    # a non-finite residual, which abandons the run below
+                    delta = np.full(2 * n, np.nan)
+                psi.u += delta[:n]
+                psi.v += delta[n:]
+                res = system.residual(psi)
+                stop = system.stopping_residual(psi, target)
+            history.append(float(np.linalg.norm(res)))
         iterations += 1
         steps += 1
-        history.append(float(np.linalg.norm(res)))
         if history[-1] <= stop:
             converged = True
             break
@@ -553,27 +574,49 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
                              sweeps)
 
 
+def _newton_step(system, k_lu, psi, res, target, context):
+    """The Newton step at ``psi`` with its residual ``res``, solved by
+    :func:`linear_solve` to the residual ``target`` and preconditioned by
+    ``P = [[A, M_u], [0, K]]`` when ``k_lu`` (``K``'s factor) is given and
+    ``A`` factorises.  The step's block factor is freed on return, before
+    the next step factors."""
+    jac = system.step_matrix(psi)
+    preconditioner = None
+    if k_lu is not None:
+        try:
+            a_lu = _symmetric_lu(jac.a, system.dofmap.column_order)
+        except RuntimeError:
+            pass
+        else:
+            preconditioner = _BlockTriangularInverse(a_lu, k_lu, jac.m_u)
+    # a tenth of the residual at which the iteration stops: a step solved
+    # that far cannot delay convergence
+    return linear_solve(jac, -res, context=context,
+                        preconditioner=preconditioner, target=target)
+
+
 def _swept_start(system, k_lu, hess, target, maxit):
     """The start step of a Newton run from the element Hessians ``hess``
     with at most ``maxit`` sweeps, or from zero Hessians with none (``hess``
     ``None``; see :func:`newton_solve`): the iterate, its residual, its
-    stopping residual and the number of sweeps kept.  Each iterate's
-    residual is evaluated once."""
+    stopping residual and the number of sweeps kept.  Each sweep is a chord
+    step (:meth:`NewtonSystem.sweep`) from the last kept iterate and the
+    residual its acceptance test computed, so each iterate's residual is
+    evaluated once."""
     dofmap = system.dofmap
     n = dofmap.n_global
     if hess is None:  # the exact first Newton step from the zero pair
         hess, maxit = np.zeros((dofmap.mesh.n_triangles, 3)), 0
 
-    def solve(frozen):
-        x = system.coarse_start(k_lu, frozen)
+    def evaluated(x):
         psi = DiscreteSolution(dofmap, x[:n], x[n:])
         res = system.residual(psi)
         return psi, res, float(np.linalg.norm(res))
-    psi, res, norm = solve(hess)
+    psi, res, norm = evaluated(system.coarse_start(k_lu, hess))
     stop = system.stopping_residual(psi, target)
     sweeps = 0
     while norm > stop and sweeps < maxit:
-        trial = solve(element_hessians(dofmap.basis, psi.u))
+        trial = evaluated(system.sweep(k_lu, psi, res))
         if not trial[2] <= 0.25 * norm:
             break
         psi, res, norm = trial

@@ -171,6 +171,27 @@ def test_trilinear_vector_symmetric_in_first_two(square1):
     assert np.abs(b1 - b2).max() < 1e-13 * max(1.0, np.abs(b1).max())
 
 
+@pytest.mark.parametrize("same, calls", [(True, 2), (False, 4)])
+def test_trilinear_vector_takes_each_operands_hessians_once(square1,
+                                                            monkeypatch,
+                                                            same, calls):
+    dm = build_dofmap(square1, "c0ip")
+    rng = np.random.default_rng(8)
+    xi = DiscreteSolution(dm, *rng.standard_normal((2, dm.n_global)))
+    th = xi if same else DiscreteSolution(
+        dm, *rng.standard_normal((2, dm.n_global)))
+    want = assemble_trilinear_vector(xi, th)
+    real = assembly.element_hessians
+    made = []
+
+    def counting(basis, coef):
+        made.append(1)
+        return real(basis, coef)
+    monkeypatch.setattr(assembly, "element_hessians", counting)
+    np.testing.assert_array_equal(assemble_trilinear_vector(xi, th), want)
+    assert len(made) == calls
+
+
 def test_trilinear_vector_affine_gives_zero(square1):
     dm = build_dofmap(square1, "dg")
     affine = nodal_interpolate(lambda x, y: 1.0 + x - y, dm)

@@ -1,9 +1,11 @@
 """Newton's coarse start across refinement levels: robustness and starts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from vkfem import adaptivity, build_dofmap, newton_solve
+from vkfem import adaptivity, build_dofmap, newton_solve, solver
 from vkfem.adaptivity import AdaptiveConfig, adaptive_levels, uniform_levels
 from vkfem.analysis import ExactSolutionPair
 from vkfem.femspace import METHODS, bracket, element_hessians
@@ -80,11 +82,12 @@ def test_sweeps_leave_the_scaled_square_steps_as_they_were(method, steps,
 def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
     # the adaptive L-shape (16 levels, theta 0.5) and the uniform square
     # (5 levels), each method on its own hierarchy
-    lshape_steps = 0
+    lshape_steps, lshape_sweeps = 0, {}
     for method in METHODS:
         list(adaptive_levels(lshape_problem(), method,
                              AdaptiveConfig(theta=0.5, max_levels=16)))
         lshape_steps += sum(r.iterations for r in reports[-16:])
+        lshape_sweeps[method] = sum(r.sweeps for r in reports[-16:])
         list(uniform_levels(square_problem(), method, 5))
     starts = [report.start for report in reports]
     assert len(starts) == 3 * (16 + 5)
@@ -92,7 +95,8 @@ def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
     assert starts.count("coarse") == len(starts) - 6
     # on the L-shape hierarchies zero starts take 196 steps, coarse starts
     # without sweeps 166 and with them 81
-    assert lshape_steps < 100
+    assert lshape_steps == 81
+    assert lshape_sweeps == {"morley": 69, "c0ip": 92, "dg": 142}
 
 
 def test_a_level_on_the_same_mesh_starts_from_identity_parents(monkeypatch):
@@ -143,21 +147,70 @@ def test_a_coarse_start_that_never_converges_restarts_from_zero(square2):
     np.testing.assert_array_equal(psi.v, zero.v)
 
 
-def test_a_coarse_run_whose_linear_solve_fails_restarts_from_zero(square2):
-    # synthetic coarse Hessians whose iterates grow until the linear solve of
-    # the 50th step fails its backward-error test; the run is abandoned there
-    # for the zero start, which converges in 4 steps
+def recorded_linear_solves(monkeypatch, fail_at=None):
+    """Whether each call of the Newton step solve raised, in order; with
+    ``fail_at``, that call (counted from 0) raises without solving."""
+    real = solver.linear_solve
+    raised = []
+
+    def recording(*args, **kwargs):
+        try:
+            if len(raised) == fail_at:
+                raise solver.SolverError("injected failure")
+            x = real(*args, **kwargs)
+        except solver.SolverError:
+            raised.append(True)
+            raise
+        raised.append(False)
+        return x
+    monkeypatch.setattr(solver, "linear_solve", recording)
+    return raised
+
+
+def test_a_coarse_run_whose_linear_solve_fails_restarts_from_zero(
+        square2, monkeypatch):
+    # the coarse run's third linear solve fails (as a backward-error test
+    # does once its iterates have grown, at a step that depends on rounding);
+    # the run is abandoned there for the zero start, which converges in 4
     problem = square_problem()
     dofmap = build_dofmap(square2, "morley")
     loads = (problem.exact.f, problem.exact.g)
-    hess = np.tile([1000.0, 1000.0, 0.0], (square2.n_triangles, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi, report = newton_solve(dofmap, loads, coarse_hessian=hess)
     zero, zero_report = newton_solve(dofmap, loads)
+    raised = recorded_linear_solves(monkeypatch, fail_at=2)
+    hess = np.tile([1000.0, 1000.0, 0.0], (square2.n_triangles, 1))
+    psi, report = newton_solve(dofmap, loads, coarse_hessian=hess)
     assert zero_report.converged and zero_report.iterations == 4
     assert report.converged and report.start == "restarted"
-    assert report.iterations == 50 + zero_report.iterations
+    # one call raised, the coarse run's last; the zero run's start step
+    # solves on K's factor, and each of its further steps calls once
+    coarse_calls = len(raised) - (zero_report.iterations - 1)
+    assert raised.count(True) == 1 and raised[coarse_calls - 1]
+    assert coarse_calls == 3
+    # the coarse run's start step and its steps, then the zero run
+    assert report.iterations == 1 + coarse_calls + zero_report.iterations
     assert report.sweeps == 0
     assert report.residual_history == zero_report.residual_history
     np.testing.assert_array_equal(psi.u, zero.u)
     np.testing.assert_array_equal(psi.v, zero.v)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_diverging_coarse_run_warns_of_nothing(square2, monkeypatch, sign):
+    # the iterates of the (+-1000, +-1000, 0) starts grow until a residual
+    # overflows or a linear solve fails (which, and at which step, depends on
+    # rounding); the run is abandoned there and no RuntimeWarning escapes
+    problem = square_problem()
+    dofmap = build_dofmap(square2, "morley")
+    loads = (problem.exact.f, problem.exact.g)
+    _, zero_report = newton_solve(dofmap, loads)
+    raised = recorded_linear_solves(monkeypatch)
+    hess = np.tile([sign * 1000.0, sign * 1000.0, 0.0],
+                   (square2.n_triangles, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, report = newton_solve(dofmap, loads, coarse_hessian=hess)
+    assert report.converged and report.start == "restarted"
+    coarse_calls = len(raised) - (zero_report.iterations - 1)
+    # a failed linear solve can only be the coarse run's last call
+    assert True not in raised[:coarse_calls - 1] + raised[coarse_calls:]
+    assert report.iterations == 1 + coarse_calls + zero_report.iterations

@@ -822,6 +822,49 @@ def test_coarse_start_solves_the_frozen_bracket_system(square2, method):
         assert np.abs(k @ x + cubic - rhs).max() <= 1e-12 * scale.max()
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_a_sweep_is_the_start_solve_frozen_at_its_own_u(square2, method,
+                                                        amplitude):
+    # the chord step of P_K from psi and its residual is the re-frozen start
+    # solve coarse_start(K's factor, Hessians of psi.u), up to rounding that
+    # K's conditioning amplifies (normwise 6.6e-13 for c0ip at a = 10)
+    dm = build_dofmap(square2, method)
+    system = NewtonSystem(dm, scaled_loads(exact_square(), amplitude))
+    k_lu = solver._symmetric_lu(system.stiffness, dm.column_order)
+    n = dm.n_global
+    x = system.coarse_start(k_lu, np.zeros((square2.n_triangles, 3)))
+    psi = DiscreteSolution(dm, x[:n], x[n:])
+    got = system.sweep(k_lu, psi, system.residual(psi))
+    want = system.coarse_start(k_lu, element_hessians(dm.basis, psi.u))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_a_run_that_ends_in_its_start_step_builds_no_coupling_block(
+        square1, square2, monkeypatch):
+    # the start solve and its sweeps apply the bracket element by element:
+    # no element matrices of M_u and no sparse block are made
+    from vkfem import assembly
+    loads = loads_of(exact_square())
+    coarse, _ = newton_solve(build_dofmap(square1, "c0ip"), loads)
+    called = []
+
+    def refuse(name):
+        def call(*args):
+            called.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+    monkeypatch.setattr(assembly, "_coupling_elements",
+                        refuse("_coupling_elements"))
+    monkeypatch.setattr(NewtonSystem, "_coupling_block",
+                        refuse("_coupling_block"))
+    _, report = newton_solve(build_dofmap(square2, "c0ip"), loads,
+                             coarse_hessian=coarse_hessian(square2, coarse))
+    assert report.converged and report.iterations == 1
+    assert report.sweeps >= 1
+    assert called == []
+
+
 def tracked_factors_and_solves(monkeypatch):
     """The matrices ``_symmetric_lu`` factors and the contexts of the
     ``linear_solve`` calls, as Newton makes them."""
