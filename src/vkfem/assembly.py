@@ -147,6 +147,13 @@ def _scatter(dofmap, local):
                        weights=local.ravel(), minlength=n + 1)[:n]
 
 
+def _constant_load(dofmap, constants):
+    """``(c, phi_i)`` for every dof of an element-wise constant ``c`` given by
+    its values ``constants``, shape ``(nt,)``: each value times ``int_K
+    phi_i``, summed into the dofs."""
+    return _scatter(dofmap, constants[:, None] * dofmap.basis.int_phi)
+
+
 def _sub_structure(indptr, indices, slots):
     """The part of a CSC structure that ``slots`` reach: its ``indptr``,
     ``indices`` and the slots in it (the structure's ``nnz`` goes to the
@@ -285,11 +292,6 @@ def bracket_elements(dofmap, coef_a, coef_b):
                    element_hessians(dofmap.basis, coef_b))
 
 
-def _cubic_form_scalar(basis, bracket_const):
-    """Element loads of ``-(1/2) int_K [a,b] phi_i`` per local shape."""
-    return -0.5 * bracket_const[:, None] * basis.int_phi
-
-
 def assemble_trilinear_vector(xi, theta):
     """Cubic coupling tested against every dof: a block vector.
 
@@ -306,11 +308,10 @@ def assemble_trilinear_vector(xi, theta):
     xi_u, xi_v = (element_hessians(basis, c) for c in (xi.u, xi.v))
     theta_u, theta_v = (xi_u, xi_v) if theta is xi else (
         element_hessians(basis, c) for c in (theta.u, theta.v))
-    local1 = _cubic_form_scalar(
-        basis, bracket(xi_u, theta_v) + bracket(xi_v, theta_u))
-    local2 = -_cubic_form_scalar(basis, bracket(xi_u, theta_u))
-    return np.concatenate([_scatter(dofmap, local1),
-                           _scatter(dofmap, local2)])
+    return np.concatenate([
+        _constant_load(dofmap, -0.5 * (bracket(xi_u, theta_v)
+                                       + bracket(xi_v, theta_u))),
+        _constant_load(dofmap, 0.5 * bracket(xi_u, theta_u))])
 
 
 def _coupling_matrices(psi):

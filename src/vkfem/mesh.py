@@ -42,6 +42,17 @@ class MeshError(ValueError):
     """Raised for non-conforming or degenerate mesh input."""
 
 
+def _as_indices(values, name):
+    """``values`` as a contiguous int64 array; :class:`MeshError` when one
+    of them differs from its int64 value (``1.7`` is no index)."""
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = np.ascontiguousarray(values, dtype=np.int64)
+    if not np.array_equal(ints, values):
+        raise MeshError(f"{name} must be integers")
+    return ints
+
+
 class Triangulation:
     """Conforming triangulation of a polygonal domain.
 
@@ -82,7 +93,8 @@ class Triangulation:
     ------
     MeshError
         For hanging vertices, edges shared by more than two triangles,
-        non-finite coordinates, or zero/negative-area triangles.
+        non-finite coordinates, indices or tags that are not integers, or
+        zero/negative-area triangles.
 
     Notes
     -----
@@ -92,7 +104,7 @@ class Triangulation:
 
     def __init__(self, vertices, triangles, refinement_edge=None):
         v = np.ascontiguousarray(np.asarray(vertices, dtype=float))
-        t = np.ascontiguousarray(np.asarray(triangles, dtype=np.int64))
+        t = _as_indices(triangles, "triangle vertex indices")
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must have shape (nv, 2)")
         if not np.all(np.isfinite(v)):
@@ -174,7 +186,7 @@ class Triangulation:
         if refinement_edge is None:
             refinement_edge = self._longest_edge_tags()
         else:
-            refinement_edge = np.asarray(refinement_edge, dtype=np.int64)
+            refinement_edge = _as_indices(refinement_edge, "refinement_edge")
             if refinement_edge.shape != (nt,) or refinement_edge.min() < 0 \
                     or refinement_edge.max() > 2:
                 raise MeshError("refinement_edge must be (nt,) with values in 0..2")
@@ -410,18 +422,22 @@ def read_mesh(path):
 
     Line 1 is ``nv nt``, followed by ``nv`` lines ``x y`` and ``nt`` lines
     ``i j k`` (0-based, counterclockwise).  Boundary detection is
-    topological, not stored.
+    topological, not stored.  A file that does not hold exactly that, with
+    integer counts and indices, raises :class:`MeshError` naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise MeshError(f"{path}: truncated mesh file")
-    nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 2 * nv + 3 * nt
-    if len(tokens) < need:
-        raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    coords = np.array(tokens[2:2 + 2 * nv], dtype=float).reshape(nv, 2)
-    tris = np.array(tokens[2 + 2 * nv:need], dtype=np.int64).reshape(nt, 3)
+    try:
+        nv, nt = (int(token) for token in tokens[:2])
+        need = 2 + 2 * nv + 3 * nt
+        if nv < 0 or nt < 0:
+            raise ValueError(f"negative count in header {nv} {nt}")
+        if len(tokens) != need:
+            raise ValueError(f"expected {need} tokens, found {len(tokens)}")
+        coords = np.array(tokens[2:2 + 2 * nv], dtype=float).reshape(nv, 2)
+        tris = np.array(tokens[2 + 2 * nv:], dtype=np.int64).reshape(nt, 3)
+    except ValueError as exc:  # a bad header, count or token
+        raise MeshError(f"{path}: {exc}") from None
     return Triangulation(coords, tris)
 
 

@@ -2,46 +2,38 @@
 
 The Newton matrix ``J = [[K + M_v, M_u], [-M_u, K]]`` couples the two
 unknowns antisymmetrically (the direction of the quadratic coupling flips
-sign between the two equations).  Newton steps never factor ``J``.  The
-biharmonic operator ``K`` is factored once per solve, and every run's first
-step is the start solve on that factor alone, from a coarse level's
-Hessians or from zero Hessians (then it is the exact first Newton step),
-with no GMRES and no sparse matrix: the bracket is applied element by
-element.  A coarse start's fixed-point sweeps, each a chord step of ``P_K =
-[[K, M_u], [0, K]]`` from the residual already at hand, often end the run in
-that step (see :func:`newton_solve`).  Each further step factors only its
-n x n top-left block ``A = K + M_v`` and solves with ``J`` by GMRES,
-preconditioned by the block upper triangle ``P = [[A, M_u], [0, K]]``.
-Both blocks are factored in the column order of the dof map: ``dg`` numbers
-its triangles in minimum-degree order and factors in that order as it
-stands, Morley and C0IP order by minimum degree on ``A^T + A``.  A step
-whose GMRES result fails the acceptance test of :func:`linear_solve`, or
-whose block does not factorise, is solved by sparse LU on ``J`` instead.
-Coercivity checks (:func:`is_spd`) factor ``K`` by the same diagonal-pivot
-LU as the blocks and read its definiteness from the signs of the pivots; a
-Newton run that does not converge reads them from the factor of ``K`` it
-holds.
+sign between the two equations).  Newton steps never factor ``J``: every
+solve of a run applies the inverse of one block upper triangle ``P = [[A,
+M_u], [0, K]]`` (:class:`_BlockTriangularInverse`).  The biharmonic
+operator ``K`` is factored once per solve, and every run's first step is
+the start solve ``P^{-1}`` with ``A = K`` on that factor alone, from a
+coarse level's Hessians or from zero Hessians (then it is the exact first
+Newton step), with no GMRES and no sparse matrix: ``M_u`` is applied
+element by element.  A coarse start's fixed-point sweeps, each a chord step
+``psi - P^{-1} F(psi)`` with ``A = K`` from the residual already at hand,
+often end the run in that step (see :func:`newton_solve`).  Each further
+step factors only its n x n top-left block ``A = K + M_v`` and solves with
+``J`` by GMRES, preconditioned by ``P`` with that ``A`` and the step's
+sparse ``M_u``.  Both blocks are factored in the column order of the dof
+map: ``dg`` numbers its triangles in minimum-degree order and factors in
+that order as it stands, Morley and C0IP order by minimum degree on ``A^T +
+A``.  A step whose GMRES result fails the acceptance test of
+:func:`linear_solve`, or whose block does not factorise, is solved by
+sparse LU on ``J`` instead.  Coercivity checks (:func:`is_spd`) factor
+``K`` by the same diagonal-pivot LU as the blocks and read its definiteness
+from the signs of the pivots; a Newton run that does not converge reads
+them from the factor of ``K`` it holds.
 
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869) is
-one in-house cycle :func:`_gmres_cycle` on plain arrays: at most 40
-iterations from a zero start, which costs no operator application, with a
-Krylov basis that grows by one vector per iteration.  It is preconditioned
-on the right and the solve starts at ``x0 = P^{-1} b``, so the residual it
-minimises is the step's own; ``x0`` is returned without a cycle when it
-passes the acceptance test.  The cycle stops at the loosest residual that
-both passes the backward-error acceptance test and cannot delay Newton: the
-larger of ``1e-10 ||b||`` and the smaller of half the backward-error bound
-``1e-10 (||J|| ||x0|| + ||b||)`` and a tenth of the residual at which Newton
-stops (see :func:`linear_solve`).
+one in-house cycle :func:`_gmres_cycle` on plain arrays, preconditioned on
+the right and started at ``x0 = P^{-1} b``; :func:`linear_solve` says when
+it returns ``x0`` as it stands and where the cycle stops.
 
 A step rebuilds nothing that only depends on the mesh: it sums the element
 matrices of ``M_v`` and ``M_u`` into the element slots of ``K``'s structure
-(one ``bincount`` each, see :class:`NewtonSystem`), so ``A`` is built on
-``K``'s index arrays and reaches the factorisation in CSC with no format
-conversion.  The step keeps one copy of ``A``, without the stored zeros
-where entries cancel: GMRES applies it and the step factors it.  GMRES
-applies ``J`` block by block, with the row sums of ``|K|`` taken once per
-solve for its norm, and ``J`` is assembled only for the sparse-LU fallback.
+(see :class:`NewtonSystem`) and keeps one copy of ``A``, which GMRES applies
+and the step factors.  ``J`` is applied block by block and assembled only
+for the sparse-LU fallback (see :class:`NewtonMatrix`).
 """
 
 from __future__ import annotations
@@ -54,10 +46,10 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, _coupling_matrices,
-                       _element_structure, _scatter, _sub_structure,
-                       _sum_into, assemble_biharmonic, assemble_load,
-                       assemble_trilinear_vector)
+from .assembly import (DiscreteSolution, _constant_load,
+                       _coupling_matrices, _element_structure,
+                       _sub_structure, _sum_into, assemble_biharmonic,
+                       assemble_load, assemble_trilinear_vector)
 from .femspace import bracket, element_hessians
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
@@ -322,9 +314,8 @@ class NewtonSystem:
     on the element pairs, through the element slots that the assembly of
     ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
     conversion.  ``M_u``'s part of that structure is built by the first
-    :meth:`step_matrix`, so a run that ends in its start step never builds
-    it: :meth:`coarse_start` and :meth:`sweep` apply the bracket element by
-    element and build no matrix.
+    :meth:`step_matrix`, so a run that ends in its start step, whose solves
+    apply ``M_u`` element by element, never builds it.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -396,58 +387,33 @@ class NewtonSystem:
         return sp.csc_matrix((_sum_into(slots, elements, len(indices)),
                               indices, indptr), shape=self.stiffness.shape)
 
-    def _bracket_load(self, hess_a, hess_b):
-        """``([a, b], phi)`` for every dof, of two fields given by their
-        element Hessians: the element brackets times ``int_K phi_i``, summed
-        into the dofs (``-([a, .], phi)`` is ``M_a``, applied without it)."""
-        basis = self.dofmap.basis
-        return _scatter(self.dofmap,
-                        bracket(hess_a, hess_b)[:, None] * basis.int_phi)
 
-    def coarse_start(self, k_lu, hess):
-        """The pair ``(u_0, v_0)``, as one vector, that solves the system
-        with the bracket ``[u, .]`` frozen at a field ``u_H`` given by its
-        element Hessians ``hess`` on this mesh, shape ``(nt, 3)``, with the
-        factor ``k_lu`` of ``K``.
+class _FrozenCoupling:
+    """``M_u`` of a field ``u`` given by its element Hessians ``hess``, shape
+    ``(nt, 3)``, applied element by element with no sparse matrix: ``M_u @ y
+    = -([u, y], phi)``.  Only this broken-Hessian bracket sees ``u``, so a
+    coarse field's kinks reach no jump or penalty term."""
 
-        It solves ``K v_0 = L_g - (1/2) ([u_H, u_H], phi)`` and then ``K u_0
-        = L_f + ([u_H, v_0], phi)``, that is ``P^{-1} [L_f; L_g - (1/2)
-        ([u_H, u_H], phi)]`` with ``P = [[K, M_{u_H}], [0, K]]``: two
-        triangular solves, no GMRES and no sparse matrix, since both
-        brackets are applied element by element.  ``u_H`` is a coarse
-        level's ``u``, or zero, for the start of a Newton run (see
-        :func:`newton_solve`).  Only the broken-Hessian bracket sees
-        ``u_H``, so its kinks reach no jump or penalty term."""
-        n = self.dofmap.n_global
-        v0 = k_lu.solve(self.load[n:] - 0.5 * self._bracket_load(hess, hess))
-        u0 = k_lu.solve(self.load[:n] + self._bracket_load(
-            hess, element_hessians(self.dofmap.basis, v0)))
-        return np.concatenate([u0, v0])
+    def __init__(self, dofmap, hess):
+        self.dofmap, self.hess = dofmap, hess
 
-    def sweep(self, k_lu, psi, res):
-        """The start step's sweep from ``psi`` with its residual ``res``:
-        :meth:`coarse_start` with ``u_H`` the ``u`` of ``psi``, taken as one
-        chord step of ``P_K = [[K, M_u], [0, K]]``.  It solves ``K dv =
-        -F_v`` and then ``K du = -(F_u - ([u, dv], phi))`` and returns the
-        pair ``psi + (du, dv)`` as one vector: two triangular solves."""
-        n = self.dofmap.n_global
-        basis = self.dofmap.basis
-        dv = -k_lu.solve(res[n:])
-        du = -k_lu.solve(res[:n] - self._bracket_load(
-            element_hessians(basis, psi.u), element_hessians(basis, dv)))
-        return np.concatenate([psi.u + du, psi.v + dv])
+    def __matmul__(self, y):
+        return _constant_load(self.dofmap, -bracket(
+            self.hess, element_hessians(self.dofmap.basis, y)))
 
 
 class _BlockTriangularInverse:
     """``P^{-1}`` for ``P = [[A, C], [0, K]]`` from the factors of ``A`` and
     ``K``: ``P^{-1} @ r`` costs two triangular solves and one product with
-    ``C``."""
+    the ``coupling`` ``C``, which takes ``@``: a Newton step's sparse ``M_u``
+    (``A = K + M_v``), or a :class:`_FrozenCoupling` for the start solve and
+    its sweeps (``A = K``)."""
 
     def __init__(self, a_lu, k_lu, coupling):
         self.a_lu, self.k_lu, self.coupling = a_lu, k_lu, coupling
 
     def __matmul__(self, r):
-        n = self.coupling.shape[0]
+        n = len(r) // 2
         y2 = self.k_lu.solve(r[n:])
         return np.concatenate([self.a_lu.solve(r[:n] - self.coupling @ y2),
                                y2])
@@ -463,34 +429,36 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
 
-    Every run's first step is the start solve on ``K``'s factor, with no
-    GMRES: the system with the bracket ``[u, .]`` frozen at given element
-    Hessians (two-grid linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996)
-    1759-1777; see :meth:`NewtonSystem.coarse_start`).  ``coarse_hessian``
-    holds the Hessians ``(xx, yy, xy)`` of ``u`` of a coarser solution of
-    the same problem, one row per triangle of this mesh (that of the coarse
-    triangle containing it); without it they are zero, and the start solve
-    is the exact first Newton step from the zero pair.  From coarse
-    Hessians the step then sweeps, a fixed-point (Picard) iteration on that
-    factor that freezes the bracket again at its own ``u``, taken as a chord
-    step from the residual at hand (:meth:`NewtonSystem.sweep`).  A sweep is
-    kept when it lowers the residual norm at least fourfold, and the first
-    that does not is dropped; the step stops there, at the stopping residual
-    or after ``maxit`` sweeps, and counts as one iteration
-    (``report.sweeps`` counts the kept sweeps).  A coarse run is
-    abandoned for the zero start (``report.start`` reads ``"restarted"``)
-    when its first Newton step does not lower the residual, at the first
-    step whose residual is not finite or whose linear solve raises
-    :class:`SolverError`, or after ``maxit`` steps without converging; its
-    steps run with NumPy's overflow and invalid-value warnings off, since
-    that abandonment handles their results, while a zero start keeps the
-    caller's error state.
+    Every solve of the run applies ``P^{-1}`` for a block upper triangle
+    ``P = [[A, M_u], [0, K]]``.  Every run's first step is the start solve
+    on ``K``'s factor, ``A = K``, with no GMRES: the system with the bracket
+    ``[u, .]`` frozen at given element Hessians (two-grid linearisation,
+    J. Xu, SIAM J. Numer. Anal. 33 (1996) 1759-1777; see
+    :func:`_swept_start`).  ``coarse_hessian`` holds the Hessians ``(xx, yy,
+    xy)`` of ``u`` of a coarser solution of the same problem, one row per
+    triangle of this mesh (that of the coarse triangle containing it);
+    without it they are zero, and the start solve is the exact first Newton
+    step from the zero pair.  From coarse Hessians the step then sweeps, a
+    fixed-point (Picard) iteration on that factor that freezes the bracket
+    again at its own ``u``, taken as the chord step ``psi - P^{-1} F(psi)``
+    with ``A = K`` from the residual at hand.  A sweep is kept when it
+    lowers the residual norm at least fourfold, and the first that does not
+    is dropped; the step stops there, at the stopping residual or after
+    ``maxit`` sweeps, and counts as one iteration (``report.sweeps`` counts
+    the kept sweeps).  A coarse run is abandoned for the zero start
+    (``report.start`` reads ``"restarted"``) when its first Newton step
+    does not lower the residual, at the first step whose residual is not
+    finite or whose linear solve raises :class:`SolverError`, or after
+    ``maxit`` steps without converging; its steps run with NumPy's overflow
+    and invalid-value warnings off, since that abandonment handles their
+    results, while a zero start keeps the caller's error state.
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
     current iterate).  It factors only the block ``A = K + M_v`` and passes
-    :func:`linear_solve` the preconditioner ``P = [[A, M_u], [0, K]]``, whose
-    inverse costs two triangular solves and one product with ``M_u``, and
+    :func:`linear_solve` the preconditioner ``P`` with that ``A`` and the
+    step's sparse ``M_u``, whose inverse costs two triangular solves and one
+    product with ``M_u``, and
     the residual target of a tenth of the residual at which the iteration
     stops, so that no step's linear residual delays it.  When ``A`` does not
     factorise the step is solved by sparse LU on ``J``; when ``K`` does not,
@@ -599,8 +567,12 @@ def _swept_start(system, k_lu, hess, target, maxit):
     """The start step of a Newton run from the element Hessians ``hess``
     with at most ``maxit`` sweeps, or from zero Hessians with none (``hess``
     ``None``; see :func:`newton_solve`): the iterate, its residual, its
-    stopping residual and the number of sweeps kept.  Each sweep is a chord
-    step (:meth:`NewtonSystem.sweep`) from the last kept iterate and the
+    stopping residual and the number of sweeps kept.
+
+    Each solve is ``P^{-1}`` with ``A = K``, on ``k_lu`` alone, and ``M_u``
+    frozen at element Hessians.  The start solve is ``P^{-1} [L_f; L_g -
+    (1/2) ([u_H, u_H], phi)]`` at ``hess``, and each sweep ``psi - P^{-1}
+    F(psi)`` at the ``u`` of the last kept iterate, a chord step from the
     residual its acceptance test computed, so each iterate's residual is
     evaluated once."""
     dofmap = system.dofmap
@@ -608,15 +580,23 @@ def _swept_start(system, k_lu, hess, target, maxit):
     if hess is None:  # the exact first Newton step from the zero pair
         hess, maxit = np.zeros((dofmap.mesh.n_triangles, 3)), 0
 
+    def frozen(hess):
+        return _BlockTriangularInverse(k_lu, k_lu,
+                                       _FrozenCoupling(dofmap, hess))
+
     def evaluated(x):
         psi = DiscreteSolution(dofmap, x[:n], x[n:])
         res = system.residual(psi)
         return psi, res, float(np.linalg.norm(res))
-    psi, res, norm = evaluated(system.coarse_start(k_lu, hess))
+    rhs = system.load.copy()
+    rhs[n:] -= _constant_load(dofmap, 0.5 * bracket(hess, hess))
+    psi, res, norm = evaluated(frozen(hess) @ rhs)
     stop = system.stopping_residual(psi, target)
     sweeps = 0
     while norm > stop and sweeps < maxit:
-        trial = evaluated(system.sweep(k_lu, psi, res))
+        x = np.concatenate([psi.u, psi.v])
+        trial = evaluated(
+            x - frozen(element_hessians(dofmap.basis, psi.u)) @ res)
         if not trial[2] <= 0.25 * norm:
             break
         psi, res, norm = trial

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ def test_rejects_bad_indices():
         build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])
     with pytest.raises(MeshError):
         build_topology([(0, 0), (1, 0), (0, np.nan)], [(0, 1, 2)])
+
+
+@pytest.mark.parametrize("triangles, refinement_edge, name", [
+    ([[0, 1.7, 2]], None, "triangle vertex indices"),
+    ([[0, 1, 2]], [0.5], "refinement_edge"),
+    ([[0, np.nan, 2]], None, "triangle vertex indices"),
+], ids=["real-index", "real-tag", "nan-index"])
+def test_rejects_non_integral_indices(triangles, refinement_edge, name):
+    # an index or tag that differs from its int64 value is not truncated
+    with pytest.raises(MeshError, match=f"{name} must be integers"):
+        build_topology([(0, 0), (1, 0), (0, 1)], triangles, refinement_edge)
+    # integral values of a float array are indices
+    mesh = build_topology([(0, 0), (1, 0), (0, 1)], [[0.0, 1.0, 2.0]], [1.0])
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    assert mesh.refinement_edge.tolist() == [1]
 
 
 def test_edge_frame_orthonormal(square1):
@@ -336,11 +352,23 @@ def test_mesh_io_roundtrip(tmp_path, lshape0):
     assert np.array_equal(back.edge_on_boundary, lshape0.edge_on_boundary)
 
 
-def test_read_mesh_truncated(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("3 1\n0 0\n1 0\n", "expected 11 tokens, found 6"),
+    ("", "not enough values"),
+    ("3.5 1\n0 0\n1 0\n0 1\n0 1 2\n", "'3.5'"),
+    ("3 1\n0 0\nx 0\n0 1\n0 1 2\n", "'x'"),
+    ("3 1\n0 0\n1 0\n0 1\n0 1 2.5\n", "'2.5'"),
+    ("3 -1\n0 0\n1 0\n", "negative count in header 3 -1"),
+    ("3 1\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n", "expected 11 tokens, found 14"),
+], ids=["truncated", "empty", "real-count", "bad-coordinate",
+        "real-index", "negative-count", "extra-triangle"])
+def test_read_mesh_truncated(tmp_path, text, message):
+    # a malformed file raises MeshError naming the file and what is wrong
     path = tmp_path / "bad.txt"
-    path.write_text("3 1\n0 0\n1 0\n")
-    with pytest.raises(MeshError):
+    path.write_text(text)
+    with pytest.raises(MeshError, match=re.escape(f"{path}: ")) as info:
         read_mesh(path)
+    assert message in str(info.value)
 
 
 def test_mesh_arrays_read_only(square0):
@@ -403,7 +431,6 @@ def test_hanging_vertex_audit_memory_stays_boundary_linear():
 
 @pytest.mark.parametrize("k", [0, 377, 749])
 def test_rejects_hanging_vertex_on_a_long_boundary(k):
-    import re
     message = f"hanging vertex {2 * 750 + 2} on edge ({k}, {k + 1})"
     with pytest.raises(MeshError, match=re.escape(message)):
         build_topology(*_strip(750, hanging=[k]))
@@ -412,7 +439,6 @@ def test_rejects_hanging_vertex_on_a_long_boundary(k):
 @pytest.mark.parametrize("hanging", [(12, 5, 30), (39, 0), (7, 8, 9)])
 def test_hanging_vertex_audit_names_the_dense_scans_first_hit(monkeypatch,
                                                               hanging):
-    import re
     from vkfem.mesh import Triangulation
     monkeypatch.setattr(Triangulation, "_audit_hanging_vertices",
                         lambda self: None)

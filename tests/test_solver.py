@@ -800,17 +800,34 @@ def coarse_hessian(fine, coarse_psi):
     return element_hessians(basis, coarse_psi.u)[parents]
 
 
+def start_step_iterates(system, hess, monkeypatch):
+    """The iterates whose residuals the start step from the element
+    Hessians ``hess`` evaluates with at most one sweep: the start solve,
+    then the sweep's trial (kept or not), each as one vector."""
+    iterates = []
+    real_residual = system.residual
+
+    def recording(psi):
+        iterates.append(np.concatenate([psi.u, psi.v]))
+        return real_residual(psi)
+    monkeypatch.setattr(system, "residual", recording)
+    k_lu = solver._symmetric_lu(system.stiffness, system.dofmap.column_order)
+    solver._swept_start(system, k_lu, hess, 0.0, 1)
+    monkeypatch.undo()
+    return k_lu, iterates
+
+
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
-def test_coarse_start_solves_the_frozen_bracket_system(square2, method):
+def test_coarse_start_solves_the_frozen_bracket_system(square2, method,
+                                                      monkeypatch):
     # with [u, .] frozen at u_H: K v0 + (1/2) ([u_H, u_H], phi) = L_g and
     # K u0 - ([u_H, v0], phi) = L_f, checked with the assembled cubic form
     dm = build_dofmap(square2, method)
     system = NewtonSystem(dm, loads_of(exact_square()))
     n = dm.n_global
     u_h = np.random.default_rng(19).standard_normal(n)
-    hess = element_hessians(dm.basis, u_h)
-    start = system.coarse_start(
-        solver._symmetric_lu(system.stiffness, dm.column_order), hess)
+    _, (start, _) = start_step_iterates(
+        system, element_hessians(dm.basis, u_h), monkeypatch)
     u0, v0 = start[:n], start[n:]
     k, load = system.stiffness, system.load
     frozen = DiscreteSolution(dm, u_h, np.zeros(n))
@@ -825,19 +842,63 @@ def test_coarse_start_solves_the_frozen_bracket_system(square2, method):
 @pytest.mark.parametrize("amplitude", [1.0, 10.0])
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
 def test_a_sweep_is_the_start_solve_frozen_at_its_own_u(square2, method,
-                                                        amplitude):
-    # the chord step of P_K from psi and its residual is the re-frozen start
-    # solve coarse_start(K's factor, Hessians of psi.u), up to rounding that
-    # K's conditioning amplifies (normwise 6.6e-13 for c0ip at a = 10)
+                                                        amplitude,
+                                                        monkeypatch):
+    # the chord step psi - P^{-1} F(psi) with A = K is the re-frozen start
+    # solve at the Hessians of psi.u, up to rounding that K's conditioning
+    # amplifies (normwise 6.6e-13 for c0ip at a = 10)
     dm = build_dofmap(square2, method)
     system = NewtonSystem(dm, scaled_loads(exact_square(), amplitude))
-    k_lu = solver._symmetric_lu(system.stiffness, dm.column_order)
     n = dm.n_global
-    x = system.coarse_start(k_lu, np.zeros((square2.n_triangles, 3)))
-    psi = DiscreteSolution(dm, x[:n], x[n:])
-    got = system.sweep(k_lu, psi, system.residual(psi))
-    want = system.coarse_start(k_lu, element_hessians(dm.basis, psi.u))
+    hess = np.zeros((square2.n_triangles, 3))
+    _, (x, got) = start_step_iterates(system, hess, monkeypatch)
+    _, (want, _) = start_step_iterates(
+        system, element_hessians(dm.basis, x[:n]), monkeypatch)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_start_solve_and_sweep_keep_the_two_solve_formulas_bit_for_bit(
+        square1, square2, method, amplitude, monkeypatch):
+    # P^{-1} with A = K and the element-wise M_u gives exactly what the two
+    # triangular solves written out with ([a, b], phi) give: K v0 = L_g -
+    # (1/2) ([u_H, u_H], phi), K u0 = L_f + ([u_H, v0], phi); a sweep from
+    # psi: K dv = -F_v, K du = -(F_u - ([u, dv], phi)), psi + (du, dv)
+    from vkfem.assembly import _scatter
+    from vkfem.femspace import bracket
+    loads = scaled_loads(exact_square(), amplitude)
+    dm = build_dofmap(square2, method)
+    coarse, _ = newton_solve(build_dofmap(square1, method), loads)
+    hess = coarse_hessian(square2, coarse)
+    system = NewtonSystem(dm, loads)
+    k_lu, (start, swept) = start_step_iterates(system, hess, monkeypatch)
+    n, basis, load = dm.n_global, dm.basis, system.load
+
+    def bracket_load(hess_a, hess_b):
+        return _scatter(dm, bracket(hess_a, hess_b)[:, None] * basis.int_phi)
+    v0 = k_lu.solve(load[n:] - 0.5 * bracket_load(hess, hess))
+    u0 = k_lu.solve(load[:n] + bracket_load(
+        hess, element_hessians(basis, v0)))
+    assert np.array_equal(start, np.concatenate([u0, v0]))
+    psi = DiscreteSolution(dm, u0, v0)
+    res = system.residual(psi)
+    dv = -k_lu.solve(res[n:])
+    du = -k_lu.solve(res[:n] - bracket_load(
+        element_hessians(basis, psi.u), element_hessians(basis, dv)))
+    assert np.array_equal(swept, np.concatenate([u0 + du, v0 + dv]))
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_frozen_coupling_applies_the_sparse_coupling_block(square2, method):
+    # -([u, y], phi) element by element is M_u @ y of the Newton matrix
+    dm = build_dofmap(square2, method)
+    system = NewtonSystem(dm, loads_of(exact_square()))
+    psi, _ = newton_solve(dm, loads_of(exact_square()), maxit=1)
+    y = np.random.default_rng(23).standard_normal(dm.n_global)
+    want = system.step_matrix(psi).m_u @ y
+    got = solver._FrozenCoupling(dm, element_hessians(dm.basis, psi.u)) @ y
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_a_run_that_ends_in_its_start_step_builds_no_coupling_block(
