@@ -70,9 +70,7 @@ class LevelState:
     """Everything produced on one level of a refinement loop.
 
     ``report`` is the :class:`~vkfem.solver.NewtonReport` of the level's
-    Newton run: its start, sweeps and steps.  ``loads`` holds the values of
-    ``f`` and ``g`` at the rule points of ``mesh``, evaluated once for the
-    level and shared by every solve, estimate and oscillation on it.
+    Newton run: its start, sweeps and steps.
     """
     level: int
     mesh: object
@@ -80,7 +78,6 @@ class LevelState:
     estimates: LocalEstimates
     record: ConvergenceRecord
     report: NewtonReport
-    loads: tuple = field(repr=False)
 
 
 def estimate(psi, loads):
@@ -265,7 +262,7 @@ def method_levels(problem, methods, config, marked_by=None):
             record = _record(level, psi, problem.exact, eta.total, osc,
                              None if prev is None else prev.record)
             states[method] = LevelState(level, mesh, psi, eta, record,
-                                        report, loads)
+                                        report)
             yield states[method]
 
 

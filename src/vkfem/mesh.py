@@ -43,11 +43,11 @@ class MeshError(ValueError):
 
 
 def _as_indices(values, name):
-    """``values`` as a contiguous int64 array; :class:`MeshError` when one
-    of them differs from its int64 value (``1.7`` is no index)."""
+    """``values`` as a new contiguous int64 array; :class:`MeshError` when
+    one of them differs from its int64 value (``1.7`` is no index)."""
     values = np.asarray(values)
     with np.errstate(invalid="ignore"):
-        ints = np.ascontiguousarray(values, dtype=np.int64)
+        ints = np.array(values, dtype=np.int64, order="C")
     if not np.array_equal(ints, values):
         raise MeshError(f"{name} must be integers")
     return ints
@@ -103,7 +103,8 @@ class Triangulation:
     """
 
     def __init__(self, vertices, triangles, refinement_edge=None):
-        v = np.ascontiguousarray(np.asarray(vertices, dtype=float))
+        # a copy, since the mesh marks its own arrays read-only
+        v = np.array(vertices, dtype=float, order="C")
         t = _as_indices(triangles, "triangle vertex indices")
         if v.ndim != 2 or v.shape[1] != 2:
             raise MeshError("vertices must have shape (nv, 2)")
@@ -428,6 +429,9 @@ def read_mesh(path):
     with open(path, encoding="utf-8") as fh:
         tokens = fh.read().split()
     try:
+        if len(tokens) < 2:
+            raise ValueError(f"truncated header: expected 2 counts 'nv nt', "
+                             f"found {len(tokens)}")
         nv, nt = (int(token) for token in tokens[:2])
         need = 2 + 2 * nv + 3 * nt
         if nv < 0 or nt < 0:

@@ -11,7 +11,9 @@ coarse level's Hessians or from zero Hessians (then it is the exact first
 Newton step), with no GMRES and no sparse matrix: ``M_u`` is applied
 element by element.  A coarse start's fixed-point sweeps, each a chord step
 ``psi - P^{-1} F(psi)`` with ``A = K`` from the residual already at hand,
-often end the run in that step (see :func:`newton_solve`).  Each further
+often end the run in that step.  :func:`_run` makes one run;
+:func:`newton_solve` makes the coarse run and, when that does not converge,
+the run from zero.  Each further
 step factors only its n x n top-left block ``A = K + M_v`` and solves with
 ``J`` by GMRES, preconditioned by ``P`` with that ``A`` and the step's
 sparse ``M_u``.  Both blocks are factored in the column order of the dof
@@ -429,40 +431,38 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     :func:`~vkfem.femspace.load_values`), so a caller that evaluated the
     loads once on a mesh can reuse them.
 
-    Every solve of the run applies ``P^{-1}`` for a block upper triangle
-    ``P = [[A, M_u], [0, K]]``.  Every run's first step is the start solve
-    on ``K``'s factor, ``A = K``, with no GMRES: the system with the bracket
-    ``[u, .]`` frozen at given element Hessians (two-grid linearisation,
-    J. Xu, SIAM J. Numer. Anal. 33 (1996) 1759-1777; see
-    :func:`_swept_start`).  ``coarse_hessian`` holds the Hessians ``(xx, yy,
-    xy)`` of ``u`` of a coarser solution of the same problem, one row per
-    triangle of this mesh (that of the coarse triangle containing it);
-    without it they are zero, and the start solve is the exact first Newton
-    step from the zero pair.  From coarse Hessians the step then sweeps, a
-    fixed-point (Picard) iteration on that factor that freezes the bracket
-    again at its own ``u``, taken as the chord step ``psi - P^{-1} F(psi)``
-    with ``A = K`` from the residual at hand.  A sweep is kept when it
-    lowers the residual norm at least fourfold, and the first that does not
-    is dropped; the step stops there, at the stopping residual or after
-    ``maxit`` sweeps, and counts as one iteration (``report.sweeps`` counts
-    the kept sweeps).  A coarse run is abandoned for the zero start
-    (``report.start`` reads ``"restarted"``) when its first Newton step
-    does not lower the residual, at the first step whose residual is not
-    finite or whose linear solve raises :class:`SolverError`, or after
-    ``maxit`` steps without converging; its steps run with NumPy's overflow
-    and invalid-value warnings off, since that abandonment handles their
-    results, while a zero start keeps the caller's error state.
+    A Newton run (:func:`_run`) applies ``P^{-1}`` for a block upper
+    triangle ``P = [[A, M_u], [0, K]]`` in every solve.  Its first step is
+    the start solve on ``K``'s factor, ``A = K``, with no GMRES: the system
+    with the bracket ``[u, .]`` frozen at given element Hessians (two-grid
+    linearisation, J. Xu, SIAM J. Numer. Anal. 33 (1996) 1759-1777).
+    ``coarse_hessian`` holds the Hessians ``(xx, yy, xy)`` of ``u`` of a
+    coarser solution of the same problem, one row per triangle of this mesh
+    (that of the coarse triangle containing it).  The coarse run starts from
+    them, and its start step then sweeps: a fixed-point (Picard) iteration
+    on that factor that freezes the bracket again at its own ``u``.  A sweep
+    is kept when it lowers the residual norm at least fourfold, and the
+    first that does not is dropped; the step stops there, at the stopping
+    residual or after ``maxit`` sweeps, and counts as one iteration
+    (``report.sweeps`` counts the kept sweeps).  The coarse run also stops
+    when its first Newton step does not lower the residual, at a residual
+    that is not finite or at a :class:`SolverError`; when it does not
+    converge, the zero run follows (``report.start`` reads
+    ``"restarted"``).  The coarse run's steps warn of no NumPy overflow or
+    invalid value, since that restart handles them; the zero run keeps the
+    caller's error state.  The zero run starts from zero Hessians, where
+    the start solve is the exact first Newton step from the zero pair.
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
     current iterate).  It factors only the block ``A = K + M_v`` and passes
     :func:`linear_solve` the preconditioner ``P`` with that ``A`` and the
     step's sparse ``M_u``, whose inverse costs two triangular solves and one
-    product with ``M_u``, and
-    the residual target of a tenth of the residual at which the iteration
-    stops, so that no step's linear residual delays it.  When ``A`` does not
-    factorise the step is solved by sparse LU on ``J``; when ``K`` does not,
-    the run starts from the zero pair and every step is.  Convergence means
+    product with ``M_u``, and the residual target of a tenth of the residual
+    at which the iteration stops, so that no step's linear residual delays
+    it.  When ``A`` does not factorise the step is solved by sparse LU on
+    ``J``; when ``K`` does not, the one run starts from the zero pair and
+    every step is.  Convergence means
     the residual norm falls below ``tol * max(1, ||load||)`` or below the
     attainable floating-point floor of the residual evaluation, whichever
     is larger.  ``residual_history`` holds the norms of the kept run from
@@ -474,8 +474,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         ``report.converged`` is False when the run that was kept took
         ``maxit`` steps, and then ``report.stiffness_definite`` says
         whether the pivots of ``K``'s factor are all positive; linear
-        solver failures of a run that is not abandoned raise
-        :class:`SolverError`.
+        solver failures of the zero run raise :class:`SolverError`.
     """
     if tol <= 0.0 or maxit < 1:
         raise ValueError("tol must be positive and maxit >= 1")
@@ -483,63 +482,102 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
             dofmap.mesh.n_triangles, 3):
         raise ValueError("coarse_hessian must have shape (n_triangles, 3)")
     system = NewtonSystem(dofmap, loads, penalty)
-    n = dofmap.n_global
-    label = f"{dofmap.method} (ndof {n})"
     target = tol * system.load_scale
     try:
         k_lu = _symmetric_lu(system.stiffness, dofmap.column_order)
     except RuntimeError:  # then every step is solved by LU
         k_lu = None
-    # the start solves with K's factor
-    start = "zero" if coarse_hessian is None or k_lu is None else "coarse"
-    # the zero pair, the start without K's factor (its LU steps read no stop)
-    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
-    res, stop = -system.load, target
-    history = [float(np.linalg.norm(res))]
-    converged = False
-    iterations = sweeps = steps = 0  # steps: of the current run
-    while steps < maxit:
-        # a coarse run that overflows is abandoned below, so its steps warn
-        # of no overflow or NaN; a zero start keeps the caller's error state
-        quiet = (dict(over="ignore", invalid="ignore") if start == "coarse"
-                 else {})
-        with np.errstate(**quiet):
-            if steps == 0 and k_lu is not None:
-                psi, res, stop, sweeps = _swept_start(
-                    system, k_lu,
-                    coarse_hessian if start == "coarse" else None, target,
-                    maxit)
-            else:
-                try:
-                    delta = _newton_step(
-                        system, k_lu, psi, res, 0.1 * stop,
-                        f"Newton step {iterations}, {label}")
-                except SolverError:
-                    if start != "coarse":
-                        raise
-                    # a non-finite residual, which abandons the run below
-                    delta = np.full(2 * n, np.nan)
-                psi.u += delta[:n]
-                psi.v += delta[n:]
-                res = system.residual(psi)
-                stop = system.stopping_residual(psi, target)
-            history.append(float(np.linalg.norm(res)))
-        iterations += 1
-        steps += 1
-        if history[-1] <= stop:
-            converged = True
-            break
-        if start == "coarse" and (
-                steps == maxit or not np.isfinite(history[-1])
-                or (steps == 2 and not history[2] < history[1])):
-            start, steps = "restarted", 0
-            del history[1:]
-    definite = None
-    if not converged:
-        # no factor: a zero pivot stopped it, and that is not positive either
-        definite = k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0))
-    return psi, NewtonReport(iterations, history, converged, definite, start,
+    first = 0  # the steps of an abandoned coarse run
+    if coarse_hessian is not None and k_lu is not None:
+        # the zero run handles the overflow and NaN of a coarse run that
+        # diverges, so its steps warn of neither
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, history, sweeps, converged = _run(
+                system, k_lu, coarse_hessian, target, maxit, 0)
+        if converged:
+            return psi, NewtonReport(len(history) - 1, history, True,
+                                     start="coarse", sweeps=sweeps)
+        first = len(history) - 1
+    psi, history, sweeps, converged = _run(system, k_lu, None, target, maxit,
+                                           first)
+    # no factor: a zero pivot stopped it, and that is not positive either
+    definite = None if converged else (
+        k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0)))
+    return psi, NewtonReport(first + len(history) - 1, history, converged,
+                             definite, "restarted" if first else "zero",
                              sweeps)
+
+
+def _run(system, k_lu, hess, target, maxit, first):
+    """One Newton run: the iterate, the residual norms from the zero pair
+    on, the number of sweeps kept and whether the run converged.
+
+    With ``K``'s factor ``k_lu`` the first step is the start step at the
+    element Hessians ``hess`` (zero when ``None``), which sweeps at most
+    ``maxit`` times from given Hessians (see :func:`newton_solve`).  Each of
+    its solves is ``P^{-1}`` with ``A = K`` and ``M_u`` frozen at element
+    Hessians: the start solve ``P^{-1} [L_f; L_g - (1/2) ([u_H, u_H],
+    phi)]``, each sweep the chord step ``psi - P^{-1} F(psi)`` at the ``u``
+    of the last kept iterate, from the residual its acceptance test
+    computed.  Without ``k_lu`` the run starts at the zero pair.  Newton
+    steps (:func:`_newton_step`), numbered from ``first``, follow until the
+    run converges or takes ``maxit`` steps.  A run from given Hessians also
+    stops when its first Newton step does not lower the residual, at a
+    residual that is not finite, or at a :class:`SolverError`, counted as a
+    step with residual NaN; a run from zero raises the error."""
+    dofmap = system.dofmap
+    n = dofmap.n_global
+    coarse = hess is not None
+    # the zero pair, the start without K's factor (its LU step reads no stop)
+    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
+    res, stop, sweeps = -system.load, target, 0
+    history = [float(np.linalg.norm(res))]
+    if k_lu is not None:
+        if not coarse:  # the exact first Newton step from the zero pair
+            hess = np.zeros((dofmap.mesh.n_triangles, 3))
+
+        def frozen(hess):
+            return _BlockTriangularInverse(k_lu, k_lu,
+                                           _FrozenCoupling(dofmap, hess))
+
+        def evaluated(x):
+            psi = DiscreteSolution(dofmap, x[:n], x[n:])
+            res = system.residual(psi)
+            return psi, res, float(np.linalg.norm(res))
+        rhs = system.load.copy()
+        rhs[n:] -= _constant_load(dofmap, 0.5 * bracket(hess, hess))
+        psi, res, norm = evaluated(frozen(hess) @ rhs)
+        stop = system.stopping_residual(psi, target)
+        while coarse and norm > stop and sweeps < maxit:
+            x = np.concatenate([psi.u, psi.v])
+            trial = evaluated(
+                x - frozen(element_hessians(dofmap.basis, psi.u)) @ res)
+            if not trial[2] <= 0.25 * norm:
+                break
+            psi, res, norm = trial
+            stop = system.stopping_residual(psi, target)
+            sweeps += 1
+        history.append(norm)
+    while not history[-1] <= stop:
+        steps = len(history) - 1
+        if steps == maxit or coarse and (
+                not np.isfinite(history[-1])
+                or steps == 2 and not history[2] < history[1]):
+            return psi, history, sweeps, False
+        try:
+            delta = _newton_step(system, k_lu, psi, res, 0.1 * stop,
+                                 f"Newton step {first + steps}, "
+                                 f"{dofmap.method} (ndof {n})")
+        except SolverError:
+            if not coarse:
+                raise
+            return psi, history + [np.nan], sweeps, False
+        psi.u += delta[:n]
+        psi.v += delta[n:]
+        res = system.residual(psi)
+        stop = system.stopping_residual(psi, target)
+        history.append(float(np.linalg.norm(res)))
+    return psi, history, sweeps, True
 
 
 def _newton_step(system, k_lu, psi, res, target, context):
@@ -561,48 +599,6 @@ def _newton_step(system, k_lu, psi, res, target, context):
     # that far cannot delay convergence
     return linear_solve(jac, -res, context=context,
                         preconditioner=preconditioner, target=target)
-
-
-def _swept_start(system, k_lu, hess, target, maxit):
-    """The start step of a Newton run from the element Hessians ``hess``
-    with at most ``maxit`` sweeps, or from zero Hessians with none (``hess``
-    ``None``; see :func:`newton_solve`): the iterate, its residual, its
-    stopping residual and the number of sweeps kept.
-
-    Each solve is ``P^{-1}`` with ``A = K``, on ``k_lu`` alone, and ``M_u``
-    frozen at element Hessians.  The start solve is ``P^{-1} [L_f; L_g -
-    (1/2) ([u_H, u_H], phi)]`` at ``hess``, and each sweep ``psi - P^{-1}
-    F(psi)`` at the ``u`` of the last kept iterate, a chord step from the
-    residual its acceptance test computed, so each iterate's residual is
-    evaluated once."""
-    dofmap = system.dofmap
-    n = dofmap.n_global
-    if hess is None:  # the exact first Newton step from the zero pair
-        hess, maxit = np.zeros((dofmap.mesh.n_triangles, 3)), 0
-
-    def frozen(hess):
-        return _BlockTriangularInverse(k_lu, k_lu,
-                                       _FrozenCoupling(dofmap, hess))
-
-    def evaluated(x):
-        psi = DiscreteSolution(dofmap, x[:n], x[n:])
-        res = system.residual(psi)
-        return psi, res, float(np.linalg.norm(res))
-    rhs = system.load.copy()
-    rhs[n:] -= _constant_load(dofmap, 0.5 * bracket(hess, hess))
-    psi, res, norm = evaluated(frozen(hess) @ rhs)
-    stop = system.stopping_residual(psi, target)
-    sweeps = 0
-    while norm > stop and sweeps < maxit:
-        x = np.concatenate([psi.u, psi.v])
-        trial = evaluated(
-            x - frozen(element_hessians(dofmap.basis, psi.u)) @ res)
-        if not trial[2] <= 0.25 * norm:
-            break
-        psi, res, norm = trial
-        stop = system.stopping_residual(psi, target)
-        sweeps += 1
-    return psi, res, stop, sweeps
 
 
 def residual(psi, loads, penalty=None):

@@ -314,11 +314,10 @@ def test_a_three_method_uniform_run_matches_each_methods_own_loop():
         for state, expected in zip(ours, own):
             np.testing.assert_array_equal(dataclasses.astuple(state.record),
                                           dataclasses.astuple(expected))
-    # the methods of a level share its mesh and loads
+    # the methods of a level share its mesh
     for level in merged[::3]:
         same = [s for s in merged if s.level == level.level]
-        assert all(s.mesh is level.mesh and s.loads is level.loads
-                   for s in same)
+        assert all(s.mesh is level.mesh for s in same)
 
 
 def test_a_run_marked_by_dg_records_dg_as_its_own_loop():

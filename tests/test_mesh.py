@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from vkfem import (MeshError, build_topology, nvb_refine, read_mesh,
-                   shape_regularity, uniform_refine, write_mesh)
+from vkfem import (MeshError, Triangulation, build_topology, nvb_refine,
+                   read_mesh, shape_regularity, uniform_refine, write_mesh)
 
 
 def cross2(u, v):
@@ -354,13 +354,14 @@ def test_mesh_io_roundtrip(tmp_path, lshape0):
 
 @pytest.mark.parametrize("text, message", [
     ("3 1\n0 0\n1 0\n", "expected 11 tokens, found 6"),
-    ("", "not enough values"),
+    ("", "truncated header: expected 2 counts 'nv nt', found 0"),
+    ("3", "truncated header: expected 2 counts 'nv nt', found 1"),
     ("3.5 1\n0 0\n1 0\n0 1\n0 1 2\n", "'3.5'"),
     ("3 1\n0 0\nx 0\n0 1\n0 1 2\n", "'x'"),
     ("3 1\n0 0\n1 0\n0 1\n0 1 2.5\n", "'2.5'"),
     ("3 -1\n0 0\n1 0\n", "negative count in header 3 -1"),
     ("3 1\n0 0\n1 0\n0 1\n0 1 2\n0 2 1\n", "expected 11 tokens, found 14"),
-], ids=["truncated", "empty", "real-count", "bad-coordinate",
+], ids=["truncated", "empty", "one-token", "real-count", "bad-coordinate",
         "real-index", "negative-count", "extra-triangle"])
 def test_read_mesh_truncated(tmp_path, text, message):
     # a malformed file raises MeshError naming the file and what is wrong
@@ -374,6 +375,20 @@ def test_read_mesh_truncated(tmp_path, text, message):
 def test_mesh_arrays_read_only(square0):
     with pytest.raises(ValueError):
         square0.triangles[0, 0] = 5
+
+
+def test_a_mesh_copies_the_callers_arrays():
+    # the mesh's arrays are its own and read-only; the caller's stay
+    # writeable and are not shared
+    v = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    t = np.array([(0, 1, 2), (0, 2, 3)], dtype=np.int64)
+    tags = np.array([0, 1], dtype=np.int64)
+    mesh = Triangulation(v, t, tags)
+    for given, own in ((v, mesh.vertices), (t, mesh.triangles),
+                       (tags, mesh.refinement_edge)):
+        assert given.flags.writeable and not own.flags.writeable
+        assert not np.shares_memory(given, own)
+        assert np.array_equal(given, own)
 
 
 def _strip(n, hanging=()):

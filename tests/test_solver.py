@@ -812,7 +812,7 @@ def start_step_iterates(system, hess, monkeypatch):
         return real_residual(psi)
     monkeypatch.setattr(system, "residual", recording)
     k_lu = solver._symmetric_lu(system.stiffness, system.dofmap.column_order)
-    solver._swept_start(system, k_lu, hess, 0.0, 1)
+    solver._run(system, k_lu, hess, 0.0, 1, 0)
     monkeypatch.undo()
     return k_lu, iterates
 
