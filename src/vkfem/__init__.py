@@ -18,7 +18,7 @@ from .femspace import (METHODS, DofMap, EdgeBasis, ElementBasis, build_dofmap,
                        to_dg_coefficients)
 from .assembly import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
                        assemble_load, assemble_trilinear_jacobian,
-                       assemble_trilinear_vector, bracket_elements)
+                       assemble_trilinear_vector)
 from .solver import (NewtonReport, SolverError, is_spd, linear_solve,
                      newton_order, newton_solve, residual)
 from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,

@@ -61,8 +61,12 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("bulk parameter theta must be in (0, 1]")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
+        for name in ("max_levels", "newton_maxit"):
+            count = getattr(self, name)
+            if not (isinstance(count, (int, np.integer)) and count >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not self.newton_tol > 0.0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass

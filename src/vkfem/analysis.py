@@ -110,14 +110,6 @@ def _jump_terms(dofmap, coef, kinds, exact=None):
     return out
 
 
-def _evaluate(points, *fns):
-    """Each callable at ``points``, once however often it occurs."""
-    x, y = points[..., 0], points[..., 1]
-    values = {fn: np.asarray(fn(x, y), dtype=float)
-              for fn in dict.fromkeys(fns)}
-    return [values[fn] for fn in fns]
-
-
 def discrete_norm(dofmap, coef, kind="h"):
     """Norm of a discrete scalar field given by its coefficients."""
     if kind not in NORM_KINDS:
@@ -137,11 +129,12 @@ def error_norm(psi, exact, kind="h"):
     """Error of a discrete pair against an exact pair in one or more norms.
 
     Returns ``(e_u, e_v, sqrt(e_u^2 + e_v^2))`` for one norm ``kind``, and a
-    list of such triples for a sequence of kinds, which share one evaluation
-    of each distinct exact callable per point set.  Volume terms use
-    ``VOLUME_RULE``; interior jump terms reduce to the discrete field's
-    jumps (the exact pair is smooth across edges), while on boundary edges
-    the exact traces are subtracted.
+    list of such triples for a sequence of kinds, which share one call of
+    each exact callable per point set (the aliases of
+    :func:`~vkfem.problems.exact_lshape` share its last evaluation).  Volume
+    terms use ``VOLUME_RULE``; interior jump terms reduce to the discrete
+    field's jumps (the exact pair is smooth across edges), while on boundary
+    edges the exact traces are subtracted.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     for k in kinds:
@@ -149,7 +142,9 @@ def error_norm(psi, exact, kind="h"):
             raise ValueError(f"unknown norm kind {k!r}, expected {NORM_KINDS}")
     dofmap = psi.dofmap
     basis, mesh = dofmap.basis, dofmap.mesh
-    hessians = _evaluate(rule_points(mesh), exact.u_hess, exact.v_hess)
+    pts = rule_points(mesh)
+    x, y = pts[..., 0], pts[..., 1]
+    hessians = exact.u_hess(x, y), exact.v_hess(x, y)
     traces = [None, None]
     if any(k != "nc" for k in kinds):
         # values and gradients at one point set (the gradients at the ends
@@ -157,8 +152,9 @@ def error_norm(psi, exact, kind="h"):
         # fields computes them once
         edge_pts = dofmap.edge_basis.points
         pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)
-        u, v, u_grad, v_grad = _evaluate(pts, exact.u, exact.v,
-                                         exact.u_grad, exact.v_grad)
+        x, y = pts[..., 0], pts[..., 1]
+        u, v = exact.u(x, y), exact.v(x, y)
+        u_grad, v_grad = exact.u_grad(x, y), exact.v_grad(x, y)
         q = edge_pts.shape[1]
         traces = [(u, u_grad[:, :q]), (v, v_grad[:, :q])]
     errors = []
@@ -206,7 +202,9 @@ def best_approx_term(exact, mesh):
     total = 0.0
     # at the rule points, the same ones the loads are evaluated at; the
     # deviation from the mean is squared, so nothing cancels
-    for h in _evaluate(rule_points(mesh), exact.u_hess, exact.v_hess):
+    pts = rule_points(mesh)
+    x, y = pts[..., 0], pts[..., 1]
+    for h in (exact.u_hess(x, y), exact.v_hess(x, y)):
         dev = h - (w @ h)[:, None, :]
         total += float(mesh.area @ (dev**2 @ FROB_WEIGHTS @ w))
     return float(np.sqrt(total))

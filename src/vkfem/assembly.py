@@ -25,7 +25,7 @@ from .femspace import (DofMap, EDGE_RULE, FROB_WEIGHTS, VOLUME_RULE, bracket,
                        element_hessians, load_values)
 
 __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
-           "assemble_load", "bracket_elements", "assemble_trilinear_vector",
+           "assemble_load", "assemble_trilinear_vector",
            "assemble_trilinear_jacobian"]
 
 
@@ -284,12 +284,6 @@ def assemble_load(f, g, dofmap):
         blocks.append(_scatter(dofmap, basis.area[:, None] * (
             (vals * VOLUME_RULE.weights)[:, None, :] @ phi)[:, 0]))
     return np.concatenate(blocks)
-
-
-def bracket_elements(dofmap, coef_a, coef_b):
-    """Element-wise constants ``[a, b]|_K`` of two P2 fields, shape (nt,)."""
-    return bracket(element_hessians(dofmap.basis, coef_a),
-                   element_hessians(dofmap.basis, coef_b))
 
 
 def assemble_trilinear_vector(xi, theta):

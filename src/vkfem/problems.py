@@ -137,9 +137,9 @@ def _cutoff_factor(t):
     return q**2, -4.0 * t * q, 12.0 * t**2 - 4.0
 
 
-def _fields_polar(r, theta, bilaplacian=False):
-    """Value, gradient and Hessian of the singular pair at polar points,
-    and with ``bilaplacian`` its bilaplacian as a fourth entry.
+def _fields_polar(r, theta):
+    """Value, gradient, Hessian and bilaplacian of the singular pair at polar
+    points.
 
     Valid for any real ``theta`` (the formula continues analytically across
     the slit).  At the corner the Hessian and the bilaplacian are NaN.
@@ -178,29 +178,27 @@ def _fields_polar(r, theta, bilaplacian=False):
               np.stack([c * wxx + 2.0 * cx * wx + cxx * w,
                         c * wyy + 2.0 * cy * wy + cyy * w,
                         c * wxy + cx * wy + cy * wx + cxy * w], axis=-1)]
-    if bilaplacian:
-        # bilap(c w) = w bilap(c) + 2 lap(c) lap(w) + 4 grad(lap c).grad(w)
-        #   + 4 grad(c).grad(lap w) + 4 D2c : D2w, as bilap(w) = 0, with
-        #   lap(w) = r^(alpha-1) ((1+alpha)^2 g + g''), p''' = 24 t, p'''' = 24
-        lap_w = ra / safe * (_AP1**2 * g + g2)
-        lap_wr = _AM1 * lap_w / safe
-        lap_wt = ra / safe**2 * (_AP1**2 * g1 + g3)  # (1/r) d/dtheta
-        fields.append(
-            w * (24.0 * (px + py) + 2.0 * p2x * p2y)
-            + 2.0 * (cxx + cyy) * lap_w
-            + 4.0 * ((24.0 * x * py + p1x * p2y) * wx
-                     + (p2x * p1y + 24.0 * y * px) * wy)
-            + 4.0 * (cx * (ct * lap_wr - st * lap_wt)
-                     + cy * (st * lap_wr + ct * lap_wt))
-            + 4.0 * (cxx * wxx + cyy * wyy + 2.0 * cxy * wxy))
+    # bilap(c w) = w bilap(c) + 2 lap(c) lap(w) + 4 grad(lap c).grad(w)
+    #   + 4 grad(c).grad(lap w) + 4 D2c : D2w, as bilap(w) = 0, with
+    #   lap(w) = r^(alpha-1) ((1+alpha)^2 g + g''), p''' = 24 t, p'''' = 24
+    lap_w = ra / safe * (_AP1**2 * g + g2)
+    lap_wr = _AM1 * lap_w / safe
+    lap_wt = ra / safe**2 * (_AP1**2 * g1 + g3)  # (1/r) d/dtheta
+    fields.append(
+        w * (24.0 * (px + py) + 2.0 * p2x * p2y)
+        + 2.0 * (cxx + cyy) * lap_w
+        + 4.0 * ((24.0 * x * py + p1x * p2y) * wx
+                 + (p2x * p1y + 24.0 * y * px) * wy)
+        + 4.0 * (cx * (ct * lap_wr - st * lap_wt)
+                 + cy * (st * lap_wr + ct * lap_wt))
+        + 4.0 * (cxx * wxx + cyy * wyy + 2.0 * cxy * wxy))
 
     at_corner = r == 0.0
     if np.any(at_corner):
         fields[0] = np.where(at_corner, 0.0, fields[0])
         fields[1] = np.where(at_corner[..., None], 0.0, fields[1])
         fields[2] = np.where(at_corner[..., None], np.nan, fields[2])
-        if bilaplacian:
-            fields[3] = np.where(at_corner, np.nan, fields[3])
+        fields[3] = np.where(at_corner, np.nan, fields[3])
     return tuple(fields)
 
 
@@ -227,7 +225,7 @@ def exact_lshape():
         y = np.asarray(y, dtype=float)
         if not (last and np.array_equal(last["x"], x)
                 and np.array_equal(last["y"], y)):
-            out = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+            out = _fields_polar(*_polar_of(x, y))
             for a in out:
                 if isinstance(a, np.ndarray):  # array scalars are immutable
                     a.flags.writeable = False

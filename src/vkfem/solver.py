@@ -11,20 +11,20 @@ coarse level's Hessians or from zero Hessians (then it is the exact first
 Newton step), with no GMRES and no sparse matrix: ``M_u`` is applied
 element by element.  A coarse start's fixed-point sweeps, each a chord step
 ``psi - P^{-1} F(psi)`` with ``A = K`` from the residual already at hand,
-often end the run in that step.  :func:`_run` makes one run;
+often end the run in that step.  :func:`_run` makes one run, in which one
+function forms every iterate and none is updated in place;
 :func:`newton_solve` makes the coarse run and, when that does not converge,
-the run from zero.  Each further
-step factors only its n x n top-left block ``A = K + M_v`` and solves with
-``J`` by GMRES, preconditioned by ``P`` with that ``A`` and the step's
-sparse ``M_u``.  Both blocks are factored in the column order of the dof
-map: ``dg`` numbers its triangles in minimum-degree order and factors in
-that order as it stands, Morley and C0IP order by minimum degree on ``A^T +
-A``.  A step whose GMRES result fails the acceptance test of
-:func:`linear_solve`, or whose block does not factorise, is solved by
-sparse LU on ``J`` instead.  Coercivity checks (:func:`is_spd`) factor
-``K`` by the same diagonal-pivot LU as the blocks and read its definiteness
-from the signs of the pivots; a Newton run that does not converge reads
-them from the factor of ``K`` it holds.
+the run from zero.  Each further step factors only its n x n top-left block
+``A = K + M_v`` and solves with ``J`` by GMRES, preconditioned by ``P``
+with that ``A`` and the step's sparse ``M_u``.  Both blocks are factored in
+the column order of the dof map: ``dg`` numbers its triangles in
+minimum-degree order and factors in that order as it stands, Morley and
+C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
+fails the acceptance test of :func:`linear_solve`, or whose block does not
+factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
+(:func:`is_spd`) factor ``K`` by the same diagonal-pivot LU as the blocks
+and read its definiteness from the signs of the pivots; a Newton run that
+does not converge reads them from the factor of ``K`` it holds.
 
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869) is
 one in-house cycle :func:`_gmres_cycle` on plain arrays, preconditioned on
@@ -476,8 +476,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         whether the pivots of ``K``'s factor are all positive; linear
         solver failures of the zero run raise :class:`SolverError`.
     """
-    if tol <= 0.0 or maxit < 1:
-        raise ValueError("tol must be positive and maxit >= 1")
+    if not (tol > 0.0 and isinstance(maxit, (int, np.integer))
+            and maxit >= 1):
+        raise ValueError("tol must be positive and maxit an integer >= 1")
     if coarse_hessian is not None and np.shape(coarse_hessian) != (
             dofmap.mesh.n_triangles, 3):
         raise ValueError("coarse_hessian must have shape (n_triangles, 3)")
@@ -524,12 +525,21 @@ def _run(system, k_lu, hess, target, maxit, first):
     run converges or takes ``maxit`` steps.  A run from given Hessians also
     stops when its first Newton step does not lower the residual, at a
     residual that is not finite, or at a :class:`SolverError`, counted as a
-    step with residual NaN; a run from zero raises the error."""
+    step with residual NaN; a run from zero raises the error.  Each iterate
+    after the zero pair is a block vector ``x`` that one ``evaluated(x)``
+    pairs with its residual, norm and stop; no pair changes after that."""
     dofmap = system.dofmap
     n = dofmap.n_global
     coarse = hess is not None
+
+    def evaluated(x):  # the iterate, its pair, residual, norm and stop
+        psi = DiscreteSolution(dofmap, x[:n], x[n:])
+        res = system.residual(psi)
+        return (x, psi, res, float(np.linalg.norm(res)),
+                system.stopping_residual(psi, target))
     # the zero pair, the start without K's factor (its LU step reads no stop)
-    psi = DiscreteSolution(dofmap, np.zeros(n), np.zeros(n))
+    x = np.zeros(2 * n)
+    psi = DiscreteSolution(dofmap, x[:n], x[n:])
     res, stop, sweeps = -system.load, target, 0
     history = [float(np.linalg.norm(res))]
     if k_lu is not None:
@@ -539,23 +549,15 @@ def _run(system, k_lu, hess, target, maxit, first):
         def frozen(hess):
             return _BlockTriangularInverse(k_lu, k_lu,
                                            _FrozenCoupling(dofmap, hess))
-
-        def evaluated(x):
-            psi = DiscreteSolution(dofmap, x[:n], x[n:])
-            res = system.residual(psi)
-            return psi, res, float(np.linalg.norm(res))
         rhs = system.load.copy()
         rhs[n:] -= _constant_load(dofmap, 0.5 * bracket(hess, hess))
-        psi, res, norm = evaluated(frozen(hess) @ rhs)
-        stop = system.stopping_residual(psi, target)
+        x, psi, res, norm, stop = evaluated(frozen(hess) @ rhs)
         while coarse and norm > stop and sweeps < maxit:
-            x = np.concatenate([psi.u, psi.v])
             trial = evaluated(
                 x - frozen(element_hessians(dofmap.basis, psi.u)) @ res)
-            if not trial[2] <= 0.25 * norm:
+            if not trial[3] <= 0.25 * norm:
                 break
-            psi, res, norm = trial
-            stop = system.stopping_residual(psi, target)
+            x, psi, res, norm, stop = trial
             sweeps += 1
         history.append(norm)
     while not history[-1] <= stop:
@@ -572,11 +574,8 @@ def _run(system, k_lu, hess, target, maxit, first):
             if not coarse:
                 raise
             return psi, history + [np.nan], sweeps, False
-        psi.u += delta[:n]
-        psi.v += delta[n:]
-        res = system.residual(psi)
-        stop = system.stopping_residual(psi, target)
-        history.append(float(np.linalg.norm(res)))
+        x, psi, res, norm, stop = evaluated(x + delta)
+        history.append(norm)
     return psi, history, sweeps, True
 
 

@@ -84,7 +84,7 @@ def test_estimate_takes_each_components_hessians_once(square1, monkeypatch,
     def counting(basis, coef):
         calls.append(1)
         return real(basis, coef)
-    # also where bracket_elements would look it up
+    # also where the assembly looks it up
     for module in (adaptivity, assembly):
         monkeypatch.setattr(module, "element_hessians", counting)
     estimate(psi, (exact.f, exact.g))
@@ -154,6 +154,11 @@ def test_adaptive_config_validation():
         AdaptiveConfig(theta=0.0)
     with pytest.raises(ValueError):
         AdaptiveConfig(max_levels=0)
+    for bad in ({"max_levels": 2.5}, {"newton_maxit": 0},
+                {"newton_maxit": 1.5}, {"newton_tol": 0.0},
+                {"newton_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            AdaptiveConfig(**bad)
 
 
 def test_theta_one_marks_everything(square0):
@@ -394,7 +399,7 @@ def lshape_without_shared_fields():
 
     def load(sign):
         def fn(x, y):
-            _, _, h, bilap = _fields_polar(*_polar_of(x, y), bilaplacian=True)
+            _, _, h, bilap = _fields_polar(*_polar_of(x, y))
             return bilap + sign * bracket(h, h)
         return fn
 

@@ -35,7 +35,7 @@ def test_error_norms_vanish_for_exact_p2(square1):
 
 def test_error_norm_kinds_share_one_evaluation(square1):
     # a sequence of kinds gives the triples of separate calls bit for bit,
-    # and evaluates each distinct exact callable once per point set
+    # and calls each exact callable once per point set (here u is v)
     q, qg, qh = quadratic_pair()
     calls = []
 
@@ -54,13 +54,13 @@ def test_error_norm_kinds_share_one_evaluation(square1):
                                rng.standard_normal(dm.n_global))
         calls.clear()
         together = error_norm(psi, exact, ("h", "nc", "ip", "dg"))
-        assert sorted(map(id, calls)) == sorted(map(id, (q, qg, qh)))
+        assert sorted(map(id, calls)) == sorted(map(id, (q, qg, qh) * 2))
         separate = [error_norm(psi, exact, kind)
                     for kind in ("h", "nc", "ip", "dg")]
         assert together == separate
         calls.clear()
         error_norm(psi, exact, ["nc"])
-        assert calls == [qh]
+        assert calls == [qh, qh]
     with pytest.raises(ValueError, match="unknown norm kind"):
         error_norm(psi, exact, ("h", "l2"))
 

@@ -8,11 +8,11 @@ from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
                    assemble_biharmonic,
                    assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
-                   bracket_elements, build_dofmap, build_topology, edge_rule,
+                   build_dofmap, build_topology, edge_rule,
                    integrate_edge, is_spd, nodal_interpolate,
                    to_dg_coefficients, triangle_rule, uniform_refine)
 from vkfem import assembly
-from vkfem.femspace import EdgeBasis, ElementBasis
+from vkfem.femspace import EdgeBasis, ElementBasis, bracket, element_hessians
 from vkfem.analysis import discrete_norm
 from vkfem.problems import exact_square
 from vkfem.solver import NewtonSystem
@@ -143,7 +143,8 @@ def test_dg_on_morley_field_is_nc_plus_penalties(square1):
 def test_bracket_of_x2_plus_y2(square1):
     dm = build_dofmap(square1, "dg")
     coef = nodal_interpolate(lambda x, y: x**2 + y**2, dm)
-    br = bracket_elements(dm, coef, coef)
+    hess = element_hessians(dm.basis, coef)
+    br = bracket(hess, hess)
     assert np.abs(br - 8.0).max() < 1e-10
     assert float(br[3]) == pytest.approx(8.0)
 
@@ -153,10 +154,11 @@ def test_bracket_symmetry_and_affine(square1):
     rng = np.random.default_rng(4)
     a = rng.standard_normal(dm.n_global)
     b = rng.standard_normal(dm.n_global)
-    assert np.allclose(bracket_elements(dm, a, b), bracket_elements(dm, b, a),
-                       atol=1e-13)
+    ha, hb = element_hessians(dm.basis, a), element_hessians(dm.basis, b)
+    assert np.allclose(bracket(ha, hb), bracket(hb, ha), atol=1e-13)
     affine = nodal_interpolate(lambda x, y: 3.0 - 2.0 * x + y, dm)
-    assert np.abs(bracket_elements(dm, affine, a)).max() < 1e-10
+    h_affine = element_hessians(dm.basis, affine)
+    assert np.abs(bracket(h_affine, ha)).max() < 1e-10
 
 
 def test_trilinear_vector_symmetric_in_first_two(square1):

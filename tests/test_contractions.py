@@ -10,13 +10,14 @@ import pytest
 import scipy.sparse as sp
 
 from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
-                   assemble_biharmonic, assemble_load, bracket_elements,
+                   assemble_biharmonic, assemble_load,
                    build_dofmap, build_topology, error_norm, estimate,
                    lshape_mesh, nvb_refine, oscillation_local, uniform_refine)
 from vkfem import analysis, assembly
 from vkfem.femspace import (EDGE_RULE, P2_REF_HESSIANS, REF_NODES,
-                            VOLUME_RULE, EdgeBasis, edge_jumps,
-                            gather_coefficients, p2_ref_gradients, p2_values)
+                            VOLUME_RULE, EdgeBasis, bracket, edge_jumps,
+                            element_hessians, gather_coefficients,
+                            p2_ref_gradients, p2_values)
 from vkfem.problems import exact_lshape
 from vkfem.quadrature import triangle_rule
 
@@ -303,9 +304,9 @@ def test_dg_estimator_jump_terms(mesh):
     u, v = np.random.default_rng(36).standard_normal((2, dofmap.n_global))
     psi = DiscreteSolution(dofmap, u, v)
     nq = len(VOLUME_RULE.weights)
-    loads = (np.repeat(-bracket_elements(dofmap, u, v)[:, None], nq, axis=1),
-             np.repeat(0.5 * bracket_elements(dofmap, u, u)[:, None], nq,
-                       axis=1))
+    hu, hv = (element_hessians(dofmap.basis, c) for c in (u, v))
+    loads = (np.repeat(-bracket(hu, hv)[:, None], nq, axis=1),
+             np.repeat(0.5 * bracket(hu, hu)[:, None], nq, axis=1))
     w, h = EDGE_RULE.weights, mesh.edge_length
     term = 0.0
     for coef in (u, v):

@@ -178,8 +178,7 @@ def test_lshape_fields_equal_a_direct_evaluation_bit_for_bit():
     from vkfem.femspace import bracket
     from vkfem.problems import _fields_polar
     x, y = lshape_points()
-    value, grad, hess, bilap = _fields_polar(*_polar_of(x, y),
-                                             bilaplacian=True)
+    value, grad, hess, bilap = _fields_polar(*_polar_of(x, y))
     expected = {"u": value, "v": value, "u_grad": grad, "v_grad": grad,
                 "u_hess": hess, "v_hess": hess,
                 "f": bilap - bracket(hess, hess),
@@ -272,6 +271,5 @@ def test_lshape_loads_are_nan_at_the_corner():
     assert np.isnan(f[0]) and np.isnan(g[0])
     assert np.isfinite(f[1]) and np.isfinite(g[1])
     from vkfem.problems import _fields_polar
-    bilap = _fields_polar(np.array([0.0, 0.3]), np.array([0.0, 1.0]),
-                          bilaplacian=True)[3]
+    bilap = _fields_polar(np.array([0.0, 0.3]), np.array([0.0, 1.0]))[3]
     assert np.isnan(bilap[0]) and np.isfinite(bilap[1])

@@ -183,8 +183,30 @@ def test_newton_invalid_arguments(square1):
         newton_solve(dm, (zero, zero), tol=0.0)
     with pytest.raises(ValueError):
         newton_solve(dm, (zero, zero), maxit=0)
+    # a step count that is not an integer, and a NaN tolerance
+    for bad in ({"maxit": 1.5}, {"maxit": 2.0}, {"tol": float("nan")}):
+        with pytest.raises(ValueError):
+            newton_solve(dm, (zero, zero), **bad)
     with pytest.raises(TypeError):  # the loads are required
         newton_solve(dm)
+
+
+def test_a_newton_run_changes_no_pair_it_evaluated(square2, monkeypatch):
+    # every pair whose residual was computed keeps its coefficients, so a
+    # value cached on a pair stays valid for the whole run
+    evaluated = []
+    real = NewtonSystem.residual
+
+    def recording(self, psi):
+        evaluated.append((psi, psi.u.copy(), psi.v.copy()))
+        return real(self, psi)
+    monkeypatch.setattr(NewtonSystem, "residual", recording)
+    dm = build_dofmap(square2, "c0ip")
+    _, report = newton_solve(dm, loads_of(exact_square()))
+    assert report.converged and report.iterations >= 2
+    for psi, u, v in evaluated:
+        np.testing.assert_array_equal(psi.u, u)
+        np.testing.assert_array_equal(psi.v, v)
 
 
 def test_method_solutions_pairwise_close(square2):
