@@ -22,7 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import (ConvergenceRecord, error_norm, oscillation)
+from .analysis import (ConvergenceRecord, error_norm, exact_fields,
+                       oscillation)
 from .assembly import PenaltyConfig
 from .femspace import (EDGE_RULE, VOLUME_RULE, bracket, build_dofmap,
                        edge_jumps, element_hessians, load_values)
@@ -190,8 +191,7 @@ def _coarse_hessian(mesh, prev):
     parents = None if prev is None else mesh.parents_in(prev.mesh)
     if parents is None:
         return None
-    coarse = prev.solution
-    return element_hessians(coarse.dofmap.basis, coarse.u)[parents]
+    return prev.solution.hessians()[0][parents]
 
 
 def _solve(level, mesh, method, config, loads, prev):
@@ -211,9 +211,9 @@ def _solve(level, mesh, method, config, loads, prev):
     return psi, report
 
 
-def _record(level, psi, exact, eta_total, osc, prev):
+def _record(level, psi, fields, eta_total, osc, prev):
     (e_u, e_v, e_tot), (_, _, e_meth) = error_norm(
-        psi, exact, ("h", METHOD_NORM[psi.method]))
+        psi, fields, ("h", METHOD_NORM[psi.method]))
     ndof = psi.dofmap.n_global
     rate = float("nan")
     # no rate between two levels of one mesh (an empty marking)
@@ -229,8 +229,8 @@ def method_levels(problem, methods, config, marked_by=None):
     """Generator over one mesh hierarchy with every method of ``methods``
     solved, estimated and recorded on each mesh.
 
-    Each mesh gets one evaluation of the loads and one data oscillation,
-    shared by all methods.  Level by level, each method's
+    Each mesh gets one :func:`~vkfem.analysis.exact_fields` and one data
+    oscillation, shared by all methods.  Level by level, each method's
     :class:`LevelState` is yielded as soon as it is recorded, in the order
     of ``methods``; each method's Newton run starts from its own previous
     level (see :func:`~vkfem.solver.newton_solve`).  ``marked_by=None``
@@ -241,6 +241,8 @@ def method_levels(problem, methods, config, marked_by=None):
     ``config.max_levels`` levels, and nothing is refined after the last.
     Raises :class:`SolverError` when Newton does not converge.
     """
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"methods {methods!r} must name methods, each once")
     if marked_by is not None and marked_by not in methods:
         raise ValueError(f"marked_by {marked_by!r} is not among the methods")
     capped = methods if marked_by is None else [marked_by]
@@ -255,15 +257,15 @@ def method_levels(problem, methods, config, marked_by=None):
         elif level:
             mesh = nvb_refine(mesh, dorfler_mark(states[marked_by].estimates,
                                                  config.theta))
-        loads = tuple(load_values(load, mesh)
-                      for load in (problem.exact.f, problem.exact.g))
+        fields = exact_fields(problem.exact, mesh)
+        loads = fields.loads
         osc = float(np.hypot(oscillation(loads[0], mesh),
                              oscillation(loads[1], mesh)))
         for method in methods:
             prev = states[method]
             psi, report = _solve(level, mesh, method, config, loads, prev)
             eta = estimate(psi, loads)
-            record = _record(level, psi, problem.exact, eta.total, osc,
+            record = _record(level, psi, fields, eta.total, osc,
                              None if prev is None else prev.record)
             states[method] = LevelState(level, mesh, psi, eta, record,
                                         report)

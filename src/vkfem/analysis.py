@@ -23,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .femspace import (EDGE_RULE, FROB_WEIGHTS, VOLUME_RULE, edge_jumps,
-                       element_hessians, load_values, rule_points)
+                       edge_points, element_hessians, load_values,
+                       rule_point_blocks, rule_values)
 
-__all__ = ["ExactSolutionPair", "ConvergenceRecord", "NORM_KINDS",
+__all__ = ["ExactSolutionPair", "ExactFields", "exact_fields",
+           "ConvergenceRecord", "NORM_KINDS",
            "error_norm", "discrete_norm", "unified_h_norm", "oscillation",
            "oscillation_local", "best_approx_term", "fit_rate",
            "convergence_rates"]
@@ -58,6 +60,63 @@ class ExactSolutionPair:
     g: callable
 
 
+@dataclass(frozen=True)
+class ExactFields:
+    """An exact pair on one mesh, for every method solved on it: ``f`` and
+    ``g`` at the ``VOLUME_RULE`` points (or ``None``), and per component
+    ``u``, ``v`` the rule-weighted mean ``(nt, 3)`` and spread ``sum_q w_q
+    |D2 - mean|_F^2`` ``(nt,)`` of the Hessian on each triangle, and the
+    values at the ``EDGE_RULE`` points and both ends of each boundary edge
+    with the gradients at the rule points."""
+    mesh: object
+    loads: tuple | None
+    hess_mean: tuple
+    hess_spread: tuple
+    traces: tuple
+
+
+def exact_fields(exact, mesh):
+    """The :class:`ExactFields` of a pair on ``mesh`` from two passes: the
+    loads and Hessians at each block of
+    :func:`~vkfem.femspace.rule_point_blocks`, then the values and gradients
+    at the boundary-edge points, which a pair that keeps its last evaluation
+    (see :mod:`vkfem.problems`) keeps after them.  Loads of the wrong shape
+    raise ``ValueError``."""
+    return ExactFields(mesh, *_volume_pass(exact, mesh, True),
+                       _boundary_traces(exact, mesh))
+
+
+def _volume_pass(exact, mesh, loads):
+    """Loads (if ``loads``), Hessian means and spreads of one pass."""
+    w = VOLUME_RULE.weights
+    shape = (mesh.n_triangles, len(w))
+    values = (np.empty(shape), np.empty(shape)) if loads else None
+    means = (np.empty((shape[0], 3)), np.empty((shape[0], 3)))
+    sq_devs = (np.empty(shape), np.empty(shape))
+    for tris, x, y in rule_point_blocks(mesh):
+        if loads:
+            for out, load in zip(values, (exact.f, exact.g)):
+                out[tris] = rule_values(load(x, y), x.shape)
+        for mean, sq_dev, hess in zip(means, sq_devs,
+                                      (exact.u_hess, exact.v_hess)):
+            h = hess(x, y)
+            mean[tris] = w @ h
+            sq_dev[tris] = (h - mean[tris][:, None, :])**2 @ FROB_WEIGHTS
+    # the weighted sums over the whole mesh at once: BLAS rounds each row's
+    # sum by where the row sits in the array, so block sums differ in bits
+    return values, means, tuple(sq_dev @ w for sq_dev in sq_devs)
+
+
+def _boundary_traces(exact, mesh):
+    bdry = mesh.edge_on_boundary
+    pts = np.concatenate([edge_points(mesh, EDGE_RULE.points, bdry),
+                          mesh.vertices[mesh.edges[bdry]]], axis=1)
+    x, y = pts[..., 0], pts[..., 1]
+    q = len(EDGE_RULE.points)
+    return tuple((value(x, y), grad(x, y)[:, :q]) for value, grad in
+                 ((exact.u, exact.u_grad), (exact.v, exact.v_grad)))
+
+
 @dataclass
 class ConvergenceRecord:
     """One refinement level of a convergence study."""
@@ -75,11 +134,10 @@ class ConvergenceRecord:
 def _jump_terms(dofmap, coef, kinds, exact=None):
     """Squared jump contributions of a discrete field, one per norm kind.
 
-    With ``exact = (values, gradients)``, the values at the edge table's
-    points and then at both endpoints of every edge, the gradients at the
-    table's points, the jumps are those of the error ``exact - field``: on
-    interior edges the smooth exact part cancels, on boundary edges its
-    trace is subtracted (trace convention).
+    With ``exact = (values, gradients)`` on the boundary edges, as in
+    :class:`ExactFields`, the jumps are those of the error ``exact -
+    field``: on interior edges the smooth exact part cancels, on boundary
+    edges its trace is subtracted (trace convention).
     """
     if all(kind == "nc" for kind in kinds):
         return [0.0] * len(kinds)
@@ -89,11 +147,11 @@ def _jump_terms(dofmap, coef, kinds, exact=None):
     vj = np.concatenate([vj, vj @ _TO_ENDS], axis=1)
     dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
     if exact is not None:
-        bdry = mesh.edge_on_boundary[:, None]
-        exact_dn = np.einsum("eqa,ea->eq", exact[1], mesh.edge_normal)
-        # boundary: [error] = exact trace - field trace (= exact - vj there)
-        vj = np.where(bdry, exact[0] - vj, vj)
-        dj = np.where(bdry, exact_dn - dj, dj)
+        bdry = mesh.edge_on_boundary
+        # boundary: [error] = exact trace - field trace
+        vj[bdry] = exact[0] - vj[bdry]
+        dj[bdry] = np.einsum("eqa,ea->eq", exact[1],
+                             mesh.edge_normal[bdry]) - dj[bdry]
     vj, ends = np.split(vj, [len(w)], axis=1)
     h = mesh.edge_length
     out = [0.0] * len(kinds)
@@ -129,39 +187,31 @@ def error_norm(psi, exact, kind="h"):
     """Error of a discrete pair against an exact pair in one or more norms.
 
     Returns ``(e_u, e_v, sqrt(e_u^2 + e_v^2))`` for one norm ``kind``, and a
-    list of such triples for a sequence of kinds, which share one call of
-    each exact callable per point set (the aliases of
-    :func:`~vkfem.problems.exact_lshape` share its last evaluation).  Volume
-    terms use ``VOLUME_RULE``; interior jump terms reduce to the discrete
-    field's jumps (the exact pair is smooth across edges), while on boundary
-    edges the exact traces are subtracted.
+    list of such triples for a sequence of kinds.  ``exact`` is a pair or
+    the :class:`ExactFields` of the solution's mesh.  Volume terms use
+    ``sum_q w_q |D2 - H|^2 = spread + |mean - H|^2`` on each triangle (the
+    ``VOLUME_RULE`` weights sum to one).  Interior jump terms reduce to the discrete field's jumps (the
+    exact pair is smooth across edges), while on boundary edges the exact
+    traces are subtracted.
     """
     kinds = [kind] if isinstance(kind, str) else list(kind)
     for k in kinds:
         if k not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {k!r}, expected {NORM_KINDS}")
     dofmap = psi.dofmap
-    basis, mesh = dofmap.basis, dofmap.mesh
-    pts = rule_points(mesh)
-    x, y = pts[..., 0], pts[..., 1]
-    hessians = exact.u_hess(x, y), exact.v_hess(x, y)
-    traces = [None, None]
-    if any(k != "nc" for k in kinds):
-        # values and gradients at one point set (the gradients at the ends
-        # are sliced off), so a pair that keeps its last evaluation of the
-        # fields computes them once
-        edge_pts = dofmap.edge_basis.points
-        pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)
-        x, y = pts[..., 0], pts[..., 1]
-        u, v = exact.u(x, y), exact.v(x, y)
-        u_grad, v_grad = exact.u_grad(x, y), exact.v_grad(x, y)
-        q = edge_pts.shape[1]
-        traces = [(u, u_grad[:, :q]), (v, v_grad[:, :q])]
+    mesh = dofmap.mesh
+    if not isinstance(exact, ExactFields):
+        traces = _boundary_traces(exact, mesh) if any(
+            k != "nc" for k in kinds) else (None, None)
+        exact = ExactFields(mesh, *_volume_pass(exact, mesh, False), traces)
+    elif exact.mesh is not mesh:
+        raise ValueError("the exact fields are those of another mesh")
+    area = dofmap.basis.area
     errors = []
-    w = VOLUME_RULE.weights
-    for coef, hess, trace in zip((psi.u, psi.v), hessians, traces):
-        diff = hess - element_hessians(basis, coef)[:, None, :]
-        e2 = float(basis.area @ (diff**2 @ FROB_WEIGHTS @ w))
+    for coef, hess, mean, spread, trace in zip(
+            (psi.u, psi.v), psi.hessians(), exact.hess_mean,
+            exact.hess_spread, exact.traces):
+        e2 = float(area @ (spread + (mean - hess)**2 @ FROB_WEIGHTS))
         errors.append([np.sqrt(e2 + jump)
                        for jump in _jump_terms(dofmap, coef, kinds, trace)])
     out = [(float(e_u), float(e_v), float(np.hypot(e_u, e_v)))
@@ -198,16 +248,8 @@ def best_approx_term(exact, mesh):
     components; this is the best-approximation quantity the three methods'
     errors are equivalent to.
     """
-    w = VOLUME_RULE.weights
-    total = 0.0
-    # at the rule points, the same ones the loads are evaluated at; the
-    # deviation from the mean is squared, so nothing cancels
-    pts = rule_points(mesh)
-    x, y = pts[..., 0], pts[..., 1]
-    for h in (exact.u_hess(x, y), exact.v_hess(x, y)):
-        dev = h - (w @ h)[:, None, :]
-        total += float(mesh.area @ (dev**2 @ FROB_WEIGHTS @ w))
-    return float(np.sqrt(total))
+    spreads = _volume_pass(exact, mesh, False)[2]
+    return float(np.sqrt(sum(float(mesh.area @ s) for s in spreads)))
 
 
 def fit_rate(ndofs, errors, window=None):

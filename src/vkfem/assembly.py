@@ -16,7 +16,7 @@ degree-2 quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,15 +43,23 @@ class PenaltyConfig:
 @dataclass
 class DiscreteSolution:
     """Coefficient pair (u, v) of one discretisation; its dof map fixes the
-    mesh and the method."""
+    mesh and the method.  A pair with read-only coefficients may be made
+    with their element Hessians, ``known_hessians``."""
     dofmap: DofMap
     u: np.ndarray
     v: np.ndarray
+    known_hessians: tuple | None = field(default=None, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         n = self.dofmap.n_global
         if len(self.u) != n or len(self.v) != n:
             raise ValueError("coefficient length does not match the dof map")
+
+    def hessians(self):
+        """The known element Hessians of ``u`` and ``v``, else computed."""
+        return self.known_hessians or tuple(
+            element_hessians(self.dofmap.basis, c) for c in (self.u, self.v))
 
     @property
     def method(self):
@@ -297,11 +305,9 @@ def assemble_trilinear_vector(xi, theta):
     if xi.dofmap is not theta.dofmap:
         raise ValueError("operands must share one dof map")
     dofmap = xi.dofmap
-    basis = dofmap.basis
     # each operand's Hessians once: two calls for (psi, psi)
-    xi_u, xi_v = (element_hessians(basis, c) for c in (xi.u, xi.v))
-    theta_u, theta_v = (xi_u, xi_v) if theta is xi else (
-        element_hessians(basis, c) for c in (theta.u, theta.v))
+    xi_u, xi_v = xi.hessians()
+    theta_u, theta_v = (xi_u, xi_v) if theta is xi else theta.hessians()
     return np.concatenate([
         _constant_load(dofmap, -0.5 * (bracket(xi_u, theta_v)
                                        + bracket(xi_v, theta_u))),
@@ -317,8 +323,7 @@ def _coupling_matrices(psi):
     :func:`assemble_trilinear_jacobian`.
     """
     basis = psi.dofmap.basis
-    return tuple(_coupling_elements(basis, element_hessians(basis, coef))
-                 for coef in (psi.u, psi.v))
+    return tuple(_coupling_elements(basis, hess) for hess in psi.hessians())
 
 
 def _coupling_elements(basis, hess):

@@ -37,7 +37,7 @@ __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
            "p2_ref_gradients", "P2_REF_HESSIANS", "FROB_WEIGHTS", "REF_NODES",
            "EDGE_RULE", "VOLUME_RULE", "gather_coefficients",
            "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
-           "load_values", "rule_points"]
+           "load_values", "rule_points", "rule_point_blocks", "BLOCK_POINTS"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -68,6 +68,10 @@ EDGE_RULE = edge_rule(5)
 #: Degree-8 triangle rule of every volume integral of the data path: the
 #: loads, the estimator, the oscillation and the error norms.
 VOLUME_RULE = triangle_rule(8)
+
+#: Points per block of :func:`rule_point_blocks`, which bounds what a pass
+#: of the exact fields holds at once.
+BLOCK_POINTS = 8192
 
 #: Gauss rule of the edge-mean normal derivatives of ``morley_interpolate``.
 _INTERPOLATION_EDGE_RULE = edge_rule(10)
@@ -224,27 +228,42 @@ def rule_points(mesh):
     return _map_points(*_affine_maps(mesh), VOLUME_RULE.points[:, 1:])
 
 
+def rule_point_blocks(mesh):
+    """:func:`rule_points` in blocks of whole triangles, at most
+    :data:`BLOCK_POINTS` points (one triangle) each: per block the slice of
+    its triangles and the coordinates ``x, y``."""
+    pts = rule_points(mesh)
+    step = max(1, BLOCK_POINTS // pts.shape[1])
+    for start in range(0, len(pts), step):
+        block = pts[start:start + step]
+        yield slice(start, start + step), block[..., 0], block[..., 1]
+
+
+def rule_values(values, shape):
+    """``values`` as floats, or ``ValueError`` if not of ``shape``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(
+            f"load values have shape {values.shape}, expected {shape} "
+            f"(triangles, points of the volume rule)")
+    return values
+
+
 def load_values(load, mesh):
     """A load at the points of ``VOLUME_RULE``.
 
     ``load`` is a vectorised callable ``(x, y) -> array``, which is called at
-    the physical rule points of every triangle, or its values there: an
-    array of shape ``(n_triangles, n_rule_points)``, returned as floats.
-    Any other shape, given or returned by the callable, raises
-    ``ValueError``.  The points depend only on the mesh, so values computed
-    once serve every consumer on the same mesh (assembly, estimator,
-    oscillation) bit for bit.
+    each block of :func:`rule_point_blocks`, or its values there: an array
+    of shape ``(n_triangles, n_rule_points)``, returned as floats.  Any
+    other shape, given or returned by the callable, raises ``ValueError``.
+    The points depend only on the mesh, so values computed once serve every
+    consumer on the same mesh (assembly, estimator, oscillation) bit for
+    bit.
     """
     if callable(load):
-        pts = rule_points(mesh)
-        load = load(pts[..., 0], pts[..., 1])
-    values = np.asarray(load, dtype=float)
-    expected = (mesh.n_triangles, len(VOLUME_RULE.points))
-    if values.shape != expected:
-        raise ValueError(
-            f"load values have shape {values.shape}, expected {expected} "
-            f"(triangles, points of the volume rule)")
-    return values
+        return np.concatenate([rule_values(load(x, y), x.shape)
+                               for _, x, y in rule_point_blocks(mesh)])
+    return rule_values(load, (mesh.n_triangles, len(VOLUME_RULE.points)))
 
 
 class ElementBasis:
@@ -350,10 +369,7 @@ class EdgeBasis:
     def __init__(self, basis, tpoints):
         mesh = basis.mesh
         self.mesh = mesh
-        t = np.asarray(tpoints, dtype=float)
-        a = mesh.vertices[mesh.edges[:, 0]]
-        b = mesh.vertices[mesh.edges[:, 1]]
-        points = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
+        points = edge_points(mesh, tpoints)
         points.setflags(write=False)
         self.points = points
 
@@ -382,6 +398,14 @@ class EdgeBasis:
         for arr in (vals, grads, dofs):
             arr.setflags(write=False)
         return vals, grads, dofs
+
+
+def edge_points(mesh, tpoints, edges=slice(None)):
+    """Points ``a + t * (b - a)`` of the sorted vertices ``(a, b)`` of
+    ``mesh.edges[edges]``, shape ``(edges, len(tpoints), 2)``."""
+    t = np.asarray(tpoints, dtype=float)
+    a, b = (mesh.vertices[mesh.edges[edges, i]] for i in (0, 1))
+    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
 
 def gather_coefficients(dofs, coefficients):
@@ -446,9 +470,7 @@ def morley_interpolate(value, gradient, dofmap):
     free_e = np.where(dofmap.edge_dof >= 0)[0]
     if len(free_e):
         rule = _INTERPOLATION_EDGE_RULE
-        a = mesh.vertices[mesh.edges[free_e, 0]]
-        b = mesh.vertices[mesh.edges[free_e, 1]]
-        pts = a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
+        pts = edge_points(mesh, rule.points, free_e)
         grads = np.asarray(gradient(pts[..., 0], pts[..., 1]))
         means = np.einsum("q,eqa,ea->e", rule.weights, grads,
                           mesh.edge_normal[free_e])

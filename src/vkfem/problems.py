@@ -39,73 +39,67 @@ class Problem:
     exact: ExactSolutionPair
 
 
+# -- one shared evaluation of the eight fields ------------------------------
+
+def _shared_pair(evaluate):
+    """The exact pair whose eight callables share a one-entry memo: the last
+    evaluation of ``evaluate(x, y)``, the eight fields in the order of
+    :class:`~vkfem.analysis.ExactSolutionPair`.  A call at the ``(x, y)``
+    values of that evaluation reads its field from it; a call at other
+    points evaluates all eight again.  The fields are read-only."""
+    last = {}
+
+    def fields(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not (last and np.array_equal(last["x"], x)
+                and np.array_equal(last["y"], y)):
+            out = evaluate(x, y)
+            for a in out:
+                if isinstance(a, np.ndarray):  # array scalars are immutable
+                    a.flags.writeable = False
+            last.update(x=x.copy(), y=y.copy(), fields=out)
+        return last["fields"]
+
+    def field(i):
+        return lambda x, y: fields(x, y)[i]
+
+    return ExactSolutionPair(*map(field, range(8)))
+
+
 # -- square: u = sin^2(pi x) sin^2(pi y), v = x^2 y^2 (1-x)^2 (1-y)^2 --------
 
-def _s(t):
-    return np.sin(np.pi * t)**2
+def _sine_factor(t):
+    """``sin^2(pi t)`` and its first, second and fourth derivatives."""
+    arg = 2.0 * np.pi * t
+    sin2, cos2 = np.sin(arg), np.cos(arg)
+    return (np.sin(np.pi * t)**2, np.pi * sin2, 2.0 * np.pi**2 * cos2,
+            -8.0 * np.pi**4 * cos2)
 
 
-def _s1(t):
-    return np.pi * np.sin(2.0 * np.pi * t)
+def _poly_factor(t):
+    """``t^2 (1-t)^2`` and its first and second derivatives."""
+    return (t**2 * (1.0 - t)**2, 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t),
+            2.0 * (6.0 * t**2 - 6.0 * t + 1.0))
 
 
-def _s2(t):
-    return 2.0 * np.pi**2 * np.cos(2.0 * np.pi * t)
-
-
-def _s4(t):
-    return -8.0 * np.pi**4 * np.cos(2.0 * np.pi * t)
-
-
-def _p(t):
-    return t**2 * (1.0 - t)**2
-
-
-def _p1(t):
-    return 2.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-
-
-def _p2(t):
-    return 2.0 * (6.0 * t**2 - 6.0 * t + 1.0)
+def _square_fields(x, y):
+    (s, s1, s2, s4), (r, r1, r2, r4) = _sine_factor(x), _sine_factor(y)
+    (p, p1, p2), (q, q1, q2) = _poly_factor(x), _poly_factor(y)
+    u_hess = np.stack([s2 * r, s * r2, s1 * r1], axis=-1)
+    v_hess = np.stack([p2 * q, p * q2, p1 * q1], axis=-1)
+    bilap_u = s4 * r + 2.0 * s2 * r2 + s * r4
+    bilap_v = 24.0 * q + 2.0 * p2 * q2 + 24.0 * p
+    return (s * r, np.stack([s1 * r, s * r1], axis=-1), u_hess,
+            p * q, np.stack([p1 * q, p * q1], axis=-1), v_hess,
+            bilap_u - bracket(u_hess, v_hess),
+            bilap_v + 0.5 * bracket(u_hess, u_hess))
 
 
 def exact_square():
-    """The smooth benchmark pair on the unit square with its loads."""
-
-    def u(x, y):
-        return _s(x) * _s(y)
-
-    def u_grad(x, y):
-        return np.stack([_s1(x) * _s(y), _s(x) * _s1(y)], axis=-1)
-
-    def u_hess(x, y):
-        return np.stack([_s2(x) * _s(y), _s(x) * _s2(y), _s1(x) * _s1(y)],
-                        axis=-1)
-
-    def v(x, y):
-        return _p(x) * _p(y)
-
-    def v_grad(x, y):
-        return np.stack([_p1(x) * _p(y), _p(x) * _p1(y)], axis=-1)
-
-    def v_hess(x, y):
-        return np.stack([_p2(x) * _p(y), _p(x) * _p2(y), _p1(x) * _p1(y)],
-                        axis=-1)
-
-    def bilap_u(x, y):
-        return _s4(x) * _s(y) + 2.0 * _s2(x) * _s2(y) + _s(x) * _s4(y)
-
-    def bilap_v(x, y):
-        return 24.0 * _p(y) + 2.0 * _p2(x) * _p2(y) + 24.0 * _p(x)
-
-    def f(x, y):
-        return bilap_u(x, y) - bracket(u_hess(x, y), v_hess(x, y))
-
-    def g(x, y):
-        hu = u_hess(x, y)
-        return bilap_v(x, y) + 0.5 * bracket(hu, hu)
-
-    return ExactSolutionPair(u, u_grad, u_hess, v, v_grad, v_hess, f, g)
+    """The smooth benchmark pair on the unit square with its loads, whose
+    callables share one memo as those of :func:`exact_lshape` do."""
+    return _shared_pair(_square_fields)
 
 
 # -- L-shape: u = v = cutoff * r^(1+alpha) g(theta) --------------------------
@@ -208,48 +202,22 @@ def _polar_of(x, y):
     return r, np.where(t >= 0.0, t, t + 2.0 * np.pi)
 
 
+def _lshape_fields(x, y):
+    value, grad, hess, bilap = _fields_polar(*_polar_of(x, y))
+    return (value, grad, hess, value, grad, hess, bilap - bracket(hess, hess),
+            bilap + 0.5 * bracket(hess, hess))
+
+
 def exact_lshape():
     """The singular benchmark pair (u = v) on the L-shaped domain.
 
-    Its callables share the last evaluation of the fields: a call at the
-    ``(x, y)`` values of that evaluation reads the value, gradient, Hessian
-    and bilaplacian from it, and a call at other points evaluates all four
-    again.  So the loads and the Hessians at the rule points of a mesh take
-    one pass, and the values and gradients at its edge points another.  The
-    returned fields are read-only.
+    Its callables share one memo of the last evaluation of all fields.  The
+    passes of :func:`~vkfem.analysis.exact_fields` call them one block of
+    points at a time, so the memo holds at most one block, and a level's
+    passes end on the few points of the boundary edges, which the memo
+    keeps through the level's solves.
     """
-    last = {}
-
-    def fields(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not (last and np.array_equal(last["x"], x)
-                and np.array_equal(last["y"], y)):
-            out = _fields_polar(*_polar_of(x, y))
-            for a in out:
-                if isinstance(a, np.ndarray):  # array scalars are immutable
-                    a.flags.writeable = False
-            last.update(x=x.copy(), y=y.copy(), fields=out)
-        return last["fields"]
-
-    def value(x, y):
-        return fields(x, y)[0]
-
-    def grad(x, y):
-        return fields(x, y)[1]
-
-    def hess(x, y):
-        return fields(x, y)[2]
-
-    def f(x, y):
-        _, _, h, bilap = fields(x, y)
-        return bilap - bracket(h, h)
-
-    def g(x, y):
-        _, _, h, bilap = fields(x, y)
-        return bilap + 0.5 * bracket(h, h)
-
-    return ExactSolutionPair(value, grad, hess, value, grad, hess, f, g)
+    return _shared_pair(_lshape_fields)
 
 
 def square_problem():

@@ -526,14 +526,17 @@ def _run(system, k_lu, hess, target, maxit, first):
     stops when its first Newton step does not lower the residual, at a
     residual that is not finite, or at a :class:`SolverError`, counted as a
     step with residual NaN; a run from zero raises the error.  Each iterate
-    after the zero pair is a block vector ``x`` that one ``evaluated(x)``
-    pairs with its residual, norm and stop; no pair changes after that."""
+    after the zero pair is a read-only block vector ``x`` that one
+    ``evaluated(x)`` pairs with its element Hessians, which its residual,
+    sweep and Newton matrix read, and with its residual, norm and stop."""
     dofmap = system.dofmap
     n = dofmap.n_global
     coarse = hess is not None
 
     def evaluated(x):  # the iterate, its pair, residual, norm and stop
-        psi = DiscreteSolution(dofmap, x[:n], x[n:])
+        x.flags.writeable = False  # the pair's Hessians stay its own
+        psi = DiscreteSolution(dofmap, x[:n], x[n:], tuple(
+            element_hessians(dofmap.basis, c) for c in (x[:n], x[n:])))
         res = system.residual(psi)
         return (x, psi, res, float(np.linalg.norm(res)),
                 system.stopping_residual(psi, target))
@@ -553,8 +556,7 @@ def _run(system, k_lu, hess, target, maxit, first):
         rhs[n:] -= _constant_load(dofmap, 0.5 * bracket(hess, hess))
         x, psi, res, norm, stop = evaluated(frozen(hess) @ rhs)
         while coarse and norm > stop and sweeps < maxit:
-            trial = evaluated(
-                x - frozen(element_hessians(dofmap.basis, psi.u)) @ res)
+            trial = evaluated(x - frozen(psi.hessians()[0]) @ res)
             if not trial[3] <= 0.25 * norm:
                 break
             x, psi, res, norm, stop = trial

@@ -69,14 +69,17 @@ def lshape_graded(lshape1):
 def field_passes(monkeypatch):
     """Counts the evaluations of the L-shape fields: ``field_passes["n"]``
     is the number of ``_fields_polar`` calls since the fixture was set up
-    (or since the test last reset it)."""
+    (or since the test last reset it), and ``field_passes["points"]`` the
+    number of points of each call."""
+    import numpy as np
     import vkfem.problems as problems
-    calls = {"n": 0}
+    calls = {"n": 0, "points": []}
     real = problems._fields_polar
 
-    def counted(*args, **kwargs):
+    def counted(r, theta):
         calls["n"] += 1
-        return real(*args, **kwargs)
+        calls["points"].append(np.size(r))
+        return real(r, theta)
 
     monkeypatch.setattr(problems, "_fields_polar", counted)
     return calls

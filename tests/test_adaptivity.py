@@ -457,3 +457,54 @@ def test_weak_penalties_fail_saying_that_k_is_indefinite():
         list(uniform_levels(square_problem(), "c0ip", 1, config))
     assert "did not converge" in str(failure.value)
     assert "indefinite" not in str(failure.value)
+
+
+def shared_memo(exact):
+    """The one-entry memo that the callables of ``exact`` share."""
+    import inspect
+    fields = inspect.getclosurevars(exact.u).nonlocals["fields"]
+    return inspect.getclosurevars(fields).nonlocals["last"]
+
+
+def test_lshape_level_evaluates_each_rule_point_once_then_the_boundary(
+        field_passes):
+    # one pass over the rule points, block by block, then one over the
+    # points of the boundary edges, for all three methods of the level
+    from vkfem.femspace import BLOCK_POINTS, EDGE_RULE, VOLUME_RULE
+    problem = lshape_problem()
+    levels = method_levels(problem, list(METHODS),
+                           AdaptiveConfig(max_levels=5))
+    for _ in range(4 * len(METHODS)):
+        next(levels)
+    field_passes["n"], field_passes["points"] = 0, []
+    states = [next(levels) for _ in METHODS]
+    mesh = states[0].mesh
+    rule = mesh.n_triangles * len(VOLUME_RULE.weights)
+    boundary = mesh.edge_on_boundary.sum() * (len(EDGE_RULE.points) + 2)
+    assert rule > 4 * BLOCK_POINTS
+    *blocks, last = field_passes["points"]
+    assert sum(blocks) == rule and max(blocks) <= BLOCK_POINTS
+    assert last == boundary
+    # the pair keeps only the boundary points through the solves
+    assert shared_memo(problem.exact)["x"].size == boundary
+
+
+@pytest.mark.parametrize("methods, marked_by", [
+    ([], None),
+    ((), None),
+    (["morley", "morley"], None),
+    (["dg", "c0ip", "dg"], "dg"),
+])
+def test_method_levels_rejects_no_methods_and_repeated_methods(
+        methods, marked_by, monkeypatch):
+    # rejected before any field is evaluated or any mesh refined
+    from vkfem import adaptivity
+
+    def refuse(*args):
+        raise AssertionError("the level loop started")
+    for name in ("exact_fields", "uniform_refine", "nvb_refine"):
+        monkeypatch.setattr(adaptivity, name, refuse)
+    with pytest.raises(ValueError, match="methods"):
+        next(method_levels(square_problem(), methods,
+                           AdaptiveConfig(max_levels=4, max_ndof=10),
+                           marked_by))

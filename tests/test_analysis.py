@@ -9,8 +9,9 @@ from vkfem import (ConvergenceRecord, DiscreteSolution, ExactSolutionPair,
                    morley_interpolate, nodal_interpolate, oscillation,
                    oscillation_local, uniform_refine, unified_h_norm)
 from vkfem import analysis
-from vkfem.femspace import (VOLUME_RULE, EdgeBasis, edge_jumps,
-                            gather_coefficients, load_values)
+from vkfem.femspace import (BLOCK_POINTS, VOLUME_RULE, EdgeBasis,
+                            edge_jumps, element_hessians, gather_coefficients,
+                            load_values, rule_points)
 from vkfem.problems import exact_lshape, exact_square
 
 
@@ -279,9 +280,10 @@ def test_vertex_jumps_extrapolate_the_rule_point_jumps(request, mesh_name):
 
 
 #: tracemalloc peak of the Morley error_norm below, on the uniform L-shape at
-#: level 4 (1,536 triangles): 14.65 MiB (measured), dominated by the
-#: temporaries of the closed-form singular fields
-ERROR_NORM_PEAK_BOUND = 15.4 * 2**20
+#: level 4 (1,536 triangles, 38,400 rule points): 4.95 MiB (measured), the
+#: temporaries of the closed-form singular fields on one block of
+#: ``BLOCK_POINTS`` rule points (14.65 MiB when all points were one block)
+ERROR_NORM_PEAK_BOUND = 5.2 * 2**20
 
 
 def test_error_norm_stays_within_its_memory_peak(lshape1):
@@ -308,8 +310,9 @@ def test_error_norm_stays_within_its_memory_peak(lshape1):
 
 #: tracemalloc peak of evaluating the L-shape load f below at the volume
 #: rule points of the uniform L-shape at level 4 (1,536 triangles):
-#: 14.65 MiB (measured), the temporaries of the closed-form singular fields
-LOAD_VALUES_PEAK_BOUND = 15.4 * 2**20
+#: 4.40 MiB (measured), the temporaries of the closed-form singular fields
+#: on one block of ``BLOCK_POINTS`` points (14.65 MiB as one block)
+LOAD_VALUES_PEAK_BOUND = 4.62 * 2**20
 
 
 def test_load_values_stays_within_its_memory_peak(lshape1):
@@ -326,3 +329,95 @@ def test_load_values_stays_within_its_memory_peak(lshape1):
     assert values.shape == (mesh.n_triangles, len(VOLUME_RULE.weights))
     assert np.isfinite(values).all()
     assert peak <= LOAD_VALUES_PEAK_BOUND
+
+
+@pytest.fixture(scope="module")
+def lshape3(lshape2):
+    return uniform_refine(lshape2)
+
+
+def jump_terms_on_every_edge(dofmap, coef, kinds, exact):
+    """``analysis._jump_terms`` with the exact traces of every edge, which
+    it uses on the boundary edges only: the reference for the traces of
+    :class:`~vkfem.analysis.ExactFields`."""
+    mesh, w = dofmap.mesh, analysis.EDGE_RULE.weights
+    vj, gj = edge_jumps(dofmap.edge_basis, coef)
+    vj = np.concatenate([vj, vj @ analysis._TO_ENDS], axis=1)
+    dj = np.einsum("eqa,ea->eq", gj, mesh.edge_normal)
+    bdry = mesh.edge_on_boundary[:, None]
+    exact_dn = np.einsum("eqa,ea->eq", exact[1], mesh.edge_normal)
+    vj = np.where(bdry, exact[0] - vj, vj)
+    dj = np.where(bdry, exact_dn - dj, dj)
+    vj, ends = np.split(vj, [len(w)], axis=1)
+    h = mesh.edge_length
+    out = []
+    for kind in kinds:
+        if kind == "h":
+            out.append(float(((dj @ w)**2).sum()
+                             + ((ends**2).sum(axis=1) / h**2).sum()))
+        else:
+            term = float((dj**2 @ w).sum())
+            if kind == "dg":
+                term += float(((vj**2 @ w) / h**2).sum())
+            out.append(term)
+    return out
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_boundary_traces_give_the_jump_terms_of_every_edge_bit_for_bit(
+        lshape2, method):
+    mesh = lshape2
+    dm = build_dofmap(mesh, method)
+    coef = np.random.default_rng(41).standard_normal(dm.n_global)
+    exact = exact_lshape()
+    edge_pts = dm.edge_basis.points
+    pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)
+    every_edge = (exact.u(pts[..., 0], pts[..., 1]),
+                  exact.u_grad(pts[..., 0], pts[..., 1])[:, :len(
+                      analysis.EDGE_RULE.points)])
+    fields = analysis.exact_fields(exact, mesh)
+    np.testing.assert_array_equal(fields.traces[0][0],
+                                  every_edge[0][mesh.edge_on_boundary])
+    kinds = ["ip", "dg", "h"]
+    assert analysis._jump_terms(dm, coef, kinds, fields.traces[0]) \
+        == jump_terms_on_every_edge(dm, coef, kinds, every_edge)
+
+
+@pytest.mark.parametrize("problem", ["square", "lshape"])
+def test_moment_form_of_the_volume_error_matches_the_point_sum(
+        problem, square3, lshape3):
+    # sum_q w_q |D2 - H|^2 = spread + |mean - H|^2 rounds differently from
+    # the sum over the rule points, within a few ulps of the sum
+    mesh, exact = ((square3, exact_square()) if problem == "square"
+                   else (lshape3, exact_lshape()))
+    assert mesh.n_triangles * len(VOLUME_RULE.weights) > BLOCK_POINTS
+    pts = rule_points(mesh)
+    rng = np.random.default_rng(42)
+    for method in ("morley", "c0ip", "dg"):
+        dm = build_dofmap(mesh, method)
+        psi = DiscreteSolution(dm, *rng.standard_normal((2, dm.n_global)))
+        got = error_norm(psi, exact, "nc")[:2]
+        for e, hess, coef in zip(got, (exact.u_hess, exact.v_hess),
+                                 (psi.u, psi.v)):
+            diff = hess(pts[..., 0], pts[..., 1]) \
+                - element_hessians(dm.basis, coef)[:, None, :]
+            want = np.sqrt(mesh.area @ (diff**2 @ np.array([1.0, 1.0, 2.0])
+                                        @ VOLUME_RULE.weights))
+            assert abs(e - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("problem", ["square", "lshape"])
+def test_best_approx_term_is_the_unblocked_sum_bit_for_bit(
+        problem, square3, lshape3):
+    # several blocks of rule points give what one pass over all gave
+    mesh, exact = ((square3, exact_square()) if problem == "square"
+                   else (lshape3, exact_lshape()))
+    assert mesh.n_triangles * len(VOLUME_RULE.weights) > BLOCK_POINTS
+    w = VOLUME_RULE.weights
+    pts = rule_points(mesh)
+    total = 0.0
+    for hess in (exact.u_hess, exact.v_hess):
+        h = hess(pts[..., 0], pts[..., 1])
+        dev = h - (w @ h)[:, None, :]
+        total += float(mesh.area @ (dev**2 @ np.array([1.0, 1.0, 2.0]) @ w))
+    assert best_approx_term(exact, mesh) == float(np.sqrt(total))

@@ -305,3 +305,28 @@ def test_nodal_interpolate_rejects_morley(square1):
     with pytest.raises(ValueError):
         morley_interpolate(lambda x, y: x, lambda x, y: np.zeros(x.shape + (2,)),
                            dmc)
+
+
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_gathered_coefficients_read_constrained_dofs_as_zero(method):
+    # the element and edge tables of a mesh with free dofs, and of one
+    # triangle, which has none under Morley and C0IP, against a gather
+    # written out dof by dof
+    from vkfem import unit_square_mesh
+    from vkfem.femspace import edge_jumps, gather_coefficients
+    single = build_topology([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(0, 1, 2)])
+    for mesh in (single, uniform_refine(unit_square_mesh())):
+        dm = build_dofmap(mesh, method)
+        coef = np.random.default_rng(43).standard_normal(dm.n_global)
+        for dofs in (dm.element_dofs, *dm.edge_basis.dofs):
+            want = np.array([[coef[d] if d >= 0 else 0.0 for d in row]
+                             for row in dofs]).reshape(dofs.shape)
+            got = gather_coefficients(dofs, coef)
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, want)
+        if mesh is single:
+            assert (dm.n_global == 0) == (method != "dg")
+            hess, jumps = (element_hessians(dm.basis, coef),
+                           edge_jumps(dm.edge_basis, coef))
+            assert np.isfinite(hess).all()
+            assert method == "dg" or not (hess.any() or jumps[0].any())

@@ -988,6 +988,43 @@ def test_coarse_start_sweeps_reach_the_solution_on_k_factor_alone(
     assert_same_solution(psi, ref)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 10.0])
+@pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
+def test_each_evaluated_iterate_takes_one_hessian_per_field(
+        square1, square2, monkeypatch, method, amplitude):
+    # a sweep freezes M_u at the Hessians that its iterate's residual took,
+    # and a Newton step's matrix reads them too: one element_hessians call
+    # per field of the start solve, of each sweep trial and of each step
+    from vkfem import assembly
+    loads = scaled_loads(exact_square(), amplitude)
+    coarse, _ = newton_solve(build_dofmap(square1, method), loads)
+    system = NewtonSystem(build_dofmap(square2, method), loads)
+    k_lu = solver._symmetric_lu(system.stiffness, system.dofmap.column_order)
+    real_hessians, real_residual = solver.element_hessians, system.residual
+    hessians, residuals = [], []
+
+    def counting(basis, coef):
+        hessians.append(coef)
+        return real_hessians(basis, coef)
+
+    def recording(psi):
+        residuals.append(psi)
+        return real_residual(psi)
+    for module in (solver, assembly):
+        monkeypatch.setattr(module, "element_hessians", counting)
+    monkeypatch.setattr(system, "residual", recording)
+    _, history, sweeps, converged = solver._run(
+        system, k_lu, coarse_hessian(square2, coarse),
+        1e-10 * system.load_scale, 50, 0)
+    assert converged
+    # the start solve and at least one sweep trial, kept or not; the other
+    # calls take the Hessians of the frozen solves' v parts
+    assert len(residuals) >= 2
+    for psi in residuals:
+        for field in (psi.u, psi.v):
+            assert sum(np.shares_memory(field, c) for c in hessians) == 1
+
+
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
 def test_coarse_start_factors_once_per_step_and_reaches_the_solution(
         square1, square2, monkeypatch, method):
