@@ -26,7 +26,7 @@ from .analysis import (ConvergenceRecord, error_norm, exact_fields,
                        oscillation)
 from .assembly import PenaltyConfig
 from .femspace import (EDGE_RULE, VOLUME_RULE, bracket, build_dofmap,
-                       edge_jumps, element_hessians, load_values)
+                       edge_jumps, load_values)
 from .mesh import nvb_refine, uniform_refine
 from .solver import NewtonReport, SolverError, newton_solve
 
@@ -66,6 +66,12 @@ class AdaptiveConfig:
             count = getattr(self, name)
             if not (isinstance(count, (int, np.integer)) and count >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
+        if self.max_ndof is not None and not (
+                isinstance(self.max_ndof, (int, np.integer))
+                and self.max_ndof >= 1):
+            raise ValueError(
+                f"max_ndof must be None or an integer >= 1, got "
+                f"{self.max_ndof!r}")
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
 
@@ -100,8 +106,7 @@ def estimate(psi, loads):
     f, g = loads
 
     # one Hessian array per component, for the brackets and the jumps
-    hu = element_hessians(dofmap.basis, psi.u)
-    hv = element_hessians(dofmap.basis, psi.v)
+    hu, hv = psi.hessians()
     res1 = load_values(f, mesh) + bracket(hu, hv)[:, None]
     res2 = load_values(g, mesh) - 0.5 * bracket(hu, hu)[:, None]
     hk4 = mesh.tri_diameter**4

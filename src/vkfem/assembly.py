@@ -227,7 +227,8 @@ def assemble_biharmonic(dofmap, penalty=None):
 
 def _edge_terms(dofmap, sigma):
     """Local matrices of the edge terms of ``c0ip``/``dg``, shape ``(ne, 12,
-    12)``: side-0 shapes, then side-1 shapes (``dofmap.edge_basis.dofs``).
+    12)``: side-0 shapes, then side-1 shapes (``dofmap.edge_basis.dofs``),
+    from each side's traces in the edge frame, which are dropped after.
 
     Each edge matrix is one product ``L^T R`` of two ``(r, 12)`` factors
     whose rows are functions of the 12 shapes: the normal-derivative jumps
@@ -249,13 +250,13 @@ def _edge_terms(dofmap, sigma):
     dn, vj, hn, gj = np.split(left, rows, axis=1)
     for side, sign in ((0, 1.0), (1, -1.0)):
         half = slice(6 * side, 6 * side + 6)
-        grads = eb.gradients[side]
+        vals, grads = eb.traces(side)
         np.matmul(grads, sign * normal[:, None, :, None],
                   out=dn[:, :, half, None])
         _hessian_normal_vector(dofmap.basis.hessians[mesh.edge_tris[:, side]],
                                normal, hn[:, :, half].transpose(0, 2, 1))
         if dg:
-            np.multiply(eb.values[side], sign, out=vj[:, :, half])
+            np.multiply(vals, sign, out=vj[:, :, half])
             gj[:, :, half] = sign * (w @ grads.reshape(ne, nq, 12)).reshape(
                 ne, 6, 2).transpose(0, 2, 1)
     # side 1 of a boundary edge has no triangle (edge_tris -1 read the last)

@@ -18,7 +18,11 @@ sharing an edge see the same functional and no sign flips are needed.
 
 Bases are built by ``@`` on stacked arrays: all Jacobians' rows as one
 ``(2 nt, 2)`` matrix times the points, one ``(points x shapes, 2)`` block per
-element for gradients, and Morley transforms batched over elements or edges.
+element for gradients, and Morley transforms batched over elements.  Edge
+traces come from the element frame: fixed tables of the Lagrange shapes on
+the three local edges of the reference triangle, mapped by each triangle's
+``jac_inv`` (and Morley transform); the :class:`EdgeBasis` of a dof map
+keeps only which triangle, local edge and run each side of an edge reads.
 """
 
 from __future__ import annotations
@@ -272,7 +276,8 @@ class ElementBasis:
     For ``c0ip``/``dg`` this is the Lagrange frame; for ``morley`` the six
     Morley shapes are expressed in the Lagrange frame through a per-element
     transform obtained by inverting the 6x6 dual-pairing matrix (point values
-    at the vertices, mean normal derivatives over the edges).
+    at the vertices, mean normal derivatives over the edges) through its
+    3x3 block of edge functionals on edge shapes.
 
     It keeps ``mesh`` and ``element_dofs``, not the dof map that holds it.
 
@@ -310,7 +315,7 @@ class ElementBasis:
         lag_int[:, 3:] = self.area[:, None] / 3.0
 
         if dofmap.method == "morley":
-            self.transform = self._morley_transform(mesh, lag_hess)
+            self.transform = self._morley_transform(mesh)
             self.hessians = self.transform @ lag_hess
             self.int_phi = np.einsum("tjk,tk->tj", self.transform, lag_int)
             self.transform.setflags(write=False)
@@ -321,19 +326,23 @@ class ElementBasis:
         for arr in (p0, jac, jac_inv, self.hessians, self.int_phi):
             arr.setflags(write=False)
 
-    def _morley_transform(self, mesh, lag_hess):
-        # Dual pairing C[i, j] = functional_i(lagrange_j): rows 0..2 are
+    def _morley_transform(self, mesh):
+        # Dual pairing P[i, j] = functional_i(lagrange_j): rows 0..2 are
         # vertex values, rows 3..5 edge means of the normal derivative (the
         # gradient of a P2 function is linear, so the mean is its midpoint
-        # value).
+        # value).  The vertex nodes are Lagrange nodes, so P = [[I, 0], [B,
+        # C]] and its inverse is [[I, 0], [-C^-1 B, C^-1]].
         nt = mesh.n_triangles
         gm = p2_ref_gradients(_EDGE_MIDPOINTS_REF)          # (3, 6, 2)
         gphys = (gm.reshape(-1, 2) @ self.jac_inv).reshape(nt, 3, 6, 2)
         normals = mesh.edge_normal[mesh.tri_edges]           # (nt, 3, 2)
-        pairing = np.zeros((nt, 6, 6))
-        pairing[:, :3, :3] = np.eye(3)
-        pairing[:, 3:, :] = np.einsum("tkja,tka->tkj", gphys, normals)
-        return np.linalg.inv(pairing).transpose(0, 2, 1)
+        edge_rows = np.einsum("tkja,tka->tkj", gphys, normals)  # [B, C]
+        c_inv = np.linalg.inv(edge_rows[:, :, 3:])
+        inverse = np.zeros((nt, 6, 6))
+        inverse[:, :3, :3] = np.eye(3)
+        inverse[:, 3:, :3] = -(c_inv @ edge_rows[:, :, :3])
+        inverse[:, 3:, 3:] = c_inv
+        return inverse.transpose(0, 2, 1)
 
     def physical_points(self, ref_points):
         """Map reference points to physical ones, shape (nt, m, 2)."""
@@ -356,48 +365,89 @@ class ElementBasis:
 
 
 class EdgeBasis:
-    """Traces of the element basis on both sides of every edge: values,
-    gradients and the dofs of each side; Hessians are the element basis's.
+    """The element frame of both sides of every edge.
+
+    For each side it keeps the triangle, its local edge (local edge ``k``
+    runs from local vertex ``k + 1`` to ``k + 2``), whether the edge's
+    sorted points run backwards in that triangle, and the side's dofs; no
+    shape values.  Traces come from two fixed tables, the values and the
+    reference gradients of the six Lagrange shapes at ``tpoints`` on the
+    three local edges, run forwards and backwards: :meth:`traces` reads them
+    in the frame of one side's triangles, :func:`edge_jumps` in the frame of
+    every triangle at once.  Hessians are the element basis's.
 
     Evaluation points are ``a + t * (b - a)`` for the sorted edge vertices
-    ``(a, b)``, identical for both sides, so jumps and averages pair up
-    pointwise.  Side 0 is the lower-indexed adjacent triangle (the one the
-    edge normal points away from); on boundary edges side 1 carries zeros and
-    dof index ``-1``.
+    ``(a, b)`` and ``t`` in ``tpoints``, identical for both sides, so jumps
+    and averages pair up pointwise.  Side 0 is the lower-indexed adjacent
+    triangle (the one the edge normal points away from); on boundary edges
+    side 1 has triangle ``-1``, dofs ``-1`` and zero traces.
     """
 
     def __init__(self, basis, tpoints):
         mesh = basis.mesh
-        self.mesh = mesh
-        points = edge_points(mesh, tpoints)
-        points.setflags(write=False)
-        self.points = points
+        self.basis = basis
+        self.tpoints = np.array(tpoints, dtype=float)
+        # run r of local edge k, both ends as reference vertices
+        ends = REF_NODES[np.array([[1, 2], [2, 0], [0, 1]])]   # (3, 2, 2)
+        ends = np.stack([ends, ends[:, ::-1]], axis=1)         # (3, 2, 2, 2)
+        ref = ends[:, :, None, 0] + self.tpoints[:, None] * (
+            ends[:, :, None, 1] - ends[:, :, None, 0])         # (3, 2, m, 2)
+        # index 2 k + r: local edge k, run backwards (r = 1) or not
+        self._values = p2_values(ref).reshape(6, -1, 6)
+        self._gradients = p2_ref_gradients(ref).reshape(6, -1, 6, 2)
+        self.triangles, self.local_edges, self.backwards, self.dofs = zip(
+            *(_edge_side(basis, mesh.edge_tris[:, side]) for side in (0, 1)))
+        for arr in (self.tpoints, self._values, self._gradients,
+                    *self.local_edges, *self.backwards, *self.dofs):
+            arr.setflags(write=False)
 
-        self.values, self.gradients, self.dofs = zip(
-            *(self._side(basis, mesh.edge_tris[:, side]) for side in (0, 1)))
+    @property
+    def points(self):
+        """The physical evaluation points, shape ``(ne, len(tpoints), 2)``."""
+        return edge_points(self.basis.mesh, self.tpoints)
 
-    def _side(self, basis, tri):
-        """Read-only values, gradients and dofs of the shapes of the
-        triangles ``tri`` (``-1``: none, all zero) at the edge points."""
-        valid = tri >= 0
-        tt = np.where(valid, tri, 0)
-        jac_inv = basis.jac_inv[tt]
-        ref = ((self.points - basis.p0[tt][:, None, :])
-               @ jac_inv.transpose(0, 2, 1))
-        vals = p2_values(ref)
-        g = p2_ref_gradients(ref)
-        grads = (g.reshape(len(tt), -1, 2) @ jac_inv).reshape(g.shape)
+    def _runs(self, side):
+        """Index ``2 k + r`` into the tables of each edge's local edge ``k``
+        and run ``r`` on side ``side`` (``0`` where it has no triangle)."""
+        return (2 * self.local_edges[side].astype(np.intp)
+                + self.backwards[side])
+
+    def traces(self, side):
+        """Values ``(ne, m, 6)`` and physical gradients ``(ne, m, 6, 2)`` of
+        the shapes of side ``side``'s triangles at the evaluation points,
+        zero where the side has no triangle."""
+        basis, tri = self.basis, self.triangles[side]
+        tt = np.where(tri >= 0, tri, 0)
+        runs = self._runs(side)
+        vals = self._values[runs]
+        g = self._gradients[runs]
+        grads = (g.reshape(len(tt), -1, 2) @ basis.jac_inv[tt]).reshape(
+            g.shape)
         if basis.transform is not None:
             w = basis.transform[tt]
             vals = vals @ w.transpose(0, 2, 1)
             grads = w[:, None] @ grads
-        dofs = basis.element_dofs[tt]
-        vals[~valid] = 0.0
-        grads[~valid] = 0.0
-        dofs[~valid] = -1
-        for arr in (vals, grads, dofs):
-            arr.setflags(write=False)
-        return vals, grads, dofs
+        vals[tri < 0] = 0.0
+        grads[tri < 0] = 0.0
+        return vals, grads
+
+
+def _edge_side(basis, tri):
+    """Triangle, local edge, backward run and dofs of one side of every
+    edge, with ``tri`` its triangles (``-1``: none, local edge 0 forwards
+    and dofs ``-1``)."""
+    mesh = basis.mesh
+    valid = tri >= 0
+    tt = np.where(valid, tri, 0)
+    ne = len(tri)
+    local = np.argmax(mesh.tri_edges[tt] == np.arange(ne)[:, None],
+                      axis=1).astype(np.int8)
+    start = mesh.triangles[tt, (local + 1) % 3]
+    backwards = valid & (start != mesh.edges[:, 0])
+    local[~valid] = 0
+    dofs = basis.element_dofs[tt]
+    dofs[~valid] = -1
+    return tri, local, backwards, dofs
 
 
 def edge_points(mesh, tpoints, edges=slice(None)):
@@ -424,18 +474,33 @@ def element_hessians(basis, coefficients):
 
 def edge_jumps(edge_basis, coefficients):
     """Jumps ``side 0 - side 1`` of a discrete field's value and gradient at
-    every point of an edge table, shapes ``(ne, m)`` and ``(ne, m, 2)``.
+    the evaluation points of an :class:`EdgeBasis`, shapes ``(ne, m)`` and
+    ``(ne, m, 2)``.
 
-    On a boundary edge the jump is the side-0 trace.
+    The field's Lagrange coefficients on every triangle (Morley: the local
+    coefficients times the transform) give its values and gradients on the
+    six runs of the three local edges of every triangle, two products with
+    the frame's tables; each side then reads its triangle's run.  On a
+    boundary edge the jump is the side-0 trace.
     """
-    vj, gj = 0.0, 0.0
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        local = gather_coefficients(edge_basis.dofs[side], coefficients)
-        vj = vj + sign * np.einsum("eqj,ej->eq", edge_basis.values[side],
-                                   local)
-        gj = gj + sign * (local[:, None, None, :]
-                          @ edge_basis.gradients[side])[:, :, 0]
-    return vj, gj
+    basis = edge_basis.basis
+    local = gather_coefficients(basis.element_dofs, coefficients)
+    if basis.transform is not None:
+        local = np.einsum("tj,tjk->tk", local, basis.transform)
+    nt, m = len(local), len(edge_basis.tpoints)
+    # the six runs of every triangle, then those of a zero triangle: row
+    # 6 t + 2 k + r, which is -6 + 0, the zero triangle's first, for a side
+    # with no triangle (t = -1)
+    vals = np.zeros((nt + 1, 6 * m))
+    grads = np.zeros((nt + 1, 6 * m, 2))
+    np.matmul(local, edge_basis._values.reshape(-1, 6).T, out=vals[:nt])
+    ref = local @ edge_basis._gradients.transpose(2, 0, 1, 3).reshape(6, -1)
+    np.matmul(ref.reshape(nt, -1, 2), basis.jac_inv, out=grads[:nt])
+    rows = [6 * tri + edge_basis._runs(side)
+            for side, tri in enumerate(edge_basis.triangles)]
+    v0, v1 = (np.take(vals.reshape(-1, m), r, axis=0) for r in rows)
+    g0, g1 = (np.take(grads.reshape(-1, m, 2), r, axis=0) for r in rows)
+    return v0 - v1, g0 - g1
 
 
 def bracket(hess_a, hess_b):

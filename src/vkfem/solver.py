@@ -58,9 +58,11 @@ __all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
            "newton_solve", "residual", "newton_order"]
 
 # GMRES on the preconditioned Newton matrix: the relative residual it may
-# always aim for (the LU path's target) and the length of its one cycle
+# always aim for (the LU path's target), the length of a cycle and the
+# number of cycles
 _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 40
+_GMRES_CYCLES = 2
 # the rounding floor of the residual is this times || |K| |u|, |K| |v| ||
 # plus the load scale
 _FLOOR_EPS = 4.0 * np.finfo(float).eps
@@ -106,15 +108,17 @@ def linear_solve(jac, rhs, context="linear system", preconditioner=None,
 
     ``jac`` is the step's :class:`NewtonMatrix`.  With a ``preconditioner``
     (the step's block-triangular ``P^{-1}``), ``x0 = P^{-1} b`` is returned
-    when it passes the acceptance test below; otherwise one cycle of
+    when it passes the acceptance test below; otherwise a cycle of
     :func:`_gmres_cycle`, preconditioned on the right, starts from it and
     stops once ``||Jx - b||`` is at most the larger of ``1e-10 ||b||`` and
     the smaller of half the backward-error bound ``1e-10 (||J|| ||x0|| +
     ||b||)`` and the caller's residual ``target`` (``None``: none; Newton
-    sets a tenth of the residual at which it stops).  When the cycle's
-    result fails the test, and always without a preconditioner, the system
-    is solved by sparse LU on the assembled ``J`` (COLAMD ordering), with
-    iterative refinement to ``1e-10 ||b||`` where the conditioning allows.
+    sets a tenth of the residual at which it stops).  A finite result that
+    fails the test, because ``||x||`` fell well below ``||x0||``, gets a
+    second cycle, aimed in the same way from it.  When that result fails
+    too, and always without a preconditioner, the system is solved by
+    sparse LU on the assembled ``J`` (COLAMD ordering), with iterative
+    refinement to ``1e-10 ||b||`` where the conditioning allows.
 
     The acceptance test is a finite ``x`` with a normwise backward error
     ``||Jx-b|| / (||J|| ||x|| + ||b||)`` of at most ``1e-10``, which every
@@ -137,16 +141,18 @@ def linear_solve(jac, rhs, context="linear system", preconditioner=None,
     if preconditioner is not None:
         x = preconditioner @ rhs
         res = rhs - jac @ x
+        for _ in range(_GMRES_CYCLES):
+            if accepted(res, x) or not np.all(np.isfinite(x)):
+                break
+            # on the right, GMRES minimises the residual of x + P^{-1} y
+            # itself, so a cycle stops where that residual meets its aim
+            aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm),
+                      np.inf if target is None else target)
+            x = x + preconditioner @ _gmres_cycle(
+                lambda v: jac @ (preconditioner @ v), res,
+                max(_GMRES_RTOL * bnorm, aim))
+            res = rhs - jac @ x
         if accepted(res, x):
-            return x
-        # on the right, GMRES minimises the residual of x + P^{-1} y itself,
-        # so the cycle stops where that residual meets its aim
-        aim = min(0.5e-10 * (anorm * np.linalg.norm(x) + bnorm),
-                  np.inf if target is None else target)
-        x = x + preconditioner @ _gmres_cycle(
-            lambda v: jac @ (preconditioner @ v), res,
-            max(_GMRES_RTOL * bnorm, aim))
-        if accepted(rhs - jac @ x, x):
             return x
     try:
         lu = spla.splu(jac.tocsc())

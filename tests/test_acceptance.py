@@ -209,10 +209,11 @@ def best_approx_qp(mesh, value, grad, hess, quad_degree=10):
     tp = np.concatenate([erule.points, [0.0, 1.0]])
     eb = EdgeBasis(basis, tp)
     nq = len(erule.points)
+    (values0, gradients0), (values1, gradients1) = map(eb.traces, (0, 1))
     dn = np.concatenate([np.einsum("eqja,ea->eqj", g, mesh.edge_normal)
-                         for g in (eb.gradients[0], -eb.gradients[1])], axis=2)
+                         for g in (gradients0, -gradients1)], axis=2)
     mean_dn = np.einsum("q,eqj->ej", erule.weights, dn[:, :nq, :])
-    vals = np.concatenate([eb.values[0], -eb.values[1]], axis=2)
+    vals = np.concatenate([values0, -values1], axis=2)
     ends = vals[:, nq:, :]
     h = mesh.edge_length
     local = np.einsum("ei,ej->eij", mean_dn, mean_dn) \

@@ -73,23 +73,27 @@ def test_estimator_vanishes_for_manufactured_quadratic_interior(square1):
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
 def test_estimate_takes_each_components_hessians_once(square1, monkeypatch,
                                                       method):
-    from vkfem import adaptivity, assembly, problems
+    # the brackets and the Hessian jumps share the pair's Hessians: none
+    # computed for a pair that knows them, one per component otherwise,
+    # counted where DiscreteSolution.hessians looks the function up
+    from vkfem import assembly, problems
     dm = build_dofmap(square1, method)
     rng = np.random.default_rng(11)
-    psi = DiscreteSolution(dm, *rng.standard_normal((2, dm.n_global)))
+    u, v = rng.standard_normal((2, dm.n_global))
+    known = tuple(assembly.element_hessians(dm.basis, c) for c in (u, v))
     exact = problems.exact_square()
     calls = []
-    real = adaptivity.element_hessians
+    real = assembly.element_hessians
 
     def counting(basis, coef):
         calls.append(1)
         return real(basis, coef)
-    # also where the assembly looks it up
-    for module in (adaptivity, assembly):
-        monkeypatch.setattr(module, "element_hessians", counting)
-    estimate(psi, (exact.f, exact.g))
-    # the brackets and the Hessian jumps share one array per component
-    assert len(calls) == 2
+    monkeypatch.setattr(assembly, "element_hessians", counting)
+    for psi, want in ((DiscreteSolution(dm, u, v, known), 0),
+                      (DiscreteSolution(dm, u, v), 2)):
+        calls.clear()
+        estimate(psi, (exact.f, exact.g))
+        assert len(calls) == want
 
 
 def test_dorfler_examples():
@@ -159,6 +163,21 @@ def test_adaptive_config_validation():
                 {"newton_tol": float("nan")}):
         with pytest.raises(ValueError):
             AdaptiveConfig(**bad)
+
+
+@pytest.mark.parametrize("max_ndof,error", [
+    (-1, ValueError), (0, ValueError), (2.5, ValueError), ("10", ValueError),
+    (None, None), (1, None), (np.int64(4000), None)])
+def test_adaptive_config_takes_max_ndof_as_none_or_a_positive_integer(
+        max_ndof, error):
+    # a cap below one or not an integer is refused when the config is
+    # made, before any level runs: -1, 0 and 2.5 used to stop the loop
+    # after level 0 without a word, and "10" to fail inside it
+    if error is None:
+        assert AdaptiveConfig(max_ndof=max_ndof).max_ndof == max_ndof
+    else:
+        with pytest.raises(error, match="max_ndof"):
+            AdaptiveConfig(max_ndof=max_ndof)
 
 
 def test_theta_one_marks_everything(square0):

@@ -269,7 +269,8 @@ def test_vertex_jumps_extrapolate_the_rule_point_jumps(request, mesh_name):
         for table, out in ((dm.edge_basis, got), (ends_table, want)):
             for side in (0, 1):
                 local = gather_coefficients(table.dofs[side], coef)
-                out.append((table.values[side] @ local[:, :, None])[..., 0])
+                values = table.traces(side)[0]
+                out.append((values @ local[:, :, None])[..., 0])
             out.append(edge_jumps(table, coef)[0])
         got = [vals @ analysis._TO_ENDS for vals in got]
         scale = np.abs(want[0]).max()

@@ -131,8 +131,9 @@ def test_dg_on_morley_field_is_nc_plus_penalties(square1):
     for side, sign in ((0, 1.0), (1, -1.0)):
         dofs = eb.dofs[side]
         loc = np.where(dofs >= 0, cd[np.where(dofs >= 0, dofs, 0)], 0.0)
-        vj = vj + sign * np.einsum("eqj,ej->eq", eb.values[side], loc)
-        dj = dj + sign * np.einsum("eqja,ea,ej->eq", eb.gradients[side],
+        values, gradients = eb.traces(side)
+        vj = vj + sign * np.einsum("eqj,ej->eq", values, loc)
+        dj = dj + sign * np.einsum("eqja,ea,ej->eq", gradients,
                                     mesh.edge_normal, loc)
     h = mesh.edge_length
     pen = sigma * float((np.einsum("q,eq->e", rule.weights, vj**2) / h**2).sum())

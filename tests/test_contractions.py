@@ -109,36 +109,61 @@ def test_values_and_gradients(dofmap):
 
 
 def test_edge_basis_traces(dofmap):
-    basis, eb = dofmap.basis, dofmap.edge_basis
-    for side in (0, 1):
-        tri = dofmap.mesh.edge_tris[:, side]
-        tt = np.where(tri >= 0, tri, 0)
-        ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
-                        eb.points - basis.p0[tt][:, None, :])
-        vals = p2_values(ref)
-        grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
-                          p2_ref_gradients(ref))
-        if basis.transform is not None:
-            vals = np.einsum("ejk,eqk->eqj", basis.transform[tt], vals)
-            grads = np.einsum("ejk,eqka->eqja", basis.transform[tt], grads)
-        vals[tri < 0] = 0.0
-        grads[tri < 0] = 0.0
-        assert_matches(eb.values[side], vals)
-        assert_matches(eb.gradients[side], grads)
+    # the frame's traces and jumps at the rule points and at both ends
+    # against the shapes at the physical points mapped into each side's
+    # triangle; the mesh has edges that run backwards in a triangle and
+    # edges that do not, on both sides
+    basis = dofmap.basis
+    coef = np.random.default_rng(37).standard_normal(dofmap.n_global)
+    for tpoints in (EDGE_RULE.points, [0.0, 1.0]):
+        eb = EdgeBasis(basis, tpoints)
+        want_jumps = []
+        for side in (0, 1):
+            tri = dofmap.mesh.edge_tris[:, side]
+            assert eb.backwards[side][tri >= 0].any()
+            assert not eb.backwards[side][tri >= 0].all()
+            tt = np.where(tri >= 0, tri, 0)
+            ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
+                            eb.points - basis.p0[tt][:, None, :])
+            vals = p2_values(ref)
+            grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
+                              p2_ref_gradients(ref))
+            if basis.transform is not None:
+                vals = np.einsum("ejk,eqk->eqj", basis.transform[tt], vals)
+                grads = np.einsum("ejk,eqka->eqja", basis.transform[tt],
+                                  grads)
+            vals[tri < 0] = 0.0
+            grads[tri < 0] = 0.0
+            got_vals, got_grads = eb.traces(side)
+            assert_matches(got_vals, vals)
+            assert_matches(got_grads, grads)
+            local = gather_coefficients(eb.dofs[side], coef)
+            want_jumps.append((np.einsum("eqj,ej->eq", vals, local),
+                               np.einsum("eqja,ej->eqa", grads, local)))
+        assert_jumps_match(edge_jumps(eb, coef), want_jumps)
+
+
+def assert_jumps_match(got, sides):
+    """The value and gradient jumps ``got`` against ``side 0 - side 1`` of
+    the traces ``sides``, one (values, gradients) pair per side, relative to
+    side 0: C0IP's value jumps and Morley's vertex-value jumps are zero up to
+    the rounding of each side's sum."""
+    for jump, (side0, side1) in zip(got, zip(*sides)):
+        assert jump.shape == side0.shape
+        assert np.abs(jump - (side0 - side1)).max() \
+            <= RTOL * np.abs(side0).max()
 
 
 def test_edge_jumps(dofmap, coefficients):
     eb = dofmap.edge_basis
     for coef in coefficients:
-        vj, gj = 0.0, 0.0
-        for side, sign in ((0, 1.0), (1, -1.0)):
+        sides = []
+        for side in (0, 1):
             local = gather_coefficients(eb.dofs[side], coef)
-            vj = vj + sign * np.einsum("eqj,ej->eq", eb.values[side], local)
-            gj = gj + sign * np.einsum("eqja,ej->eqa", eb.gradients[side],
-                                       local)
-        got_vj, got_gj = edge_jumps(eb, coef)
-        assert_matches(got_vj, vj)
-        assert_matches(got_gj, gj)
+            values, gradients = eb.traces(side)
+            sides.append((np.einsum("eqj,ej->eq", values, local),
+                          np.einsum("eqja,ej->eqa", gradients, local)))
+        assert_jumps_match(edge_jumps(eb, coef), sides)
 
 
 def edge_terms_reference(dofmap, sigma):
@@ -154,7 +179,8 @@ def edge_terms_reference(dofmap, sigma):
         return np.stack([hess[..., 0] * n1 + hess[..., 2] * n2,
                          hess[..., 2] * n1 + hess[..., 1] * n2], axis=-1)
 
-    dn = jump([np.einsum("eqja,ea->eqj", g, normal) for g in eb.gradients])
+    values, gradients = zip(*map(eb.traces, (0, 1)))
+    dn = jump([np.einsum("eqja,ea->eqj", g, normal) for g in gradients])
     pen = sigma * np.einsum("q,eqi,eqj->eij", w, dn, dn)
     tri = mesh.edge_tris
     hess = [dofmap.basis.hessians[tri[:, 0]],
@@ -168,8 +194,8 @@ def edge_terms_reference(dofmap, sigma):
         return pen - (np.einsum("ei,ej->eij", hnn, jn_int)
                       + np.einsum("ej,ei->eij", hnn, jn_int))
     gj_int = h[:, None, None] * np.einsum("q,eqja->eja", w,
-                                          jump(eb.gradients))
-    vj = jump(eb.values)
+                                          jump(gradients))
+    vj = jump(values)
     pen += (sigma / h**2)[:, None, None] * np.einsum("q,eqi,eqj->eij", w,
                                                      vj, vj)
     return pen - (np.einsum("eia,eja->eij", hn, gj_int)

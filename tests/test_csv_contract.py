@@ -27,11 +27,15 @@ L-shape cells by 1e-6 and 7e-6, and fails.
 
 A change that is meant to move a cell beyond its tolerance writes the files
 again with ``PYTHONPATH=src python tests/test_csv_contract.py`` and says so.
+``PYTHONPATH=src python tests/test_csv_contract.py --compare`` reruns the
+experiments without writing the files and prints, per experiment and float
+column, the largest relative move of a cell against the committed one.
 """
 
 import csv
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -81,7 +85,35 @@ def test_cli_csv_matches_the_committed_cells(example, tmp_path):
                     f"{where}: {col} {a!r} against {b!r}"
 
 
+def largest_moves(got, expected):
+    """Per float column, the largest relative move ``|a - b| / |b|`` of a
+    cell ``a`` of ``got`` against its cell ``b`` of ``expected``: 0 for
+    equal cells (``nan`` too), ``inf`` for a cell that moved from 0 or from
+    or to ``nan``."""
+    moves = {}
+    for new, ref in zip(got, expected):
+        for col in list(ref)[len(EXACT):]:
+            a, b = float(new[col]), float(ref[col])
+            if a == b or math.isnan(a) and math.isnan(b):
+                move = 0.0
+            elif b == 0.0 or math.isnan(a) or math.isnan(b):
+                move = math.inf
+            else:
+                move = abs(a - b) / abs(b)
+            moves[col] = max(moves.get(col, 0.0), move)
+    return moves
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
-    for name in EXPERIMENTS:
-        run(name, DATA / f"{name}.csv")
+    if sys.argv[1:] == ["--compare"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in EXPERIMENTS:
+                out = Path(tmp) / f"{name}.csv"
+                run(name, out)
+                moves = largest_moves(read(out), read(DATA / f"{name}.csv"))
+                print(name, " ".join(f"{col}={move:.2e}"
+                                     for col, move in moves.items()))
+    else:
+        for name in EXPERIMENTS:
+            run(name, DATA / f"{name}.csv")

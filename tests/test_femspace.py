@@ -85,8 +85,8 @@ def test_dofmap_bases_are_cached_and_read_only(square1):
         assert dm.basis is basis and dm.edge_basis is eb
         assert eb.points.shape == (square1.n_edges, len(EDGE_RULE.points), 2)
         arrays = [basis.p0, basis.jac, basis.jac_inv, basis.area,
-                  basis.hessians, basis.int_phi, eb.points, *eb.values,
-                  *eb.gradients, *eb.dofs]
+                  basis.hessians, basis.int_phi, eb.tpoints, *eb.triangles,
+                  *eb.local_edges, *eb.backwards, *eb.dofs]
         if basis.transform is not None:
             arrays.append(basis.transform)
         for arr in arrays:
@@ -98,22 +98,28 @@ def test_dofmap_bases_are_cached_and_read_only(square1):
             dm.edge_basis = eb
 
 
-def test_edge_table_holds_rule_point_traces_only(lshape1):
-    # the points, then each side's values (3 x 6), gradients (3 x 6 x 2)
-    # and dofs: 1,008 bytes per edge, 35.7 MiB on the 37,120 edges of the
-    # uniform L-shape at level 6; a table that also held both endpoints and
-    # each side's Hessians took 1,904
+def test_edge_frame_holds_no_per_point_arrays(lshape1):
+    # per side the triangle (a view of the mesh's edge_tris), local edge,
+    # run and dofs: 116 bytes per edge, where a table of each side's values
+    # and gradients at the rule points took 1,008; the shapes at the points
+    # are two tables of the reference triangle, whatever the mesh
     nq = len(EDGE_RULE.points)
-    per_edge = 8 * (2 * nq + 2 * (6 * nq + 12 * nq + 6))
-    assert per_edge == 1008
+    per_edge = 2 * (8 + 1 + 1 + 6 * 8)
+    assert per_edge == 116
+    ne = lshape1.n_edges
     for method in METHODS:
         eb = build_dofmap(lshape1, method).edge_basis
         assert not hasattr(eb, "hessians")
         arrays = [a for v in vars(eb).values()
                   for a in (v if isinstance(v, tuple) else (v,))
                   if isinstance(a, np.ndarray)]
-        assert len(arrays) == 7
-        assert sum(a.nbytes for a in arrays) <= per_edge * lshape1.n_edges
+        per_edge_arrays = [a for a in arrays if a.shape[0] == ne]
+        assert len(arrays) == 11 and len(per_edge_arrays) == 8
+        assert all(a.ndim == 1 or a.shape == (ne, 6)
+                   for a in per_edge_arrays)
+        assert sum(a.nbytes for a in per_edge_arrays) == per_edge * ne
+        assert sum(a.nbytes for a in arrays) - per_edge * ne \
+            == 8 * nq * (1 + 6 * 6 * 3)
 
 
 def test_dofmap_with_bases_is_freed_by_reference_counting(square1):
@@ -161,7 +167,7 @@ def test_morley_biorthogonality_random_triangles(seed):
                                             [0.0, 1.0]]))[0]
     for k in range(3):
         e = mesh.tri_edges[0, k]
-        dn = np.einsum("qja,a->qj", eb.gradients[0][e], mesh.edge_normal[e])
+        dn = np.einsum("qja,a->qj", eb.traces(0)[1][e], mesh.edge_normal[e])
         pairing[3 + k] = rule.weights @ dn
     assert np.abs(pairing - np.eye(6)).max() < 1e-12
 
@@ -180,9 +186,25 @@ def test_morley_biorthogonality(skewed_triangle):
                                             [0.0, 1.0]]))[0]
     for k in range(3):
         e = mesh.tri_edges[0, k]
-        dn = np.einsum("qja,a->qj", eb.gradients[0][e], mesh.edge_normal[e])
+        dn = np.einsum("qja,a->qj", eb.traces(0)[1][e], mesh.edge_normal[e])
         pairing[3 + k] = rule.weights @ dn
     assert np.abs(pairing - np.eye(6)).max() < 1e-12
+
+
+def test_morley_transform_inverts_the_dual_pairing(lshape_graded):
+    # the transform from the 3 x 3 block of edge functionals on edge shapes
+    # against the inverse of the whole pairing: vertex values at the
+    # vertices, normal derivatives at the edge midpoints
+    mesh = lshape_graded
+    lagrange = ElementBasis(build_dofmap(mesh, "c0ip"))
+    grads = lagrange.gradients(REF_NODES[3:])               # (nt, 3, 6, 2)
+    pairing = np.zeros((mesh.n_triangles, 6, 6))
+    pairing[:, :3] = p2_values(REF_NODES[:3])
+    pairing[:, 3:] = np.einsum("tkja,tka->tkj", grads,
+                               mesh.edge_normal[mesh.tri_edges])
+    want = np.linalg.inv(pairing).transpose(0, 2, 1)
+    got = ElementBasis(build_dofmap(mesh, "morley")).transform
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_morley_shapes_have_constant_hessians(skewed_triangle):
@@ -245,7 +267,7 @@ def test_morley_element_reproduction(skewed_triangle):
     recovered[:3] = vals @ coef
     for k in range(3):
         e = mesh.tri_edges[0, k]
-        dn = np.einsum("qja,a->qj", eb.gradients[0][e], mesh.edge_normal[e])
+        dn = np.einsum("qja,a->qj", eb.traces(0)[1][e], mesh.edge_normal[e])
         recovered[3 + k] = rule.weights @ (dn @ coef)
     assert np.abs(recovered - coef).max() < 1e-12
 
@@ -278,7 +300,7 @@ def test_morley_interpolant_edge_mean_conforming(square1):
     for side in (0, 1):
         dofs = eb.dofs[side]
         local = np.where(dofs >= 0, coef[np.where(dofs >= 0, dofs, 0)], 0.0)
-        dn = np.einsum("eqja,ea,ej->eq", eb.gradients[side],
+        dn = np.einsum("eqja,ea,ej->eq", eb.traces(side)[1],
                        square1.edge_normal, local)
         means.append(np.einsum("q,eq->e", rule.weights, dn))
     interior = ~square1.edge_on_boundary

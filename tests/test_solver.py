@@ -387,6 +387,30 @@ def test_linear_solve_stops_gmres_at_the_callers_target(square3,
                                       bnorm) <= 1e-10
 
 
+def test_a_cycle_result_failing_the_acceptance_test_gets_a_second_cycle(
+        square3, monkeypatch):
+    # a finite first cycle whose result fails the backward-error test, as
+    # one that meets an aim taken at ||x0|| does when ||x|| is well below
+    # ||x0||, is followed by a second cycle from it, not by sparse LU
+    jac, rhs, preconditioner = second_newton_step(square3, "c0ip")
+    bnorm, anorm = np.linalg.norm(rhs), jac.norm_inf()
+    real_cycle = solver._gmres_cycle
+    starts = []
+
+    def first_cycle_short(apply, r, atol):
+        starts.append(np.linalg.norm(r))
+        y = real_cycle(apply, r, atol)
+        return 0.99 * y if len(starts) == 1 else y
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the second cycle's result was not accepted")
+    monkeypatch.setattr(solver, "_gmres_cycle", first_cycle_short)
+    monkeypatch.setattr(solver.spla, "splu", no_lu)
+    x = linear_solve(jac, rhs, preconditioner=preconditioner)
+    assert len(starts) == 2 and starts[1] < starts[0]
+    assert solver._backward_error(rhs - jac @ x, x, anorm, bnorm) <= 1e-10
+
+
 @pytest.mark.parametrize("method", ["c0ip", "dg"])
 def test_every_newton_step_ends_gmres_in_its_first_cycle(square3,
                                                          monkeypatch, method):
