@@ -114,11 +114,11 @@ def linear_solve(jac, rhs, context="linear system", preconditioner=None,
     the smaller of half the backward-error bound ``1e-10 (||J|| ||x0|| +
     ||b||)`` and the caller's residual ``target`` (``None``: none; Newton
     sets a tenth of the residual at which it stops).  A finite result that
-    fails the test, because ``||x||`` fell well below ``||x0||``, gets a
-    second cycle, aimed in the same way from it.  When that result fails
-    too, and always without a preconditioner, the system is solved by
-    sparse LU on the assembled ``J`` (COLAMD ordering), with iterative
-    refinement to ``1e-10 ||b||`` where the conditioning allows.
+    fails the test, as one meeting its aim does when ``||x||`` is well below
+    ``||x0||``, gets a second cycle, aimed in the same way from it.  When
+    that result fails too, and always without a preconditioner, the system
+    is solved by sparse LU on the assembled ``J`` (COLAMD ordering), with
+    iterative refinement to ``1e-10 ||b||`` where the conditioning allows.
 
     The acceptance test is a finite ``x`` with a normwise backward error
     ``||Jx-b|| / (||J|| ||x|| + ||b||)`` of at most ``1e-10``, which every
