@@ -108,23 +108,86 @@ def _structure(n, blocks):
         for (rows, cols), end, size in zip(blocks, ends, sizes)]
 
 
+def _patch_structure(dofmap):
+    """:func:`_structure` of the ``dg`` blocks of :func:`_stiffness_structure`,
+    bit for bit, from the triangle graph: no dof is shared, so no key is
+    sorted or deduplicated, only the at most four ranks of each patch.
+
+    Triangle ``t`` owns the dofs ``6 r + (0..5)`` of its rank ``r =
+    element_dofs[t, 0] // 6``.  Its patch is ``t`` and its at most three
+    edge neighbours, and each of its six columns holds the six rows of every
+    patch triangle, in rank order.  So the row ``6 s + i`` of the column
+    ``6 r + j`` sits at ``indptr[6 r + j] + 6 #(patch ranks below s) + i``.
+    """
+    mesh = dofmap.mesh
+    rank = (dofmap.element_dofs[:, 0] // 6).astype(np.int32)
+    nt = len(rank)
+    # the ranks of each patch: the triangle, then its neighbour across each
+    # local edge (nt, which ranks last, where there is none)
+    pair = mesh.edge_tris[mesh.tri_edges]
+    across = np.where(pair[..., 0] == np.arange(nt)[:, None], pair[..., 1],
+                      pair[..., 0])
+    patch = np.empty((nt, 4), dtype=np.int32)
+    patch[:, 0] = rank
+    patch[:, 1:] = np.where(across >= 0, rank[across], nt)
+    by_rank = np.empty(nt, dtype=np.intp)
+    by_rank[rank] = np.arange(nt)
+    indptr = np.zeros(6 * nt + 1, dtype=np.int32)
+    np.cumsum(np.repeat(6 * (patch < nt).sum(axis=1, dtype=np.int32)[by_rank],
+                        6), out=indptr[1:])
+    # the six rows of each patch triangle in every column of its block; as
+    # one 24-byte item per triangle they are masked item by item, not row
+    # by row
+    ordered = np.sort(patch[by_rank], axis=1)
+    rows = np.empty((nt, 6, 4, 6), dtype=np.int32)
+    rows[...] = 6 * ordered[:, None, :, None] + np.arange(6, dtype=np.int32)
+    indices = rows.view(np.dtype((np.void, 24)))[..., 0][np.broadcast_to(
+        (ordered < nt)[:, None, :], rows.shape[:3])].view(np.int32)
+    del rows
+    starts = indptr[:-1].reshape(nt, 6)[rank]  # of each triangle's columns
+    nnz = len(indices)
+
+    def slots(cols, row_tris):
+        """Slots of the rows of ``row_tris`` in the columns of ``cols``
+        (``-1``: none, slot ``nnz``)."""
+        valid = (cols >= 0) & (row_tris >= 0)
+        c, r = (np.where(valid, t, 0) for t in (cols, row_tris))
+        below = (patch[c] < rank[r][:, None]).sum(axis=1, dtype=np.int32)
+        out = (starts[c][:, None, :] + (6 * below)[:, None, None]
+               + np.arange(6, dtype=np.int32)[:, None])
+        out[~valid] = nnz
+        return out
+    t0, t1 = mesh.edge_tris.T
+    tris = np.arange(nt)
+    return indptr, indices, [slots(tris, tris), slots(t1, t0), slots(t0, t1)]
+
+
 def _stiffness_structure(dofmap):
     """The CSC structure of the stiffness matrix of the dof map's method:
     ``indptr``, ``indices`` and the slots (see :func:`_structure`) of the
     element entries, shape ``(nt, 6, 6)``, then, for ``c0ip``/``dg``, of the
     entries that couple side 0 of each edge to side 1 and side 1 to side 0
-    (``dofmap.edge_basis.dofs``), each of shape ``(ne, 6, 6)``.
+    (``dofmap.edge_basis.dofs``), each of shape ``(ne, 6, 6)``.  Morley and
+    C0IP share vertex and edge dofs between triangles, so their structure is
+    sorted out by :func:`_structure`; ``dg``, numbered six consecutive dofs
+    per triangle as :func:`~vkfem.femspace.build_dofmap` numbers it, takes
+    it from its triangle graph (:func:`_patch_structure`), and is sorted
+    too when numbered otherwise.
 
     The first three are kept on the dof map, where
     :func:`_element_structure` reads them; the edge slots are not, since
     they would stay in memory for as long as the level.
     """
     dofs = dofmap.element_dofs
-    blocks = [(dofs, dofs)]
-    if dofmap.method != "morley":
-        side0, side1 = dofmap.edge_basis.dofs
-        blocks += [(side0, side1), (side1, side0)]
-    indptr, indices, slots = _structure(dofmap.n_global, blocks)
+    if dofmap.method == "dg" and np.array_equal(
+            dofs, dofs[:, :1] // 6 * 6 + np.arange(6)):
+        indptr, indices, slots = _patch_structure(dofmap)
+    else:
+        blocks = [(dofs, dofs)]
+        if dofmap.method != "morley":
+            side0, side1 = dofmap.edge_basis.dofs
+            blocks += [(side0, side1), (side1, side0)]
+        indptr, indices, slots = _structure(dofmap.n_global, blocks)
     dofmap._structure = (indptr, indices, slots[0])
     return indptr, indices, slots
 

@@ -244,12 +244,18 @@ def rule_point_blocks(mesh):
 
 
 def rule_values(values, shape):
-    """``values`` as floats, or ``ValueError`` if not of ``shape``."""
+    """``values`` as floats, or ``ValueError`` if not of ``shape`` or not
+    all finite."""
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValueError(
             f"load values have shape {values.shape}, expected {shape} "
             f"(triangles, points of the volume rule)")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(
+            f"{finite.size - np.count_nonzero(finite)} of {finite.size} load "
+            f"values at the points of the volume rule are not finite")
     return values
 
 
@@ -259,7 +265,8 @@ def load_values(load, mesh):
     ``load`` is a vectorised callable ``(x, y) -> array``, which is called at
     each block of :func:`rule_point_blocks`, or its values there: an array
     of shape ``(n_triangles, n_rule_points)``, returned as floats.  Any
-    other shape, given or returned by the callable, raises ``ValueError``.
+    other shape or a value that is not finite, given or returned by the
+    callable, raises ``ValueError``.
     The points depend only on the mesh, so values computed once serve every
     consumer on the same mesh (assembly, estimator, oscillation) bit for
     bit.

@@ -31,6 +31,13 @@ one in-house cycle :func:`_gmres_cycle` on plain arrays, preconditioned on
 the right and started at ``x0 = P^{-1} b``; :func:`linear_solve` says when
 it returns ``x0`` as it stands and where the cycle stops.
 
+Newton stops at the larger of its tolerance and the rounding floor of the
+residual, which needs ``|K|``.  A row-sum bound of the floor decides
+without ``|K|`` wherever it keeps the floor below the tolerance or an
+iterate's residual norm above itself (see
+:meth:`NewtonSystem.stopping_residual`); ``|K|`` is built otherwise, and
+before a Newton step, whose GMRES aims at a tenth of the stop itself.
+
 A step rebuilds nothing that only depends on the mesh: it sums the element
 matrices of ``M_v`` and ``M_u`` into the element slots of ``K``'s structure
 (see :class:`NewtonSystem`) and keeps one copy of ``A``, which GMRES applies
@@ -259,6 +266,21 @@ def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
                      options={"SymmetricMode": True})
 
 
+def _factor(system, matrix, name, context):
+    """:func:`_symmetric_lu` of ``matrix``, the block ``name`` of
+    ``system``, in the column order of its dof map, or ``None`` when a pivot
+    is exactly zero.  Running out of memory raises :class:`SolverError`
+    naming the ``context``, the block and nnz(K)."""
+    try:
+        return _symmetric_lu(matrix, system.dofmap.column_order)
+    except MemoryError as exc:
+        raise SolverError(
+            f"{context}: out of memory factoring {name} "
+            f"(nnz(K) {system.stiffness.nnz})") from exc
+    except RuntimeError:
+        return None
+
+
 def is_spd(matrix):
     """True when the sparse matrix is symmetric positive definite: its LU
     restricted to diagonal pivots exists and every pivot is positive."""
@@ -347,24 +369,31 @@ class NewtonSystem:
         ``4 eps (|| |K| |u|, |K| |v| || + load scale)``.
 
         ``|K|`` is built for the call and dropped after it: Newton calls
-        this at most once per step, after the step's block factor is freed,
-        so the copy is never held beside two factors."""
+        this only where the floor can decide (see
+        :meth:`stopping_residual`), never while a step's block factor is
+        held, so the copy is never held beside two factors."""
         abs_k = abs(self.stiffness)
         x = np.concatenate([abs_k @ np.abs(psi.u), abs_k @ np.abs(psi.v)])
         return _FLOOR_EPS * (np.linalg.norm(x) + self.load_scale)
 
-    def stopping_residual(self, psi, target):
+    def stopping_residual(self, psi, target, norm=0.0):
         """The residual at which Newton stops at ``psi``: the larger of
-        ``target`` and :meth:`residual_floor`.
+        ``target`` and :meth:`residual_floor`, or a bound of it above which
+        the iterate's residual norm ``norm`` lies.
 
         ``K`` is symmetric, so ``|| |K| |u|, |K| |v| ||`` is at most the
-        largest row sum of ``|K|`` times ``||(u, v)||``.  When that bound,
-        with a margin for rounding, puts the floor at or below ``target``,
-        the floor is not computed and ``|K|`` is not built."""
-        bound = (self._k_row_sums.max(initial=0.0)
-                 * np.hypot(np.linalg.norm(psi.u), np.linalg.norm(psi.v)))
-        if 1.01 * _FLOOR_EPS * (bound + self.load_scale) <= target:
-            return target
+        largest row sum of ``|K|`` times ``||(u, v)||``.  That bound, with a
+        margin for rounding, bounds the stop from above, and the bound is
+        returned when it is ``target`` (then it is the stop) or when it is
+        below ``norm`` (then ``norm`` stops at neither): ``|K|`` is built only
+        where the floor decides.  With ``norm`` 0 the stop itself is
+        returned."""
+        bound = max(target, 1.01 * _FLOOR_EPS * (
+            self._k_row_sums.max(initial=0.0)
+            * np.hypot(np.linalg.norm(psi.u), np.linalg.norm(psi.v))
+            + self.load_scale))
+        if bound == target or norm > bound:
+            return bound
         return max(target, self.residual_floor(psi))
 
     def step_matrix(self, psi):
@@ -480,7 +509,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         ``report.converged`` is False when the run that was kept took
         ``maxit`` steps, and then ``report.stiffness_definite`` says
         whether the pivots of ``K``'s factor are all positive; linear
-        solver failures of the zero run raise :class:`SolverError`.
+        solver failures of the zero run raise :class:`SolverError`, as
+        does a factor of ``K`` or of the zero run's Newton blocks that runs
+        out of memory.
     """
     if not (tol > 0.0 and isinstance(maxit, (int, np.integer))
             and maxit >= 1):
@@ -490,10 +521,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         raise ValueError("coarse_hessian must have shape (n_triangles, 3)")
     system = NewtonSystem(dofmap, loads, penalty)
     target = tol * system.load_scale
-    try:
-        k_lu = _symmetric_lu(system.stiffness, dofmap.column_order)
-    except RuntimeError:  # then every step is solved by LU
-        k_lu = None
+    # None at a zero pivot: then every step is solved by LU
+    k_lu = _factor(system, system.stiffness, "K",
+                   f"{dofmap.method} (ndof {dofmap.n_global})")
     first = 0  # the steps of an abandoned coarse run
     if coarse_hessian is not None and k_lu is not None:
         # the zero run handles the overflow and NaN of a coarse run that
@@ -534,7 +564,9 @@ def _run(system, k_lu, hess, target, maxit, first):
     step with residual NaN; a run from zero raises the error.  Each iterate
     after the zero pair is a read-only block vector ``x`` that one
     ``evaluated(x)`` pairs with its element Hessians, which its residual,
-    sweep and Newton matrix read, and with its residual, norm and stop."""
+    sweep and Newton matrix read, and with its residual, norm and stop: a
+    bound of the stop where the norm is above it, which tests alike, and
+    the stop itself before a Newton step."""
     dofmap = system.dofmap
     n = dofmap.n_global
     coarse = hess is not None
@@ -544,8 +576,8 @@ def _run(system, k_lu, hess, target, maxit, first):
         psi = DiscreteSolution(dofmap, x[:n], x[n:], tuple(
             element_hessians(dofmap.basis, c) for c in (x[:n], x[n:])))
         res = system.residual(psi)
-        return (x, psi, res, float(np.linalg.norm(res)),
-                system.stopping_residual(psi, target))
+        norm = float(np.linalg.norm(res))
+        return x, psi, res, norm, system.stopping_residual(psi, target, norm)
     # the zero pair, the start without K's factor (its LU step reads no stop)
     x = np.zeros(2 * n)
     psi = DiscreteSolution(dofmap, x[:n], x[n:])
@@ -574,6 +606,8 @@ def _run(system, k_lu, hess, target, maxit, first):
                 not np.isfinite(history[-1])
                 or steps == 2 and not history[2] < history[1]):
             return psi, history, sweeps, False
+        # the stop itself, not a bound of it, sets the step's target
+        stop = system.stopping_residual(psi, target)
         try:
             delta = _newton_step(system, k_lu, psi, res, 0.1 * stop,
                                  f"Newton step {first + steps}, "
@@ -591,16 +625,14 @@ def _newton_step(system, k_lu, psi, res, target, context):
     """The Newton step at ``psi`` with its residual ``res``, solved by
     :func:`linear_solve` to the residual ``target`` and preconditioned by
     ``P = [[A, M_u], [0, K]]`` when ``k_lu`` (``K``'s factor) is given and
-    ``A`` factorises.  The step's block factor is freed on return, before
+    ``A`` factorises (out of memory there raises :class:`SolverError`, see
+    :func:`_factor`).  The step's block factor is freed on return, before
     the next step factors."""
     jac = system.step_matrix(psi)
     preconditioner = None
     if k_lu is not None:
-        try:
-            a_lu = _symmetric_lu(jac.a, system.dofmap.column_order)
-        except RuntimeError:
-            pass
-        else:
+        a_lu = _factor(system, jac.a, "K + M_v", context)
+        if a_lu is not None:
             preconditioner = _BlockTriangularInverse(a_lu, k_lu, jac.m_u)
     # a tenth of the residual at which the iteration stops: a step solved
     # that far cannot delay convergence

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
-                   assemble_biharmonic,
+from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, PenaltyConfig,
+                   adaptive_levels, assemble_biharmonic,
                    assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
                    build_dofmap, build_topology, edge_rule,
                    integrate_edge, is_spd, nodal_interpolate,
-                   to_dg_coefficients, triangle_rule, uniform_refine)
+                   to_dg_coefficients, triangle_rule, two_triangle_square,
+                   uniform_refine, unit_square_mesh)
 from vkfem import assembly
-from vkfem.femspace import EdgeBasis, ElementBasis, bracket, element_hessians
+from vkfem.femspace import (DofMap, EdgeBasis, ElementBasis, bracket,
+                            element_hessians)
 from vkfem.analysis import discrete_norm
-from vkfem.problems import exact_square
+from vkfem.problems import exact_square, lshape_problem
 from vkfem.solver import NewtonSystem
 
 
@@ -338,14 +340,20 @@ def test_solution_length_validation(square1):
 def test_one_dofmap_builds_one_stiffness_structure(square2, monkeypatch,
                                                    method):
     # NewtonSystem takes the element slots of K from the structure its
-    # assembly of K built, and the coupling's Jacobian reuses that structure
-    real = assembly._structure
+    # assembly of K built, and the coupling's Jacobian reuses that structure:
+    # one sorted structure of the element blocks (and, for c0ip, the edge
+    # blocks) or, for dg, one from its triangle graph
     calls = []
 
-    def counting(*args):
-        calls.append(len(args[1]))
-        return real(*args)
-    monkeypatch.setattr(assembly, "_structure", counting)
+    def counting(name, real):
+        def counted(*args):
+            # _structure's second argument is its list of blocks
+            calls.append((name, *map(len, args[1:])))
+            return real(*args)
+        return counted
+    for name in ("_structure", "_patch_structure"):
+        monkeypatch.setattr(assembly, name,
+                            counting(name, getattr(assembly, name)))
     dm = build_dofmap(square2, method)
     ex = exact_square()
     system = NewtonSystem(dm, (ex.f, ex.g))
@@ -354,11 +362,55 @@ def test_one_dofmap_builds_one_stiffness_structure(square2, monkeypatch,
     psi = DiscreteSolution(dm, rng.standard_normal(n), rng.standard_normal(n))
     step = system.step_matrix(psi)
     jac = assemble_trilinear_jacobian(psi)
-    assert calls == [1 if method == "morley" else 3]
+    assert calls == {"morley": [("_structure", 1)],
+                     "c0ip": [("_structure", 3)],
+                     "dg": [("_patch_structure",)]}[method]
     k = system.stiffness
     scale = abs(step.a).max()
     assert abs(step.a - k - jac[:n, :n]).max() <= 1e-14 * scale
     assert abs(step.m_u - jac[:n, n:]).max() <= 1e-14 * scale
+
+
+def dg_test_meshes():
+    """The two-triangle square, uniform square levels 0-4, and the L-shape
+    with eight levels refined from it by newest-vertex bisection where the
+    dg estimator marks."""
+    meshes = [two_triangle_square()]
+    mesh = unit_square_mesh()
+    for _ in range(5):
+        meshes.append(mesh)
+        mesh = uniform_refine(mesh)
+    return meshes + [state.mesh for state in adaptive_levels(
+        lshape_problem(), "dg", AdaptiveConfig(max_levels=9))]
+
+
+def test_dg_patch_structure_is_the_sorted_structure_bit_for_bit():
+    # the triangle graph's structure is the one _structure sorts out of the
+    # element and edge blocks: the same indptr, indices and slots, in dtype
+    # too, so the dg matrices are bit for bit those of the sorted structure
+    for mesh in dg_test_meshes():
+        dm = build_dofmap(mesh, "dg")
+        side0, side1 = dm.edge_basis.dofs
+        dofs = dm.element_dofs
+        sorted_ = assembly._structure(dm.n_global, [
+            (dofs, dofs), (side0, side1), (side1, side0)])
+        patch = assembly._patch_structure(dm)
+        for got, want in zip(patch[:2] + tuple(patch[2]),
+                             sorted_[:2] + tuple(sorted_[2])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), mesh.n_triangles
+
+
+def test_dg_numbered_otherwise_takes_the_sorted_structure(square2):
+    # the triangle graph gives the structure only of six consecutive dofs
+    # per triangle; a dg dof map numbered otherwise is sorted, and its
+    # matrix is the permuted one
+    dm = build_dofmap(square2, "dg")
+    perm = np.random.default_rng(5).permutation(dm.n_global)
+    permuted = DofMap(square2, "dg", dm.n_global, perm[dm.element_dofs])
+    k, k_perm = assemble_biharmonic(dm), assemble_biharmonic(permuted)
+    assert abs(k_perm[perm][:, perm] - k).max() <= 1e-12 * abs(k).max()
+    assert k_perm.nnz == k.nnz
 
 
 #: tracemalloc peak of the dg assembly below, 5.63 MiB when the structure

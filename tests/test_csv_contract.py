@@ -26,12 +26,23 @@ A one-ulp change of an ``EDGE_RULE`` weight moves the cells by at most
 L-shape cells by 1e-6 and 7e-6, and fails.
 
 A change that is meant to move a cell beyond its tolerance writes the files
-again with ``PYTHONPATH=src python tests/test_csv_contract.py`` and says so.
-``PYTHONPATH=src python tests/test_csv_contract.py --compare`` reruns the
-experiments without writing the files and prints, per experiment and float
-column, the largest relative move of a cell against the committed one.
+again with ``python tests/test_csv_contract.py`` and says so.  The script
+puts the ``src`` of its own checkout first on the path, so
+
+    python tests/test_csv_contract.py --write DIR
+
+run from another checkout (such as a copy of the parent commit with this
+file in it) writes that checkout's three CSVs into ``DIR`` instead, and
+
+    python tests/test_csv_contract.py --compare [DIR]
+
+reruns the experiments here without writing any file and prints, per
+experiment, whether its CSV is byte-identical to the one in ``DIR``
+(default: the committed files) and, per float column, the largest relative
+move of a cell against it.
 """
 
+import argparse
 import csv
 import math
 import sys
@@ -104,16 +115,34 @@ def largest_moves(got, expected):
     return moves
 
 
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Write the three CLI CSVs, or compare fresh runs with "
+                    "written ones.")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--write", metavar="DIR", type=Path, default=DATA,
+                       help="directory to write the CSVs into (default: "
+                            "the committed files)")
+    group.add_argument("--compare", metavar="DIR", type=Path, nargs="?",
+                       const=DATA, help="compare fresh runs with the CSVs "
+                                        "in DIR (default: the committed "
+                                        "files), writing nothing")
+    args = parser.parse_args(argv)
+    if args.compare is None:
+        for name in EXPERIMENTS:
+            run(name, args.write / f"{name}.csv")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in EXPERIMENTS:
+            out, ref = Path(tmp) / f"{name}.csv", args.compare / f"{name}.csv"
+            run(name, out)
+            same = out.read_bytes() == ref.read_bytes()
+            moves = largest_moves(read(out), read(ref))
+            print(name, "byte-identical" if same else "differs",
+                  " ".join(f"{col}={move:.2e}"
+                           for col, move in moves.items()))
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
-    if sys.argv[1:] == ["--compare"]:
-        with tempfile.TemporaryDirectory() as tmp:
-            for name in EXPERIMENTS:
-                out = Path(tmp) / f"{name}.csv"
-                run(name, out)
-                moves = largest_moves(read(out), read(DATA / f"{name}.csv"))
-                print(name, " ".join(f"{col}={move:.2e}"
-                                     for col, move in moves.items()))
-    else:
-        for name in EXPERIMENTS:
-            run(name, DATA / f"{name}.csv")
+    main()

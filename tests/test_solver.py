@@ -134,17 +134,31 @@ def test_residual_small_at_converged_solution(square1):
                                                 rel=1e-10)
 
 
-@pytest.mark.parametrize("method, tol, builds", [("morley", 1e-10, False),
-                                                 ("dg", 1e-16, True)])
+FLOOR_CASES = [(method, tol, builds, coarse)
+               for method, tol, builds in [("morley", 1e-10, False),
+                                           ("c0ip", 1e-16, True),
+                                           ("dg", 1e-16, True)]
+               for coarse in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "method, tol, builds, coarse", FLOOR_CASES,
+    ids=[f"{m}-{tol}-{builds}" + ("-coarse" if coarse else "")
+         for m, tol, builds, coarse in FLOOR_CASES])
 def test_stopping_residual_shortcut_matches_the_exact_floor(
-        square3, monkeypatch, method, tol, builds):
-    # the row-sum bound of the floor skips |K| only where the floor cannot
+        square2, square3, monkeypatch, method, tol, builds, coarse):
+    # the row-sum bound of the floor skips |K| where the floor cannot
     # decide: the iterates and residuals equal those of an exact floor at
     # every evaluation.  Morley at the default tol builds no |K|; at tol
-    # 1e-16 every iterate's bound exceeds the target, so dg builds it each
-    # time
-    dm = build_dofmap(square3, method)
+    # 1e-16 every iterate's bound exceeds the target, so c0ip and dg build
+    # it, but only where the norm is within the bound and before each Newton
+    # step, whose GMRES target is a tenth of the stop
     loads = loads_of(exact_square())
+    hess = None
+    if coarse:
+        coarse_psi, _ = newton_solve(build_dofmap(square2, method), loads)
+        hess = coarse_hessian(square3, coarse_psi)
+    dm = build_dofmap(square3, method)
     real_floor = NewtonSystem.residual_floor
     floors = []
 
@@ -152,18 +166,24 @@ def test_stopping_residual_shortcut_matches_the_exact_floor(
         floors.append(psi)
         return real_floor(self, psi)
     monkeypatch.setattr(NewtonSystem, "residual_floor", counted_floor)
-    psi, report = newton_solve(dm, loads, tol=tol)
+    psi, report = newton_solve(dm, loads, tol=tol, coarse_hessian=hess)
     shortcut_floors = len(floors)
     monkeypatch.setattr(NewtonSystem, "stopping_residual",
-                        lambda self, psi, target: max(target,
-                                                      real_floor(self, psi)))
-    ref, report_ref = newton_solve(dm, loads, tol=tol)
+                        lambda self, psi, target, norm=0.0: max(
+                            target, self.residual_floor(psi)))
+    ref, report_ref = newton_solve(dm, loads, tol=tol, coarse_hessian=hess)
     assert report.converged and report_ref.converged
+    assert report.start == ("coarse" if coarse else "zero")
     assert report.residual_history == report_ref.residual_history
     assert np.array_equal(psi.u, ref.u) and np.array_equal(psi.v, ref.v)
-    # one floor per iterate after the zero pair: the start solve reads none
-    # at the zero iterate
+    # one floor per Newton step and one at the iterate that stops, where
+    # the start step counts as one iteration whatever its sweeps tried; the
+    # exact floor is built at every iterate, each sweep's included
     assert shortcut_floors == (report.iterations if builds else 0)
+    if builds:
+        assert len(floors) - shortcut_floors >= (
+            report.iterations + report.sweeps)
+        assert report.sweeps >= 3 if coarse else report.sweeps == 0
 
 
 def test_stopping_residual_builds_the_floor_above_the_target(square2):
