@@ -172,9 +172,9 @@ def discrete_norm(dofmap, coef, kind="h"):
     """Norm of a discrete scalar field given by its coefficients."""
     if kind not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}, expected {NORM_KINDS}")
-    basis = dofmap.basis
-    hess = element_hessians(basis, coef)
-    nc2 = float(np.einsum("t,tc,c->", basis.area, hess**2, FROB_WEIGHTS))
+    hess = element_hessians(dofmap.basis, coef)
+    nc2 = float(np.einsum("t,tc,c->", dofmap.mesh.area, hess**2,
+                          FROB_WEIGHTS))
     return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, [kind])[0]))
 
 
@@ -206,12 +206,11 @@ def error_norm(psi, exact, kind="h"):
         exact = ExactFields(mesh, *_volume_pass(exact, mesh, False), traces)
     elif exact.mesh is not mesh:
         raise ValueError("the exact fields are those of another mesh")
-    area = dofmap.basis.area
     errors = []
     for coef, hess, mean, spread, trace in zip(
             (psi.u, psi.v), psi.hessians(), exact.hess_mean,
             exact.hess_spread, exact.traces):
-        e2 = float(area @ (spread + (mean - hess)**2 @ FROB_WEIGHTS))
+        e2 = float(mesh.area @ (spread + (mean - hess)**2 @ FROB_WEIGHTS))
         errors.append([np.sqrt(e2 + jump)
                        for jump in _jump_terms(dofmap, coef, kinds, trace)])
     out = [(float(e_u), float(e_v), float(np.hypot(e_u, e_v)))

@@ -261,7 +261,8 @@ def assemble_biharmonic(dofmap, penalty=None):
     penalty = penalty or PenaltyConfig()
     basis = dofmap.basis
     n = dofmap.n_global
-    weighted = basis.hessians * (basis.area[:, None, None] * FROB_WEIGHTS)
+    weighted = basis.hessians * (dofmap.mesh.area[:, None, None]
+                                 * FROB_WEIGHTS)
     local = weighted @ basis.hessians.transpose(0, 2, 1)
     if dofmap.method == "morley":
         indptr, indices, slots = _element_structure(dofmap)
@@ -353,7 +354,7 @@ def assemble_load(f, g, dofmap):
     blocks = []
     for load in (f, g):
         vals = load_values(load, dofmap.mesh)
-        blocks.append(_scatter(dofmap, basis.area[:, None] * (
+        blocks.append(_scatter(dofmap, dofmap.mesh.area[:, None] * (
             (vals * VOLUME_RULE.weights)[:, None, :] @ phi)[:, 0]))
     return np.concatenate(blocks)
 

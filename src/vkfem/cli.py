@@ -19,6 +19,7 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Optional
 
 # ``estimate`` is unused here but stays a module attribute: the layer tracer
@@ -62,8 +63,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown method {self.method!r}")
         if self.refine not in (None, "uniform", "adaptive"):
             raise ValueError(f"unknown refine {self.refine!r}")
-        if self.levels < 1:
-            raise ValueError("levels must be at least 1")
+        if not (isinstance(self.levels, Integral) and self.levels >= 1):
+            raise ValueError(f"levels must be an integer >= 1, not "
+                             f"{self.levels!r}")
+        for name in ("theta", "sigma_ip", "sigma_dg", "newton_tol"):
+            if not isinstance(getattr(self, name), Real):
+                raise ValueError(f"{name} must be a number")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
         if self.estimator is not None and self.estimator not in METHODS:

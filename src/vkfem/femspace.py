@@ -16,13 +16,14 @@ function attached to local edge 0, 1, 2 (edge ``k`` opposite vertex ``k``).
 Morley edge dofs use the mesh's global edge normal, so the two elements
 sharing an edge see the same functional and no sign flips are needed.
 
-Bases are built by ``@`` on stacked arrays: all Jacobians' rows as one
+The frame is the mesh's: its affine maps and, per side of every edge, the
+triangle, local edge and run (see :class:`~vkfem.mesh.Triangulation`).  The
+bases keep what the method adds: the :class:`ElementBasis` its Hessians,
+shape integrals and Morley transforms, the :class:`EdgeBasis` two tables of
+the Lagrange shapes on the three local edges of the reference triangle.
+They are built by ``@`` on stacked arrays: all Jacobians' rows as one
 ``(2 nt, 2)`` matrix times the points, one ``(points x shapes, 2)`` block per
-element for gradients, and Morley transforms batched over elements.  Edge
-traces come from the element frame: fixed tables of the Lagrange shapes on
-the three local edges of the reference triangle, mapped by each triangle's
-``jac_inv`` (and Morley transform); the :class:`EdgeBasis` of a dof map
-keeps only which triangle, local edge and run each side of an edge reads.
+element for gradients, and Morley transforms batched over elements.
 """
 
 from __future__ import annotations
@@ -212,24 +213,18 @@ def _minimum_degree(mesh):
                      options={"SymmetricMode": True}).perm_c
 
 
-def _affine_maps(mesh):
-    """Origin ``p0`` and Jacobian of ``x = p0 + jac @ (xi, eta)`` per
-    triangle."""
-    v, t = mesh.vertices, mesh.triangles
-    p0 = v[t[:, 0]]
-    return p0, np.stack([v[t[:, 1]] - p0, v[t[:, 2]] - p0], axis=-1)
-
-
-def _map_points(p0, jac, ref_points):
+def _map_points(mesh, ref_points):
+    """Reference points mapped to every triangle of ``mesh``, shape
+    ``(n_triangles, len(ref_points), 2)``."""
     ref = np.asarray(ref_points, dtype=float)
-    lin = (jac.reshape(-1, 2) @ ref.T).reshape(len(jac), 2, len(ref))
-    return p0[:, None, :] + lin.transpose(0, 2, 1)
+    lin = (mesh.jac.reshape(-1, 2) @ ref.T).reshape(-1, 2, len(ref))
+    return mesh.vertices[mesh.triangles[:, 0], None] + lin.transpose(0, 2, 1)
 
 
 def rule_points(mesh):
     """Physical points of ``VOLUME_RULE`` on every triangle of ``mesh``,
     shape ``(n_triangles, n_rule_points, 2)``."""
-    return _map_points(*_affine_maps(mesh), VOLUME_RULE.points[:, 1:])
+    return _map_points(mesh, VOLUME_RULE.points[:, 1:])
 
 
 def rule_point_blocks(mesh):
@@ -290,9 +285,6 @@ class ElementBasis:
 
     Attributes
     ----------
-    area : ndarray (nt,)
-    jac, jac_inv : ndarray (nt, 2, 2)
-        Affine map ``x = p0 + jac @ (xi, eta)`` and its inverse.
     hessians : ndarray (nt, 6, 3)
         Constant physical Hessians as (xx, yy, xy) triplets.
     int_phi : ndarray (nt, 6)
@@ -304,25 +296,16 @@ class ElementBasis:
     def __init__(self, dofmap):
         mesh = dofmap.mesh
         self.mesh, self.element_dofs = mesh, dofmap.element_dofs
-        p0, jac = _affine_maps(mesh)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        jac_inv = np.empty_like(jac)
-        jac_inv[:, 0, 0] = jac[:, 1, 1] / det
-        jac_inv[:, 0, 1] = -jac[:, 0, 1] / det
-        jac_inv[:, 1, 0] = -jac[:, 1, 0] / det
-        jac_inv[:, 1, 1] = jac[:, 0, 0] / det
-        self.p0, self.jac, self.jac_inv = p0, jac, jac_inv
-        self.area = mesh.area
-
+        jac_inv = mesh.jac_inv
         href = P2_REF_HESSIANS[:, [[0, 2], [2, 1]]]  # (6, 2, 2) matrices
         hphys = jac_inv.transpose(0, 2, 1)[:, None] @ href @ jac_inv[:, None]
         lag_hess = hphys[:, :, [0, 1, 0], [0, 1, 1]]  # back to (xx, yy, xy)
 
         lag_int = np.zeros((mesh.n_triangles, 6))
-        lag_int[:, 3:] = self.area[:, None] / 3.0
+        lag_int[:, 3:] = mesh.area[:, None] / 3.0
 
         if dofmap.method == "morley":
-            self.transform = self._morley_transform(mesh)
+            self.transform = _morley_transform(mesh)
             self.hessians = self.transform @ lag_hess
             self.int_phi = np.einsum("tjk,tk->tj", self.transform, lag_int)
             self.transform.setflags(write=False)
@@ -330,58 +313,58 @@ class ElementBasis:
             self.transform = None
             self.hessians = lag_hess
             self.int_phi = lag_int
-        for arr in (p0, jac, jac_inv, self.hessians, self.int_phi):
+        for arr in (self.hessians, self.int_phi):
             arr.setflags(write=False)
-
-    def _morley_transform(self, mesh):
-        # Dual pairing P[i, j] = functional_i(lagrange_j): rows 0..2 are
-        # vertex values, rows 3..5 edge means of the normal derivative (the
-        # gradient of a P2 function is linear, so the mean is its midpoint
-        # value).  The vertex nodes are Lagrange nodes, so P = [[I, 0], [B,
-        # C]] and its inverse is [[I, 0], [-C^-1 B, C^-1]].
-        nt = mesh.n_triangles
-        gm = p2_ref_gradients(_EDGE_MIDPOINTS_REF)          # (3, 6, 2)
-        gphys = (gm.reshape(-1, 2) @ self.jac_inv).reshape(nt, 3, 6, 2)
-        normals = mesh.edge_normal[mesh.tri_edges]           # (nt, 3, 2)
-        edge_rows = np.einsum("tkja,tka->tkj", gphys, normals)  # [B, C]
-        c_inv = np.linalg.inv(edge_rows[:, :, 3:])
-        inverse = np.zeros((nt, 6, 6))
-        inverse[:, :3, :3] = np.eye(3)
-        inverse[:, 3:, :3] = -(c_inv @ edge_rows[:, :, :3])
-        inverse[:, 3:, 3:] = c_inv
-        return inverse.transpose(0, 2, 1)
 
     def physical_points(self, ref_points):
         """Map reference points to physical ones, shape (nt, m, 2)."""
-        return _map_points(self.p0, self.jac, ref_points)
+        return _map_points(self.mesh, ref_points)
 
     def values(self, ref_points):
         """Shape values at reference points, shape (nt, m, 6)."""
         vals = p2_values(ref_points)
         if self.transform is None:
-            return np.broadcast_to(vals, (len(self.area),) + vals.shape).copy()
+            return np.repeat(vals[None], self.mesh.n_triangles, axis=0)
         return vals @ self.transform.transpose(0, 2, 1)
 
     def gradients(self, ref_points):
         """Physical gradients at reference points, shape (nt, m, 6, 2)."""
         g = p2_ref_gradients(ref_points)
-        gphys = (g.reshape(-1, 2) @ self.jac_inv).reshape((-1,) + g.shape)
+        gphys = (g.reshape(-1, 2) @ self.mesh.jac_inv).reshape((-1,) + g.shape)
         if self.transform is None:
             return gphys
         return self.transform[:, None] @ gphys
 
 
+def _morley_transform(mesh):
+    # Dual pairing P[i, j] = functional_i(lagrange_j): rows 0..2 are vertex
+    # values, rows 3..5 edge means of the normal derivative (the gradient of
+    # a P2 function is linear, so the mean is its midpoint value).  The vertex
+    # nodes are Lagrange nodes, so P = [[I, 0], [B, C]] and its inverse is
+    # [[I, 0], [-C^-1 B, C^-1]].
+    nt = mesh.n_triangles
+    gm = p2_ref_gradients(_EDGE_MIDPOINTS_REF)          # (3, 6, 2)
+    gphys = (gm.reshape(-1, 2) @ mesh.jac_inv).reshape(nt, 3, 6, 2)
+    normals = mesh.edge_normal[mesh.tri_edges]           # (nt, 3, 2)
+    edge_rows = np.einsum("tkja,tka->tkj", gphys, normals)  # [B, C]
+    c_inv = np.linalg.inv(edge_rows[:, :, 3:])
+    inverse = np.zeros((nt, 6, 6))
+    inverse[:, :3, :3] = np.eye(3)
+    inverse[:, 3:, :3] = -(c_inv @ edge_rows[:, :, :3])
+    inverse[:, 3:, 3:] = c_inv
+    return inverse.transpose(0, 2, 1)
+
+
 class EdgeBasis:
     """The element frame of both sides of every edge.
 
-    For each side it keeps the triangle, its local edge (local edge ``k``
-    runs from local vertex ``k + 1`` to ``k + 2``), whether the edge's
-    sorted points run backwards in that triangle, and the side's dofs; no
-    shape values.  Traces come from two fixed tables, the values and the
-    reference gradients of the six Lagrange shapes at ``tpoints`` on the
-    three local edges, run forwards and backwards: :meth:`traces` reads them
-    in the frame of one side's triangles, :func:`edge_jumps` in the frame of
-    every triangle at once.  Hessians are the element basis's.
+    It keeps no array per edge: the triangle, local edge and run of each
+    side are the mesh's, and no shape values.  Traces come from two fixed
+    tables, the values and the reference gradients of the six Lagrange
+    shapes at ``tpoints`` on the three local edges, run forwards and
+    backwards: :meth:`traces` reads them in the frame of one side's
+    triangles, :func:`edge_jumps` in the frame of every triangle at once.
+    Hessians are the element basis's.
 
     Evaluation points are ``a + t * (b - a)`` for the sorted edge vertices
     ``(a, b)`` and ``t`` in ``tpoints``, identical for both sides, so jumps
@@ -391,7 +374,6 @@ class EdgeBasis:
     """
 
     def __init__(self, basis, tpoints):
-        mesh = basis.mesh
         self.basis = basis
         self.tpoints = np.array(tpoints, dtype=float)
         # run r of local edge k, both ends as reference vertices
@@ -402,10 +384,7 @@ class EdgeBasis:
         # index 2 k + r: local edge k, run backwards (r = 1) or not
         self._values = p2_values(ref).reshape(6, -1, 6)
         self._gradients = p2_ref_gradients(ref).reshape(6, -1, 6, 2)
-        self.triangles, self.local_edges, self.backwards, self.dofs = zip(
-            *(_edge_side(basis, mesh.edge_tris[:, side]) for side in (0, 1)))
-        for arr in (self.tpoints, self._values, self._gradients,
-                    *self.local_edges, *self.backwards, *self.dofs):
+        for arr in (self.tpoints, self._values, self._gradients):
             arr.setflags(write=False)
 
     @property
@@ -413,22 +392,32 @@ class EdgeBasis:
         """The physical evaluation points, shape ``(ne, len(tpoints), 2)``."""
         return edge_points(self.basis.mesh, self.tpoints)
 
+    @property
+    def dofs(self):
+        """The dofs of both sides' triangles, ``(ne, 6)`` each, ``-1`` where a
+        side has none: gathered from ``element_dofs`` on every read."""
+        dofs = self.basis.element_dofs
+        return tuple(np.where((tri >= 0)[:, None], dofs[tri], -1)
+                     for tri in self.basis.mesh.edge_tris.T)
+
     def _runs(self, side):
         """Index ``2 k + r`` into the tables of each edge's local edge ``k``
         and run ``r`` on side ``side`` (``0`` where it has no triangle)."""
-        return (2 * self.local_edges[side].astype(np.intp)
-                + self.backwards[side])
+        mesh = self.basis.mesh
+        return (2 * mesh.edge_local[:, side].astype(np.intp)
+                + mesh.edge_backwards[:, side])
 
     def traces(self, side):
         """Values ``(ne, m, 6)`` and physical gradients ``(ne, m, 6, 2)`` of
         the shapes of side ``side``'s triangles at the evaluation points,
         zero where the side has no triangle."""
-        basis, tri = self.basis, self.triangles[side]
+        basis = self.basis
+        tri = basis.mesh.edge_tris[:, side]
         tt = np.where(tri >= 0, tri, 0)
         runs = self._runs(side)
         vals = self._values[runs]
         g = self._gradients[runs]
-        grads = (g.reshape(len(tt), -1, 2) @ basis.jac_inv[tt]).reshape(
+        grads = (g.reshape(len(tt), -1, 2) @ basis.mesh.jac_inv[tt]).reshape(
             g.shape)
         if basis.transform is not None:
             w = basis.transform[tt]
@@ -437,24 +426,6 @@ class EdgeBasis:
         vals[tri < 0] = 0.0
         grads[tri < 0] = 0.0
         return vals, grads
-
-
-def _edge_side(basis, tri):
-    """Triangle, local edge, backward run and dofs of one side of every
-    edge, with ``tri`` its triangles (``-1``: none, local edge 0 forwards
-    and dofs ``-1``)."""
-    mesh = basis.mesh
-    valid = tri >= 0
-    tt = np.where(valid, tri, 0)
-    ne = len(tri)
-    local = np.argmax(mesh.tri_edges[tt] == np.arange(ne)[:, None],
-                      axis=1).astype(np.int8)
-    start = mesh.triangles[tt, (local + 1) % 3]
-    backwards = valid & (start != mesh.edges[:, 0])
-    local[~valid] = 0
-    dofs = basis.element_dofs[tt]
-    dofs[~valid] = -1
-    return tri, local, backwards, dofs
 
 
 def edge_points(mesh, tpoints, edges=slice(None)):
@@ -502,9 +473,9 @@ def edge_jumps(edge_basis, coefficients):
     grads = np.zeros((nt + 1, 6 * m, 2))
     np.matmul(local, edge_basis._values.reshape(-1, 6).T, out=vals[:nt])
     ref = local @ edge_basis._gradients.transpose(2, 0, 1, 3).reshape(6, -1)
-    np.matmul(ref.reshape(nt, -1, 2), basis.jac_inv, out=grads[:nt])
+    np.matmul(ref.reshape(nt, -1, 2), basis.mesh.jac_inv, out=grads[:nt])
     rows = [6 * tri + edge_basis._runs(side)
-            for side, tri in enumerate(edge_basis.triangles)]
+            for side, tri in enumerate(basis.mesh.edge_tris.T)]
     v0, v1 = (np.take(vals.reshape(-1, m), r, axis=0) for r in rows)
     g0, g1 = (np.take(grads.reshape(-1, m, 2), r, axis=0) for r in rows)
     return v0 - v1, g0 - g1

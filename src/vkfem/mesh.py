@@ -74,13 +74,22 @@ class Triangulation:
     edges : ndarray (ne, 2)
         Sorted vertex pairs.
     edge_tris : ndarray (ne, 2)
-        Adjacent triangles, lower index first, ``-1`` marks a boundary edge.
+        Adjacent triangles, lower index first, ``-1`` marks a boundary edge:
+        column ``s`` is side ``s`` of every edge.
+    edge_local, edge_backwards : ndarray (ne, 2) of int8, of bool
+        Per side, the local edge ``k`` that the edge is in its triangle, and
+        whether the edge's sorted vertices run against it (local edge ``k``
+        runs from local vertex ``k + 1`` to ``k + 2``); ``0`` and ``False``
+        where the side has no triangle.
     tri_edges : ndarray (nt, 3)
         Edge index opposite each local vertex.
     edge_normal, edge_tangent : ndarray (ne, 2)
         Orthonormal frame per edge.
     edge_length : ndarray (ne,)
     area : ndarray (nt,)
+    jac, jac_inv : ndarray (nt, 2, 2)
+        Affine map ``x = v0 + jac @ (xi, eta)`` from the reference triangle
+        (``v0``: the first vertex) and its inverse.
     vertex_on_boundary, edge_on_boundary : ndarray of bool
         Topological boundary flags (an edge is boundary iff it has exactly
         one adjacent triangle).
@@ -132,6 +141,11 @@ class Triangulation:
         self.vertices = v
         self.triangles = t
         self.area = 0.5 * twice_area
+        # x = v0 + jac @ (xi, eta); twice_area is the determinant of jac
+        self.jac = np.stack([d1, d2], axis=-1)
+        self.jac_inv = np.stack(
+            [d2[:, 1], -d2[:, 0], -d1[:, 1], d1[:, 0]], axis=1).reshape(
+                nt, 2, 2) / twice_area[:, None, None]
 
         # Edge enumeration: local edge k is opposite local vertex k.
         pairs = np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], axis=1)
@@ -151,17 +165,19 @@ class Triangulation:
                 f"non-conforming mesh: edge {tuple(edges[bad].tolist())} "
                 f"shared by {counts[bad]} triangles"
             )
-        # Adjacency with the lower triangle index first (stable sort keeps
-        # the original triangle order within each edge group).
-        flat = self.tri_edges.ravel()
-        order = np.argsort(flat, kind="stable")
-        tri_of = np.repeat(np.arange(nt), 3)[order]
-        first = np.searchsorted(flat[order], np.arange(ne), side="left")
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        edge_tris[:, 0] = tri_of[first]
+        # Each side of an edge as its slot 3 t + k of tri_edges (local edge k
+        # of triangle t), the lower triangle index first (the stable sort
+        # keeps the triangle order within an edge); -1: no side 1.
+        order = np.argsort(inv, kind="stable")
+        last = np.cumsum(counts) - 1
+        slots = order[np.stack([last + 1 - counts, last], axis=1)]
         interior = counts == 2
-        edge_tris[interior, 1] = tri_of[first[interior] + 1]
-        self.edge_tris = edge_tris
+        slots[~interior, 1] = -1
+        self.edge_tris = edge_tris = slots // 3  # -1 stays -1
+        self.edge_local = np.where(slots >= 0, slots % 3, 0).astype(np.int8)
+        # local edge k runs from local vertex k + 1 to k + 2
+        start = t[edge_tris, (self.edge_local + 1) % 3]
+        self.edge_backwards = (slots >= 0) & (start != edges[:, :1])
         self.edge_on_boundary = ~interior
 
         self.vertex_on_boundary = np.zeros(nv, dtype=bool)
@@ -194,9 +210,11 @@ class Triangulation:
         self.refinement_edge = refinement_edge
 
         for arr in (self.vertices, self.triangles, self.edges, self.edge_tris,
-                    self.tri_edges, self.edge_normal, self.edge_tangent,
-                    self.edge_length, self.area, self.vertex_on_boundary,
-                    self.edge_on_boundary, self.refinement_edge):
+                    self.edge_local, self.edge_backwards, self.tri_edges,
+                    self.edge_normal, self.edge_tangent, self.edge_length,
+                    self.area, self.jac, self.jac_inv,
+                    self.vertex_on_boundary, self.edge_on_boundary,
+                    self.refinement_edge):
             arr.setflags(write=False)
         self.parent = None
         self._refined_from = None

@@ -131,8 +131,8 @@ def linear_solve(jac, rhs, context="linear system", preconditioner=None,
     ``||Jx-b|| / (||J|| ||x|| + ||b||)`` of at most ``1e-10``, which every
     residual below ``1e-10 ||b||`` meets: the sharpest contract double
     precision supports for fourth-order stiffness matrices.  An LU solution
-    failing it, a failing factorisation, or an ``rhs`` whose length is not
-    ``J``'s raises :class:`SolverError` naming the context.
+    failing it, a failing factorisation (see :func:`_lu`), or an ``rhs``
+    whose length is not ``J``'s raises :class:`SolverError` naming the context.
     """
     rhs = np.asarray(rhs, dtype=float)
     if jac.shape[0] != len(rhs):
@@ -161,11 +161,11 @@ def linear_solve(jac, rhs, context="linear system", preconditioner=None,
             res = rhs - jac @ x
         if accepted(res, x):
             return x
-    try:
-        lu = spla.splu(jac.tocsc())
-        x = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"{context}: factorisation failed ({exc})") from exc
+    matrix = jac.tocsc()
+    lu = _lu(spla.splu, matrix, context, "J", f"nnz(J) {matrix.nnz}")
+    if lu is None:
+        raise SolverError(f"{context}: factorisation failed (zero pivot)")
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{context}: singular matrix")
     for _ in range(8):
@@ -266,33 +266,35 @@ def _symmetric_lu(matrix, column_order="MMD_AT_PLUS_A"):
                      options={"SymmetricMode": True})
 
 
-def _factor(system, matrix, name, context):
-    """:func:`_symmetric_lu` of ``matrix``, the block ``name`` of
-    ``system``, in the column order of its dof map, or ``None`` when a pivot
-    is exactly zero.  Running out of memory raises :class:`SolverError`
-    naming the ``context``, the block and nnz(K)."""
+def _lu(factorise, matrix, context, name, size):
+    """``factorise(matrix)``, the sparse LU of the matrix ``name``, or
+    ``None`` at an exactly zero pivot; out of memory raises
+    :class:`SolverError` naming the ``context``, ``name`` and ``size``."""
     try:
-        return _symmetric_lu(matrix, system.dofmap.column_order)
+        return factorise(matrix)
     except MemoryError as exc:
-        raise SolverError(
-            f"{context}: out of memory factoring {name} "
-            f"(nnz(K) {system.stiffness.nnz})") from exc
+        raise SolverError(f"{context}: out of memory factoring {name} "
+                          f"({size})") from exc
     except RuntimeError:
         return None
 
 
+def _factor(system, matrix, name, context):
+    """:func:`_lu` by :func:`_symmetric_lu` of the block ``name`` of
+    ``system``, in the column order of its dof map, sized by nnz(K)."""
+    return _lu(lambda a: _symmetric_lu(a, system.dofmap.column_order),
+               matrix, context, name, f"nnz(K) {system.stiffness.nnz}")
+
+
 def is_spd(matrix):
     """True when the sparse matrix is symmetric positive definite: its LU
-    restricted to diagonal pivots exists and every pivot is positive."""
+    restricted to diagonal pivots (:func:`_lu`) has only positive pivots."""
     a = sp.csc_matrix(matrix)
     scale = abs(a).max()
     if scale > 0 and abs(a - a.T).max() > 1e-10 * scale:
         return False
-    try:
-        lu = _symmetric_lu(a)
-    except RuntimeError:
-        return False
-    return bool(np.all(lu.U.diagonal() > 0.0))
+    lu = _lu(_symmetric_lu, a, "is_spd", "the matrix", f"nnz {a.nnz}")
+    return lu is not None and bool(np.all(lu.U.diagonal() > 0.0))
 
 
 class NewtonMatrix:

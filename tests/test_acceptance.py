@@ -199,7 +199,7 @@ def best_approx_qp(mesh, value, grad, hess, quad_degree=10):
     n = dm.n_global
     dofs = dm.element_dofs
 
-    nc_local = np.einsum("t,tic,tjc,c->tij", basis.area, basis.hessians,
+    nc_local = np.einsum("t,tic,tjc,c->tij", basis.mesh.area, basis.hessians,
                          basis.hessians, FROB)
     rows = np.repeat(dofs[:, :, None], 6, 2).ravel()
     cols = np.repeat(dofs[:, None, :], 6, 1).ravel()
@@ -227,12 +227,12 @@ def best_approx_qp(mesh, value, grad, hess, quad_degree=10):
 
     target_hess = np.asarray(hess(x, y))
     mean_hess = np.einsum("q,tqc->tc", rule.weights, target_hess)
-    rhs_local = np.einsum("t,tc,tjc,c->tj", basis.area, mean_hess,
+    rhs_local = np.einsum("t,tc,tjc,c->tj", basis.mesh.area, mean_hess,
                           basis.hessians, FROB)
     rhs = np.zeros(n)
     np.add.at(rhs, dofs.ravel(), rhs_local.ravel())
     coef = spla.spsolve(gram, rhs)
-    norm2 = float(np.einsum("t,q,tqc,c->", basis.area, rule.weights,
+    norm2 = float(np.einsum("t,q,tqc,c->", basis.mesh.area, rule.weights,
                             target_hess**2, FROB))
     return float(np.sqrt(max(norm2 - rhs @ coef, 0.0)))
 
@@ -248,7 +248,7 @@ def test_criterion_7_best_approximation_equivalence():
     rule = triangle_rule(10)
     pts = basis.physical_points(rule.points[:, 1:])
     diff = exact.u_hess(pts[..., 0], pts[..., 1]) - hfield[:, None, :]
-    morley_dist = float(np.sqrt(np.einsum("t,q,tqc,c->", basis.area,
+    morley_dist = float(np.sqrt(np.einsum("t,q,tqc,c->", basis.mesh.area,
                                           rule.weights, diff**2, FROB)))
     rel = abs(qp - morley_dist) / morley_dist
     report(7, rel <= 1e-6,

@@ -28,7 +28,7 @@ def test_estimator_volume_terms_for_zero_solution(square1):
         pts = basis.physical_points(rule.points[:, 1:])
         fv = f(pts[..., 0], pts[..., 1])
         expected = square1.tri_diameter**4 * np.einsum(
-            "t,q,tq->t", basis.area, rule.weights, fv**2)
+            "t,q,tq->t", basis.mesh.area, rule.weights, fv**2)
         assert np.abs(eta.eta2 - expected).max() < 1e-12 * expected.max()
 
 

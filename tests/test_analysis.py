@@ -227,7 +227,7 @@ def test_best_approx_equals_morley_distance(square2):
         hfield = element_hessians(basis, coef)
         pts = basis.physical_points(rule.points[:, 1:])
         diff = hess(pts[..., 0], pts[..., 1]) - hfield[:, None, :]
-        total += float(np.einsum("t,q,tqc,c->", basis.area, rule.weights,
+        total += float(np.einsum("t,q,tqc,c->", basis.mesh.area, rule.weights,
                                  diff**2, np.array([1.0, 1.0, 2.0])))
     assert np.sqrt(total) == pytest.approx(target, rel=1e-9)
 

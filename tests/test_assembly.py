@@ -26,7 +26,7 @@ def fd_hessian_quadratic(basis, tri, pts, coef, h=1e-5):
         vals = basis.values(np.atleast_2d(ref))[tri]
         return vals @ coef
 
-    jac_inv = basis.jac_inv[tri]
+    jac_inv = basis.mesh.jac_inv[tri]
     ex = jac_inv @ np.array([h, 0.0])
     ey = jac_inv @ np.array([0.0, h])
     out = []

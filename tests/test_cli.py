@@ -209,6 +209,20 @@ def test_spec_validation():
         ExperimentSpec(example="nope")
 
 
+@pytest.mark.parametrize("name, value", [
+    ("levels", 2.5), ("levels", "3"), ("theta", "0.5"),
+    ("newton_tol", "1e-8")])
+def test_spec_rejects_bad_counts_and_numbers_before_any_output(
+        tmp_path, name, value):
+    # a ValueError naming the field the caller set, raised by the spec, so
+    # that run_experiment never starts and no CSV exists
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        run_experiment(ExperimentSpec(example="square_analytic",
+                                      out=str(out), **{name: value}))
+    assert not out.exists()
+
+
 def test_readme_flags_are_the_parser_options():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

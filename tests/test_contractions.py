@@ -62,15 +62,16 @@ def test_mesh_is_perturbed_and_not_uniform(mesh):
 
 
 def test_physical_points(dofmap):
-    basis = dofmap.basis
+    mesh = dofmap.mesh
     ref = triangle_rule(8).points[:, 1:]
-    want = basis.p0[:, None, :] + np.einsum("tab,mb->tma", basis.jac, ref)
-    assert_matches(basis.physical_points(ref), want)
+    origin = mesh.vertices[mesh.triangles[:, 0]]
+    want = origin[:, None, :] + np.einsum("tab,mb->tma", mesh.jac, ref)
+    assert_matches(dofmap.basis.physical_points(ref), want)
 
 
 def morley_transform_reference(basis, mesh):
     gm = p2_ref_gradients(REF_NODES[3:])
-    gphys = np.einsum("tba,kjb->tkja", basis.jac_inv, gm)
+    gphys = np.einsum("tba,kjb->tkja", basis.mesh.jac_inv, gm)
     normals = mesh.edge_normal[mesh.tri_edges]
     pairing = np.zeros((mesh.n_triangles, 6, 6))
     pairing[:, :3, :3] = np.eye(3)
@@ -84,8 +85,8 @@ def test_element_hessians_and_morley_transform(dofmap):
     href[:, 0, 0] = P2_REF_HESSIANS[:, 0]
     href[:, 1, 1] = P2_REF_HESSIANS[:, 1]
     href[:, 0, 1] = href[:, 1, 0] = P2_REF_HESSIANS[:, 2]
-    hphys = np.einsum("tba,jbc,tcd->tjad", basis.jac_inv, href,
-                      basis.jac_inv)
+    hphys = np.einsum("tba,jbc,tcd->tjad", basis.mesh.jac_inv, href,
+                      basis.mesh.jac_inv)
     want = np.stack([hphys[:, :, 0, 0], hphys[:, :, 1, 1],
                      hphys[:, :, 0, 1]], axis=-1)
     if dofmap.method == "morley":
@@ -100,7 +101,8 @@ def test_values_and_gradients(dofmap):
     ref = triangle_rule(8).points[:, 1:]
     nt = dofmap.mesh.n_triangles
     vals = np.broadcast_to(p2_values(ref), (nt, len(ref), 6))
-    grads = np.einsum("tba,mjb->tmja", basis.jac_inv, p2_ref_gradients(ref))
+    grads = np.einsum("tba,mjb->tmja", basis.mesh.jac_inv,
+                      p2_ref_gradients(ref))
     if basis.transform is not None:
         vals = np.einsum("tjk,mk->tmj", basis.transform, p2_values(ref))
         grads = np.einsum("tjk,tmka->tmja", basis.transform, grads)
@@ -112,21 +114,22 @@ def test_edge_basis_traces(dofmap):
     # the frame's traces and jumps at the rule points and at both ends
     # against the shapes at the physical points mapped into each side's
     # triangle; the mesh has edges that run backwards in a triangle and
-    # edges that do not, on both sides
-    basis = dofmap.basis
+    # edges that do not, on both sides (the run direction is the mesh's)
+    basis, mesh = dofmap.basis, dofmap.mesh
+    origin = mesh.vertices[mesh.triangles[:, 0]]
     coef = np.random.default_rng(37).standard_normal(dofmap.n_global)
     for tpoints in (EDGE_RULE.points, [0.0, 1.0]):
         eb = EdgeBasis(basis, tpoints)
         want_jumps = []
         for side in (0, 1):
-            tri = dofmap.mesh.edge_tris[:, side]
-            assert eb.backwards[side][tri >= 0].any()
-            assert not eb.backwards[side][tri >= 0].all()
+            tri = mesh.edge_tris[:, side]
+            assert mesh.edge_backwards[tri >= 0, side].any()
+            assert not mesh.edge_backwards[tri >= 0, side].all()
             tt = np.where(tri >= 0, tri, 0)
-            ref = np.einsum("eab,eqb->eqa", basis.jac_inv[tt],
-                            eb.points - basis.p0[tt][:, None, :])
+            ref = np.einsum("eab,eqb->eqa", mesh.jac_inv[tt],
+                            eb.points - origin[tt][:, None, :])
             vals = p2_values(ref)
-            grads = np.einsum("eba,eqjb->eqja", basis.jac_inv[tt],
+            grads = np.einsum("eba,eqjb->eqja", mesh.jac_inv[tt],
                               p2_ref_gradients(ref))
             if basis.transform is not None:
                 vals = np.einsum("ejk,eqk->eqj", basis.transform[tt], vals)
@@ -213,7 +216,7 @@ def scattered(n, dofs, local):
 
 def test_biharmonic_volume_and_edge_terms(dofmap):
     basis, n = dofmap.basis, dofmap.n_global
-    volume = np.einsum("t,tic,tjc,c->tij", basis.area, basis.hessians,
+    volume = np.einsum("t,tic,tjc,c->tij", basis.mesh.area, basis.hessians,
                        basis.hessians, FROB)
     want = scattered(n, dofmap.element_dofs, volume)
     if dofmap.method != "morley":
@@ -236,8 +239,8 @@ def test_load_vector(dofmap):
     want = np.zeros(2 * n)
     keep = dofmap.element_dofs >= 0
     for block, vals in enumerate(loads):
-        local = np.einsum("t,q,tq,tqi->ti", basis.area, rule.weights, vals,
-                          phi)
+        local = np.einsum("t,q,tq,tqi->ti", basis.mesh.area, rule.weights,
+                          vals, phi)
         np.add.at(want, block * n + dofmap.element_dofs[keep], local[keep])
     assert_matches(assemble_load(*loads, dofmap), want)
 
@@ -286,8 +289,8 @@ def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
                           gather_coefficients(dofmap.element_dofs, coef),
                           basis.hessians)
         diff = hess(pts[..., 0], pts[..., 1]) - hcoef[:, None, :]
-        volume = np.einsum("t,q,tqc,c->", basis.area, rule.weights, diff**2,
-                           FROB)
+        volume = np.einsum("t,q,tqc,c->", mesh.area, rule.weights,
+                           diff**2, FROB)
         trace = (value(value_pts[..., 0], value_pts[..., 1]),
                  grad(edge_pts[..., 0], edge_pts[..., 1]))
         jumps = jump_terms_reference(dofmap, coef, kinds, trace)

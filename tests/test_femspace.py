@@ -79,14 +79,17 @@ def test_basis_vertex_values(two_tri):
 
 
 def test_dofmap_bases_are_cached_and_read_only(square1):
+    # the bases hold what their method adds; the geometry is the mesh's
     for method in METHODS:
         dm = build_dofmap(square1, method)
         basis, eb = dm.basis, dm.edge_basis
         assert dm.basis is basis and dm.edge_basis is eb
         assert eb.points.shape == (square1.n_edges, len(EDGE_RULE.points), 2)
-        arrays = [basis.p0, basis.jac, basis.jac_inv, basis.area,
-                  basis.hessians, basis.int_phi, eb.tpoints, *eb.triangles,
-                  *eb.local_edges, *eb.backwards, *eb.dofs]
+        assert all(d.shape == (square1.n_edges, 6) for d in eb.dofs)
+        for name in ("p0", "jac", "jac_inv", "area"):
+            assert not hasattr(basis, name)
+        arrays = [basis.hessians, basis.int_phi, eb.tpoints, eb._values,
+                  eb._gradients]
         if basis.transform is not None:
             arrays.append(basis.transform)
         for arr in arrays:
@@ -99,27 +102,19 @@ def test_dofmap_bases_are_cached_and_read_only(square1):
 
 
 def test_edge_frame_holds_no_per_point_arrays(lshape1):
-    # per side the triangle (a view of the mesh's edge_tris), local edge,
-    # run and dofs: 116 bytes per edge, where a table of each side's values
-    # and gradients at the rule points took 1,008; the shapes at the points
-    # are two tables of the reference triangle, whatever the mesh
+    # the triangle, local edge and run of each side of an edge are the
+    # mesh's, and the dofs are gathered where they are read: the frame keeps
+    # no array per edge, only the shapes at the points, which are two tables
+    # of the reference triangle, whatever the mesh
     nq = len(EDGE_RULE.points)
-    per_edge = 2 * (8 + 1 + 1 + 6 * 8)
-    assert per_edge == 116
-    ne = lshape1.n_edges
     for method in METHODS:
         eb = build_dofmap(lshape1, method).edge_basis
         assert not hasattr(eb, "hessians")
-        arrays = [a for v in vars(eb).values()
-                  for a in (v if isinstance(v, tuple) else (v,))
-                  if isinstance(a, np.ndarray)]
-        per_edge_arrays = [a for a in arrays if a.shape[0] == ne]
-        assert len(arrays) == 11 and len(per_edge_arrays) == 8
-        assert all(a.ndim == 1 or a.shape == (ne, 6)
-                   for a in per_edge_arrays)
-        assert sum(a.nbytes for a in per_edge_arrays) == per_edge * ne
-        assert sum(a.nbytes for a in arrays) - per_edge * ne \
-            == 8 * nq * (1 + 6 * 6 * 3)
+        assert not any(isinstance(v, tuple) for v in vars(eb).values())
+        arrays = [a for a in vars(eb).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3
+        assert not any(lshape1.n_edges in a.shape for a in arrays)
+        assert sum(a.nbytes for a in arrays) == 8 * nq * (1 + 6 * 6 * 3)
 
 
 def test_dofmap_with_bases_is_freed_by_reference_counting(square1):
@@ -216,7 +211,7 @@ def test_morley_shapes_have_constant_hessians(skewed_triangle):
     # gradients of quadratics are affine; check Hessian via differences of
     # gradients matches the stored constant Hessian
     p0, p1 = pts[0], pts[1]
-    jac = basis.jac[0]
+    jac = basis.mesh.jac[0]
     dphys = jac @ (p1 - p0)
     dg = grads[1] - grads[0]
     hess = basis.hessians[0]

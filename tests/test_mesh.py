@@ -377,6 +377,52 @@ def test_mesh_arrays_read_only(square0):
         square0.triangles[0, 0] = 5
 
 
+def incidence_meshes():
+    """The two-triangle square, the square and the L-shape at uniform
+    levels 0 to 2, and four newest-vertex-bisection levels of the L-shape,
+    each refining a random third of the triangles."""
+    from vkfem import lshape_mesh, two_triangle_square, unit_square_mesh
+    meshes = [two_triangle_square()]
+    for mesh in (unit_square_mesh(), lshape_mesh()):
+        meshes += [mesh, uniform_refine(mesh), uniform_refine(
+            uniform_refine(mesh))]
+    rng = np.random.default_rng(29)
+    mesh = meshes[-1]
+    for _ in range(4):
+        mesh = nvb_refine(mesh, np.flatnonzero(
+            rng.random(mesh.n_triangles) < 1.0 / 3.0))
+        meshes.append(mesh)
+    return meshes
+
+
+@pytest.mark.parametrize("mesh", incidence_meshes())
+def test_side_incidence_and_affine_maps(mesh):
+    # per side of every edge: its local edge in the side's triangle and
+    # whether the edge's sorted vertices run backwards there, against the
+    # definitions; the affine maps against the vertices
+    e = np.arange(mesh.n_edges)
+    for arr in (mesh.edge_local, mesh.edge_backwards, mesh.jac,
+                mesh.jac_inv):
+        assert not arr.flags.writeable
+    for s in (0, 1):
+        tri, local = mesh.edge_tris[:, s], mesh.edge_local[:, s]
+        has = tri >= 0
+        assert (mesh.tri_edges[tri[has], local[has]] == e[has]).all()
+        start = mesh.triangles[tri[has], (local[has] + 1) % 3]
+        np.testing.assert_array_equal(mesh.edge_backwards[has, s],
+                                      start != mesh.edges[has, 0])
+        assert (local[~has] == 0).all()
+        assert not mesh.edge_backwards[~has, s].any()
+    # counterclockwise triangles run an interior edge both ways
+    interior = ~mesh.edge_on_boundary
+    assert (mesh.edge_backwards[interior, 0]
+            != mesh.edge_backwards[interior, 1]).all()
+    p = mesh.vertices[mesh.triangles]
+    np.testing.assert_array_equal(mesh.jac[:, :, 0], p[:, 1] - p[:, 0])
+    np.testing.assert_array_equal(mesh.jac[:, :, 1], p[:, 2] - p[:, 0])
+    assert np.abs(mesh.jac_inv @ mesh.jac - np.eye(2)).max() < 1e-14
+
+
 def test_a_mesh_copies_the_callers_arrays():
     # the mesh's arrays are its own and read-only; the caller's stay
     # writeable and are not shared

@@ -2,18 +2,19 @@
 
 One table of (call, exception type, message fragment), run for every
 method on square level 1.  Running out of memory is simulated: a
-monkeypatched ``_symmetric_lu`` raises ``MemoryError`` as SuperLU does when
-it cannot expand its work space.
+monkeypatched ``_symmetric_lu``, or ``splu`` of the sparse-LU fallback,
+raises ``MemoryError`` as SuperLU does when it cannot expand its work space.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vkfem import (METHODS, DiscreteSolution, SolverError,
-                   assemble_biharmonic, build_dofmap, estimate, load_values,
-                   newton_solve)
+                   assemble_biharmonic, build_dofmap, estimate, is_spd,
+                   linear_solve, load_values, newton_solve)
 from vkfem import solver
 from vkfem.analysis import exact_fields
 from vkfem.femspace import rule_points
@@ -67,9 +68,31 @@ def zero_pair(dm):
     return DiscreteSolution(dm, zero, zero)
 
 
+def zero_step(dm):
+    """The Newton matrix ``J`` at the zero pair."""
+    system = solver.NewtonSystem(dm, (EXACT.f, EXACT.g))
+    return system.step_matrix(zero_pair(dm))
+
+
+def lu_fallback_out_of_memory(dm, monkeypatch):
+    """``linear_solve`` with no preconditioner, whose sparse LU of ``J``
+    runs out of memory."""
+    jac = zero_step(dm)
+
+    def splu(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(solver, "spla", SimpleNamespace(splu=splu))
+    linear_solve(jac, np.ones(jac.shape[0]), context="zero step")
+
+
+def is_spd_out_of_memory(dm, monkeypatch):
+    monkeypatch.setattr(solver, "_symmetric_lu", out_of_memory_from(1))
+    is_spd(assemble_biharmonic(dm))
+
+
 #: (name, call(dm, monkeypatch), exception type, message fragment); the
-#: fragment is formatted with the method, ndof, nnz(K) and the number of
-#: load values of the mesh
+#: fragment is formatted with the method, ndof, nnz(K), nnz(J) at the zero
+#: pair and the number of load values of the mesh
 CASES = [
     ("nan load value", lambda dm, mp: solve(
         dm, mp, (with_nan(EXACT.f)(*rule_xy(dm.mesh)), EXACT.g)),
@@ -96,6 +119,10 @@ CASES = [
         dm, mp, out_of_memory=2),
      SolverError, "Newton step 1, {method} (ndof {ndof}): out of memory "
                   "factoring K + M_v (nnz(K) {nnz})"),
+    ("sparse-LU fallback out of memory", lu_fallback_out_of_memory,
+     SolverError, "zero step: out of memory factoring J (nnz(J) {nnz_j})"),
+    ("coercivity check out of memory", is_spd_out_of_memory,
+     SolverError, "is_spd: out of memory factoring the matrix (nnz {nnz})"),
 ]
 
 
@@ -107,7 +134,7 @@ def test_a_failure_raises_a_typed_error_naming_its_cause(
     dm = build_dofmap(square1, method)
     message = fragment.format(
         method=method, ndof=dm.n_global,
-        nnz=assemble_biharmonic(dm).nnz,
+        nnz=assemble_biharmonic(dm).nnz, nnz_j=zero_step(dm).tocsc().nnz,
         values=load_values(EXACT.f, square1).size)
     with pytest.raises(error) as info:
         call(dm, monkeypatch)
