@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import (ConvergenceRecord, error_norm, exact_fields,
                        oscillation)
-from .assembly import PenaltyConfig
+from .assembly import PenaltyConfig, _check_positive
 from .femspace import (EDGE_RULE, VOLUME_RULE, bracket, build_dofmap,
                        edge_jumps, load_values)
 from .mesh import nvb_refine, uniform_refine
@@ -60,8 +60,8 @@ class AdaptiveConfig:
     newton_maxit: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("bulk parameter theta must be in (0, 1]")
+        _check_positive("theta", self.theta, at_most=1.0)
+        _check_positive("newton_tol", self.newton_tol)
         for name in ("max_levels", "newton_maxit"):
             count = getattr(self, name)
             if not (isinstance(count, (int, np.integer)) and count >= 1):
@@ -72,8 +72,6 @@ class AdaptiveConfig:
             raise ValueError(
                 f"max_ndof must be None or an integer >= 1, got "
                 f"{self.max_ndof!r}")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
 
 
 @dataclass
@@ -169,8 +167,7 @@ def dorfler_mark(estimates, theta):
     estimator; elements with zero indicator are never marked.  Indicators
     must be finite and non-negative (``ValueError`` otherwise).
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("bulk parameter theta must be in (0, 1]")
+    _check_positive("theta", theta, at_most=1.0)
     eta2 = estimates.eta2 if isinstance(estimates, LocalEstimates) \
         else np.asarray(estimates, dtype=float)
     if not np.all(np.isfinite(eta2)) or np.any(eta2 < 0.0):

@@ -17,6 +17,7 @@ degree-2 quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +30,17 @@ __all__ = ["PenaltyConfig", "DiscreteSolution", "assemble_biharmonic",
            "assemble_trilinear_jacobian"]
 
 
+def _check_positive(name, value, at_most=np.inf):
+    """Raise ``ValueError`` naming the parameter ``name`` unless ``value`` is
+    a finite real number with ``0 < value <= at_most``: the one check of
+    every tolerance, bulk parameter and penalty."""
+    if not (isinstance(value, Real) and 0.0 < value < np.inf
+            and value <= at_most):
+        bound = "" if at_most == np.inf else f" and at most {at_most:g}"
+        raise ValueError(f"{name} must be a finite number above 0{bound}, "
+                         f"not {value!r}")
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Stabilisation parameters of the penalised methods."""
@@ -36,8 +48,8 @@ class PenaltyConfig:
     sigma_dg: float = 20.0
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_ip < np.inf and 0.0 < self.sigma_dg < np.inf):
-            raise ValueError("penalty parameters must be positive and finite")
+        _check_positive("sigma_ip", self.sigma_ip)
+        _check_positive("sigma_dg", self.sigma_dg)
 
 
 @dataclass
@@ -223,18 +235,6 @@ def _constant_load(dofmap, constants):
     its values ``constants``, shape ``(nt,)``: each value times ``int_K
     phi_i``, summed into the dofs."""
     return _scatter(dofmap, constants[:, None] * dofmap.basis.int_phi)
-
-
-def _sub_structure(indptr, indices, slots):
-    """The part of a CSC structure that ``slots`` reach: its ``indptr``,
-    ``indices`` and the slots in it (the structure's ``nnz`` goes to the
-    part's)."""
-    nnz = len(indices)
-    reached = np.zeros(nnz + 1, dtype=bool)
-    reached[slots] = True
-    before = np.zeros(nnz + 1, dtype=np.int32)
-    np.cumsum(reached[:nnz], out=before[1:])
-    return before[indptr], indices[reached[:nnz]], before[slots]
 
 
 def _hessian_normal_vector(hess, normal, out):

@@ -19,7 +19,7 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Optional
 
 # ``estimate`` is unused here but stays a module attribute: the layer tracer
@@ -27,7 +27,7 @@ from typing import Optional
 from .adaptivity import (AdaptiveConfig, estimate,  # noqa: F401
                          method_levels)
 from .analysis import fit_rate
-from .assembly import PenaltyConfig
+from .assembly import PenaltyConfig, _check_positive
 from .femspace import METHODS
 from .problems import lshape_problem, square_problem
 from .solver import SolverError
@@ -66,18 +66,13 @@ class ExperimentSpec:
         if not (isinstance(self.levels, Integral) and self.levels >= 1):
             raise ValueError(f"levels must be an integer >= 1, not "
                              f"{self.levels!r}")
-        for name in ("theta", "sigma_ip", "sigma_dg", "newton_tol"):
-            if not isinstance(getattr(self, name), Real):
-                raise ValueError(f"{name} must be a number")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must be in (0, 1]")
+        _check_positive("theta", self.theta, at_most=1.0)
+        _check_positive("newton_tol", self.newton_tol)
         if self.estimator is not None and self.estimator not in METHODS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.estimator is not None and not self.adaptive:
             raise ValueError("an estimator drives adaptive runs only, and "
                              "this run refines uniformly")
-        if not self.newton_tol > 0.0:
-            raise ValueError("newton_tol must be positive")
         # raises ValueError on invalid values, before any output exists
         PenaltyConfig(self.sigma_ip, self.sigma_dg)
 

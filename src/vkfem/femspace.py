@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import Triangulation
 from .quadrature import edge_rule, triangle_rule
@@ -203,14 +202,17 @@ def _minimum_degree(mesh):
     edge adjacency: SuperLU's column order ``MMD_AT_PLUS_A`` (``perm_c``,
     the new position of each column) of ``4 I - A``, ``A[s, t] = 1`` when
     triangles ``s`` and ``t`` share an edge; at most three neighbours make
-    it symmetric and strictly diagonally dominant, so no pivot is zero."""
+    it symmetric and strictly diagonally dominant, so no pivot is zero.
+    Factored by the solver's :func:`~vkfem.solver._symmetric_lu`, so out of
+    memory raises its :class:`~vkfem.solver.SolverError`."""
+    from .solver import _lu, _symmetric_lu  # solver imports this module
     nt = mesh.n_triangles
     s, t = mesh.edge_tris[mesh.edge_tris[:, 1] >= 0].T
     graph = sp.csc_matrix((np.r_[np.full(nt, 4.0), -np.ones(2 * len(s))],
                            (np.r_[np.arange(nt), s, t],
                             np.r_[np.arange(nt), t, s])), shape=(nt, nt))
-    return spla.splu(graph, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True}).perm_c
+    return _lu(_symmetric_lu, graph, f"dg ordering ({nt} triangles)",
+               "the triangle graph", f"nnz {graph.nnz}").perm_c
 
 
 def _map_points(mesh, ref_points):
@@ -321,10 +323,12 @@ class ElementBasis:
         return _map_points(self.mesh, ref_points)
 
     def values(self, ref_points):
-        """Shape values at reference points, shape (nt, m, 6)."""
+        """Shape values at reference points, shape (nt, m, 6): for a Lagrange
+        frame the one reference table, broadcast read-only to every
+        triangle."""
         vals = p2_values(ref_points)
         if self.transform is None:
-            return np.repeat(vals[None], self.mesh.n_triangles, axis=0)
+            return np.broadcast_to(vals, (self.mesh.n_triangles,) + vals.shape)
         return vals @ self.transform.transpose(0, 2, 1)
 
     def gradients(self, ref_points):

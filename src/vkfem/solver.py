@@ -38,27 +38,27 @@ iterate's residual norm above itself (see
 :meth:`NewtonSystem.stopping_residual`); ``|K|`` is built otherwise, and
 before a Newton step, whose GMRES aims at a tenth of the stop itself.
 
-A step rebuilds nothing that only depends on the mesh: it sums the element
-matrices of ``M_v`` and ``M_u`` into the element slots of ``K``'s structure
-(see :class:`NewtonSystem`) and keeps one copy of ``A``, which GMRES applies
-and the step factors.  ``J`` is applied block by block and assembled only
-for the sparse-LU fallback (see :class:`NewtonMatrix`).
+A step rebuilds nothing that only depends on the mesh: it builds ``A`` and
+``M_u`` one way, summing the element matrices of ``M_v`` and ``M_u`` into the
+element slots of ``K``'s structure and dropping the stored zeros (see
+:class:`NewtonSystem`), and keeps one copy of ``A``, which GMRES applies and
+the step factors.  ``J`` is applied block by block and assembled only for
+the sparse-LU fallback (see :class:`NewtonMatrix`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (DiscreteSolution, _constant_load,
-                       _coupling_matrices, _element_structure,
-                       _sub_structure, _sum_into, assemble_biharmonic,
-                       assemble_load, assemble_trilinear_vector)
+from .assembly import (DiscreteSolution, _check_positive, _constant_load,
+                       _coupling_matrices, _element_structure, _sum_into,
+                       assemble_biharmonic, assemble_load,
+                       assemble_trilinear_vector)
 from .femspace import bracket, element_hessians
 
 __all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
@@ -300,7 +300,7 @@ def is_spd(matrix):
 class NewtonMatrix:
     """The Newton matrix ``J = [[A, M_u], [-M_u, K]]`` of one step, kept as
     its n x n CSC blocks ``a`` (``K + M_v`` without stored zeros, as it is
-    factored), ``m_u`` and ``k``.
+    factored), ``m_u`` (without stored zeros too) and ``k``.
 
     ``J @ x`` applies it block by block to a vector;
     :func:`linear_solve` takes its infinity norm from the blocks' row sums
@@ -341,13 +341,13 @@ class NewtonSystem:
     or their values at the rule points.
 
     The structure of the biharmonic operator ``K`` (``stiffness``) holds
-    every pair of dofs that share a triangle, so the element matrices of the
-    coupling blocks ``M_v`` and ``M_u`` are summed into it, or into its part
-    on the element pairs, through the element slots that the assembly of
-    ``K`` left on the dof map: :meth:`step_matrix` makes no sparse format
-    conversion.  ``M_u``'s part of that structure is built by the first
-    :meth:`step_matrix`, so a run that ends in its start step, whose solves
-    apply ``M_u`` element by element, never builds it.
+    every pair of dofs that share a triangle, so :meth:`step_matrix` sums
+    the element matrices of both coupling blocks, ``M_v`` onto ``K``'s data
+    and ``M_u`` alone, into it through the element slots that the assembly
+    of ``K`` left on the dof map, and drops the stored zeros of each sum:
+    there is no sub-structure and no sparse format conversion.  A run that
+    ends in its start step, whose solves apply ``M_u`` element by element,
+    never calls it.
     """
 
     def __init__(self, dofmap, loads, penalty=None):
@@ -399,32 +399,22 @@ class NewtonSystem:
         return max(target, self.residual_floor(psi))
 
     def step_matrix(self, psi):
-        """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`, its block
-        ``A`` without stored zeros: the one copy of ``A`` that GMRES applies
-        and the step factors."""
+        """The Newton matrix at ``psi`` as a :class:`NewtonMatrix`, its blocks
+        ``A = K + M_v`` and ``M_u`` summed on ``K``'s structure and kept
+        without stored zeros: the one copy of ``A`` that GMRES applies and
+        the step factors."""
         k = self.stiffness
+
+        def on_k(data):  # a block on K's structure, without stored zeros
+            return _without_zeros(sp.csc_matrix((data, k.indices, k.indptr),
+                                                shape=k.shape))
+        # M_u first: its element matrices and its unpruned sum are freed
+        # before A's sum is made
         m_u, m_v = _coupling_matrices(psi)
-        a = _without_zeros(sp.csc_matrix(
-            (k.data + _sum_into(self._a_slots, m_v, k.nnz), k.indices,
-             k.indptr), shape=k.shape))
-        return NewtonMatrix(a, self._coupling_block(m_u), k, self._k_row_sums)
-
-    @cached_property
-    def _coupling(self):
-        """``M_u``'s part of ``K``'s structure (see :func:`_sub_structure`),
-        built by the first :meth:`step_matrix`: rows of shapes with zero
-        mean (the Lagrange vertex shapes) are zero in both coupling blocks,
-        so it leaves them out."""
-        k = self.stiffness
-        slots = np.where(self.dofmap.basis.int_phi[:, :, None] != 0.0,
-                         self._a_slots, k.nnz)
-        return _sub_structure(k.indptr, k.indices, slots)
-
-    def _coupling_block(self, elements):
-        """The coupling block ``M_w`` summed from its element matrices."""
-        indptr, indices, slots = self._coupling
-        return sp.csc_matrix((_sum_into(slots, elements, len(indices)),
-                              indices, indptr), shape=self.stiffness.shape)
+        m_u = on_k(_sum_into(self._a_slots, m_u, k.nnz))
+        a = _sum_into(self._a_slots, m_v, k.nnz)
+        a += k.data  # A = K + M_v
+        return NewtonMatrix(on_k(a), m_u, k, self._k_row_sums)
 
 
 class _FrozenCoupling:
@@ -515,9 +505,9 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         does a factor of ``K`` or of the zero run's Newton blocks that runs
         out of memory.
     """
-    if not (tol > 0.0 and isinstance(maxit, (int, np.integer))
-            and maxit >= 1):
-        raise ValueError("tol must be positive and maxit an integer >= 1")
+    _check_positive("tol", tol)
+    if not (isinstance(maxit, (int, np.integer)) and maxit >= 1):
+        raise ValueError(f"maxit must be an integer >= 1, not {maxit!r}")
     if coarse_hessian is not None and np.shape(coarse_hessian) != (
             dofmap.mesh.n_triangles, 3):
         raise ValueError("coarse_hessian must have shape (n_triangles, 3)")

@@ -38,8 +38,8 @@ file in it) writes that checkout's three CSVs into ``DIR`` instead, and
 
 reruns the experiments here without writing any file and prints, per
 experiment, whether its CSV is byte-identical to the one in ``DIR``
-(default: the committed files) and, per float column, the largest relative
-move of a cell against it.
+(default: the committed files), per float column, the largest relative
+move of a cell against it, and the ``(method, level)`` rows that moved.
 """
 
 import argparse
@@ -100,9 +100,11 @@ def largest_moves(got, expected):
     """Per float column, the largest relative move ``|a - b| / |b|`` of a
     cell ``a`` of ``got`` against its cell ``b`` of ``expected``: 0 for
     equal cells (``nan`` too), ``inf`` for a cell that moved from 0 or from
-    or to ``nan``."""
-    moves = {}
+    or to ``nan``; and the ``(method, level)`` of each row with a cell
+    that moved."""
+    moves, rows = {}, []
     for new, ref in zip(got, expected):
+        moved = any(new[col] != ref[col] for col in EXACT)
         for col in list(ref)[len(EXACT):]:
             a, b = float(new[col]), float(ref[col])
             if a == b or math.isnan(a) and math.isnan(b):
@@ -112,7 +114,18 @@ def largest_moves(got, expected):
             else:
                 move = abs(a - b) / abs(b)
             moves[col] = max(moves.get(col, 0.0), move)
-    return moves
+            moved = moved or move > 0.0
+        if moved:
+            rows.append((ref["method"], int(ref["level"])))
+    return moves, rows
+
+
+def test_largest_moves_names_the_rows_that_moved():
+    ref = [{"method": "dg", "level": "0", "ndof": "6", "error_u": "2.0"},
+           {"method": "dg", "level": "1", "ndof": "24", "error_u": "nan"}]
+    got = [dict(ref[0], error_u="3.0"), dict(ref[1])]
+    assert largest_moves(got, ref) == ({"error_u": 0.5}, [("dg", 0)])
+    assert largest_moves(ref, ref) == ({"error_u": 0.0}, [])
 
 
 def main(argv=None):
@@ -137,10 +150,13 @@ def main(argv=None):
             out, ref = Path(tmp) / f"{name}.csv", args.compare / f"{name}.csv"
             run(name, out)
             same = out.read_bytes() == ref.read_bytes()
-            moves = largest_moves(read(out), read(ref))
+            moves, rows = largest_moves(read(out), read(ref))
             print(name, "byte-identical" if same else "differs",
                   " ".join(f"{col}={move:.2e}"
                            for col, move in moves.items()))
+            if rows:
+                print("  moved rows:", " ".join(
+                    f"({method}, {level})" for method, level in rows))
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ Every module uses each name it imports or exports it in ``__all__`` (an
 import on a line marked ``# noqa: F401`` is kept on purpose), and every
 name the package ``__init__`` imports is in its module's ``__all__``, so a
 deletion leaves no stale import or export behind.  Every private
-module-level name is used in the package outside its own definition, so a
-refactor leaves no orphaned helper behind either.
+module-level name, and every private method, property and field of a
+class, is used in the package outside its own definition, so a refactor
+leaves no orphaned helper behind either.
 """
 
 import ast
@@ -80,14 +81,46 @@ def private_definitions(tree):
                 yield node, name
 
 
+def private_members(cls):
+    """The private methods, properties and fields (``_name``, not a dunder)
+    of a class, each with the statement that defines it: a method or
+    property, a field of the class body, or an assignment to ``self._name``
+    in a method."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names = [(node, node.name)] + [
+                (node, target.attr) for stmt in ast.walk(node)
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                               else [stmt.target])
+                if isinstance(target, ast.Attribute)
+                and getattr(target.value, "id", None) == "self"]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [(node, t.id) for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for definition, name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield definition, name
+
+
 def test_every_private_name_is_used_outside_its_definition():
     # a private module-level function, class or constant that no other
-    # statement of its module reads, and no module imports, is dead code
+    # statement of its module reads, and no module imports, is dead code;
+    # so is a private method, property or field of a class that no
+    # attribute read of the package reaches, other than one in the body of
+    # that method itself
     trees = {name: parsed(name)[1] for name in MODULES + ["__init__"]}
     imported = {(node.module, alias.name) for tree in trees.values()
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names}
+    attribute_reads = [node for tree in trees.values()
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load)]
     orphans = []
     for module, tree in trees.items():
         for definition, name in private_definitions(tree):
@@ -97,4 +130,13 @@ def test_every_private_name_is_used_outside_its_definition():
                        for node in ast.walk(stmt))
             if not read and (module, name) not in imported:
                 orphans.append(f"{module}.{name}")
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for definition, name in private_members(cls):
+                own = (set(ast.walk(definition))
+                       if getattr(definition, "name", None) == name else set())
+                if not any(node.attr == name and node not in own
+                           for node in attribute_reads):
+                    orphans.append(f"{module}.{cls.name}.{name}")
     assert not orphans, f"private names nothing uses: {orphans}"

@@ -739,11 +739,15 @@ def test_dg_newton_solve_stays_within_its_memory_peak(square3):
 
 @pytest.mark.parametrize("method", ["morley", "c0ip", "dg"])
 @pytest.mark.parametrize("zero_iterate", [True, False])
-def test_step_block_is_k_plus_m_v_without_stored_zeros(square2, method,
-                                                       zero_iterate):
-    # the one copy of A = K + M_v that GMRES applies and the step factors:
-    # no stored zeros (on square2 entries of K cancel to exactly zero), the
-    # entries of the sum on K's structure, and bit-identical products
+@pytest.mark.parametrize("block", ["a", "m_u"])
+def test_step_blocks_are_summed_on_k_without_stored_zeros(square2, method,
+                                                          zero_iterate,
+                                                          block):
+    # both blocks, A = K + M_v (the one copy that GMRES applies and the step
+    # factors) and M_u, are their element matrices summed on K's structure:
+    # no stored zeros (on square2 entries of K cancel to exactly zero, and
+    # the rows of the Lagrange vertex shapes of M_u are zero), the entries
+    # of the sum, and bit-identical products
     dm = build_dofmap(square2, method)
     system = NewtonSystem(dm, loads_of(exact_square()))
     n = dm.n_global
@@ -751,19 +755,20 @@ def test_step_block_is_k_plus_m_v_without_stored_zeros(square2, method,
     psi = (DiscreteSolution(dm, np.zeros(n), np.zeros(n)) if zero_iterate
            else DiscreteSolution(dm, rng.standard_normal(n),
                                  rng.standard_normal(n)))
-    a = system.step_matrix(psi).a
+    got = getattr(system.step_matrix(psi), block)
     k = system.stiffness
-    _, m_v = solver._coupling_matrices(psi)
-    full = sp.csc_matrix((k.data + solver._sum_into(system._a_slots, m_v,
-                                                    k.nnz),
-                          k.indices, k.indptr), shape=k.shape)
-    assert np.all(a.data != 0.0)
-    assert a.nnz == np.count_nonzero(full.data)
-    assert np.array_equal(a.toarray(), full.toarray())
+    m_u, m_v = solver._coupling_matrices(psi)
+    data = (k.data + solver._sum_into(system._a_slots, m_v, k.nnz)
+            if block == "a" else solver._sum_into(system._a_slots, m_u, k.nnz))
+    full = sp.csc_matrix((data, k.indices, k.indptr), shape=k.shape)
+    assert np.all(got.data != 0.0)
+    assert got.nnz == np.count_nonzero(full.data)
+    assert np.array_equal(got.toarray(), full.toarray())
     x = rng.standard_normal((n, 2))
-    assert np.array_equal(a @ x, full @ x)
-    assert np.array_equal(a @ x[:, 0], full @ x[:, 0])
-    assert np.array_equal(solver._abs_row_sums(a), solver._abs_row_sums(full))
+    assert np.array_equal(got @ x, full @ x)
+    assert np.array_equal(got @ x[:, 0], full @ x[:, 0])
+    assert np.array_equal(solver._abs_row_sums(got),
+                          solver._abs_row_sums(full))
 
 
 def test_newton_factors_the_block_that_gmres_applies(square2, monkeypatch):
@@ -970,21 +975,16 @@ def test_frozen_coupling_applies_the_sparse_coupling_block(square2, method):
 def test_a_run_that_ends_in_its_start_step_builds_no_coupling_block(
         square1, square2, monkeypatch):
     # the start solve and its sweeps apply the bracket element by element:
-    # no element matrices of M_u and no sparse block are made
+    # no element matrices of M_u are made, so no sparse M_u either
     from vkfem import assembly
     loads = loads_of(exact_square())
     coarse, _ = newton_solve(build_dofmap(square1, "c0ip"), loads)
     called = []
 
-    def refuse(name):
-        def call(*args):
-            called.append(name)
-            raise AssertionError(f"{name} called")
-        return call
-    monkeypatch.setattr(assembly, "_coupling_elements",
-                        refuse("_coupling_elements"))
-    monkeypatch.setattr(NewtonSystem, "_coupling_block",
-                        refuse("_coupling_block"))
+    def refuse(*args):
+        called.append("_coupling_elements")
+        raise AssertionError("_coupling_elements called")
+    monkeypatch.setattr(assembly, "_coupling_elements", refuse)
     _, report = newton_solve(build_dofmap(square2, "c0ip"), loads,
                              coarse_hessian=coarse_hessian(square2, coarse))
     assert report.converged and report.iterations == 1

@@ -2,8 +2,9 @@
 
 One table of (call, exception type, message fragment), run for every
 method on square level 1.  Running out of memory is simulated: a
-monkeypatched ``_symmetric_lu``, or ``splu`` of the sparse-LU fallback,
-raises ``MemoryError`` as SuperLU does when it cannot expand its work space.
+monkeypatched ``_symmetric_lu`` (which also orders the ``dg`` triangles),
+or ``splu`` of the sparse-LU fallback, raises ``MemoryError`` as SuperLU
+does when it cannot expand its work space.
 """
 
 from dataclasses import replace
@@ -12,11 +13,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from vkfem import (METHODS, DiscreteSolution, SolverError,
-                   assemble_biharmonic, build_dofmap, estimate, is_spd,
-                   linear_solve, load_values, newton_solve)
+from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, SolverError,
+                   assemble_biharmonic, build_dofmap, dorfler_mark, estimate,
+                   is_spd, linear_solve, load_values, newton_solve)
 from vkfem import solver
 from vkfem.analysis import exact_fields
+from vkfem.cli import ExperimentSpec
 from vkfem.femspace import rule_points
 from vkfem.problems import exact_square
 
@@ -90,9 +92,15 @@ def is_spd_out_of_memory(dm, monkeypatch):
     is_spd(assemble_biharmonic(dm))
 
 
+def dg_ordering_out_of_memory(dm, monkeypatch):
+    monkeypatch.setattr(solver, "_symmetric_lu", out_of_memory_from(1))
+    build_dofmap(dm.mesh, "dg")
+
+
 #: (name, call(dm, monkeypatch), exception type, message fragment); the
 #: fragment is formatted with the method, ndof, nnz(K), nnz(J) at the zero
-#: pair and the number of load values of the mesh
+#: pair, the number of load values of the mesh, its number of triangles
+#: and nnz of its triangle graph
 CASES = [
     ("nan load value", lambda dm, mp: solve(
         dm, mp, (with_nan(EXACT.f)(*rule_xy(dm.mesh)), EXACT.g)),
@@ -123,6 +131,28 @@ CASES = [
      SolverError, "zero step: out of memory factoring J (nnz(J) {nnz_j})"),
     ("coercivity check out of memory", is_spd_out_of_memory,
      SolverError, "is_spd: out of memory factoring the matrix (nnz {nnz})"),
+    ("dg ordering out of memory", dg_ordering_out_of_memory,
+     SolverError, "dg ordering ({triangles} triangles): out of memory "
+                  "factoring the triangle graph (nnz {graph_nnz})"),
+    ("infinite Newton tolerance", lambda dm, mp: newton_solve(
+        dm, (EXACT.f, EXACT.g), tol=np.inf),
+     ValueError, "tol must be a finite number above 0, not inf"),
+    ("Newton tolerance as a string", lambda dm, mp: newton_solve(
+        dm, (EXACT.f, EXACT.g), tol="1e-10"),
+     ValueError, "tol must be a finite number above 0, not '1e-10'"),
+    ("infinite newton_tol of a config", lambda dm, mp: AdaptiveConfig(
+        newton_tol=np.inf),
+     ValueError, "newton_tol must be a finite number above 0, not inf"),
+    ("theta of a config as a string", lambda dm, mp: AdaptiveConfig(
+        theta="0.5"),
+     ValueError, "theta must be a finite number above 0 and at most 1, "
+                 "not '0.5'"),
+    ("theta of a marking as a string", lambda dm, mp: dorfler_mark(
+        np.ones(dm.mesh.n_triangles), "0.5"),
+     ValueError, "theta must be a finite number above 0 and at most 1"),
+    ("infinite newton_tol of an experiment", lambda dm, mp: ExperimentSpec(
+        example="square_analytic", newton_tol=np.inf),
+     ValueError, "newton_tol must be a finite number above 0, not inf"),
 ]
 
 
@@ -135,7 +165,10 @@ def test_a_failure_raises_a_typed_error_naming_its_cause(
     message = fragment.format(
         method=method, ndof=dm.n_global,
         nnz=assemble_biharmonic(dm).nnz, nnz_j=zero_step(dm).tocsc().nnz,
-        values=load_values(EXACT.f, square1).size)
+        values=load_values(EXACT.f, square1).size,
+        triangles=square1.n_triangles,
+        graph_nnz=square1.n_triangles + 2 * np.count_nonzero(
+            square1.edge_tris[:, 1] >= 0))
     with pytest.raises(error) as info:
         call(dm, monkeypatch)
     assert message in str(info.value)
