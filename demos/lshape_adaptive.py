@@ -10,13 +10,13 @@ this script prints the level history and the final mesh statistics.
 import numpy as np
 
 from vkfem import AdaptiveConfig, fit_rate
-from vkfem.adaptivity import adaptive_levels
+from vkfem.adaptivity import method_levels
 from vkfem.problems import lshape_problem
 
 problem = lshape_problem()
 config = AdaptiveConfig(theta=0.5, max_levels=30, max_ndof=4000)
 
-states = list(adaptive_levels(problem, "morley", config))
+states = list(method_levels(problem, ["morley"], config, marked_by="morley"))
 
 print(f"{'level':>5} {'elements':>9} {'ndof':>7} {'error':>11} "
       f"{'estimator':>11} {'rate':>6}")

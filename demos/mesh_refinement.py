@@ -8,13 +8,13 @@ import tempfile
 
 import numpy as np
 
-from vkfem import (build_topology, lshape_mesh, nvb_refine, read_mesh,
-                   shape_regularity, uniform_refine, unit_square_mesh,
+from vkfem import (lshape_mesh, nvb_refine, read_mesh, shape_regularity,
+                   two_triangle_square, uniform_refine, unit_square_mesh,
                    write_mesh)
 
 # A triangulation is built from raw vertex coordinates and CCW triangles;
 # edges, adjacency, normals and boundary flags are derived automatically.
-mesh = build_topology([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+mesh = two_triangle_square()
 print(f"unit square split by a diagonal: {mesh}")
 print(f"  boundary edges: {int(mesh.edge_on_boundary.sum())}, "
       f"interior edges: {len(mesh.interior_edges)}")

@@ -11,7 +11,7 @@ import numpy as np
 
 from vkfem import (build_dofmap, discrete_norm, error_norm,
                    morley_interpolate, newton_solve, uniform_refine,
-                   unified_h_norm, unit_square_mesh)
+                   unit_square_mesh)
 from vkfem.femspace import element_hessians
 from vkfem.problems import exact_square
 from vkfem.quadrature import triangle_rule
@@ -25,7 +25,7 @@ exact = exact_square()
 dm = build_dofmap(mesh, "morley")
 rng = np.random.default_rng(1)
 coef = rng.standard_normal(dm.n_global)
-print("Morley field:  ||.||_h  =", f"{unified_h_norm(dm, coef):.12e}")
+print("Morley field:  ||.||_h  =", f"{discrete_norm(dm, coef, 'h'):.12e}")
 print("               ||.||_nc =", f"{discrete_norm(dm, coef, 'nc'):.12e}")
 
 # 2. The Morley interpolant realises the best broken-Hessian approximation:

@@ -7,27 +7,22 @@ discrete error norms, residual a posteriori estimators and uniform/adaptive
 mesh refinement.
 """
 
-from .mesh import (MeshError, Triangulation, build_topology, lshape_mesh,
-                   nvb_refine, read_mesh, shape_regularity,
-                   two_triangle_square, uniform_refine, unit_square_mesh,
-                   write_mesh)
-from .quadrature import (EdgeRule, TriangleRule, edge_rule, integrate_edge,
-                         integrate_triangle, triangle_rule)
+from .mesh import (MeshError, Triangulation, lshape_mesh, nvb_refine,
+                   read_mesh, shape_regularity, two_triangle_square,
+                   uniform_refine, unit_square_mesh, write_mesh)
+from .quadrature import EdgeRule, TriangleRule, edge_rule, triangle_rule
 from .femspace import (METHODS, DofMap, EdgeBasis, ElementBasis, build_dofmap,
-                       load_values, morley_interpolate, nodal_interpolate,
-                       to_dg_coefficients)
+                       load_values, morley_interpolate)
 from .assembly import (DiscreteSolution, PenaltyConfig, assemble_biharmonic,
                        assemble_load, assemble_trilinear_jacobian,
                        assemble_trilinear_vector)
-from .solver import (NewtonReport, SolverError, is_spd, linear_solve,
-                     newton_order, newton_solve, residual)
+from .solver import NewtonReport, SolverError, linear_solve, newton_solve
 from .analysis import (ConvergenceRecord, ExactSolutionPair, NORM_KINDS,
-                       best_approx_term, convergence_rates, discrete_norm,
-                       error_norm, fit_rate, oscillation, oscillation_local,
-                       unified_h_norm)
+                       best_approx_term, discrete_norm, error_norm, fit_rate,
+                       oscillation, oscillation_local)
 from .adaptivity import (AdaptiveConfig, LocalEstimates, METHOD_NORM,
-                         adaptive_levels, dorfler_mark, estimate,
-                         method_levels, uniform_levels)
+                         dorfler_mark, estimate, method_levels,
+                         uniform_levels)
 from .problems import (Problem, exact_lshape, exact_square, lshape_problem,
                        square_problem)
 

@@ -31,8 +31,7 @@ from .mesh import nvb_refine, uniform_refine
 from .solver import NewtonReport, SolverError, newton_solve
 
 __all__ = ["LocalEstimates", "AdaptiveConfig", "LevelState", "estimate",
-           "dorfler_mark", "method_levels", "adaptive_levels",
-           "uniform_levels", "METHOD_NORM"]
+           "dorfler_mark", "method_levels", "uniform_levels", "METHOD_NORM"]
 
 #: Norm in which each method's error is naturally measured.
 METHOD_NORM = {"morley": "nc", "c0ip": "ip", "dg": "dg"}
@@ -272,15 +271,6 @@ def method_levels(problem, methods, config, marked_by=None):
             states[method] = LevelState(level, mesh, psi, eta, record,
                                         report)
             yield states[method]
-
-
-def adaptive_levels(problem, method, config):
-    """Generator driving Solve - Estimate - Mark - Refine, marked by the
-    residual indicator of ``method``: :func:`method_levels` with
-    ``marked_by=method``.  Yields a :class:`LevelState` per level and stops
-    at ``max_levels`` or ``max_ndof``.
-    """
-    yield from method_levels(problem, [method], config, marked_by=method)
 
 
 def uniform_levels(problem, method, levels, config=None):

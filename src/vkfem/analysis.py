@@ -28,9 +28,8 @@ from .femspace import (EDGE_RULE, FROB_WEIGHTS, VOLUME_RULE, edge_jumps,
 
 __all__ = ["ExactSolutionPair", "ExactFields", "exact_fields",
            "ConvergenceRecord", "NORM_KINDS",
-           "error_norm", "discrete_norm", "unified_h_norm", "oscillation",
-           "oscillation_local", "best_approx_term", "fit_rate",
-           "convergence_rates"]
+           "error_norm", "discrete_norm", "oscillation", "oscillation_local",
+           "best_approx_term", "fit_rate"]
 
 NORM_KINDS = ("nc", "ip", "dg", "h")
 
@@ -178,11 +177,6 @@ def discrete_norm(dofmap, coef, kind="h"):
     return float(np.sqrt(nc2 + _jump_terms(dofmap, coef, [kind])[0]))
 
 
-def unified_h_norm(dofmap, coef):
-    """The unified norm of a discrete field (equals ``nc`` on Morley data)."""
-    return discrete_norm(dofmap, coef, "h")
-
-
 def error_norm(psi, exact, kind="h"):
     """Error of a discrete pair against an exact pair in one or more norms.
 
@@ -266,20 +260,3 @@ def fit_rate(ndofs, errors, window=None):
     if np.any(e <= 0.0):
         return 0.0 if np.allclose(e, e[0]) else float("nan")
     return float(-np.polyfit(np.log(n), np.log(e), 1)[0])
-
-
-def convergence_rates(records, window=3):
-    """Fitted decay rates of a convergence study.
-
-    Returns a dict with slopes for the total error, both components and the
-    estimator, fitted over the trailing ``window`` levels.  Fewer than three
-    records raise ``ValueError``.
-    """
-    if len(records) < 3:
-        raise ValueError("need at least three records to fit rates")
-    ndofs = [r.ndof for r in records]
-    out = {}
-    for name in ("error_u", "error_v", "error_total", "estimator_total"):
-        values = [getattr(r, name) for r in records]
-        out[name] = fit_rate(ndofs, values, window)
-    return out

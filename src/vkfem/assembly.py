@@ -181,18 +181,16 @@ def _stiffness_structure(dofmap):
     entries that couple side 0 of each edge to side 1 and side 1 to side 0
     (``dofmap.edge_basis.dofs``), each of shape ``(ne, 6, 6)``.  Morley and
     C0IP share vertex and edge dofs between triangles, so their structure is
-    sorted out by :func:`_structure`; ``dg``, numbered six consecutive dofs
-    per triangle as :func:`~vkfem.femspace.build_dofmap` numbers it, takes
-    it from its triangle graph (:func:`_patch_structure`), and is sorted
-    too when numbered otherwise.
+    sorted out by :func:`_structure`; ``dg``, six consecutive dofs per
+    triangle (see :class:`~vkfem.femspace.DofMap`), takes it from its
+    triangle graph (:func:`_patch_structure`).
 
     The first three are kept on the dof map, where
     :func:`_element_structure` reads them; the edge slots are not, since
     they would stay in memory for as long as the level.
     """
     dofs = dofmap.element_dofs
-    if dofmap.method == "dg" and np.array_equal(
-            dofs, dofs[:, :1] // 6 * 6 + np.arange(6)):
+    if dofmap.method == "dg":
         indptr, indices, slots = _patch_structure(dofmap)
     else:
         blocks = [(dofs, dofs)]

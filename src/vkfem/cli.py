@@ -130,15 +130,9 @@ def _write_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            out = []
-            for col in CSV_COLUMNS:
-                val = row[col]
-                if isinstance(val, float):
-                    out.append(f"{val:.12e}")
-                else:
-                    out.append(str(val))
-            writer.writerow(out)
+        writer.writerows([f"{row[col]:.12e}" if isinstance(row[col], float)
+                          else str(row[col]) for col in CSV_COLUMNS]
+                         for row in rows)
 
 
 def _emit_plot(csv_path):
@@ -152,11 +146,8 @@ def _emit_plot(csv_path):
         "set key bottom left",
         "plot \\",
     ]
-    parts = []
-    for method in METHODS:
-        parts.append(
-            f"  '{csv_path}' using (strcol(1) eq '{method}' ? $3 : NaN):6 "
-            f"with linespoints title '{method}'")
+    parts = [f"  '{csv_path}' using (strcol(1) eq '{method}' ? $3 : NaN):6 "
+             f"with linespoints title '{method}'" for method in METHODS]
     lines.append(", \\\n".join(parts))
     with open(script, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -165,10 +156,8 @@ def _emit_plot(csv_path):
 
 def run_experiment(spec):
     """Run one experiment spec; returns the rows written to the CSV."""
-    if spec.example == "square_analytic":
-        problem = square_problem()
-    else:
-        problem = lshape_problem()
+    problem = (square_problem() if spec.example == "square_analytic"
+               else lshape_problem())
     rows = []
     try:
         _run(spec, problem, rows)

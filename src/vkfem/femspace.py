@@ -37,11 +37,11 @@ from .mesh import Triangulation
 from .quadrature import edge_rule, triangle_rule
 
 __all__ = ["METHODS", "DofMap", "build_dofmap", "ElementBasis", "EdgeBasis",
-           "morley_interpolate", "nodal_interpolate", "p2_values",
-           "p2_ref_gradients", "P2_REF_HESSIANS", "FROB_WEIGHTS", "REF_NODES",
-           "EDGE_RULE", "VOLUME_RULE", "gather_coefficients",
-           "element_hessians", "edge_jumps", "bracket", "to_dg_coefficients",
-           "load_values", "rule_points", "rule_point_blocks", "BLOCK_POINTS"]
+           "morley_interpolate", "p2_values", "p2_ref_gradients",
+           "P2_REF_HESSIANS", "FROB_WEIGHTS", "REF_NODES", "EDGE_RULE",
+           "VOLUME_RULE", "gather_coefficients", "element_hessians",
+           "edge_jumps", "bracket", "load_values", "rule_points",
+           "rule_point_blocks", "BLOCK_POINTS"]
 
 METHODS = ("morley", "c0ip", "dg")
 
@@ -128,7 +128,9 @@ class DofMap:
     dofs per triangle, triangles in the minimum-degree order of their edge
     adjacency, so the numbering itself is a fill-reducing order of the
     ``dg`` matrices whose supernodes keep each triangle's six dofs
-    together).
+    together).  A ``dg`` map numbered otherwise raises ``ValueError``: its
+    ``NATURAL`` column order and its stiffness structure read the numbering
+    as that order.
 
     It is the context of its mesh and method: assembly, estimates and norms
     read its read-only ``basis`` and ``edge_basis``, each built on first use.
@@ -151,6 +153,14 @@ class DofMap:
 
     def __post_init__(self):
         self.element_dofs.setflags(write=False)
+        if self.method == "dg":
+            rank = self.element_dofs[:, 0] // 6
+            if not (self.n_global == 6 * len(rank) and np.array_equal(
+                    self.element_dofs, 6 * rank[:, None] + np.arange(6))
+                    and np.array_equal(np.sort(rank),
+                                       np.arange(self.mesh.n_triangles))):
+                raise ValueError("a dg dof map numbers the dofs 6 r to 6 r "
+                                 "+ 5 on the triangle of rank r")
 
     @property
     def column_order(self):
@@ -392,11 +402,6 @@ class EdgeBasis:
             arr.setflags(write=False)
 
     @property
-    def points(self):
-        """The physical evaluation points, shape ``(ne, len(tpoints), 2)``."""
-        return edge_points(self.basis.mesh, self.tpoints)
-
-    @property
     def dofs(self):
         """The dofs of both sides' triangles, ``(ne, 6)`` each, ``-1`` where a
         side has none: gathered from ``element_dofs`` on every read."""
@@ -522,40 +527,4 @@ def morley_interpolate(value, gradient, dofmap):
         means = np.einsum("q,eqa,ea->e", rule.weights, grads,
                           mesh.edge_normal[free_e])
         coef[dofmap.edge_dof[free_e]] = means
-    return coef
-
-
-def to_dg_coefficients(dofmap, coefficients):
-    """Re-express a discrete field in the discontinuous Lagrange frame.
-
-    Evaluates the field at the six Lagrange nodes of every element, which is
-    exact for P2 fields of any of the three methods; useful for comparing
-    solutions across methods in one norm.  The result is numbered as
-    ``build_dofmap(dofmap.mesh, "dg")`` numbers its dofs.
-    """
-    local = gather_coefficients(dofmap.element_dofs, coefficients)
-    node_vals = dofmap.basis.values(REF_NODES)
-    dg = build_dofmap(dofmap.mesh, "dg")
-    coef = np.empty(dg.n_global)
-    coef[dg.element_dofs] = np.einsum("tqj,tj->tq", node_vals, local)
-    return coef
-
-
-def nodal_interpolate(value, dofmap):
-    """Lagrange nodal interpolation for the ``c0ip`` or ``dg`` dof maps."""
-    if dofmap.method == "morley":
-        raise ValueError("nodal_interpolate needs a Lagrange-frame dof map")
-    mesh = dofmap.mesh
-    coef = np.zeros(dofmap.n_global)
-    if dofmap.method == "dg":
-        nodes = dofmap.basis.physical_points(REF_NODES)
-        coef[dofmap.element_dofs] = value(nodes[..., 0], nodes[..., 1])
-        return coef
-    free_v = np.where(dofmap.vertex_dof >= 0)[0]
-    coef[dofmap.vertex_dof[free_v]] = value(mesh.vertices[free_v, 0],
-                                            mesh.vertices[free_v, 1])
-    free_e = np.where(dofmap.edge_dof >= 0)[0]
-    mids = 0.5 * (mesh.vertices[mesh.edges[free_e, 0]] +
-                  mesh.vertices[mesh.edges[free_e, 1]])
-    coef[dofmap.edge_dof[free_e]] = value(mids[:, 0], mids[:, 1])
     return coef

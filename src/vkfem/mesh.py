@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "MeshError",
     "Triangulation",
-    "build_topology",
     "uniform_refine",
     "nvb_refine",
     "shape_regularity",
@@ -306,11 +305,6 @@ class Triangulation:
                 f"hanging vertex {cand[c]} on edge "
                 f"{tuple(self.edges[bidx[e]].tolist())}"
             )
-
-
-def build_topology(vertices, triangles, refinement_edge=None):
-    """Build a :class:`Triangulation` from raw vertex/triangle arrays."""
-    return Triangulation(vertices, triangles, refinement_edge)
 
 
 def _refined(coarse, vertices, triangles, tags, parent):

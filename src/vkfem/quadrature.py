@@ -2,8 +2,7 @@
 
 Triangle rules come from a collapsed Gauss-Jacobi x Gauss-Legendre product,
 which keeps every weight positive for all supported degrees.  Points are
-stored in barycentric coordinates and weights are normalised to sum to one,
-so an integral over a physical triangle is ``area * sum(w * f(points))``.
+stored in barycentric coordinates and weights are normalised to sum to one.
 
 Each rule is built once per degree and shared: :func:`triangle_rule` and
 :func:`edge_rule` return the same frozen rule, with read-only arrays, for
@@ -23,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = ["TriangleRule", "EdgeRule", "triangle_rule", "edge_rule",
-           "integrate_triangle", "integrate_edge", "MAX_DEGREE"]
+           "MAX_DEGREE"]
 
 MAX_DEGREE = 10
 
@@ -103,34 +102,3 @@ def _triangle_rule(degree):
     rule.points.setflags(write=False)
     rule.weights.setflags(write=False)
     return rule
-
-
-def integrate_triangle(rule, f, triangle):
-    """Integrate ``f(x, y)`` over a physical triangle.
-
-    Parameters
-    ----------
-    rule : TriangleRule
-    f : callable
-        Vectorised, called as ``f(x, y)`` with coordinate arrays.
-    triangle : array_like, shape (3, 2)
-        Vertex coordinates.
-    """
-    tri = np.asarray(triangle, dtype=float)
-    if tri.shape != (3, 2):
-        raise ValueError("triangle must be given as three (x, y) vertices")
-    d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
-    twice_area = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(twice_area) < 1e-300:
-        raise ValueError("degenerate triangle")
-    pts = rule.points @ tri
-    return 0.5 * abs(twice_area) * float(rule.weights @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))
-
-
-def integrate_edge(rule, f, a, b):
-    """Integrate ``f(x, y)`` along the segment from ``a`` to ``b``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pts = a[None, :] + rule.points[:, None] * (b - a)[None, :]
-    length = float(np.hypot(*(b - a)))
-    return length * float(rule.weights @ np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float))

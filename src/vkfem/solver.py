@@ -21,10 +21,10 @@ the column order of the dof map: ``dg`` numbers its triangles in
 minimum-degree order and factors in that order as it stands, Morley and
 C0IP order by minimum degree on ``A^T + A``.  A step whose GMRES result
 fails the acceptance test of :func:`linear_solve`, or whose block does not
-factorise, is solved by sparse LU on ``J`` instead.  Coercivity checks
-(:func:`is_spd`) factor ``K`` by the same diagonal-pivot LU as the blocks
-and read its definiteness from the signs of the pivots; a Newton run that
-does not converge reads them from the factor of ``K`` it holds.
+factorise, is solved by sparse LU on ``J`` instead.  ``K`` is factored by
+the same diagonal-pivot LU as the blocks, so a Newton run that does not
+converge reads the definiteness of ``K`` from the signs of the pivots of
+the factor it holds.
 
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7 (1986) 856-869) is
 one in-house cycle :func:`_gmres_cycle` on plain arrays, preconditioned on
@@ -61,8 +61,7 @@ from .assembly import (DiscreteSolution, _check_positive, _constant_load,
                        assemble_trilinear_vector)
 from .femspace import bracket, element_hessians
 
-__all__ = ["SolverError", "NewtonReport", "linear_solve", "is_spd",
-           "newton_solve", "residual", "newton_order"]
+__all__ = ["SolverError", "NewtonReport", "linear_solve", "newton_solve"]
 
 # GMRES on the preconditioned Newton matrix: the relative residual it may
 # always aim for (the LU path's target), the length of a cycle and the
@@ -286,17 +285,6 @@ def _factor(system, matrix, name, context):
                matrix, context, name, f"nnz(K) {system.stiffness.nnz}")
 
 
-def is_spd(matrix):
-    """True when the sparse matrix is symmetric positive definite: its LU
-    restricted to diagonal pivots (:func:`_lu`) has only positive pivots."""
-    a = sp.csc_matrix(matrix)
-    scale = abs(a).max()
-    if scale > 0 and abs(a - a.T).max() > 1e-10 * scale:
-        return False
-    lu = _lu(_symmetric_lu, a, "is_spd", "the matrix", f"nnz {a.nnz}")
-    return lu is not None and bool(np.all(lu.U.diagonal() > 0.0))
-
-
 class NewtonMatrix:
     """The Newton matrix ``J = [[A, M_u], [-M_u, K]]`` of one step, kept as
     its n x n CSC blocks ``a`` (``K + M_v`` without stored zeros, as it is
@@ -475,10 +463,10 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     when its first Newton step does not lower the residual, at a residual
     that is not finite or at a :class:`SolverError`; when it does not
     converge, the zero run follows (``report.start`` reads
-    ``"restarted"``).  The coarse run's steps warn of no NumPy overflow or
-    invalid value, since that restart handles them; the zero run keeps the
-    caller's error state.  The zero run starts from zero Hessians, where
-    the start solve is the exact first Newton step from the zero pair.
+    ``"restarted"``).  The zero run starts from zero Hessians, where the
+    start solve is the exact first Newton step from the zero pair, and
+    raises :class:`SolverError` at its first residual that is not finite.
+    So neither run warns of a NumPy overflow or invalid value.
 
     Each further step solves the exact linearisation ``J = [[K + M_v, M_u],
     [-M_u, K]]`` (biharmonic operator plus twice the cubic coupling at the
@@ -503,7 +491,7 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
         whether the pivots of ``K``'s factor are all positive; linear
         solver failures of the zero run raise :class:`SolverError`, as
         does a factor of ``K`` or of the zero run's Newton blocks that runs
-        out of memory.
+        out of memory, or a residual of the zero run that is not finite.
     """
     _check_positive("tol", tol)
     if not (isinstance(maxit, (int, np.integer)) and maxit >= 1):
@@ -517,18 +505,18 @@ def newton_solve(dofmap, loads, penalty=None, tol=1e-10, maxit=50,
     k_lu = _factor(system, system.stiffness, "K",
                    f"{dofmap.method} (ndof {dofmap.n_global})")
     first = 0  # the steps of an abandoned coarse run
-    if coarse_hessian is not None and k_lu is not None:
-        # the zero run handles the overflow and NaN of a coarse run that
-        # diverges, so its steps warn of neither
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a run stops at its first residual that is not finite, so its steps
+    # warn of no overflow or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if coarse_hessian is not None and k_lu is not None:
             psi, history, sweeps, converged = _run(
                 system, k_lu, coarse_hessian, target, maxit, 0)
-        if converged:
-            return psi, NewtonReport(len(history) - 1, history, True,
-                                     start="coarse", sweeps=sweeps)
-        first = len(history) - 1
-    psi, history, sweeps, converged = _run(system, k_lu, None, target, maxit,
-                                           first)
+            if converged:
+                return psi, NewtonReport(len(history) - 1, history, True,
+                                         start="coarse", sweeps=sweeps)
+            first = len(history) - 1
+        psi, history, sweeps, converged = _run(system, k_lu, None, target,
+                                               maxit, first)
     # no factor: a zero pivot stopped it, and that is not positive either
     definite = None if converged else (
         k_lu is not None and bool(np.all(k_lu.U.diagonal() > 0.0)))
@@ -553,7 +541,8 @@ def _run(system, k_lu, hess, target, maxit, first):
     run converges or takes ``maxit`` steps.  A run from given Hessians also
     stops when its first Newton step does not lower the residual, at a
     residual that is not finite, or at a :class:`SolverError`, counted as a
-    step with residual NaN; a run from zero raises the error.  Each iterate
+    step with residual NaN; a run from zero raises the error, and raises
+    :class:`SolverError` at a residual that is not finite.  Each iterate
     after the zero pair is a read-only block vector ``x`` that one
     ``evaluated(x)`` pairs with its element Hessians, which its residual,
     sweep and Newton matrix read, and with its residual, norm and stop: a
@@ -593,10 +582,14 @@ def _run(system, k_lu, hess, target, maxit, first):
             sweeps += 1
         history.append(norm)
     while not history[-1] <= stop:
-        steps = len(history) - 1
+        steps, finite = len(history) - 1, np.isfinite(history[-1])
+        if not (finite or coarse):
+            raise SolverError(
+                f"{dofmap.method} (ndof {n}): the residual is not finite "
+                f"after {first + steps} steps (last finite residual "
+                f"{history[-2]:.3g})")
         if steps == maxit or coarse and (
-                not np.isfinite(history[-1])
-                or steps == 2 and not history[2] < history[1]):
+                not finite or steps == 2 and not history[2] < history[1]):
             return psi, history, sweeps, False
         # the stop itself, not a bound of it, sets the step's target
         stop = system.stopping_residual(psi, target)
@@ -630,30 +623,3 @@ def _newton_step(system, k_lu, psi, res, target, context):
     # that far cannot delay convergence
     return linear_solve(jac, -res, context=context,
                         preconditioner=preconditioner, target=target)
-
-
-def residual(psi, loads, penalty=None):
-    """Nonlinear residual vector of a coefficient pair, one entry per dof.
-
-    ``loads`` is taken as by :func:`newton_solve`."""
-    system = NewtonSystem(psi.dofmap, loads, penalty)
-    return system.residual(psi)
-
-
-def newton_order(history, floor=0.0):
-    """Least-squares convergence order fitted from a residual history.
-
-    Fits ``log r_{k+1}`` against ``log r_k`` over the strictly decreasing
-    prefix of residuals above ``floor`` (entries at the floating-point floor
-    flatten the fit and are dropped); requires at least three usable
-    residuals.
-    """
-    r = []
-    for h in history:
-        if h <= floor or (r and h >= r[-1]):
-            break
-        r.append(h)
-    if len(r) < 3:
-        raise ValueError("need at least three residuals above the floor")
-    r = np.asarray(r, dtype=float)
-    return float(np.polyfit(np.log(r[:-1]), np.log(r[1:]), 1)[0])

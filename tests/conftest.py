@@ -42,8 +42,8 @@ def lshape1(lshape0):
 @pytest.fixture(scope="session")
 def skewed_triangle():
     """One-element mesh with an irregular but well-shaped triangle."""
-    from vkfem import build_topology
-    return build_topology([(0.1, -0.05), (1.3, 0.2), (0.4, 0.9)], [(0, 1, 2)])
+    from vkfem import Triangulation
+    return Triangulation([(0.1, -0.05), (1.3, 0.2), (0.4, 0.9)], [(0, 1, 2)])
 
 
 @pytest.fixture(scope="session")

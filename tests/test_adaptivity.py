@@ -6,10 +6,11 @@ import pytest
 
 from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, LocalEstimates,
                    PenaltyConfig, SolverError, build_dofmap, dorfler_mark,
-                   estimate, edge_rule, integrate_edge, nodal_interpolate,
-                   uniform_refine)
-from vkfem.adaptivity import adaptive_levels, method_levels, uniform_levels
+                   estimate, edge_rule, uniform_refine)
+from vkfem.adaptivity import method_levels, uniform_levels
 from vkfem.problems import lshape_problem, square_problem
+
+from oracles import integrate_edge, nodal_interpolate
 
 
 def test_estimator_volume_terms_for_zero_solution(square1):
@@ -183,7 +184,7 @@ def test_adaptive_config_takes_max_ndof_as_none_or_a_positive_integer(
 def test_theta_one_marks_everything(square0):
     prob = square_problem()
     config = AdaptiveConfig(theta=1.0, max_levels=2)
-    states = list(adaptive_levels(prob, "morley", config))
+    states = list(method_levels(prob, ["morley"], config, marked_by="morley"))
     eta = states[0].estimates
     assert (eta.eta2 > 0).all()
     assert dorfler_mark(eta, 1.0).size == square0.n_triangles
@@ -210,7 +211,7 @@ def test_adaptive_levels_records_and_corner_focus():
     from vkfem.problems import lshape_problem
     prob = lshape_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=12)
-    states = list(adaptive_levels(prob, "morley", config))
+    states = list(method_levels(prob, ["morley"], config, marked_by="morley"))
     records = [s.record for s in states]
     assert [r.level for r in records] == list(range(config.max_levels))
     assert records[0].ndof == build_dofmap(prob.initial_mesh,
@@ -254,7 +255,8 @@ def _counting_problem():
 def test_loads_are_evaluated_once_per_level():
     problem, calls = _counting_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=3)
-    assert len(list(adaptive_levels(problem, "c0ip", config))) == 3
+    assert len(list(method_levels(problem, ["c0ip"], config,
+                                  marked_by="c0ip"))) == 3
     assert calls == {"f": 3, "g": 3}
 
     problem, calls = _counting_problem()
@@ -312,7 +314,7 @@ def test_each_dofmap_builds_its_bases_once(monkeypatch, method):
     problem = square_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=2)
     for levels in (uniform_levels(problem, method, 2, config),
-                   adaptive_levels(problem, method, config)):
+                   method_levels(problem, [method], config, marked_by=method)):
         element.clear()
         edge.clear()
         dofmaps = [state.solution.dofmap for state in levels]
@@ -347,7 +349,8 @@ def test_a_three_method_uniform_run_matches_each_methods_own_loop():
 def test_a_run_marked_by_dg_records_dg_as_its_own_loop():
     problem = lshape_problem()
     config = AdaptiveConfig(theta=0.5, max_levels=4)
-    own = [s.record for s in adaptive_levels(problem, "dg", config)]
+    own = [s.record for s in method_levels(problem, ["dg"], config,
+                                           marked_by="dg")]
     merged = [s.record for s in method_levels(problem, METHODS, config,
                                               marked_by="dg")
               if s.solution.method == "dg"]

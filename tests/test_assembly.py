@@ -5,19 +5,20 @@ import pytest
 import scipy.sparse as sp
 
 from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, PenaltyConfig,
-                   adaptive_levels, assemble_biharmonic,
-                   assemble_load,
+                   Triangulation, assemble_biharmonic, assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
-                   build_dofmap, build_topology, edge_rule,
-                   integrate_edge, is_spd, load_values, nodal_interpolate,
-                   to_dg_coefficients, triangle_rule, two_triangle_square,
-                   uniform_refine, unit_square_mesh)
+                   build_dofmap, edge_rule, load_values, method_levels,
+                   triangle_rule, two_triangle_square, uniform_refine,
+                   unit_square_mesh)
 from vkfem import assembly
 from vkfem.femspace import (DofMap, EdgeBasis, ElementBasis, bracket,
                             element_hessians)
 from vkfem.analysis import discrete_norm
 from vkfem.problems import exact_square, lshape_problem
 from vkfem.solver import NewtonSystem
+
+from oracles import (integrate_edge, is_spd, nodal_interpolate,
+                     to_dg_coefficients)
 
 
 def fd_hessian_quadratic(basis, tri, pts, coef, h=1e-5):
@@ -271,7 +272,7 @@ def test_trilinear_jacobian_block_structure(square1):
 
 
 def test_load_constant_on_reference_triangle():
-    mesh = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     dm = build_dofmap(mesh, "dg")
     load = assemble_load(lambda x, y: np.ones_like(x),
                          lambda x, y: np.zeros_like(x), dm)
@@ -401,8 +402,9 @@ def dg_test_meshes():
     for _ in range(5):
         meshes.append(mesh)
         mesh = uniform_refine(mesh)
-    return meshes + [state.mesh for state in adaptive_levels(
-        lshape_problem(), "dg", AdaptiveConfig(max_levels=9))]
+    return meshes + [state.mesh for state in method_levels(
+        lshape_problem(), ["dg"], AdaptiveConfig(max_levels=9),
+        marked_by="dg")]
 
 
 def test_dg_patch_structure_is_the_sorted_structure_bit_for_bit():
@@ -422,16 +424,22 @@ def test_dg_patch_structure_is_the_sorted_structure_bit_for_bit():
             assert np.array_equal(got, want), mesh.n_triangles
 
 
-def test_dg_numbered_otherwise_takes_the_sorted_structure(square2):
-    # the triangle graph gives the structure only of six consecutive dofs
-    # per triangle; a dg dof map numbered otherwise is sorted, and its
-    # matrix is the permuted one
+def test_a_dg_dofmap_numbered_otherwise_raises(square2):
+    # the triangle graph gives the structure, and NATURAL the column order,
+    # only of six consecutive dofs per triangle, one triangle per rank
     dm = build_dofmap(square2, "dg")
-    perm = np.random.default_rng(5).permutation(dm.n_global)
-    permuted = DofMap(square2, "dg", dm.n_global, perm[dm.element_dofs])
-    k, k_perm = assemble_biharmonic(dm), assemble_biharmonic(permuted)
-    assert abs(k_perm[perm][:, perm] - k).max() <= 1e-12 * abs(k).max()
-    assert k_perm.nnz == k.nnz
+    n, rng = dm.n_global, np.random.default_rng(5)
+    ranks = rng.permutation(square2.n_triangles)
+    DofMap(square2, "dg", n, 6 * ranks[:, None] + np.arange(6))
+    shared = ranks.copy()
+    shared[1] = shared[0]
+    for dofs in (rng.permutation(n)[dm.element_dofs],
+                 dm.element_dofs[:, ::-1],
+                 6 * shared[:, None] + np.arange(6)):
+        with pytest.raises(ValueError, match="a dg dof map numbers"):
+            DofMap(square2, "dg", n, dofs)
+    with pytest.raises(ValueError, match="a dg dof map numbers"):
+        DofMap(square2, "dg", n + 6, dm.element_dofs)
 
 
 #: tracemalloc peak of the dg assembly below, 5.63 MiB when the structure

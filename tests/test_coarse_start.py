@@ -1,12 +1,13 @@
 """Newton's coarse start across refinement levels: robustness and starts."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from vkfem import adaptivity, build_dofmap, newton_solve, solver
-from vkfem.adaptivity import AdaptiveConfig, adaptive_levels, uniform_levels
+from vkfem import SolverError, adaptivity, build_dofmap, newton_solve, solver
+from vkfem.adaptivity import AdaptiveConfig, method_levels, uniform_levels
 from vkfem.analysis import ExactSolutionPair
 from vkfem.femspace import METHODS, bracket, element_hessians
 from vkfem.problems import Problem, lshape_problem, square_problem
@@ -84,8 +85,9 @@ def test_no_coarse_start_is_abandoned_on_the_benchmark_hierarchies(reports):
     # (5 levels), each method on its own hierarchy
     lshape_steps, lshape_sweeps = 0, {}
     for method in METHODS:
-        list(adaptive_levels(lshape_problem(), method,
-                             AdaptiveConfig(theta=0.5, max_levels=16)))
+        list(method_levels(lshape_problem(), [method],
+                           AdaptiveConfig(theta=0.5, max_levels=16),
+                           marked_by=method))
         lshape_steps += sum(r.iterations for r in reports[-16:])
         lshape_sweeps[method] = sum(r.sweeps for r in reports[-16:])
         list(uniform_levels(square_problem(), method, 5))
@@ -113,8 +115,9 @@ def test_a_level_on_the_same_mesh_starts_from_identity_parents(monkeypatch):
         given.append(coarse_hessian)
         return real(*args, coarse_hessian=coarse_hessian, **kwargs)
     monkeypatch.setattr(adaptivity, "newton_solve", recording)
-    states = list(adaptive_levels(square_problem(), "c0ip",
-                                  AdaptiveConfig(max_levels=3)))
+    states = list(method_levels(square_problem(), ["c0ip"],
+                                AdaptiveConfig(max_levels=3),
+                                marked_by="c0ip"))
     assert states[2].mesh is states[1].mesh is not states[0].mesh
     assert np.isnan(states[2].record.rate_vs_ndof)
     assert given[0] is None
@@ -214,3 +217,21 @@ def test_a_diverging_coarse_run_warns_of_nothing(square2, monkeypatch, sign):
     # a failed linear solve can only be the coarse run's last call
     assert True not in raised[:coarse_calls - 1] + raised[coarse_calls:]
     assert report.iterations == 1 + coarse_calls + zero_report.iterations
+
+
+def test_a_diverging_zero_run_stops_at_its_first_non_finite_residual(
+        square2):
+    # from zero, Morley at a = 30 grows until a residual overflows (about
+    # 8e148, then inf, after some 43 steps, by rounding); the run raises
+    # there, naming the last finite residual, and no RuntimeWarning escapes
+    problem = scaled_problem(square_problem(), 30.0)
+    dofmap = build_dofmap(square2, "morley")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as failure:
+            newton_solve(dofmap, (problem.exact.f, problem.exact.g))
+    found = re.fullmatch(r"morley \(ndof 225\): the residual is not finite "
+                         r"after (\d+) steps \(last finite residual "
+                         r"(\S+)\)", str(failure.value))
+    assert found, str(failure.value)
+    assert int(found[1]) < 50 and 1e100 < float(found[2]) < np.inf

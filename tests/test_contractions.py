@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vkfem import (METHODS, DiscreteSolution, PenaltyConfig,
-                   assemble_biharmonic, assemble_load,
-                   build_dofmap, build_topology, error_norm, estimate,
-                   lshape_mesh, nvb_refine, oscillation_local, uniform_refine)
+from vkfem import (METHODS, DiscreteSolution, PenaltyConfig, Triangulation,
+                   assemble_biharmonic, assemble_load, build_dofmap,
+                   error_norm, estimate, lshape_mesh, nvb_refine,
+                   oscillation_local, uniform_refine)
 from vkfem import analysis, assembly
-from vkfem.femspace import (EDGE_RULE, P2_REF_HESSIANS, REF_NODES,
-                            VOLUME_RULE, EdgeBasis, bracket, edge_jumps,
+from vkfem.femspace import (EDGE_RULE, P2_REF_HESSIANS, REF_NODES, VOLUME_RULE,
+                            EdgeBasis, bracket, edge_jumps, edge_points,
                             element_hessians, gather_coefficients,
                             p2_ref_gradients, p2_values)
 from vkfem.problems import exact_lshape
@@ -42,7 +42,7 @@ def mesh():
     shift = (0.1 * mesh.edge_length.min()
              * rng.uniform(-1.0, 1.0, mesh.vertices.shape))
     shift[mesh.vertex_on_boundary] = 0.0
-    return build_topology(mesh.vertices + shift, mesh.triangles)
+    return Triangulation(mesh.vertices + shift, mesh.triangles)
 
 
 @pytest.fixture(scope="module", params=METHODS)
@@ -127,7 +127,8 @@ def test_edge_basis_traces(dofmap):
             assert not mesh.edge_backwards[tri >= 0, side].all()
             tt = np.where(tri >= 0, tri, 0)
             ref = np.einsum("eab,eqb->eqa", mesh.jac_inv[tt],
-                            eb.points - origin[tt][:, None, :])
+                            edge_points(mesh, eb.tpoints)
+                            - origin[tt][:, None, :])
             vals = p2_values(ref)
             grads = np.einsum("eba,eqjb->eqja", mesh.jac_inv[tt],
                               p2_ref_gradients(ref))
@@ -276,7 +277,8 @@ def test_error_norm_volume_and_jump_terms(dofmap, coefficients):
     basis = dofmap.basis
     rule = VOLUME_RULE
     pts = basis.physical_points(rule.points[:, 1:])
-    mesh, edge_pts = dofmap.mesh, dofmap.edge_basis.points
+    mesh = dofmap.mesh
+    edge_pts = edge_points(mesh, dofmap.edge_basis.tpoints)
     # the values at the rule points and both endpoints, as error_norm takes
     # them
     value_pts = np.concatenate([edge_pts, mesh.vertices[mesh.edges]], axis=1)

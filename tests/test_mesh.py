@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from vkfem import (MeshError, Triangulation, build_topology, nvb_refine,
-                   read_mesh, shape_regularity, uniform_refine, write_mesh)
+from vkfem import (MeshError, Triangulation, nvb_refine, read_mesh,
+                   shape_regularity, uniform_refine, write_mesh)
 
 
 def cross2(u, v):
@@ -28,7 +28,7 @@ def test_two_triangle_square_counts(two_tri):
 
 
 def test_single_triangle_all_boundary():
-    m = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    m = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert m.n_edges == 3
     assert m.edge_on_boundary.all()
     assert m.vertex_on_boundary.all()
@@ -59,28 +59,28 @@ def test_rejects_hanging_vertex():
     vertices = [(0, 0), (2, 0), (2, 2), (0, 2), (2, 1), (3, 1)]
     triangles = [(0, 1, 4), (0, 4, 2), (0, 2, 3), (1, 5, 2)]
     with pytest.raises(MeshError) as info:
-        build_topology(vertices, triangles)
+        Triangulation(vertices, triangles)
     assert str(info.value) == "hanging vertex 4 on edge (1, 2)"
 
 
 def test_rejects_overshared_edge():
     with pytest.raises(MeshError, match="more than two|shared by"):
-        build_topology([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
+        Triangulation([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def test_rejects_clockwise_triangle():
     with pytest.raises(MeshError, match="area"):
-        build_topology([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
+        Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])
 
 
 def test_rejects_bad_indices():
     with pytest.raises(MeshError):
-        build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)])
+        Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 3)])
     with pytest.raises(MeshError):
-        build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])
+        Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 1)])
     with pytest.raises(MeshError):
-        build_topology([(0, 0), (1, 0), (0, np.nan)], [(0, 1, 2)])
+        Triangulation([(0, 0), (1, 0), (0, np.nan)], [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("triangles, refinement_edge, name", [
@@ -91,9 +91,9 @@ def test_rejects_bad_indices():
 def test_rejects_non_integral_indices(triangles, refinement_edge, name):
     # an index or tag that differs from its int64 value is not truncated
     with pytest.raises(MeshError, match=f"{name} must be integers"):
-        build_topology([(0, 0), (1, 0), (0, 1)], triangles, refinement_edge)
+        Triangulation([(0, 0), (1, 0), (0, 1)], triangles, refinement_edge)
     # integral values of a float array are indices
-    mesh = build_topology([(0, 0), (1, 0), (0, 1)], [[0.0, 1.0, 2.0]], [1.0])
+    mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [[0.0, 1.0, 2.0]], [1.0])
     assert mesh.triangles.tolist() == [[0, 1, 2]]
     assert mesh.refinement_edge.tolist() == [1]
 
@@ -136,7 +136,7 @@ def test_uniform_refine_preserves_min_angle(lshape0):
 
 
 def test_uniform_refine_single_triangle_twice():
-    m = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    m = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     m = uniform_refine(uniform_refine(m))
     assert m.n_triangles == 16
 
@@ -339,7 +339,7 @@ def test_longest_edge_tags(two_tri):
 
 
 def test_shape_regularity_equilateral():
-    m = build_topology([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)], [(0, 1, 2)])
+    m = Triangulation([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)], [(0, 1, 2)])
     assert shape_regularity(m) == pytest.approx(np.pi / 3, abs=1e-12)
 
 
@@ -478,7 +478,7 @@ def test_hanging_vertex_audit_memory_stays_boundary_linear():
     # the audit used to build boundary-edges x boundary-vertices arrays
     # (108 MB for this strip); it now keeps a few candidate pairs per edge
     import tracemalloc
-    mesh = build_topology(*_strip(750))
+    mesh = Triangulation(*_strip(750))
     assert int(mesh.edge_on_boundary.sum()) == 1502
     tracemalloc.start()
     try:
@@ -494,7 +494,7 @@ def test_hanging_vertex_audit_memory_stays_boundary_linear():
 def test_rejects_hanging_vertex_on_a_long_boundary(k):
     message = f"hanging vertex {2 * 750 + 2} on edge ({k}, {k + 1})"
     with pytest.raises(MeshError, match=re.escape(message)):
-        build_topology(*_strip(750, hanging=[k]))
+        Triangulation(*_strip(750, hanging=[k]))
 
 
 @pytest.mark.parametrize("hanging", [(12, 5, 30), (39, 0), (7, 8, 9)])
@@ -503,7 +503,7 @@ def test_hanging_vertex_audit_names_the_dense_scans_first_hit(monkeypatch,
     from vkfem.mesh import Triangulation
     monkeypatch.setattr(Triangulation, "_audit_hanging_vertices",
                         lambda self: None)
-    mesh = build_topology(*_strip(40, hanging=hanging))
+    mesh = Triangulation(*_strip(40, hanging=hanging))
     monkeypatch.undo()
     with pytest.raises(MeshError, match=re.escape(_dense_audit(mesh))):
         mesh._audit_hanging_vertices()

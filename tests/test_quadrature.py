@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from vkfem import edge_rule, integrate_edge, integrate_triangle, triangle_rule
+from vkfem import edge_rule, triangle_rule
+
+from oracles import integrate_edge, integrate_triangle
 
 REF = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 MAPPED = np.array([(0.2, -0.1), (1.7, 0.3), (0.6, 1.4)])

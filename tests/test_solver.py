@@ -7,16 +7,17 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vkfem import (DiscreteSolution, PenaltyConfig, SolverError,
+from vkfem import (DiscreteSolution, PenaltyConfig, SolverError, Triangulation,
                    assemble_biharmonic, assemble_load,
                    assemble_trilinear_jacobian, assemble_trilinear_vector,
-                   build_dofmap, build_topology,
-                   error_norm, estimate, is_spd, linear_solve, newton_order,
-                   newton_solve, residual, uniform_refine)
+                   build_dofmap, error_norm, estimate, linear_solve,
+                   newton_solve, uniform_refine)
 from vkfem import solver
 from vkfem.femspace import DofMap, element_hessians, load_values
 from vkfem.problems import exact_lshape, exact_square
 from vkfem.solver import NewtonSystem
+
+from oracles import is_spd, newton_order, to_dg_coefficients
 
 
 def loads_of(exact):
@@ -97,7 +98,7 @@ def test_newton_quadratic_order(square2):
 def test_newton_without_free_dofs(method):
     # on one triangle every Morley and C0IP dof lies on the boundary, so the
     # discrete pair is the empty zero pair; dg keeps its six dofs
-    mesh = build_topology([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = Triangulation([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     dm = build_dofmap(mesh, method)
     ex = exact_square()
     psi, report = newton_solve(dm, loads_of(ex))
@@ -121,7 +122,7 @@ def test_residual_of_zero_is_minus_load(square1):
     dm = build_dofmap(square1, "dg")
     load = assemble_load(ex.f, ex.g, dm)
     zero = DiscreteSolution(dm, np.zeros(dm.n_global), np.zeros(dm.n_global))
-    res = residual(zero, loads_of(ex))
+    res = NewtonSystem(dm, loads_of(ex)).residual(zero)
     assert np.abs(res + load).max() < 1e-14 * max(1.0, np.abs(load).max())
 
 
@@ -129,7 +130,7 @@ def test_residual_small_at_converged_solution(square1):
     ex = exact_square()
     dm = build_dofmap(square1, "c0ip")
     psi, report = newton_solve(dm, loads_of(ex))
-    res = residual(psi, loads_of(ex))
+    res = NewtonSystem(dm, loads_of(ex)).residual(psi)
     assert np.linalg.norm(res) == pytest.approx(report.residual_history[-1],
                                                 rel=1e-10)
 
@@ -232,7 +233,7 @@ def test_a_newton_run_changes_no_pair_it_evaluated(square2, monkeypatch):
 def test_method_solutions_pairwise_close(square2):
     # distances between the three converged solutions are of the same
     # magnitude as their errors (sanity on the common unified norm)
-    from vkfem import error_norm, to_dg_coefficients, unified_h_norm
+    from vkfem import discrete_norm, error_norm
     ex = exact_square()
     solutions, errors = {}, {}
     for method in ("morley", "c0ip", "dg"):
@@ -247,7 +248,8 @@ def test_method_solutions_pairwise_close(square2):
     for a, b in (("morley", "c0ip"), ("morley", "dg"), ("c0ip", "dg")):
         du = embed[a][0] - embed[b][0]
         dv = embed[a][1] - embed[b][1]
-        dist = np.hypot(unified_h_norm(dg_dm, du), unified_h_norm(dg_dm, dv))
+        dist = np.hypot(discrete_norm(dg_dm, du, "h"),
+                        discrete_norm(dg_dm, dv, "h"))
         scale = max(errors[a], errors[b])
         assert 0.05 * scale < dist < 5.0 * scale
 

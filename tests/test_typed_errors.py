@@ -15,12 +15,14 @@ import pytest
 
 from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, SolverError,
                    assemble_biharmonic, build_dofmap, dorfler_mark, estimate,
-                   is_spd, linear_solve, load_values, newton_solve)
+                   linear_solve, load_values, newton_solve)
 from vkfem import solver
 from vkfem.analysis import exact_fields
 from vkfem.cli import ExperimentSpec
 from vkfem.femspace import rule_points
 from vkfem.problems import exact_square
+
+import oracles
 
 EXACT = exact_square()
 
@@ -88,8 +90,8 @@ def lu_fallback_out_of_memory(dm, monkeypatch):
 
 
 def is_spd_out_of_memory(dm, monkeypatch):
-    monkeypatch.setattr(solver, "_symmetric_lu", out_of_memory_from(1))
-    is_spd(assemble_biharmonic(dm))
+    monkeypatch.setattr(oracles, "_symmetric_lu", out_of_memory_from(1))
+    oracles.is_spd(assemble_biharmonic(dm))
 
 
 def dg_ordering_out_of_memory(dm, monkeypatch):
