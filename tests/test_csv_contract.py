@@ -40,6 +40,7 @@ reruns the experiments here without writing any file and prints, per
 experiment, whether its CSV is byte-identical to the one in ``DIR``
 (default: the committed files), per float column, the largest relative
 move of a cell against it, and the ``(method, level)`` rows that moved.
+It exits with status 1 when any CSV differs, else 0.
 """
 
 import argparse
@@ -129,6 +130,8 @@ def test_largest_moves_names_the_rows_that_moved():
 
 
 def main(argv=None):
+    """The script: 0 after ``--write``, and after ``--compare`` 0 when every
+    fresh CSV is byte-identical to its written one, else 1."""
     parser = argparse.ArgumentParser(
         description="Write the three CLI CSVs, or compare fresh runs with "
                     "written ones.")
@@ -144,12 +147,14 @@ def main(argv=None):
     if args.compare is None:
         for name in EXPERIMENTS:
             run(name, args.write / f"{name}.csv")
-        return
+        return 0
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in EXPERIMENTS:
             out, ref = Path(tmp) / f"{name}.csv", args.compare / f"{name}.csv"
             run(name, out)
             same = out.read_bytes() == ref.read_bytes()
+            status = status or int(not same)
             moves, rows = largest_moves(read(out), read(ref))
             print(name, "byte-identical" if same else "differs",
                   " ".join(f"{col}={move:.2e}"
@@ -157,8 +162,27 @@ def main(argv=None):
             if rows:
                 print("  moved rows:", " ".join(
                     f"({method}, {level})" for method, level in rows))
+    return status
+
+
+@pytest.mark.parametrize("differs, status", [(None, 0),
+                                             ("lshape_uniform", 1)])
+def test_compare_exits_1_unless_every_csv_is_byte_identical(
+        tmp_path, monkeypatch, capsys, differs, status):
+    row = "method,level,ndof,error_u\ndg,0,6,{}\n"
+
+    def known(example, out):
+        Path(out).write_text(row.format("2.0"))
+    monkeypatch.setitem(globals(), "run", known)
+    for name in EXPERIMENTS:
+        (tmp_path / f"{name}.csv").write_text(
+            row.format("3.0" if name == differs else "2.0"))
+    assert main(["--compare", str(tmp_path)]) == status
+    printed = capsys.readouterr().out
+    assert printed.count("byte-identical") == 3 - status
+    assert printed.count("differs") == status
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parents[1] / "src"))
-    main()
+    sys.exit(main())
