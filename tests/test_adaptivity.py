@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vkfem import (METHODS, AdaptiveConfig, DiscreteSolution, LocalEstimates,
                    PenaltyConfig, SolverError, build_dofmap, dorfler_mark,
-                   estimate, edge_rule, uniform_refine)
+                   estimate, edge_rule, load_values, uniform_refine)
 from vkfem.adaptivity import method_levels, uniform_levels
 from vkfem.problems import lshape_problem, square_problem
 
@@ -530,3 +531,26 @@ def test_method_levels_rejects_no_methods_and_repeated_methods(
         next(method_levels(square_problem(), methods,
                            AdaptiveConfig(max_levels=4, max_ndof=10),
                            marked_by))
+
+
+#: tracemalloc peak of one solve from zero on the uniform L-shape at level 4
+#: (1,536 triangles), in bytes per triangle: measured (2,440, 5,984 and
+#: 7,258, the same over runs), plus 10 %; SuperLU's memory is not traced
+SOLVE_PEAK_PER_TRIANGLE = {"morley": 1.1 * 2440, "c0ip": 1.1 * 5984,
+                           "dg": 1.1 * 7258}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_solve_stays_within_its_memory_per_triangle(lshape1, method):
+    from vkfem import adaptivity
+    mesh = uniform_refine(uniform_refine(uniform_refine(lshape1)))
+    exact = lshape_problem().exact
+    loads = tuple(load_values(load, mesh) for load in (exact.f, exact.g))
+    tracemalloc.start()
+    try:
+        adaptivity._solve(4, mesh, method, AdaptiveConfig(), loads, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_triangles == 1536
+    assert peak / mesh.n_triangles <= SOLVE_PEAK_PER_TRIANGLE[method]
