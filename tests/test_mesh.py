@@ -66,7 +66,7 @@ def test_rejects_hanging_vertex():
 def test_rejects_overshared_edge():
     with pytest.raises(MeshError, match="more than two|shared by"):
         Triangulation([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)],
-                       [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+                      [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def test_rejects_clockwise_triangle():
